@@ -9,6 +9,7 @@ A function is represented by its first K coefficients; the heat semigroup acts a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -132,6 +133,14 @@ class SpectralField:
         return cls(basis, c)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss-Legendre rule: `panels_per_unit` panels per unit length, `nodes` per panel."""
@@ -158,7 +167,7 @@ class QuadratureRule:
             if a < p < b:
                 edges.append(p)
         edges = sorted(set(edges))
-        xg, wg = np.polynomial.legendre.leggauss(self.nodes)
+        xg, wg = _gauss_legendre(self.nodes)
         pts, wts = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
             n_panels = max(1, math.ceil((hi - lo) * self.panels_per_unit))

@@ -147,7 +147,13 @@ class Manifest:
             },
             "outputs": [],
         }
-        self._t0 = time.perf_counter()
+        self._t0 = self._mark = time.perf_counter()
+
+    def phase(self, name: str):
+        """Record the seconds since the previous mark as phases[name + "_s"]."""
+        now = time.perf_counter()
+        self.data.setdefault("phases", {})[f"{name}_s"] = round(now - self._mark, 6)
+        self._mark = now
 
     def add(self, path: Path, rows: int):
         self.data["outputs"].append({"file": path.name, "rows": rows})
@@ -178,6 +184,7 @@ def _out_dir(cfg, args) -> Path:
 
 
 def cmd_simulate(cfg, args) -> int:
+    manifest = Manifest("simulate", cfg)
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
@@ -187,7 +194,7 @@ def cmd_simulate(cfg, args) -> int:
     solver = cfg["run"].get("solver")
     nx = cfg["run"].getint("nx")
     out = _out_dir(cfg, args)
-    manifest = Manifest("simulate", cfg)
+    manifest.phase("build")
 
     if solver == "closed-form":
         trace = solve_trace(y0, phi, times, params)
@@ -231,12 +238,14 @@ def cmd_simulate(cfg, args) -> int:
     out_times = np.asarray(out_times, dtype=float)
     if len(np.unique(out_times)) != len(out_times):
         raise InvalidArgumentError("requested instants collapse onto the same solver samples")
+    manifest.phase("solve")
     coeff_path = out / "trace_coeffs.csv"
     manifest.add(coeff_path, dio.write_coeff_trace_csv(out_times, rows, coeff_path))
     xs = basis.mesh(nx)
     grid_vals = rows @ basis.eval_matrix(xs).T
     grid_path = out / "trace_grid.csv"
     manifest.add(grid_path, dio.write_grid_trace_csv(out_times, xs, grid_vals, grid_path))
+    manifest.phase("write")
     manifest.write(out)
     print(f"wrote {coeff_path} and {grid_path}")
     return 0

@@ -16,7 +16,12 @@ This module evaluates the series, its one-sided time derivatives of any order
 (products of polynomials and exponentials, differentiated exactly), the history
 convolution with quadrature panels split at the lattice kinks, and a Picard
 iteration of the equivalent Volterra integral equation whose error contracts
-factorially in the iteration count.
+factorially in the iteration count.  One private kernel evaluates the series and
+its derivatives on a whole (times x modes) grid.
+
+History protocol: `phi.coeffs(gamma, order=0)` returns the K mode coefficients
+of the order-th time derivative at a scalar gamma, and one row per entry,
+shape (n, K), for a 1-D array of n gammas; the quadratures pass all nodes at once.
 """
 
 from __future__ import annotations
@@ -85,31 +90,53 @@ class FlowParams:
         return j
 
 
-def _signed_log_coef(a: float, dt_j: float, j: int, extra_lgamma: float) -> float:
-    """a^j * dt_j^j / exp(extra_lgamma), computed in log space with sign tracking."""
-    if dt_j == 0.0 and j > 0:
-        return 0.0
-    sign = -1.0 if (a < 0 and j % 2 == 1) else 1.0
-    log_mag = j * math.log(abs(a)) + (j * math.log(dt_j) if j > 0 else 0.0) - extra_lgamma
-    return sign * math.exp(log_mag)
+def _delayed_exp_grid(lams, ts, params: FlowParams, order: int = 0,
+                      side: str = "right") -> np.ndarray:
+    """One-sided order-`order` time derivative of E(lambda, t) on the (len(ts), len(lams)) grid.
+
+    Differentiating each polynomial-times-exponential term exactly gives
+
+        sum_j a^j sum_{l=0}^{min(order, j)} C(order, l)
+              (t - j tau)^{j-l} / (j-l)!  (-lambda)^{order-l}  exp(-lambda (t - j tau)),
+
+    with 0^0 = 1; order 0 is E itself.  `side` selects which terms are active at
+    a lattice point: "right" includes j = t/tau, "left" does not.  Coefficients
+    are formed per time in scalar float arithmetic (in log space past j = 20,
+    where factorials and powers overflow), so every row equals the same time
+    evaluated alone, bit for bit.
+    """
+    a, tau = params.a, params.tau
+    lams = np.asarray(lams, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    if ts.size:
+        params.series_index(float(ts.max()))            # the j_max guard, at the latest time
+    tops = np.floor(ts / tau + _LATTICE_EPS)            # series_index per time
+    if side == "left":
+        tops -= np.abs(ts - tops * tau) <= _LATTICE_EPS * np.maximum(1.0, np.abs(ts))
+    n_terms = int(tops.max(initial=-1.0)) + 1
+    out = np.zeros((len(ts), len(lams)))
+    for j in range(min(n_terms, 1) if a == 0.0 else n_terms):
+        dts = np.maximum(ts - j * tau, 0.0)
+        decay = np.exp(-lams * dts[:, None])
+        for l in range(min(order, j) + 1):
+            p = j - l
+            live = (tops >= j) & ((dts > 0.0) | (p == 0))
+            if j <= 20:
+                c = a**j * np.array([d**p for d in dts[live].tolist()]) / math.factorial(p)
+            else:
+                sign = -1.0 if (a < 0 and j % 2 == 1) else 1.0
+                ja, lg = j * math.log(abs(a)), math.lgamma(p + 1)
+                c = sign * np.array([math.exp(ja + (p * math.log(d) if p > 0 else 0.0) - lg)
+                                     for d in dts[live].tolist()])
+            coef = np.zeros(len(ts))
+            coef[live] = c * math.comb(order, l)
+            out += coef[:, None] * np.power(-lams, order - l) * decay
+    return out
 
 
 def _delayed_exp_vec(lams: np.ndarray, t: float, params: FlowParams) -> np.ndarray:
     """Delayed-exponential values for an array of decay rates at one time."""
-    j_top = params.series_index(t)
-    out = np.zeros_like(lams, dtype=float)
-    for j in range(j_top + 1):
-        if j > 0 and params.a == 0.0:
-            break
-        dt_j = max(t - j * params.tau, 0.0)
-        if j <= 20:
-            coef = (params.a**j) * dt_j**j / math.factorial(j)
-        else:
-            # factorial denominators and high powers overflow early in direct form
-            coef = _signed_log_coef(params.a, dt_j, j, math.lgamma(j + 1))
-        if coef != 0.0:
-            out += coef * np.exp(-lams * dt_j)
-    return out
+    return _delayed_exp_grid(lams, [t], params)[0]
 
 
 def delayed_exp(lam: float, t: float, params: FlowParams) -> float:
@@ -137,13 +164,8 @@ def flow_derivative_factors(lams: np.ndarray, t: float, order: int, params: Flow
                             side: str = "right") -> np.ndarray:
     """One-sided time derivative of order `order` of t -> E(lambda, t), per lambda.
 
-    Differentiating each polynomial-times-exponential term exactly gives
-
-        sum_j a^j sum_{l=0}^{min(order, j)} C(order, l)
-              (t - j tau)^{j-l} / (j-l)!  (-lambda)^{order-l}  exp(-lambda (t - j tau)),
-
-    with 0^0 = 1. `side` selects which terms are active at a lattice point:
-    "right" includes j = t/tau, "left" does not; off the lattice both agree.
+    The series and the meaning of `side` are those of `_delayed_exp_grid`; off
+    the lattice both sides agree.
     """
     if t < 0.0:
         raise InvalidArgumentError(f"time must be >= 0, got {t}")
@@ -151,30 +173,7 @@ def flow_derivative_factors(lams: np.ndarray, t: float, order: int, params: Flow
         raise InvalidArgumentError("derivative order must be >= 0")
     if side not in ("right", "left"):
         raise InvalidArgumentError(f"side must be 'right' or 'left', got {side!r}")
-    lams = np.asarray(lams, dtype=float)
-    j_top = params.series_index(t)
-    if side == "left" and abs(t - j_top * params.tau) <= _LATTICE_EPS * max(1.0, abs(t)):
-        j_top -= 1
-    out = np.zeros_like(lams)
-    for j in range(j_top + 1):
-        if j > 0 and params.a == 0.0:
-            break
-        dt_j = max(t - j * params.tau, 0.0)
-        decay = np.exp(-lams * dt_j)
-        for l in range(min(order, j) + 1):
-            p = j - l
-            if dt_j == 0.0 and p > 0:
-                continue
-            if j <= 20:
-                coef = (params.a**j) * dt_j**p / math.factorial(p)
-            else:
-                sign = -1.0 if (params.a < 0 and j % 2 == 1) else 1.0
-                log_mag = (j * math.log(abs(params.a))
-                           + (p * math.log(dt_j) if p > 0 else 0.0) - math.lgamma(p + 1))
-                coef = sign * math.exp(log_mag)
-            coef *= math.comb(order, l)
-            out += coef * np.power(-lams, order - l) * decay
-    return out
+    return _delayed_exp_grid(lams, [t], params, order, side)[0]
 
 
 def right_limit_derivative(y0: SpectralField, t: float, params: FlowParams) -> SpectralField:
@@ -245,8 +244,8 @@ class ZeroHistory:
     def __init__(self, basis: EigenBasis):
         self.basis = basis
 
-    def coeffs(self, gamma: float, order: int = 0) -> np.ndarray:
-        return np.zeros(self.basis.K)
+    def coeffs(self, gamma, order: int = 0) -> np.ndarray:
+        return np.zeros(np.shape(gamma) + (self.basis.K,))
 
 
 class ExpModeHistory:
@@ -266,8 +265,8 @@ class ExpModeHistory:
         if not np.all(np.isfinite(self.rates)):
             raise InvalidArgumentError("history rates must be finite")
 
-    def coeffs(self, gamma: float, order: int = 0) -> np.ndarray:
-        return self.field.coeffs * self.rates**order * np.exp(self.rates * gamma)
+    def coeffs(self, gamma, order: int = 0) -> np.ndarray:
+        return self.field.coeffs * self.rates**order * np.exp(np.multiply.outer(gamma, self.rates))
 
 
 class GridHistory:
@@ -297,18 +296,17 @@ class GridHistory:
         self.max_derivative_order = 0 if interp_order == 1 else 2
         self._spline = CubicSpline(times, coeff_rows, axis=0) if interp_order == 3 else None
 
-    def coeffs(self, gamma: float, order: int = 0) -> np.ndarray:
+    def coeffs(self, gamma, order: int = 0) -> np.ndarray:
         if order > (self.max_derivative_order or 0):
             raise InvalidArgumentError(
                 f"grid history (order-{self.interp_order} interpolation) has no derivative {order}"
             )
-        g = min(max(gamma, self.times[0]), self.times[-1])
+        g = np.clip(gamma, self.times[0], self.times[-1])
         if self._spline is not None:
             row = self._spline(g) if order == 0 else self._spline.derivative(order)(g)
             return np.asarray(row, dtype=float)
-        i = min(int(np.searchsorted(self.times, g, side="right")) - 1, len(self.times) - 2)
-        i = max(i, 0)
-        w = (g - self.times[i]) / (self.times[i + 1] - self.times[i])
+        i = np.clip(np.searchsorted(self.times, g, side="right") - 1, 0, len(self.times) - 2)
+        w = np.expand_dims((g - self.times[i]) / (self.times[i + 1] - self.times[i]), -1)
         return (1.0 - w) * self.rows[i] + w * self.rows[i + 1]
 
 
@@ -319,13 +317,14 @@ History = ZeroHistory | ExpModeHistory | GridHistory
 # Variation-of-constants solution
 
 
-def history_convolution_profile(lams: np.ndarray, profile: Callable[[float], np.ndarray],
+def history_convolution_profile(lams: np.ndarray, profile: Callable[[np.ndarray], np.ndarray],
                                 t: float, params: FlowParams,
                                 quad: QuadratureRule | None = None,
                                 profile_breakpoints: Sequence[float] = ()) -> np.ndarray:
     """a * integral_{-tau}^{min(t-tau, 0)} E(lam, t - tau - gamma) profile(gamma) dgamma.
 
-    `profile(gamma)` returns one value per lambda.  Quadrature panels are split
+    `profile(gammas)` maps the node array to one row per node and one value per
+    lambda, shape (len(gammas), len(lams)).  Quadrature panels are split
     wherever the flow argument t - tau - gamma crosses a lattice point (the
     integrand has kinks there) and at any breakpoints of the profile itself.
     """
@@ -336,20 +335,14 @@ def history_convolution_profile(lams: np.ndarray, profile: Callable[[float], np.
     upper = min(t - params.tau, 0.0)
     if upper <= -params.tau:
         return np.zeros_like(lams)
-    # lattice crossings of the flow argument: t - tau - gamma = j tau
-    kinks = list(profile_breakpoints)
-    j = 0
-    while True:
-        g = t - (j + 1) * params.tau
-        if g <= -params.tau:
-            break
-        kinks.append(g)
-        j += 1
+    # lattice crossings of the flow argument, t - tau - gamma = j tau; the rule
+    # drops the ones outside the interval
+    kinks = [*profile_breakpoints,
+             *(t - m * params.tau for m in range(1, math.floor(t / params.tau) + 2))]
     gammas, weights = quad.points_weights(-params.tau, upper, kinks)
-    acc = np.zeros_like(lams)
-    for g, w in zip(gammas, weights):
-        acc += w * _delayed_exp_vec(lams, t - params.tau - g, params) * profile(g)
-    return params.a * acc
+    E = _delayed_exp_grid(lams, (t - params.tau) - gammas, params)
+    # numpy sums axis 0 of a C-ordered (nodes, K >= 2) array row by row, as a node loop would
+    return params.a * np.sum(weights[:, None] * E * profile(gammas), axis=0)
 
 
 def history_convolution(phi: History, t: float, params: FlowParams,
@@ -450,12 +443,9 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
             hi = min(float(t), params.tau)
             if hi <= 0.0:
                 continue
-
-            def integrand_rows(sig):
-                return np.stack([np.exp(-lams * (t - s)) * phi.coeffs(s - params.tau) for s in sig])
-
             x, w = quad.points_weights(0.0, hi, [b + params.tau for b in phi.breakpoints])
-            F[i] += params.a * (w @ integrand_rows(x))
+            rows = np.exp(-lams * (t - x)[:, None]) * phi.coeffs(x - params.tau)
+            F[i] += params.a * (w @ rows)
 
     # decay[m] = exp(-lam * m h); the convolution kernel only needs these powers
     def apply_G(rows: np.ndarray) -> np.ndarray:

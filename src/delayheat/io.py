@@ -20,6 +20,11 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _strs(values) -> list[str]:
+    """`fmt` of every entry of a 1-D array, in one pass."""
+    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
+
+
 def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
     n = 0
     with open(path, "w", newline="") as fh:
@@ -34,28 +39,28 @@ def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> 
 def write_field_csv(fld: SpectralField, path) -> int:
     """Rows "k,coeff", one per retained mode."""
     return _write_rows(Path(path), ["k", "coeff"],
-                       ((str(k + 1), c) for k, c in enumerate(fld.coeffs)))
+                       ((str(k + 1), c) for k, c in enumerate(_strs(fld.coeffs))))
 
 
 def write_coeff_trace_csv(times: np.ndarray, coeffs: np.ndarray, path) -> int:
     """Rows "t,k,coeff", one per (time, mode)."""
-    rows = ((fmt(t), str(k + 1), coeffs[i, k])
-            for i, t in enumerate(times) for k in range(coeffs.shape[1]))
+    ks = [str(k + 1) for k in range(coeffs.shape[1])]
+    rows = ((t, k, c) for t, row in zip(_strs(times), coeffs) for k, c in zip(ks, _strs(row)))
     return _write_rows(Path(path), ["t", "k", "coeff"], rows)
 
 
 def write_grid_trace_csv(times: np.ndarray, xs: np.ndarray, values: np.ndarray, path) -> int:
     """Rows "t,x,value" on a fixed spatial mesh."""
-    rows = ((fmt(t), fmt(x), values[i, j])
-            for i, t in enumerate(times) for j, x in enumerate(xs))
+    xs = _strs(xs)
+    rows = ((t, x, v) for t, row in zip(_strs(times), values) for x, v in zip(xs, _strs(row)))
     return _write_rows(Path(path), ["t", "x", "value"], rows)
 
 
 def write_transport_dump_csv(t: float, s_mesh: np.ndarray, xs: np.ndarray,
                              z: np.ndarray, path) -> int:
     """Rows "t,s,x,value" for one snapshot of the delay-line component."""
-    rows = ((fmt(t), fmt(s), fmt(x), z[i, j])
-            for i, s in enumerate(s_mesh) for j, x in enumerate(xs))
+    t, xs = fmt(t), _strs(xs)
+    rows = ((t, s, x, v) for s, row in zip(_strs(s_mesh), z) for x, v in zip(xs, _strs(row)))
     return _write_rows(Path(path), ["t", "s", "x", "value"], rows)
 
 

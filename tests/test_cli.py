@@ -60,6 +60,16 @@ def test_simulate_writes_traces_and_manifest(tmp_path):
         assert (out / entry["file"]).stat().st_size > 0
 
 
+def test_simulate_manifest_records_phase_times(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=tmp_path / "out"))
+    assert main(["simulate", "--config", cfg]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    phases = manifest["phases"]
+    assert set(phases) == {"build_s", "solve_s", "write_s"}
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= manifest["wall_seconds"] + 1e-5
+
+
 def test_simulate_deterministic_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cfg1 = write_config(tmp_path / "c1.ini", BASE_CONFIG.format(out=out1))

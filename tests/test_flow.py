@@ -253,6 +253,24 @@ def test_grid_history_linear_and_cubic(basis):
         GridHistory(times, rows, basis, interp_order=2)
 
 
+def test_history_coeffs_array_gamma_equals_stacked_scalar_calls(basis):
+    rng = np.random.default_rng(5)
+    times = np.linspace(-1.0, 0.0, 9)
+    rows = rng.standard_normal((len(times), basis.K))
+    # on the samples, at both ends, between samples, and past the ends (clamped)
+    gammas = np.concatenate([times, rng.uniform(-1.0, 0.0, 15), [-1.0, 0.0, -1.25, 0.5]])
+    fld = SpectralField(basis, rng.standard_normal(basis.K))
+    cases = [(ZeroHistory(basis), 0), (GridHistory(times, rows, basis, interp_order=1), 0)]
+    cases += [(ExpModeHistory(fld, rng.uniform(-3.0, 1.0, basis.K)), order) for order in range(4)]
+    cases += [(GridHistory(times, rows, basis, interp_order=3), order) for order in range(3)]
+    for phi, order in cases:
+        batch = phi.coeffs(gammas, order=order)
+        assert batch.shape == (len(gammas), basis.K)
+        stacked = np.stack([phi.coeffs(g, order=order) for g in gammas.tolist()])
+        assert np.array_equal(batch, stacked), (type(phi).__name__, order)
+        assert phi.coeffs(float(gammas[3]), order=order).shape == (basis.K,)
+
+
 def test_grid_history_two_samples_runs(basis):
     p = FlowParams(a=1.0, tau=1.0)
     times = np.array([-1.0, 0.0])

@@ -1,13 +1,15 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import delayheat.flow as fl
-from delayheat import (EigenBasis, FlowParams, ModeDDEConfig, SpectralField, delayed_exp,
-                       evaluate, hs_norm, project, rk4_dde_mode, semigroup_apply)
+from delayheat import (EigenBasis, FlowParams, ModeDDEConfig, SpectralField,
+                       TruncationExceededError, delayed_exp, evaluate, hs_norm, project,
+                       rk4_dde_mode, semigroup_apply)
 
 finite_coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -78,3 +80,62 @@ def test_flow_linearity(coeffs, t):
     two = fl.flow_apply(f * 2.0, t, params).coeffs
     one = fl.flow_apply(f, t, params).coeffs
     assert_allclose(two, 2.0 * one, rtol=1e-13, atol=1e-280)
+
+
+def _series_one_time(lams, t, order, params, side):
+    """The derivative series at one time, term by term in scalar arithmetic."""
+    j_top = params.series_index(t)
+    if side == "left" and abs(t - j_top * params.tau) <= 1e-12 * max(1.0, abs(t)):
+        j_top -= 1
+    out = np.zeros_like(lams)
+    for j in range(j_top + 1):
+        if j > 0 and params.a == 0.0:
+            break
+        dt_j = max(t - j * params.tau, 0.0)
+        decay = np.exp(-lams * dt_j)
+        for l in range(min(order, j) + 1):
+            p = j - l
+            if dt_j == 0.0 and p > 0:
+                continue
+            if j <= 20:
+                coef = (params.a**j) * dt_j**p / math.factorial(p)
+            else:
+                sign = -1.0 if (params.a < 0 and j % 2 == 1) else 1.0
+                coef = sign * math.exp(j * math.log(abs(params.a))
+                                       + (p * math.log(dt_j) if p > 0 else 0.0)
+                                       - math.lgamma(p + 1))
+            out += coef * math.comb(order, l) * np.power(-lams, order - l) * decay
+    return out
+
+
+_KERNEL_LAMS = np.concatenate([[0.0], EigenBasis(1.0, 12).eigenvalues()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.0, -0.4, -1.0, -2.5, 0.7, 1.0, 3.0]),
+       st.sampled_from([0.05, 0.3, 1.0]),
+       st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=6),
+       st.lists(st.integers(min_value=0, max_value=40), max_size=3),
+       st.integers(min_value=0, max_value=4),
+       st.sampled_from(["left", "right"]))
+def test_batched_kernel_equals_one_time_at_a_time(a, tau, off, lattice, order, side):
+    # tau = 0.05 puts up to 40 terms alive on [0, 2], past the j > 20 log-space branch
+    params = FlowParams(a=a, tau=tau)
+    times = np.array(off + [k * tau for k in lattice if k * tau <= 2.0])
+    batch = fl._delayed_exp_grid(_KERNEL_LAMS, times, params, order, side)
+    assert batch.shape == (len(times), len(_KERNEL_LAMS))
+    for t, row in zip(times.tolist(), batch):
+        alone = fl._delayed_exp_grid(_KERNEL_LAMS, [t], params, order, side)[0]
+        assert np.array_equal(row, alone)
+        assert np.array_equal(row, _series_one_time(_KERNEL_LAMS, t, order, params, side))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=3.9), max_size=5),
+       st.floats(min_value=4.0, max_value=9.0), st.integers(min_value=0, max_value=5))
+def test_batched_kernel_rejects_any_time_past_j_max(ok_times, late, where):
+    params = FlowParams(a=1.0, tau=1.0, j_max=3)
+    times = list(ok_times)
+    times.insert(min(where, len(times)), late)
+    with pytest.raises(TruncationExceededError):
+        fl._delayed_exp_grid(_KERNEL_LAMS, times, params)

@@ -61,18 +61,15 @@ def test_rk4_agrees_with_closed_form_stiff_mode():
 def test_rk4_exponential_history_nontrivial():
     # history e^g seeds a genuinely time-dependent forcing on the first window
     p = FlowParams(a=-1.0, tau=0.5)
-    basis = EigenBasis(1.0, 1)
-    phi = fl.ExpModeHistory(SpectralField.from_modes(basis, [1.0]), 1.0)
     cfg = ModeDDEConfig(lam=2.0, a=-1.0, tau=0.5, dt=0.5 / 2000, y0=1.0,
                         history=lambda g: math.exp(g))
     tr = rk4_dde_mode(cfg, 1.5)
-    y0 = SpectralField.from_modes(basis, [1.0])
-    lam1 = basis.eigenvalues()[0]
-    # move the closed form onto lam = 2 by the per-rate helper
-    flow_part = np.array([delayed_exp(2.0, float(t), p) for t in tr.times])
+    # the closed form at lam = 2: one kernel call for the flow, and the
+    # convolution with the whole node array handed to the profile at once
+    lam = np.array([2.0])
+    flow_part = fl._delayed_exp_grid(lam, tr.times, p)[:, 0]
     conv_part = np.array([fl.history_convolution_profile(
-        np.array([2.0]), lambda g: np.array([math.exp(g)]), float(t), p)[0]
-        for t in tr.times])
+        lam, lambda g: np.exp(g)[:, None], float(t), p)[0] for t in tr.times])
     exact = flow_part + conv_part
     assert np.max(np.abs(tr.values - exact)) / np.max(np.abs(exact)) <= 1e-6
 
