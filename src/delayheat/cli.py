@@ -29,7 +29,7 @@ import numpy as np
 from . import io as dio
 from .basis import EigenBasis, SpectralField, dirac_coeffs, project
 from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_report
-from .errors import InvalidArgumentError, UnsupportedConfigurationError
+from .errors import InvalidArgumentError, NonFiniteOutputError, UnsupportedConfigurationError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, ZeroHistory, compatible_history,
                    picard_solve, solve_trace)
 from .refsolvers import MeshParams, ModeDDEConfig, hybrid_simulate, rk4_dde_mode
@@ -196,28 +196,26 @@ def cmd_simulate(cfg, args) -> int:
     out = _out_dir(cfg, args)
     manifest.phase("build")
 
+    health = {}
+    transport = []      # hybrid delay-line snapshots, written once the trace is known finite
     if solver == "closed-form":
         trace = solve_trace(y0, phi, times, params)
         out_times, rows = trace.times, trace.coeffs
     elif solver == "picard":
         T = max(max(times), params.tau)
-        trace = picard_solve(y0, phi, T, cfg["picard"].getint("n_iter"),
-                             cfg["picard"].getfloat("dt"), params)
+        n_iter = cfg["picard"].getint("n_iter")
+        trace = picard_solve(y0, phi, T, n_iter, cfg["picard"].getfloat("dt"), params)
         out_times, rows = _nearest_rows(trace.times, trace.coeffs, times)
+        health.update(h=float(trace.times[1]), n_iter=n_iter)
     elif solver == "rk4-modes":
-        dt = cfg["rk4"].getfloat("dt")
         T = max(max(times), params.tau)
         lams = basis.eigenvalues()
-        per_mode = []
-        for k in range(basis.K):
-            hist_k = (None if isinstance(phi, ZeroHistory)
-                      else (lambda g, k=k: float(phi.coeffs(min(g, 0.0))[k])))
-            mode_cfg = ModeDDEConfig(lam=float(lams[k]), a=params.a, tau=params.tau,
-                                     dt=dt, y0=float(y0.coeffs[k]), history=hist_k)
-            per_mode.append(rk4_dde_mode(mode_cfg, T))
-        grid_times = per_mode[0].times
-        coeff_rows = np.stack([tr.values for tr in per_mode], axis=1)
-        out_times, rows = _nearest_rows(grid_times, coeff_rows, times)
+        mode_cfg = ModeDDEConfig(lam=lams, a=params.a, tau=params.tau,
+                                 dt=cfg["rk4"].getfloat("dt"), y0=y0.coeffs,
+                                 history=lambda g: phi.coeffs(min(g, 0.0)))
+        trace = rk4_dde_mode(mode_cfg, T)
+        out_times, rows = _nearest_rows(trace.times, trace.values, times)
+        health["max_lam_h"] = float(lams.max() * trace.times[1])
     elif solver == "hybrid":
         hsec = cfg["hybrid"]
         mesh = MeshParams(hsec.getint("nx"), hsec.getint("ns"), hsec.getfloat("dt"))
@@ -227,18 +225,33 @@ def cmd_simulate(cfg, args) -> int:
         z_times = tuple(_floats(hsec.get("z_dump_times", "")))
         trace = hybrid_simulate(y0_grid, _grid_history_fn(phi, basis, xs_h), mesh, T,
                                 params.a, params.tau, basis.L, z_sample_times=z_times)
-        for t_snap, z in sorted(trace.z_snapshots.items()):
-            z_path = out / f"transport_t{t_snap:g}.csv"
-            manifest.add(z_path, dio.write_transport_dump_csv(t_snap, trace.s, xs_h, z, z_path))
+        transport = [(t, trace.s, xs_h, z) for t, z in sorted(trace.z_snapshots.items())]
         out_times, values = _nearest_rows(trace.times, trace.values, times)
         rows = _project_grid_rows(values, xs_h, basis)
+        health.update(nu=mesh.dt / (params.tau / mesh.ns), r=mesh.dt / (basis.L / mesh.nx) ** 2)
     else:
         raise InvalidArgumentError(f"unknown solver {solver!r}")
 
     out_times = np.asarray(out_times, dtype=float)
     if len(np.unique(out_times)) != len(out_times):
         raise InvalidArgumentError("requested instants collapse onto the same solver samples")
+    health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
+    manifest.data["health"] = health
     manifest.phase("solve")
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        msg = (f"{solver} produced {int(bad.sum())} non-finite coefficients, the first at "
+               f"t={out_times[i]:g}, k={k + 1}")
+        if "max_lam_h" in health:
+            msg += (f"; the largest lam*h is {health['max_lam_h']:.4g} "
+                    f"(RK4 is stable for lam*h <= 2.785)")
+        manifest.data["error"] = msg
+        manifest.write(out)
+        raise NonFiniteOutputError(msg)
+    for t_snap, s_mesh, xs_h, z in transport:
+        z_path = out / f"transport_t{t_snap:g}.csv"
+        manifest.add(z_path, dio.write_transport_dump_csv(t_snap, s_mesh, xs_h, z, z_path))
     coeff_path = out / "trace_coeffs.csv"
     manifest.add(coeff_path, dio.write_coeff_trace_csv(out_times, rows, coeff_path))
     xs = basis.mesh(nx)
@@ -314,6 +327,7 @@ def cmd_validate(cfg, args) -> int:
             print(f"[{status}] {res.suite} :: {row.name} (value={row.value:.6g}, "
                   f"threshold={row.threshold:.6g}) {row.detail}")
             lines.append((res.suite, row.name, status, row.value, row.threshold, row.detail))
+        print(f"suite {res.suite}: {len(res.rows)} checks in {res.seconds:.3f} s")
     table_path = out / "validate_results.csv"
     n = dio._write_rows(table_path, ["suite", "check", "status", "value", "threshold", "detail"],
                         ((s, c, st, v, th, d) for s, c, st, v, th, d in lines))
@@ -400,6 +414,9 @@ def main(argv=None) -> int:
         args, overrides = _parse(argv if argv is not None else sys.argv[1:])
         cfg = load_config(args.config, overrides)
         return _COMMANDS[args.command](cfg, args)
+    except NonFiniteOutputError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (InvalidArgumentError, UnsupportedConfigurationError,
             configparser.Error, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -15,3 +15,7 @@ class UndefinedEstimateError(RuntimeError):
 
 class UnsupportedConfigurationError(ValueError):
     """A configuration combination is outside what a command supports."""
+
+
+class NonFiniteOutputError(RuntimeError):
+    """A solver produced NaN or inf where a finite number was to be written."""

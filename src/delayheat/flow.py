@@ -447,17 +447,21 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
             rows = np.exp(-lams * (t - x)[:, None]) * phi.coeffs(x - params.tau)
             F[i] += params.a * (w @ rows)
 
-    # decay[m] = exp(-lam * m h); the convolution kernel only needs these powers
+    # The trapezoid sum S_M = sum_{j<=M} exp(-lam (M - j) h) f_j over the M + 1
+    # nodes tau..t_i (M = i - n_sub) obeys S_M = q S_{M-1} + f_M with
+    # q = exp(-lam h); the end weights h/2 take back half of the two end terms.
+    q, n_g = decay[1], n_steps - n_sub
+
     def apply_G(rows: np.ndarray) -> np.ndarray:
         out = np.zeros_like(rows)
-        if params.a == 0.0:
+        if params.a == 0.0 or n_g < 1:
             return out
-        for i in range(n_sub + 1, n_steps + 1):
-            m = i - n_sub + 1                       # sigma nodes tau..t_i
-            w = np.full(m, h)
-            w[0] = w[-1] = h / 2.0
-            kern = decay[i - n_sub::-1]             # exp(-lam (t_i - sigma))
-            out[i] = params.a * np.einsum("s,sk,sk->k", w, kern, rows[:m])
+        S = np.empty((n_g + 1, rows.shape[1]))
+        S[0] = rows[0]
+        for M in range(1, n_g + 1):
+            S[M] = q * S[M - 1] + rows[M]
+        ends = 0.5 * (decay[1:n_g + 1] * rows[0] + rows[1:n_g + 1])
+        out[n_sub + 1:] = (params.a * h) * (S[1:] - ends)
         return out
 
     y = F.copy()

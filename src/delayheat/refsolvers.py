@@ -2,16 +2,22 @@
 
 Two routes that share nothing with the closed-form series:
 
-* ``rk4_dde_mode`` integrates one mode, u' = -lam u + a u(t - tau), by classical
-  RK4 with the method of steps.  The delayed value is read from the history for
-  negative arguments and from a cubic-Hermite dense trace afterwards.  Steps are
-  aligned with the delay lattice so the kinks of u sit on grid nodes.
+* ``rk4_dde_mode`` integrates delayed modes, u' = -lam u + a u(t - tau), by
+  classical RK4 with the method of steps.  The delayed value is read from the
+  history for negative arguments and from a cubic-Hermite dense trace
+  afterwards.  Steps are aligned with the delay lattice so the kinks of u sit on
+  grid nodes.  Array form: with ``lam`` and ``y0`` of shape (K,) and a history
+  returning (K,) values, one step loop advances all K modes and returns an
+  (n_steps + 1, K) trace whose columns equal the K one-mode runs bit for bit;
+  scalar ``lam`` and ``y0`` give an (n_steps + 1,) trace.
 
 * ``hybrid_simulate`` advances the equivalent state-space system: a heat
   equation coupled to a transport equation on (0, tau) that carries the delayed
   state.  Diffusion is Crank-Nicolson on the 3-point Laplacian (second order,
   unconditionally stable); transport is first-order upwind with inflow equal to
-  the current temperature, so the overall order is upwind-limited.
+  the current temperature, so the overall order is upwind-limited.  The delay
+  line is shifted in place, block by block, in the same roundings as the
+  out-of-place update.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidArgumentError
 
@@ -30,17 +36,18 @@ __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTr
 
 @dataclass(frozen=True)
 class ModeDDEConfig:
-    """One scalar delayed mode: u' = -lam u + a u(t - tau)."""
+    """Delayed modes u' = -lam u + a u(t - tau): scalar `lam`, `y0` and history
+    values for one mode, (K,) arrays for K modes; history covers [-tau, 0]."""
 
-    lam: float
+    lam: float | np.ndarray
     a: float
     tau: float
     dt: float
-    y0: float = 1.0
-    history: Callable[[float], float] | None = None  # value for arguments in [-tau, 0]
+    y0: float | np.ndarray = 1.0
+    history: Callable[[float], float | np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.lam < 0.0:
+        if np.any(np.asarray(self.lam) < 0.0):
             raise InvalidArgumentError(f"decay rate must be >= 0, got {self.lam}")
         if self.tau <= 0.0:
             raise InvalidArgumentError(f"delay must be positive, got {self.tau}")
@@ -53,7 +60,7 @@ class ModeDDEConfig:
 @dataclass(frozen=True)
 class ModeTrace:
     times: np.ndarray
-    values: np.ndarray
+    values: np.ndarray      # (n,) for a scalar config, (n, K) for K modes
 
 
 def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
@@ -63,6 +70,8 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     point is a grid node; steps then never straddle a kink and the scheme keeps
     its design order.  Stage values of the delayed term use the stored dense
     trace through a cubic Hermite interpolant (or the history for t - tau < 0).
+    Unstable modes (lam * h past RK4's real stability limit 2.785) overflow to
+    inf/nan silently; callers check the result.
     """
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
@@ -72,12 +81,15 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     times = np.arange(n_steps + 1) * h
 
     hist = cfg.history or (lambda g: 0.0)
-    u = np.empty(n_steps + 1)
-    f_right = np.empty(n_steps + 1)  # derivative entering interval [t_i, t_{i+1}]
-    f_left = np.empty(n_steps + 1)   # derivative ending interval [t_{i-1}, t_i]
+    lam, a = np.asarray(cfg.lam, dtype=float), cfg.a
+    neg_lam = -lam if lam.ndim else -float(lam)
+    shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, np.shape(cfg.y0))
+    u = np.empty(shape)
+    f_right = np.empty(shape)  # derivative entering interval [t_i, t_{i+1}]
+    f_left = np.empty(shape)   # derivative ending interval [t_{i-1}, t_i]
     u[0] = cfg.y0
 
-    def dense_value(theta: float, upto: int) -> float:
+    def dense_value(theta: float, upto: int):
         """Trace value at theta in [0, t_upto] via per-interval cubic Hermite."""
         m = int(math.floor(theta / h + 1e-12))
         m = min(max(m, 0), upto - 1)
@@ -90,33 +102,35 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
         h11 = xi**2 * (xi - 1)
         return h00 * u[m] + h * h10 * f_right[m] + h01 * u[m + 1] + h * h11 * f_left[m + 1]
 
-    def delayed(theta: float, piece: int, upto: int) -> float:
+    def delayed(theta: float, piece: int, upto: int):
         # within the first delay period every delayed argument reads the
         # history, including its one-sided limit at 0
         if piece == 0:
             return hist(min(theta, 0.0))
         return dense_value(theta, upto)
 
-    def rhs(u_val: float, v_delayed: float) -> float:
-        return -cfg.lam * u_val + cfg.a * v_delayed
+    def rhs(u_val, v_delayed):
+        return neg_lam * u_val + a * v_delayed
 
-    f_right[0] = rhs(u[0], hist(-cfg.tau))
-    for i in range(n_steps):
-        t = times[i]
-        piece = int(math.floor((t + 0.5 * h) / cfg.tau))
-        v0 = delayed(t - cfg.tau, piece, i)
-        vm = delayed(t + 0.5 * h - cfg.tau, piece, i)
-        v1 = delayed(t + h - cfg.tau, piece, i)
-        k1 = rhs(u[i], v0)
-        k2 = rhs(u[i] + 0.5 * h * k1, vm)
-        k3 = rhs(u[i] + 0.5 * h * k2, vm)
-        k4 = rhs(u[i] + h * k3, v1)
-        u[i + 1] = u[i] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # one-sided derivatives at the new node; they differ only where the
-        # delayed argument hits 0 (history limit vs initial value)
-        f_left[i + 1] = rhs(u[i + 1], delayed(times[i + 1] - cfg.tau, piece, i + 1))
-        piece_next = int(math.floor((times[i + 1] + 0.5 * h) / cfg.tau))
-        f_right[i + 1] = rhs(u[i + 1], delayed(times[i + 1] - cfg.tau, piece_next, i + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_right[0] = rhs(u[0], hist(-cfg.tau))
+        for i in range(n_steps):
+            t = times[i]
+            piece = int(math.floor((t + 0.5 * h) / cfg.tau))
+            v0 = delayed(t - cfg.tau, piece, i)
+            vm = delayed(t + 0.5 * h - cfg.tau, piece, i)
+            v1 = delayed(t + h - cfg.tau, piece, i)
+            k1 = rhs(u[i], v0)
+            k2 = rhs(u[i] + 0.5 * h * k1, vm)
+            k3 = rhs(u[i] + 0.5 * h * k2, vm)
+            k4 = rhs(u[i] + h * k3, v1)
+            u[i + 1] = u[i] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            # one-sided derivatives at the new node; they differ only where the
+            # delayed argument hits 0 (history limit vs initial value)
+            f_left[i + 1] = rhs(u[i + 1], delayed(times[i + 1] - cfg.tau, piece, i + 1))
+            piece_next = int(math.floor((times[i + 1] + 0.5 * h) / cfg.tau))
+            f_right[i + 1] = (f_left[i + 1] if piece_next == piece else
+                              rhs(u[i + 1], delayed(times[i + 1] - cfg.tau, piece_next, i + 1)))
     return ModeTrace(times, u)
 
 
@@ -186,13 +200,15 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndar
             z[j] = history_grid(-s[j])
     z[0] = y
 
-    # Crank-Nicolson banded matrices for the interior nodes
+    # Crank-Nicolson tridiagonal system for the interior nodes
     n_int = mesh.nx - 1
     r = mesh.dt / dx**2
-    ab = np.zeros((3, n_int))
-    ab[0, 1:] = -r / 2.0
-    ab[1, :] = 1.0 + r
-    ab[2, :-1] = -r / 2.0
+    # LAPACK's tridiagonal solve, the routine solve_banded((1, 1), ...) calls,
+    # without its per-call argument checks; its wrapper wants at least one
+    # off-diagonal entry even for a single unknown.  The matrix is strictly
+    # diagonally dominant, so no pivot is ever zero.
+    off, diag = np.full(max(n_int - 1, 1), -r / 2.0), np.full(n_int, 1.0 + r)
+    gtsv, = get_lapack_funcs(("gtsv",), (diag,))
 
     def explicit_half(v: np.ndarray) -> np.ndarray:
         return v[1:-1] + (r / 2.0) * (v[:-2] - 2.0 * v[1:-1] + v[2:])
@@ -207,14 +223,26 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndar
         while sample_left and t_now >= sample_left[0] - 1e-12:
             z_snapshots[sample_left.pop(0)] = z.copy()
 
+    # The upwind shift z[1:] -= nu * (z[1:] - z[:-1]) runs in place, with the
+    # same three roundings as the out-of-place form, over blocks of rows that
+    # fit in cache; going from the outflow end down, each block still reads the
+    # old row below it.
+    block = max(1, 32768 // (mesh.nx + 1))
+    shift = np.empty((min(block, mesh.ns), mesh.nx + 1))
+    z_end_old = np.empty(mesh.nx + 1)
     maybe_snapshot(0.0)
     for n in range(n_steps):
-        z_end_old = z[-1].copy()
-        z[1:] = z[1:] - nu * (z[1:] - z[:-1])
+        z_end_old[:] = z[-1]
+        for hi in range(mesh.ns + 1, 1, -block):
+            lo = max(1, hi - block)
+            buf = shift[:hi - lo]
+            np.subtract(z[lo:hi], z[lo - 1:hi - 1], out=buf)
+            buf *= nu
+            z[lo:hi] -= buf
         source = a * 0.5 * (z_end_old + z[-1])
         rhs = explicit_half(y) + mesh.dt * source[1:-1]
         y_new = np.zeros_like(y)
-        y_new[1:-1] = solve_banded((1, 1), ab, rhs)
+        y_new[1:-1] = gtsv(off, diag, off, rhs)[3]
         y = y_new
         z[0] = y
         values[n + 1] = y

@@ -8,8 +8,10 @@ tests assert on them.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +40,7 @@ class CheckRow:
 class SuiteResult:
     suite: str
     rows: list[CheckRow]
+    seconds: float = 0.0        # wall time of the suite, set by run_suite
 
     @property
     def passed(self) -> bool:
@@ -59,18 +62,18 @@ def suite_per_mode(dt_frac: int = 1000) -> SuiteResult:
         got = delayed_exp(0.0, t, FlowParams(a=1.0, tau=1.0))
         err = abs(got - expect)
         rows.append(CheckRow(f"spot u({t})={expect}", err <= 1e-14, err, 1e-14))
-    for lam in (0.0, math.pi**2, 4 * math.pi**2, 100.0):
-        for a in (-1.0, 1.0, 2.0):
-            for tau in (0.5, 1.0):
-                params = FlowParams(a=a, tau=tau)
-                cfg = ModeDDEConfig(lam=lam, a=a, tau=tau, dt=tau / dt_frac)
-                trace = rk4_dde_mode(cfg, 3.0 * tau)
-                exact = _delayed_exp_grid(np.array([lam]), trace.times, params)[:, 0]
-                # relative to the trajectory scale; pointwise relative error is
-                # meaningless once the solution decays below rounding
-                rel = float(np.max(np.abs(trace.values - exact)) / np.max(np.abs(exact)))
-                rows.append(CheckRow(f"rk4 lam={lam:g} a={a:g} tau={tau:g}",
-                                     rel <= 1e-6, rel, 1e-6))
+    lams = np.array([0.0, math.pi**2, 4 * math.pi**2, 100.0])
+    rel = {}
+    for a, tau in itertools.product((-1.0, 1.0, 2.0), (0.5, 1.0)):
+        # all rates in one call; each column equals the one-mode run
+        trace = rk4_dde_mode(ModeDDEConfig(lam=lams, a=a, tau=tau, dt=tau / dt_frac), 3.0 * tau)
+        exact = _delayed_exp_grid(lams, trace.times, FlowParams(a=a, tau=tau))
+        # relative to the trajectory scale; pointwise relative error is
+        # meaningless once the solution decays below rounding
+        errs = np.max(np.abs(trace.values - exact), axis=0) / np.max(np.abs(exact), axis=0)
+        rel.update({(lam, a, tau): float(e) for lam, e in zip(lams.tolist(), errs)})
+    for (lam, a, tau), err in sorted(rel.items()):         # rows ordered by lam, a, tau
+        rows.append(CheckRow(f"rk4 lam={lam:g} a={a:g} tau={tau:g}", err <= 1e-6, err, 1e-6))
     return SuiteResult("per-mode", rows)
 
 
@@ -296,10 +299,14 @@ _SUITES = {
 
 
 def run_suite(name: str) -> list[SuiteResult]:
-    if name == "all":
-        return [fn() for fn in _SUITES.values()]
-    if name not in _SUITES:
+    """Run one suite, or every suite for "all", recording each one's wall time."""
+    if name != "all" and name not in _SUITES:
         raise InvalidArgumentError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    return [_SUITES[name]()]
+    results = []
+    for key in (_SUITES if name == "all" else (name,)):
+        t0 = time.perf_counter()
+        res = _SUITES[key]()
+        results.append(replace(res, seconds=time.perf_counter() - t0))
+    return results

@@ -133,6 +133,53 @@ def test_simulate_solver_agreement_across_backends(tmp_path):
         assert abs(results["rk4-modes"][key] - ref) <= 1e-6
 
 
+def test_simulate_rk4_default_nonfinite_exits_1(tmp_path, monkeypatch, capsys):
+    # K = 60 at dt = 1e-3 puts modes k >= 17 past RK4's stability limit lam*h = 2.785
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    assert main(["simulate", "--run.solver", "rk4-modes", "--run.out_dir", str(out)]) == 1
+    assert not (out / "trace_coeffs.csv").exists()
+    assert not (out / "trace_grid.csv").exists()
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "k=" in err and "lam*h" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == []
+    assert manifest["health"]["max_lam_h"] > 2.785
+    assert "non-finite" in manifest["error"]
+
+
+@pytest.mark.parametrize("solver, extra, keys", [
+    ("closed-form", [], set()),
+    ("picard", ["--picard.dt", "0.03125"], {"h", "n_iter"}),
+    ("rk4-modes", ["--rk4.dt", "0.005"], {"max_lam_h"}),
+    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "40", "--hybrid.dt", "0.02"], {"nu", "r"}),
+])
+def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.solver", solver] + extra) == 0
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    assert set(health) == keys | {"snap_max_offset"}
+    assert all(math.isfinite(v) for v in health.values())
+    if solver == "closed-form":
+        assert health["snap_max_offset"] == 0.0
+    if solver == "picard":
+        # t = 1.2 snaps to 38/32 on the 1/32 grid, the farthest of 0, 0.4 and 1.2
+        assert health == {"h": 0.03125, "n_iter": 12, "snap_max_offset": 1.2 - 1.1875}
+    if solver == "rk4-modes":
+        assert_allclose(health["max_lam_h"], 64 * math.pi**2 * 0.005, rtol=1e-12)
+    if solver == "hybrid":
+        assert_allclose([health["nu"], health["r"]], [0.8, 32.0], rtol=1e-12)
+
+
+def test_validate_prints_suite_wall_time(tmp_path, capsys):
+    assert main(["validate", "--suite", "jumps", "--run.out_dir", str(tmp_path / "v")]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("suite jumps:")]
+    assert len(lines) == 1 and lines[0].endswith(" s")
+    with open(tmp_path / "v" / "validate_results.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["suite", "check", "status", "value", "threshold", "detail"]
+
+
 def test_simulate_hybrid_solver_runs(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))

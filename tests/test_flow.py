@@ -339,3 +339,38 @@ def test_trace_invariants(basis):
     p = FlowParams(a=1.0, tau=1.0)
     with pytest.raises(InvalidArgumentError):
         fl.SolutionTrace(np.array([0.0, 0.0]), np.zeros((2, basis.K)), basis, p, "x")
+
+
+def _picard_einsum_reference(y0, T, n_iter, dt, params):
+    """Zero-history Picard iteration with G applied as the O(N^2) trapezoid sum."""
+    n_sub = round(params.tau / dt)
+    h = params.tau / n_sub
+    n_steps = math.ceil(T / h - 1e-9)
+    times = np.arange(n_steps + 1) * h
+    decay = np.exp(-np.outer(times, y0.basis.eigenvalues()))
+    F = decay * y0.coeffs[None, :]
+
+    def apply_G(rows):
+        out = np.zeros_like(rows)
+        for i in range(n_sub + 1, n_steps + 1):
+            m = i - n_sub + 1
+            w = np.full(m, h)
+            w[0] = w[-1] = h / 2.0
+            out[i] = params.a * np.einsum("s,sk,sk->k", w, decay[i - n_sub::-1], rows[:m])
+        return out
+
+    y = F.copy()
+    for _ in range(n_iter):
+        y = F + apply_G(y)
+    return times, y
+
+
+@pytest.mark.parametrize("a", [-1.0, 2.0])
+def test_picard_recurrence_matches_einsum_reference(a):
+    basis60 = EigenBasis(1.0, 60)
+    p = FlowParams(a=a, tau=1.0)
+    y0 = dirac_coeffs(0.3, basis60)
+    trace = picard_solve(y0, None, 3.0, n_iter=12, dt=1.0 / 64, params=p)
+    times, ref = _picard_einsum_reference(y0, 3.0, 12, 1.0 / 64, p)
+    assert np.array_equal(trace.times, times)
+    assert np.max(np.abs(trace.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_banded
 
 import delayheat.flow as fl
 from delayheat import (EigenBasis, FlowParams, InvalidArgumentError, MeshParams, ModeDDEConfig,
@@ -72,6 +75,31 @@ def test_rk4_exponential_history_nontrivial():
         lam, lambda g: np.exp(g)[:, None], float(t), p)[0] for t in tr.times])
     exact = flow_part + conv_part
     assert np.max(np.abs(tr.values - exact)) / np.max(np.abs(exact)) <= 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=3000.0), min_size=1, max_size=5),
+       st.sampled_from([-1.5, 0.0, 1.0, 2.0]), st.sampled_from([0.5, 1.0]),
+       st.sampled_from(["zero", "constant", "exp"]), st.sampled_from([20, 100]))
+@example([0.0, PI2, 2500.0], -1.5, 1.0, "exp", 20)        # lam*h = 125: overflows to inf/nan
+def test_rk4_modes_array_equals_stacked_scalar_runs(lams, a, tau, history, n_sub):
+    lams = np.array(lams)
+    K = len(lams)
+    y0, c = np.linspace(1.0, -0.5, K) + 0.1, np.linspace(0.3, 1.2, K)
+    rate = {"zero": None, "constant": 0.0, "exp": 1.7}[history]
+    hist = None if rate is None else (lambda g: c * math.exp(rate * g))
+    dt, T = tau / n_sub, 2.5 * tau
+    vec = rk4_dde_mode(ModeDDEConfig(lam=lams, a=a, tau=tau, dt=dt, y0=y0, history=hist), T)
+    cols = []
+    for k in range(K):
+        hist_k = None if hist is None else (lambda g, k=k: float(hist(g)[k]))
+        cfg = ModeDDEConfig(lam=float(lams[k]), a=a, tau=tau, dt=dt, y0=float(y0[k]),
+                            history=hist_k)
+        cols.append(rk4_dde_mode(cfg, T).values)
+    assert vec.values.shape == (len(vec.times), K)
+    assert np.array_equal(vec.values, np.stack(cols, axis=1), equal_nan=True)
+    if lams.max() * tau / n_sub > 100.0:
+        assert not np.all(np.isfinite(vec.values))
 
 
 # ---------------------------------------------------------------------------
@@ -177,3 +205,46 @@ def test_hybrid_cross_validates_closed_form():
     ref = emat @ flow_apply(y0, 2.0, params).coeffs
     err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
     assert err <= 1e-3
+
+
+def _hybrid_out_of_place(y0_grid, history_grid, mesh, T, a, tau, L=1.0):
+    """Reference loop: the delay-line shift written out of place, a banded solve per step."""
+    ds, dx = tau / mesh.ns, L / mesh.nx
+    nu, r = mesh.dt / ds, mesh.dt / dx**2
+    s = np.linspace(0.0, tau, mesh.ns + 1)
+    n_steps = math.ceil(T / mesh.dt - 1e-9)
+    y = np.array(y0_grid, dtype=float)
+    y[0] = y[-1] = 0.0
+    z = np.zeros((mesh.ns + 1, mesh.nx + 1))
+    if history_grid is not None:
+        for j in range(1, mesh.ns + 1):
+            z[j] = history_grid(-s[j])
+    z[0] = y
+    ab = np.zeros((3, mesh.nx - 1))
+    ab[0, 1:] = -r / 2.0
+    ab[1, :] = 1.0 + r
+    ab[2, :-1] = -r / 2.0
+    values = [y]
+    for _ in range(n_steps):
+        z_end_old = z[-1].copy()
+        z[1:] = z[1:] - nu * (z[1:] - z[:-1])
+        source = a * 0.5 * (z_end_old + z[-1])
+        rhs = y[1:-1] + (r / 2.0) * (y[:-2] - 2.0 * y[1:-1] + y[2:]) + mesh.dt * source[1:-1]
+        y = np.zeros_like(y)
+        y[1:-1] = solve_banded((1, 1), ab, rhs)
+        z[0] = y
+        values.append(y)
+    return np.array(values), z
+
+
+@pytest.mark.parametrize("nx, ns, dt", [(2, 2, 0.1), (40, 300, 0.003), (400, 3, 0.2),
+                                        (2000, 50, 0.02)])     # the last: 4 row blocks
+def test_hybrid_equals_out_of_place_reference(nx, ns, dt):
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    y0 = np.sin(math.pi * xs) + xs * (1.0 - xs)
+    hist = lambda g: math.cos(3.0 * g) * y0
+    T = 1.3
+    tr = hybrid_simulate(y0, hist, MeshParams(nx, ns, dt), T, -1.3, 1.0, z_sample_times=(T,))
+    ref_values, ref_z = _hybrid_out_of_place(y0, hist, MeshParams(nx, ns, dt), T, -1.3, 1.0)
+    assert np.array_equal(tr.values, ref_values)
+    assert np.array_equal(tr.z_snapshots[T], ref_z)
