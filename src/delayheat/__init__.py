@@ -5,9 +5,9 @@ from .basis import (EigenBasis, QuadratureRule, SpectralField, dirac_coeffs, eig
 from .diagnostics import (CompatibilityReport, IdentityReport, RegularityEstimate,
                           compatibility_check, endpoint_jump_scan, lattice_jump_report,
                           off_lattice_probe, regularity_scan, weighted_identity_check)
-from .errors import (InvalidArgumentError, TruncationExceededError, UndefinedEstimateError,
-                     UnsupportedConfigurationError)
-from .flow import (ExpModeHistory, FlowParams, GridHistory, SolutionTrace, ZeroHistory,
+from .errors import (InvalidArgumentError, NonFiniteOutputError, TruncationExceededError,
+                     UndefinedEstimateError, UnsupportedConfigurationError)
+from .flow import (ExpModeHistory, FlowParams, GridHistory, SolutionTrace,
                    characteristic_root, compatible_history, delayed_exp, derivative_jump,
                    flow_apply, history_convolution, picard_solve, right_limit_derivative,
                    solve, solve_trace)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EigenBasis", "SpectralField", "QuadratureRule", "eigenpair", "project", "evaluate",
     "semigroup_apply", "hs_norm", "dirac_coeffs",
-    "FlowParams", "ZeroHistory", "ExpModeHistory", "GridHistory", "SolutionTrace",
+    "FlowParams", "ExpModeHistory", "GridHistory", "SolutionTrace",
     "delayed_exp", "flow_apply", "history_convolution", "solve", "solve_trace",
     "right_limit_derivative", "derivative_jump", "picard_solve", "characteristic_root",
     "compatible_history",
@@ -29,5 +29,5 @@ __all__ = [
     "lattice_jump_report", "off_lattice_probe", "CompatibilityReport", "compatibility_check",
     "endpoint_jump_scan",
     "InvalidArgumentError", "TruncationExceededError", "UndefinedEstimateError",
-    "UnsupportedConfigurationError",
+    "UnsupportedConfigurationError", "NonFiniteOutputError",
 ]

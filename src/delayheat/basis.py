@@ -178,14 +178,6 @@ class QuadratureRule:
             wts.append((half[:, None] * wg[None, :]).ravel())
         return np.concatenate(pts), np.concatenate(wts)
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  breakpoints: Sequence[float] = ()):
-        """Integrate a vectorized callable over [a, b]."""
-        x, w = self.points_weights(a, b, breakpoints)
-        if len(x) == 0:
-            return 0.0
-        return w @ np.asarray(f(x))
-
 
 def project(f: Callable[[np.ndarray], np.ndarray], basis: EigenBasis,
             quad: QuadratureRule | None = None) -> SpectralField:

@@ -30,8 +30,8 @@ from . import io as dio
 from .basis import EigenBasis, SpectralField, dirac_coeffs, project
 from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_report
 from .errors import InvalidArgumentError, NonFiniteOutputError, UnsupportedConfigurationError
-from .flow import (ExpModeHistory, FlowParams, GridHistory, ZeroHistory, compatible_history,
-                   picard_solve, solve_trace)
+from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
+                   solve_trace)
 from .refsolvers import MeshParams, ModeDDEConfig, hybrid_simulate, rk4_dde_mode
 from .validate import SUITE_NAMES, figure_panels, run_suite
 
@@ -99,7 +99,7 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
     sec = cfg["history"]
     kind = sec.get("kind")
     if kind == "zero":
-        return ZeroHistory(basis)
+        return None
     if kind == "constant":
         return ExpModeHistory(SpectralField.from_modes(basis, _floats(sec.get("profile"))), 0.0)
     if kind == "exp":
@@ -114,13 +114,6 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
         times, rows = dio.read_grid_history_csv(path, basis)
         return GridHistory(times, rows, basis, sec.getint("interp_order"))
     raise InvalidArgumentError(f"unknown history kind {kind!r}")
-
-
-def _grid_history_fn(phi, basis: EigenBasis, xs: np.ndarray):
-    if isinstance(phi, ZeroHistory):
-        return None
-    emat = basis.eval_matrix(xs)
-    return lambda gamma: emat @ phi.coeffs(gamma)
 
 
 def _nearest_rows(trace_times: np.ndarray, coeff_rows: np.ndarray, wanted: list[float]):
@@ -212,7 +205,7 @@ def cmd_simulate(cfg, args) -> int:
         lams = basis.eigenvalues()
         mode_cfg = ModeDDEConfig(lam=lams, a=params.a, tau=params.tau,
                                  dt=cfg["rk4"].getfloat("dt"), y0=y0.coeffs,
-                                 history=lambda g: phi.coeffs(min(g, 0.0)))
+                                 history=None if phi is None else phi.coeffs)
         trace = rk4_dde_mode(mode_cfg, T)
         out_times, rows = _nearest_rows(trace.times, trace.values, times)
         health["max_lam_h"] = float(lams.max() * trace.times[1])
@@ -220,10 +213,11 @@ def cmd_simulate(cfg, args) -> int:
         hsec = cfg["hybrid"]
         mesh = MeshParams(hsec.getint("nx"), hsec.getint("ns"), hsec.getfloat("dt"))
         xs_h = np.linspace(0.0, basis.L, mesh.nx + 1)
-        y0_grid = basis.eval_matrix(xs_h) @ y0.coeffs
+        emat = basis.eval_matrix(xs_h)
+        hist_fn = None if phi is None else (lambda g: emat @ phi.coeffs(g))
         T = max(max(times), params.tau)
         z_times = tuple(_floats(hsec.get("z_dump_times", "")))
-        trace = hybrid_simulate(y0_grid, _grid_history_fn(phi, basis, xs_h), mesh, T,
+        trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T,
                                 params.a, params.tau, basis.L, z_sample_times=z_times)
         transport = [(t, trace.s, xs_h, z) for t, z in sorted(trace.z_snapshots.items())]
         out_times, values = _nearest_rows(trace.times, trace.values, times)
@@ -359,7 +353,7 @@ def cmd_diagnose(cfg, args) -> int:
     jump_path = out / "jump_table.csv"
     rows = lattice_jump_report(y0, params, j_max=max(4, args.order))
     manifest.add(jump_path, dio.write_jump_table_csv(rows, jump_path))
-    if not isinstance(phi, ZeroHistory):
+    if phi is not None:
         scan = endpoint_jump_scan(y0, phi, params, r=args.order)
         scan_path = out / "endpoint_jumps.csv"
         n = dio._write_rows(scan_path,

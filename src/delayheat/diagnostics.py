@@ -268,7 +268,7 @@ def _tail_bounded(fld: SpectralField, s: float, growth_tol: float = 1.0) -> bool
     return bool(np.isfinite(head) and np.isfinite(tail) and tail <= growth_tol * head + 1e-300)
 
 
-def compatibility_check(y0: SpectralField, phi: History, params: FlowParams, r: int,
+def compatibility_check(y0: SpectralField, phi: History | None, params: FlowParams, r: int,
                         tol: float = 1e-9, s: float = 0.0) -> CompatibilityReport:
     """Build g_0..g_r in spectral coordinates and compare with phi's derivatives at 0.
 
@@ -278,7 +278,8 @@ def compatibility_check(y0: SpectralField, phi: History, params: FlowParams, r: 
     against tol scaled by the size of g_k (floored at 1), since g_k grows like
     lambda^k and exact matches still carry rounding at that scale.  The two
     regularity flags are finite-truncation surrogates (spectral-tail
-    boundedness at the relevant index) and are heuristic by nature.
+    boundedness at the relevant index) and are heuristic by nature.  phi=None
+    is the zero history.
     """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
@@ -289,18 +290,19 @@ def compatibility_check(y0: SpectralField, phi: History, params: FlowParams, r: 
         )
     basis = y0.basis
     lam = basis.eigenvalues()
+    hist = (lambda g, order: np.zeros(basis.K)) if phi is None else phi.coeffs
     g_fields = [y0]
     for k in range(1, r + 1):
-        g_k = params.a * phi.coeffs(-params.tau, order=k - 1) - lam * g_fields[-1].coeffs
+        g_k = params.a * hist(-params.tau, order=k - 1) - lam * g_fields[-1].coeffs
         g_fields.append(SpectralField(basis, g_k))
-    endpoint = [SpectralField(basis, phi.coeffs(0.0, order=k)) for k in range(r + 1)]
+    endpoint = [SpectralField(basis, hist(0.0, order=k)) for k in range(r + 1)]
     violations = np.array([
         hs_norm(endpoint[k] - g_fields[k], 0.0) for k in range(r + 1)
     ])
     scales = np.array([max(1.0, hs_norm(g, 0.0)) for g in g_fields])
     flag3 = bool(np.all(violations <= tol * scales))
     flag2 = all(_tail_bounded(g, s + 1.0) for g in g_fields)
-    minus_tau = [SpectralField(basis, phi.coeffs(-params.tau, order=k)) for k in range(r + 1)]
+    minus_tau = [SpectralField(basis, hist(-params.tau, order=k)) for k in range(r + 1)]
     flag1 = (all(_tail_bounded(f, s) for f in minus_tau)
              and all(_tail_bounded(f, s) for f in endpoint))
     return CompatibilityReport(r, g_fields, endpoint, violations, flag1, flag2, flag3, tol)

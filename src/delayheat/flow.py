@@ -16,12 +16,14 @@ This module evaluates the series, its one-sided time derivatives of any order
 (products of polynomials and exponentials, differentiated exactly), the history
 convolution with quadrature panels split at the lattice kinks, and a Picard
 iteration of the equivalent Volterra integral equation whose error contracts
-factorially in the iteration count.  One private kernel evaluates the series and
-its derivatives on a whole (times x modes) grid.
+factorially in the iteration count; its history forcing is the same history
+convolution.  One private kernel evaluates the series and its derivatives on a
+whole (times x modes) grid.
 
 History protocol: `phi.coeffs(gamma, order=0)` returns the K mode coefficients
 of the order-th time derivative at a scalar gamma, and one row per entry,
 shape (n, K), for a 1-D array of n gammas; the quadratures pass all nodes at once.
+`phi=None` is the zero history.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import InvalidArgumentError, TruncationExceededError
 
 __all__ = [
     "FlowParams",
-    "ZeroHistory",
     "ExpModeHistory",
     "GridHistory",
     "SolutionTrace",
@@ -189,17 +190,14 @@ def right_limit_derivative(y0: SpectralField, t: float, params: FlowParams) -> S
     return SpectralField(y0.basis, factors * y0.coeffs)
 
 
-def derivative_jump(y0: SpectralField, j: int, params: FlowParams,
-                    method: str = "limit",
-                    eps: tuple[float, float] = (1e-3, 5e-4)) -> tuple[SpectralField, SpectralField]:
+def derivative_jump(y0: SpectralField, j: int,
+                    params: FlowParams) -> tuple[SpectralField, SpectralField]:
     """Predicted and measured jump of the j-th time derivative at t = j tau (zero history).
 
-    predicted = a^j * y0 per mode.  The default measured value takes the exact
+    predicted = a^j * y0 per mode.  The measured value takes the exact
     one-sided limits of the analytic j-th derivative at the lattice point
-    (shared smooth terms cancel identically, so this is the eps -> 0 limit in
-    closed form).  method="richardson" instead evaluates at j tau +/- eps and
-    extrapolates linearly in eps; its residual grows like (lambda*eps)^2, so it
-    only serves as a coarse cross-check on the low modes.
+    (shared smooth terms cancel identically, so this is the eps -> 0 limit of
+    the gap between j tau + eps and j tau - eps, in closed form).
     """
     if j < 0:
         raise InvalidArgumentError("lattice index must be >= 0")
@@ -208,44 +206,14 @@ def derivative_jump(y0: SpectralField, j: int, params: FlowParams,
     lams = y0.basis.eigenvalues()
     t0 = j * params.tau
     predicted = SpectralField(y0.basis, (params.a**j) * y0.coeffs)
-    if method == "limit":
-        right = flow_derivative_factors(lams, t0, j, params, side="right")
-        left = flow_derivative_factors(lams, t0, j, params, side="left")
-        measured = (right - left) * y0.coeffs
-    elif method == "richardson":
-        e1, e2 = eps
-        if not (e1 > e2 > 0.0):
-            raise InvalidArgumentError("eps pair must be positive and decreasing")
-
-        def gap(e):
-            hi = flow_derivative_factors(lams, t0 + e, j, params)
-            lo = (flow_derivative_factors(lams, t0 - e, j, params)
-                  if t0 - e >= 0.0 else np.zeros_like(lams))
-            return hi - lo
-
-        g1, g2 = gap(e1), gap(e2)
-        # one elimination step of the leading O(eps) term, exact for e1 = 2 e2
-        measured = (g2 + (g2 - g1) * (e2 / (e1 - e2))) * y0.coeffs
-    else:
-        raise InvalidArgumentError(f"unknown jump method {method!r}")
+    right = flow_derivative_factors(lams, t0, j, params, side="right")
+    left = flow_derivative_factors(lams, t0, j, params, side="left")
+    measured = (right - left) * y0.coeffs
     return predicted, SpectralField(y0.basis, measured)
 
 
 # ---------------------------------------------------------------------------
 # History representations
-
-
-class ZeroHistory:
-    """phi identically zero on (-tau, 0)."""
-
-    breakpoints: tuple[float, ...] = ()
-    max_derivative_order: int | None = None
-
-    def __init__(self, basis: EigenBasis):
-        self.basis = basis
-
-    def coeffs(self, gamma, order: int = 0) -> np.ndarray:
-        return np.zeros(np.shape(gamma) + (self.basis.K,))
 
 
 class ExpModeHistory:
@@ -310,7 +278,7 @@ class GridHistory:
         return (1.0 - w) * self.rows[i] + w * self.rows[i + 1]
 
 
-History = ZeroHistory | ExpModeHistory | GridHistory
+History = ExpModeHistory | GridHistory
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +316,6 @@ def history_convolution_profile(lams: np.ndarray, profile: Callable[[np.ndarray]
 def history_convolution(phi: History, t: float, params: FlowParams,
                         quad: QuadratureRule | None = None) -> SpectralField:
     """Field-valued history convolution of the variation-of-constants formula."""
-    if isinstance(phi, ZeroHistory):
-        if t < 0.0:
-            raise InvalidArgumentError(f"time must be >= 0, got {t}")
-        return SpectralField.zero(phi.basis)
     coeffs = history_convolution_profile(
         phi.basis.eigenvalues(), phi.coeffs, t, params, quad, phi.breakpoints
     )
@@ -360,9 +324,9 @@ def history_convolution(phi: History, t: float, params: FlowParams,
 
 def solve(y0: SpectralField, phi: History | None, t: float, params: FlowParams,
           quad: QuadratureRule | None = None) -> SpectralField:
-    """Solution at time t: zero-history flow of y0 plus the history convolution."""
+    """Solution at time t: flow of y0 plus the history convolution (none for phi=None)."""
     out = flow_apply(y0, t, params)
-    if phi is not None and not isinstance(phi, ZeroHistory):
+    if phi is not None:
         out = out + history_convolution(phi, t, params, quad)
     return out
 
@@ -374,8 +338,6 @@ class SolutionTrace:
     times: np.ndarray
     coeffs: np.ndarray
     basis: EigenBasis
-    params: FlowParams
-    provenance: str
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -387,21 +349,13 @@ class SolutionTrace:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def field_at(self, i: int) -> SpectralField:
-        return SpectralField(self.basis, self.coeffs[i])
-
-    def values_on_mesh(self, nx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Physical-space samples on a uniform mesh: (x, values[time, x])."""
-        xs = self.basis.mesh(nx)
-        return xs, self.coeffs @ self.basis.eval_matrix(xs).T
-
 
 def solve_trace(y0: SpectralField, phi: History | None, times, params: FlowParams,
                 quad: QuadratureRule | None = None) -> SolutionTrace:
     """Closed-form solution sampled at the given times."""
     times = np.asarray(times, dtype=float)
     rows = np.stack([solve(y0, phi, float(t), params, quad).coeffs for t in times])
-    return SolutionTrace(times, rows, y0.basis, params, "closed-form")
+    return SolutionTrace(times, rows, y0.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +368,15 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     """Iterate y <- F + G y on a uniform grid, starting from y = F.
 
     F(t) is the heat evolution of y0 plus the history forcing
-    a * integral_0^{min(t, tau)} exp(-lambda (t - sigma)) phi(sigma - tau) dsigma,
-    and (G f)(t) = a * integral_tau^t exp(-lambda (t - sigma)) f(sigma - tau) dsigma
-    is evaluated per mode by trapezoid quadrature on the grid.  The delay must be
-    resolved: dt is snapped to tau / round(tau / dt) and rejected when coarser
-    than tau / 4.  After n iterations the distance to the exact solution decays
-    like (|a| T)^(n+1) / (n+1)! down to the trapezoid floor.
+    a * integral_0^{min(t, tau)} exp(-lambda (t - sigma)) phi(sigma - tau) dsigma
+    (none for phi=None), and (G f)(t) = a * integral_tau^t exp(-lambda (t - sigma))
+    f(sigma - tau) dsigma is evaluated per mode by trapezoid quadrature on the
+    grid.  Up to tau the forcing is the history convolution of `solve`, so there
+    the iterate equals `solve`; past tau it is its value at tau times
+    exp(-lambda (t - tau)).  The delay must be resolved: dt is snapped to
+    tau / round(tau / dt) and rejected when coarser than tau / 4.  After n
+    iterations the distance to the exact solution decays like
+    (|a| T)^(n+1) / (n+1)! down to the trapezoid floor.
     """
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
@@ -434,18 +391,15 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     n_steps = math.ceil(T / h - 1e-9)
     times = np.arange(n_steps + 1) * h
     lams = y0.basis.eigenvalues()
-    quad = quad or QuadratureRule()
 
     decay = np.exp(-np.outer(times, lams))          # (n_times, K)
     F = decay * y0.coeffs[None, :]
-    if phi is not None and not isinstance(phi, ZeroHistory):
-        for i, t in enumerate(times):
-            hi = min(float(t), params.tau)
-            if hi <= 0.0:
-                continue
-            x, w = quad.points_weights(0.0, hi, [b + params.tau for b in phi.breakpoints])
-            rows = np.exp(-lams * (t - x)[:, None]) * phi.coeffs(x - params.tau)
-            F[i] += params.a * (w @ rows)
+    if phi is not None:
+        m = min(n_sub, n_steps) + 1                 # grid times in [0, tau]
+        H = np.stack([history_convolution_profile(lams, phi.coeffs, t, params, quad,
+                                                  phi.breakpoints) for t in times[:m]])
+        F[:m] += H
+        F[m:] += decay[1:len(times) - m + 1] * H[-1]
 
     # The trapezoid sum S_M = sum_{j<=M} exp(-lam (M - j) h) f_j over the M + 1
     # nodes tau..t_i (M = i - n_sub) obeys S_M = q S_{M-1} + f_M with
@@ -467,7 +421,7 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     y = F.copy()
     for _ in range(n_iter):
         y = F + apply_G(y)
-    return SolutionTrace(times, y, y0.basis, params, "picard")
+    return SolutionTrace(times, y, y0.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,27 @@ out_dir = {out}
     assert (out / "endpoint_jumps.csv").exists()
 
 
+def test_diagnose_zero_history(tmp_path):
+    out = tmp_path / "diag0"
+    cfg = write_config(tmp_path / "d.ini", f"""
+[model]
+modes = 8
+[initial]
+kind = modes
+modes = 1.0 0.3
+[history]
+kind = zero
+[run]
+out_dir = {out}
+""")
+    assert main(["diagnose", "--config", cfg, "--order", "2"]) == 0
+    assert (out / "compatibility.txt").exists() and (out / "jump_table.csv").exists()
+    assert not (out / "endpoint_jumps.csv").exists()
+    kv = dict(line.split(" = ") for line in (out / "compatibility.txt").read_text().splitlines())
+    # phi(0) = 0 misses g_0 = y0 by all of y0
+    assert_allclose(float(kv["violation_0"]), math.hypot(1.0, 0.3), rtol=1e-15)
+
+
 def test_diagnose_rejects_excess_order(tmp_path):
     out = tmp_path / "diag2"
     hist = tmp_path / "h.csv"

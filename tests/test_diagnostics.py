@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError,
-                       SpectralField, UndefinedEstimateError, ZeroHistory, compatible_history,
+                       SpectralField, UndefinedEstimateError, compatible_history,
                        compatibility_check, dirac_coeffs, endpoint_jump_scan,
                        lattice_jump_report, off_lattice_probe, regularity_scan,
                        semigroup_apply, weighted_identity_check)

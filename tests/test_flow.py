@@ -6,11 +6,10 @@ from numpy.testing import assert_allclose
 
 import delayheat.flow as fl
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory,
-                       InvalidArgumentError, SpectralField, TruncationExceededError,
-                       ZeroHistory, characteristic_root, compatible_history, delayed_exp,
-                       derivative_jump, dirac_coeffs, flow_apply, history_convolution,
-                       picard_solve, right_limit_derivative, semigroup_apply, solve,
-                       solve_trace)
+                       InvalidArgumentError, QuadratureRule, SpectralField,
+                       TruncationExceededError, characteristic_root, compatible_history,
+                       delayed_exp, derivative_jump, dirac_coeffs, flow_apply, picard_solve,
+                       right_limit_derivative, semigroup_apply, solve, solve_trace)
 from delayheat.refsolvers import ModeDDEConfig, rk4_dde_mode
 
 PI2 = math.pi**2
@@ -91,12 +90,13 @@ def test_flow_apply_dirac_spot_value(basis):
     assert_allclose(got, 4.11e-3, rtol=2e-3)
 
 
-def test_history_convolution_zero_history(basis):
+def test_solve_zero_history_is_flow_apply(basis):
     p = FlowParams(a=1.0, tau=1.0)
-    z = history_convolution(ZeroHistory(basis), 1.7, p)
-    assert_allclose(z.coeffs, 0.0, atol=0)
+    y0 = SpectralField(basis, np.random.default_rng(4).standard_normal(basis.K))
+    for t in (0.0, 0.6, 1.0, 1.7):
+        assert np.array_equal(solve(y0, None, t, p).coeffs, flow_apply(y0, t, p).coeffs)
     with pytest.raises(InvalidArgumentError):
-        history_convolution(ZeroHistory(basis), -0.5, p)
+        solve(y0, None, -0.5, p)
 
 
 def test_history_convolution_constant_profile_lambda_zero():
@@ -227,15 +227,6 @@ def test_derivative_jump_limit_method(basis):
         derivative_jump(y0, 200, p)
 
 
-def test_derivative_jump_richardson_cross_check():
-    # the +/- eps route has O((lam eps)^2) residue; usable on the first mode only
-    basis = EigenBasis(1.0, 1)
-    y0 = SpectralField.from_modes(basis, [1.0])
-    p = FlowParams(a=1.0, tau=1.0)
-    pred, meas = derivative_jump(y0, 1, p, method="richardson")
-    assert_allclose(meas.coeffs[0], pred.coeffs[0], rtol=5e-4)
-
-
 def test_grid_history_linear_and_cubic(basis):
     times = np.linspace(-1.0, 0.0, 5)
     rows = np.outer(np.exp(times), np.arange(1, basis.K + 1, dtype=float))
@@ -260,7 +251,7 @@ def test_history_coeffs_array_gamma_equals_stacked_scalar_calls(basis):
     # on the samples, at both ends, between samples, and past the ends (clamped)
     gammas = np.concatenate([times, rng.uniform(-1.0, 0.0, 15), [-1.0, 0.0, -1.25, 0.5]])
     fld = SpectralField(basis, rng.standard_normal(basis.K))
-    cases = [(ZeroHistory(basis), 0), (GridHistory(times, rows, basis, interp_order=1), 0)]
+    cases = [(GridHistory(times, rows, basis, interp_order=1), 0)]
     cases += [(ExpModeHistory(fld, rng.uniform(-3.0, 1.0, basis.K)), order) for order in range(4)]
     cases += [(GridHistory(times, rows, basis, interp_order=3), order) for order in range(3)]
     for phi, order in cases:
@@ -336,19 +327,30 @@ def test_picard_inactive_delay_equals_forcing_term(basis):
 
 
 def test_trace_invariants(basis):
-    p = FlowParams(a=1.0, tau=1.0)
     with pytest.raises(InvalidArgumentError):
-        fl.SolutionTrace(np.array([0.0, 0.0]), np.zeros((2, basis.K)), basis, p, "x")
+        fl.SolutionTrace(np.array([0.0, 0.0]), np.zeros((2, basis.K)), basis)
 
 
-def _picard_einsum_reference(y0, T, n_iter, dt, params):
-    """Zero-history Picard iteration with G applied as the O(N^2) trapezoid sum."""
+def _picard_einsum_reference(y0, T, n_iter, dt, params, phi=None):
+    """Picard iteration with G applied as the O(N^2) trapezoid sum, and the
+    history forcing as its own Gauss quadrature over [0, min(t, tau)] at every
+    grid time."""
     n_sub = round(params.tau / dt)
     h = params.tau / n_sub
     n_steps = math.ceil(T / h - 1e-9)
     times = np.arange(n_steps + 1) * h
-    decay = np.exp(-np.outer(times, y0.basis.eigenvalues()))
+    lams = y0.basis.eigenvalues()
+    decay = np.exp(-np.outer(times, lams))
     F = decay * y0.coeffs[None, :]
+    if phi is not None:
+        quad = QuadratureRule()
+        for i, t in enumerate(times):
+            hi = min(float(t), params.tau)
+            if hi <= 0.0:
+                continue
+            x, w = quad.points_weights(0.0, hi, [b + params.tau for b in phi.breakpoints])
+            rows = np.exp(-lams * (t - x)[:, None]) * phi.coeffs(x - params.tau)
+            F[i] += params.a * (w @ rows)
 
     def apply_G(rows):
         out = np.zeros_like(rows)
@@ -374,3 +376,49 @@ def test_picard_recurrence_matches_einsum_reference(a):
     times, ref = _picard_einsum_reference(y0, 3.0, 12, 1.0 / 64, p)
     assert np.array_equal(trace.times, times)
     assert np.max(np.abs(trace.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _k60_histories(y0, params):
+    """Seeded exp, grid-linear and grid-cubic histories on 60 modes, plus the
+    compatible one where the characteristic roots exist (a > 0)."""
+    basis = y0.basis
+    rng = np.random.default_rng(11)
+    k = np.arange(1, basis.K + 1)
+    gammas = np.linspace(-params.tau, 0.0, 33)
+    rows = (rng.standard_normal(basis.K) / k**2) * np.cos(
+        np.outer(gammas, rng.uniform(0.5, 4.0, basis.K)) + rng.uniform(0.0, 2.0 * np.pi, basis.K))
+    out = {
+        "exp": ExpModeHistory(SpectralField.from_modes(basis, [0.9, -0.4, 0.2, 0.1]), -1.3),
+        "grid-linear": GridHistory(gammas, rows, basis, interp_order=1),
+        "grid-cubic": GridHistory(gammas, rows, basis, interp_order=3),
+    }
+    if params.a > 0:
+        out["compatible"] = compatible_history(y0, params)
+    return out
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 2.0])
+def test_picard_equals_solve_trace_up_to_tau(a):
+    p = FlowParams(a=a, tau=1.0)
+    y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
+    for name, phi in _k60_histories(y0, p).items():
+        for T in (0.75, 2.5):      # a horizon inside the first delay window, and past it
+            trace = picard_solve(y0, phi, T, n_iter=12, dt=1.0 / 64, params=p)
+            upto = trace.times <= p.tau
+            ref = solve_trace(y0, phi, trace.times[upto], p)
+            assert np.array_equal(trace.coeffs[upto], ref.coeffs), (name, T)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 2.0])
+def test_picard_history_forcing_matches_per_time_quadrature(a):
+    p = FlowParams(a=a, tau=1.0)
+    y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
+    # the reference's G agrees with the recurrence to 1e-12 (test above), so a
+    # larger gap would come from the forcing
+    for name, phi in _k60_histories(y0, p).items():
+        trace = picard_solve(y0, phi, 2.5, n_iter=12, dt=1.0 / 64, params=p)
+        times, ref = _picard_einsum_reference(y0, 2.5, 12, 1.0 / 64, p, phi)
+        assert np.array_equal(trace.times, times)
+        scale = np.max(np.abs(ref), axis=0)
+        err = np.max(np.abs(trace.coeffs - ref), axis=0)
+        assert np.all(err <= 1e-11 * scale), (name, float(np.max(err / scale)))
