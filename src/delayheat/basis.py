@@ -179,14 +179,12 @@ class QuadratureRule:
         return np.concatenate(pts), np.concatenate(wts)
 
 
-def project(f: Callable[[np.ndarray], np.ndarray], basis: EigenBasis,
-            quad: QuadratureRule | None = None) -> SpectralField:
-    """Coefficients c_k = integral of f * e_k over (0, L) by composite quadrature.
+def project(f: Callable[[np.ndarray], np.ndarray], basis: EigenBasis) -> SpectralField:
+    """Coefficients c_k = integral of f * e_k over (0, L) by the default composite quadrature.
 
     For smooth f, project followed by evaluate reproduces f to quadrature accuracy.
     """
-    quad = quad or QuadratureRule()
-    x, w = quad.points_weights(0.0, basis.L)
+    x, w = QuadratureRule().points_weights(0.0, basis.L)
     fx = np.asarray(f(x), dtype=float)
     coeffs = basis.eval_matrix(x).T @ (w * fx)
     return SpectralField(basis, coeffs)

@@ -165,7 +165,7 @@ def _package_version() -> str:
         return "0.1.0"
 
 
-def _out_dir(cfg, args) -> Path:
+def _out_dir(cfg) -> Path:
     out = os.environ.get("DELAY_HEAT_OUT") or cfg["run"].get("out_dir")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -186,7 +186,7 @@ def cmd_simulate(cfg, args) -> int:
         raise InvalidArgumentError("run.times must name at least one instant")
     solver = cfg["run"].get("solver")
     nx = cfg["run"].getint("nx")
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     manifest.phase("build")
 
     health = {}
@@ -291,7 +291,7 @@ def cmd_figure6(cfg, args) -> int:
     if cfg["history"].get("kind") != "zero":
         raise UnsupportedConfigurationError("figure6 is defined for zero history only")
     times = sorted(_floats(cfg["run"].get("times")))
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     manifest = Manifest("figure6", cfg)
     xs, panels = figure_panels(times, cfg["initial"].getfloat("x0"), basis.K,
                                cfg["run"].getint("nx"), basis.L, params)
@@ -312,7 +312,7 @@ def cmd_validate(cfg, args) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     manifest = Manifest("validate", cfg)
     lines = []
     for res in results:
@@ -336,7 +336,7 @@ def cmd_diagnose(cfg, args) -> int:
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     manifest = Manifest("diagnose", cfg)
     report = compatibility_check(y0, phi, params, r=args.order)
     kv = {

@@ -33,7 +33,7 @@ from scipy.special import gammaincc
 
 from .basis import QuadratureRule, SpectralField, hs_norm
 from .errors import InvalidArgumentError, UndefinedEstimateError
-from .flow import FlowParams, History, derivative_jump, flow_derivative_factors, solve
+from .flow import FlowParams, History, derivative_jump, flow_derivative_factors, solve_trace
 
 __all__ = [
     "IdentityReport",
@@ -64,33 +64,11 @@ def _weighted_derivative_values(t: np.ndarray, lam: float, alpha: int, beta: int
     return out * np.exp(-lam * t)
 
 
-def weight_factor(alpha: int, beta: int) -> float:
-    """Closed form of the universal scalar: integral over t > 0 of |d^alpha (t^beta e^-t)|^2."""
-    total = 0.0
-    for l in range(min(alpha, beta) + 1):
-        for lp in range(min(alpha, beta) + 1):
-            c = (math.comb(alpha, l) * math.comb(alpha, lp)
-                 * math.factorial(beta) / math.factorial(beta - l)
-                 * math.factorial(beta) / math.factorial(beta - lp)
-                 * (-1.0) ** (2 * alpha - l - lp))
-            m = 2 * beta - l - lp
-            total += c * math.factorial(m) / 2.0 ** (m + 1)
-    return total
+def _exact_tail(lam: float, alpha: int, beta: int, t_cut: float) -> float:
+    """Integral over t > t_cut of |d^alpha (t^beta e^{-lam t})|^2, in closed form.
 
-
-def _mode_time_integral(lam: float, alpha: int, beta: int, nodes: int = 10,
-                        panels: int = 48) -> tuple[float, float]:
-    """Quadrature of |d^alpha (t^beta e^{-lam t})|^2 on [0, T_cut] plus the exact tail.
-
-    T_cut scales like 1/lam and leaves the truncated mass below 1e-16 of the
-    total; the remainder beyond T_cut is added in closed form (incomplete gamma
-    on each cross term) as a certified tail.
+    Each cross term of the product rule integrates to an incomplete gamma.
     """
-    t_cut = (60.0 + 20.0 * beta) / (2.0 * lam)
-    rule = QuadratureRule(panels_per_unit=max(1, math.ceil(panels / t_cut)), nodes=nodes)
-    x, w = rule.points_weights(0.0, t_cut)
-    vals = _weighted_derivative_values(x, lam, alpha, beta)
-    bulk = float(w @ vals**2)
     tail = 0.0
     for l in range(min(alpha, beta) + 1):
         for lp in range(min(alpha, beta) + 1):
@@ -101,7 +79,26 @@ def _mode_time_integral(lam: float, alpha: int, beta: int, nodes: int = 10,
             m = 2 * beta - l - lp
             tail += (c * math.factorial(m) / (2.0 * lam) ** (m + 1)
                      * float(gammaincc(m + 1, 2.0 * lam * t_cut)))
-    return bulk, tail
+    return tail
+
+
+def weight_factor(alpha: int, beta: int) -> float:
+    """Closed form of the universal scalar: integral over t > 0 of |d^alpha (t^beta e^-t)|^2."""
+    return _exact_tail(1.0, alpha, beta, 0.0)
+
+
+def _mode_time_integral(lam: float, alpha: int, beta: int) -> tuple[float, float]:
+    """Quadrature of |d^alpha (t^beta e^{-lam t})|^2 on [0, T_cut] plus the exact tail.
+
+    T_cut scales like 1/lam and leaves the truncated mass below 1e-16 of the
+    total; the remainder beyond T_cut is added in closed form as a certified
+    tail.
+    """
+    t_cut = (60.0 + 20.0 * beta) / (2.0 * lam)
+    rule = QuadratureRule(panels_per_unit=max(1, math.ceil(48 / t_cut)), nodes=10)
+    x, w = rule.points_weights(0.0, t_cut)
+    vals = _weighted_derivative_values(x, lam, alpha, beta)
+    return float(w @ vals**2), _exact_tail(lam, alpha, beta, t_cut)
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,7 @@ class IdentityReport:
     tail: float
 
 
-def weighted_identity_check(y0: SpectralField, s: float, alpha: int, beta: int,
-                            nodes: int = 10) -> IdentityReport:
+def weighted_identity_check(y0: SpectralField, s: float, alpha: int, beta: int) -> IdentityReport:
     """Check the weighted-orbit identity for one field and one (alpha, beta, s).
 
     The left side is assembled mode by mode from an independent time quadrature
@@ -134,7 +130,7 @@ def weighted_identity_check(y0: SpectralField, s: float, alpha: int, beta: int,
     for lam, c in zip(lams, y0.coeffs):
         if c == 0.0:
             continue
-        bulk, tail = _mode_time_integral(float(lam), alpha, beta, nodes=nodes)
+        bulk, tail = _mode_time_integral(float(lam), alpha, beta)
         lhs += (bulk + tail) * c**2 * lam**idx
         tail_total += abs(tail) * c**2 * lam**idx
     rhs = weight_factor(alpha, beta) * hs_norm(y0, s) ** 2
@@ -248,7 +244,7 @@ class CompatibilityReport:
     endpoint_derivs: list[SpectralField]
     violations: np.ndarray
     flag_endpoint_regularity: bool   # finite, tail-bounded endpoint derivatives
-    flag_g_regularity: bool          # g_k tail-bounded at index s + 1
+    flag_g_regularity: bool          # g_k tail-bounded at index 1
     flag_matching: bool              # endpoint derivatives equal g_k within tol
     tol: float
 
@@ -257,7 +253,7 @@ class CompatibilityReport:
         return self.flag_endpoint_regularity and self.flag_g_regularity and self.flag_matching
 
 
-def _tail_bounded(fld: SpectralField, s: float, growth_tol: float = 1.0) -> bool:
+def _tail_bounded(fld: SpectralField, s: float) -> bool:
     # finite-K surrogate for membership at index s: the top half of the spectrum
     # must not outweigh the bottom half
     K = fld.basis.K
@@ -265,11 +261,11 @@ def _tail_bounded(fld: SpectralField, s: float, growth_tol: float = 1.0) -> bool
     w = fld.coeffs**2 * lam**s
     head = math.sqrt(float(np.sum(w[: K // 2])))
     tail = math.sqrt(float(np.sum(w[K // 2:])))
-    return bool(np.isfinite(head) and np.isfinite(tail) and tail <= growth_tol * head + 1e-300)
+    return bool(np.isfinite(head) and np.isfinite(tail) and tail <= head + 1e-300)
 
 
 def compatibility_check(y0: SpectralField, phi: History | None, params: FlowParams, r: int,
-                        tol: float = 1e-9, s: float = 0.0) -> CompatibilityReport:
+                        tol: float = 1e-9) -> CompatibilityReport:
     """Build g_0..g_r in spectral coordinates and compare with phi's derivatives at 0.
 
     g_0 = y0 and g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1}, the Laplacian
@@ -278,8 +274,8 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
     against tol scaled by the size of g_k (floored at 1), since g_k grows like
     lambda^k and exact matches still carry rounding at that scale.  The two
     regularity flags are finite-truncation surrogates (spectral-tail
-    boundedness at the relevant index) and are heuristic by nature.  phi=None
-    is the zero history.
+    boundedness at index 0 for phi's endpoint derivatives, index 1 for g_k)
+    and are heuristic by nature.  phi=None is the zero history.
     """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
@@ -301,10 +297,10 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
     ])
     scales = np.array([max(1.0, hs_norm(g, 0.0)) for g in g_fields])
     flag3 = bool(np.all(violations <= tol * scales))
-    flag2 = all(_tail_bounded(g, s + 1.0) for g in g_fields)
+    flag2 = all(_tail_bounded(g, 1.0) for g in g_fields)
     minus_tau = [SpectralField(basis, hist(-params.tau, order=k)) for k in range(r + 1)]
-    flag1 = (all(_tail_bounded(f, s) for f in minus_tau)
-             and all(_tail_bounded(f, s) for f in endpoint))
+    flag1 = (all(_tail_bounded(f, 0.0) for f in minus_tau)
+             and all(_tail_bounded(f, 0.0) for f in endpoint))
     return CompatibilityReport(r, g_fields, endpoint, violations, flag1, flag2, flag3, tol)
 
 
@@ -332,31 +328,31 @@ def _one_sided_weights(order: int, n: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def endpoint_jump_scan(y0: SpectralField, phi: History, params: FlowParams, r: int,
-                       modes: tuple[int, ...] = (1, 2), accuracy: int = 5,
-                       h: float | None = None) -> list[EndpointJumpRow]:
+def endpoint_jump_scan(y0: SpectralField, phi: History | None, params: FlowParams, r: int,
+                       modes: tuple[int, ...] = (1, 2)) -> list[EndpointJumpRow]:
     """Measure one-sided derivative gaps of the solution at t = 0 and t = tau.
 
     For each order k <= r and each requested mode, the left and right k-th
     derivatives are estimated from solution samples (history samples on the
-    left of 0) by one-sided stencils of the given accuracy, and the gap is
-    reported relative to the larger one-sided magnitude.  This is an
-    independent check on ``compatibility_check``: matching endpoint data must
-    drive every gap to the stencil noise floor.
+    left of 0; phi=None is the zero history) by one-sided stencils on k + 5
+    points, and the gap is reported relative to the larger one-sided
+    magnitude.  Every solution sample comes from one ``solve_trace`` call.
+    This is an independent check on ``compatibility_check``: matching
+    endpoint data must drive every gap to the stencil noise floor.
     """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
+    accuracy = 5
     lams = y0.basis.eigenvalues()
     lam_max = max(lams[m - 1] for m in modes)
-    if h is None:
-        h = min(params.tau / (4.0 * (r + accuracy)), 0.08 / max(lam_max, 1.0))
+    h = min(params.tau / (4.0 * (r + accuracy)), 0.08 / max(lam_max, 1.0))
     n = r + accuracy
     times_needed = sorted({round(side * i * h + t0, 15)
                            for t0 in (0.0, params.tau)
                            for side in (+1, -1)
                            for i in range(n)
                            if side * i * h + t0 >= 0.0})
-    cache = {t: solve(y0, phi, t, params).coeffs for t in times_needed}
+    cache = dict(zip(times_needed, solve_trace(y0, phi, times_needed, params).coeffs))
     rows = []
     for t0, label in ((0.0, "0"), (params.tau, "tau")):
         for k in range(r + 1):
@@ -368,7 +364,7 @@ def endpoint_jump_scan(y0: SpectralField, phi: History, params: FlowParams, r: i
                     # left of t = 0 the trajectory IS the history, including its
                     # one-sided limit at 0
                     if side < 0 and t0 == 0.0:
-                        return float(phi.coeffs(t, order=0)[mode - 1])
+                        return 0.0 if phi is None else float(phi.coeffs(t, order=0)[mode - 1])
                     return float(cache[round(t, 15)][mode - 1])
 
                 d_right = sum(c[i] * sample(+1, i) for i in range(m_pts)) / h**k

@@ -18,11 +18,14 @@ convolution with quadrature panels split at the lattice kinks, and a Picard
 iteration of the equivalent Volterra integral equation whose error contracts
 factorially in the iteration count; its history forcing is the same history
 convolution.  One private kernel evaluates the series and its derivatives on a
-whole (times x modes) grid.
+whole (times x modes) grid.  `solve_trace` is the closed-form entry point: one
+kernel call for the flow of y0 at all times, plus one history convolution.
 
 History protocol: `phi.coeffs(gamma, order=0)` returns the K mode coefficients
 of the order-th time derivative at a scalar gamma, and one row per entry,
 shape (n, K), for a 1-D array of n gammas; the quadratures pass all nodes at once.
+`history_convolution(lams, profile, ts, params, breakpoints)` follows the same
+convention in time: (K,) for a scalar t, (n, K) for n times.
 `phi=None` is the zero history.
 """
 
@@ -285,50 +288,37 @@ History = ExpModeHistory | GridHistory
 # Variation-of-constants solution
 
 
-def history_convolution_profile(lams: np.ndarray, profile: Callable[[np.ndarray], np.ndarray],
-                                t: float, params: FlowParams,
-                                quad: QuadratureRule | None = None,
-                                profile_breakpoints: Sequence[float] = ()) -> np.ndarray:
+def history_convolution(lams: np.ndarray, profile: Callable[[np.ndarray], np.ndarray], ts,
+                        params: FlowParams, breakpoints: Sequence[float] = ()) -> np.ndarray:
     """a * integral_{-tau}^{min(t-tau, 0)} E(lam, t - tau - gamma) profile(gamma) dgamma.
 
-    `profile(gammas)` maps the node array to one row per node and one value per
-    lambda, shape (len(gammas), len(lams)).  Quadrature panels are split
+    `ts` is a scalar time, giving shape (len(lams),), or a 1-D array of n
+    times, giving one row per time, shape (n, len(lams)), the convention of
+    `phi.coeffs`.  `profile(gammas)` maps a node array to one row per node and
+    one value per lambda.  Each time has its own quadrature panels, split
     wherever the flow argument t - tau - gamma crosses a lattice point (the
-    integrand has kinks there) and at any breakpoints of the profile itself.
+    integrand has kinks there) and at the breakpoints of the profile itself.
     """
-    if t < 0.0:
-        raise InvalidArgumentError(f"time must be >= 0, got {t}")
-    quad = quad or QuadratureRule()
     lams = np.asarray(lams, dtype=float)
-    upper = min(t - params.tau, 0.0)
-    if upper <= -params.tau:
-        return np.zeros_like(lams)
-    # lattice crossings of the flow argument, t - tau - gamma = j tau; the rule
-    # drops the ones outside the interval
-    kinks = [*profile_breakpoints,
-             *(t - m * params.tau for m in range(1, math.floor(t / params.tau) + 2))]
-    gammas, weights = quad.points_weights(-params.tau, upper, kinks)
-    E = _delayed_exp_grid(lams, (t - params.tau) - gammas, params)
-    # numpy sums axis 0 of a C-ordered (nodes, K >= 2) array row by row, as a node loop would
-    return params.a * np.sum(weights[:, None] * E * profile(gammas), axis=0)
-
-
-def history_convolution(phi: History, t: float, params: FlowParams,
-                        quad: QuadratureRule | None = None) -> SpectralField:
-    """Field-valued history convolution of the variation-of-constants formula."""
-    coeffs = history_convolution_profile(
-        phi.basis.eigenvalues(), phi.coeffs, t, params, quad, phi.breakpoints
-    )
-    return SpectralField(phi.basis, coeffs)
-
-
-def solve(y0: SpectralField, phi: History | None, t: float, params: FlowParams,
-          quad: QuadratureRule | None = None) -> SpectralField:
-    """Solution at time t: flow of y0 plus the history convolution (none for phi=None)."""
-    out = flow_apply(y0, t, params)
-    if phi is not None:
-        out = out + history_convolution(phi, t, params, quad)
-    return out
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0.0):
+        raise InvalidArgumentError(f"time must be >= 0, got {ts.min()}")
+    quad = QuadratureRule()
+    out = np.zeros((ts.size, len(lams)))
+    for i, t in enumerate(ts.ravel().tolist()):
+        upper = min(t - params.tau, 0.0)
+        if upper <= -params.tau:
+            continue
+        # lattice crossings of the flow argument, t - tau - gamma = j tau; the
+        # rule drops the ones outside the interval
+        kinks = [*breakpoints,
+                 *(t - m * params.tau for m in range(1, math.floor(t / params.tau) + 2))]
+        gammas, weights = quad.points_weights(-params.tau, upper, kinks)
+        E = _delayed_exp_grid(lams, (t - params.tau) - gammas, params)
+        # numpy sums axis 0 of a C-ordered (nodes, K >= 2) array row by row, as a node loop would
+        out[i] = params.a * np.sum(weights[:, None] * E * profile(gammas), axis=0)
+        del E       # free this time's (nodes, K) array before the next time allocates its own
+    return out.reshape(ts.shape + lams.shape)
 
 
 @dataclass(frozen=True)
@@ -350,12 +340,26 @@ class SolutionTrace:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def solve_trace(y0: SpectralField, phi: History | None, times, params: FlowParams,
-                quad: QuadratureRule | None = None) -> SolutionTrace:
-    """Closed-form solution sampled at the given times."""
+def solve_trace(y0: SpectralField, phi: History | None, times,
+                params: FlowParams) -> SolutionTrace:
+    """Closed-form solution at strictly increasing times >= 0.
+
+    The one closed-form evaluation: the flow of y0 plus the history
+    convolution, each one call over all times.  `solve` is its one-row case.
+    """
     times = np.asarray(times, dtype=float)
-    rows = np.stack([solve(y0, phi, float(t), params, quad).coeffs for t in times])
+    if np.any(times < 0.0):
+        raise InvalidArgumentError(f"time must be >= 0, got {times.min()}")
+    lams = y0.basis.eigenvalues()
+    rows = _delayed_exp_grid(lams, times, params) * y0.coeffs
+    if phi is not None:
+        rows = rows + history_convolution(lams, phi.coeffs, times, params, phi.breakpoints)
     return SolutionTrace(times, rows, y0.basis)
+
+
+def solve(y0: SpectralField, phi: History | None, t: float, params: FlowParams) -> SpectralField:
+    """Solution at time t: flow of y0 plus the history convolution (none for phi=None)."""
+    return SpectralField(y0.basis, solve_trace(y0, phi, [t], params).coeffs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +367,14 @@ def solve_trace(y0: SpectralField, phi: History | None, times, params: FlowParam
 
 
 def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
-                 dt: float, params: FlowParams,
-                 quad: QuadratureRule | None = None) -> SolutionTrace:
+                 dt: float, params: FlowParams) -> SolutionTrace:
     """Iterate y <- F + G y on a uniform grid, starting from y = F.
 
     F(t) is the heat evolution of y0 plus the history forcing
     a * integral_0^{min(t, tau)} exp(-lambda (t - sigma)) phi(sigma - tau) dsigma
     (none for phi=None), and (G f)(t) = a * integral_tau^t exp(-lambda (t - sigma))
     f(sigma - tau) dsigma is evaluated per mode by trapezoid quadrature on the
-    grid.  Up to tau the forcing is the history convolution of `solve`, so there
+    grid.  Up to tau the forcing is the history convolution of `solve_trace`, so there
     the iterate equals `solve`; past tau it is its value at tau times
     exp(-lambda (t - tau)).  The delay must be resolved: dt is snapped to
     tau / round(tau / dt) and rejected when coarser than tau / 4.  After n
@@ -396,8 +399,7 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     F = decay * y0.coeffs[None, :]
     if phi is not None:
         m = min(n_sub, n_steps) + 1                 # grid times in [0, tau]
-        H = np.stack([history_convolution_profile(lams, phi.coeffs, t, params, quad,
-                                                  phi.breakpoints) for t in times[:m]])
+        H = history_convolution(lams, phi.coeffs, times[:m], params, phi.breakpoints)
         F[:m] += H
         F[m:] += decay[1:len(times) - m + 1] * H[-1]
 

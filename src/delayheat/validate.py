@@ -128,9 +128,10 @@ def suite_jumps(K: int = 60) -> SuiteResult:
 # picard: factorial contraction of the integral-equation iteration
 
 
-def suite_picard(T: float = 3.0, K: int = 8, n_sub: int = 64) -> SuiteResult:
+def suite_picard(T: float = 3.0) -> SuiteResult:
     # tau = T/12 keeps 12 series terms alive on [0, T]; with tau = T the series
     # terminates after a couple of terms and there is nothing to contract
+    K, n_sub = 8, 64
     basis = EigenBasis(1.0, K)
     params = FlowParams(a=1.0, tau=0.25)
     y0 = SpectralField(basis, 1.0 / np.arange(1, K + 1))
@@ -215,15 +216,15 @@ def suite_hybrid() -> SuiteResult:
 # compatibility: endpoint matching and measured endpoint smoothness
 
 
-def suite_compatibility(K: int = 16, r: int = 2) -> SuiteResult:
-    basis = EigenBasis(1.0, K)
+def suite_compatibility() -> SuiteResult:
+    basis = EigenBasis(1.0, 16)
     params = FlowParams(a=1.0, tau=1.0)
     y0 = SpectralField.from_modes(basis, {1: 1.0, 2: 0.3})
     phi = compatible_history(y0, params)
-    report = diag.compatibility_check(y0, phi, params, r=r, tol=1e-9)
+    report = diag.compatibility_check(y0, phi, params, r=2, tol=1e-9)
     worst = float(np.max(report.violations))
     rows = [CheckRow("compatible history: violations", report.flag_matching, worst, 1e-9)]
-    scan = diag.endpoint_jump_scan(y0, phi, params, r=r, modes=(1, 2))
+    scan = diag.endpoint_jump_scan(y0, phi, params, r=2, modes=(1, 2))
     worst_gap = max(row.rel_gap for row in scan)
     rows.append(CheckRow("compatible history: measured endpoint jumps", worst_gap <= 1e-3,
                          worst_gap, 1e-3))

@@ -148,6 +148,22 @@ def test_simulate_rk4_default_nonfinite_exits_1(tmp_path, monkeypatch, capsys):
     assert "non-finite" in manifest["error"]
 
 
+def test_simulate_closed_form_overflow_exits_1(tmp_path, monkeypatch, capsys):
+    # the history convolution overflows to inf: a numerical failure, not a bad config
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "--model.coupling", "1e308", "--history.kind", "constant",
+                   "--history.profile", "1e10", "--run.times", "0.5", "--run.out_dir", str(out)])
+    assert rc == 1
+    assert not (out / "trace_coeffs.csv").exists()
+    assert not (out / "trace_grid.csv").exists()
+    assert "numerical failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == []
+    assert "non-finite" in manifest["error"]
+
+
 @pytest.mark.parametrize("solver, extra, keys", [
     ("closed-form", [], set()),
     ("picard", ["--picard.dt", "0.03125"], {"h", "n_iter"}),

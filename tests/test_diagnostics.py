@@ -213,3 +213,18 @@ def test_endpoint_jump_scan_compatible_vs_incompatible():
     rows_bad = endpoint_jump_scan(y0, bad, p, r=1, modes=(1,))
     gap_order1 = [r for r in rows_bad if r.t_label == "0" and r.order == 1][0]
     assert gap_order1.rel_gap > 0.1
+
+
+def test_endpoint_jump_scan_zero_history():
+    # phi=None is the zero history: every left sample at t = 0 is 0, so the
+    # order-0 gap there is the jump from 0 to y0
+    basis = EigenBasis(1.0, 4)
+    p = FlowParams(a=1.0, tau=1.0)
+    y0 = SpectralField.from_modes(basis, [1.0, 0.5])
+    rows = endpoint_jump_scan(y0, None, p, r=1)
+    assert len(rows) == 2 * 2 * 2          # {0, tau} x orders 0..1 x modes (1, 2)
+    at0 = [r for r in rows if r.t_label == "0"]
+    assert all(r.left == 0.0 for r in at0)
+    for r in at0:
+        if r.order == 0:
+            assert_allclose(r.right, y0.coeffs[r.mode - 1], rtol=1e-12)

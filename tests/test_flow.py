@@ -104,7 +104,7 @@ def test_history_convolution_constant_profile_lambda_zero():
     p = FlowParams(a=1.0, tau=1.0)
     lams = np.array([0.0])
     for t in (0.0, 0.3, 0.95):
-        val = fl.history_convolution_profile(lams, lambda g: np.array([1.0]), t, p)[0]
+        val = fl.history_convolution(lams, lambda g: np.array([1.0]), t, p)[0]
         assert_allclose(val, t, atol=1e-13)
 
 
@@ -114,7 +114,7 @@ def test_history_convolution_upper_limit_saturates():
     # t=1: int 1 = 1; t=2: int (1 - g) = 3/2; t=3: int (2 - g) + g^2/2 = 8/3
     p = FlowParams(a=1.0, tau=1.0)
     lams = np.array([0.0])
-    vals = [fl.history_convolution_profile(lams, lambda g: np.array([1.0]), t, p)[0]
+    vals = [fl.history_convolution(lams, lambda g: np.array([1.0]), t, p)[0]
             for t in (1.0, 2.0, 3.0)]
     assert_allclose(vals, [1.0, 1.5, 1.0 + 1.5 + 1.0 / 6.0], atol=1e-12)
 
@@ -422,3 +422,40 @@ def test_picard_history_forcing_matches_per_time_quadrature(a):
         scale = np.max(np.abs(ref), axis=0)
         err = np.max(np.abs(trace.coeffs - ref), axis=0)
         assert np.all(err <= 1e-11 * scale), (name, float(np.max(err / scale)))
+
+
+def _solve_one_time_reference(y0, phi, t, params):
+    """The closed form at one time as `solve` summed it per time: `flow_apply`
+    plus the history convolution on that time's own Gauss panels."""
+    out = flow_apply(y0, t, params).coeffs
+    upper = min(t - params.tau, 0.0)
+    if phi is None or upper <= -params.tau:
+        return out
+    kinks = [*phi.breakpoints,
+             *(t - m * params.tau for m in range(1, math.floor(t / params.tau) + 2))]
+    gammas, weights = QuadratureRule().points_weights(-params.tau, upper, kinks)
+    E = fl._delayed_exp_grid(y0.basis.eigenvalues(), (t - params.tau) - gammas, params)
+    return out + params.a * np.sum(weights[:, None] * E * phi.coeffs(gammas), axis=0)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_solve_trace_equals_per_time_reference(a):
+    p = FlowParams(a=a, tau=1.0)
+    y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
+    times = [0.0, 0.3, 1.0, 1.5, 2.0, 2.75]        # 0 and the lattice points 1, 2 included
+    for name, phi in {"zero": None, **_k60_histories(y0, p)}.items():
+        trace = solve_trace(y0, phi, times, p)
+        ref = np.stack([_solve_one_time_reference(y0, phi, t, p) for t in times])
+        assert np.array_equal(trace.coeffs, ref), name
+        for i, t in enumerate(times):
+            assert np.array_equal(solve(y0, phi, t, p).coeffs, ref[i]), (name, t)
+
+
+def test_solve_trace_guards(basis):
+    y0 = SpectralField.from_modes(basis, [1.0])
+    phi = ExpModeHistory(y0, -1.0)
+    for hist in (None, phi):
+        with pytest.raises(InvalidArgumentError):
+            solve_trace(y0, hist, [-0.5, 0.5], FlowParams(a=1.0, tau=1.0))
+        with pytest.raises(TruncationExceededError):
+            solve_trace(y0, hist, [0.5, 4.5], FlowParams(a=1.0, tau=1.0, j_max=3))

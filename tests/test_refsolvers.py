@@ -48,8 +48,8 @@ def test_rk4_constant_history_value():
     # same value through the closed-form convolution route
     p = FlowParams(a=1.0, tau=1.0)
     closed = (delayed_exp(0.0, 2.5, p)
-              + fl.history_convolution_profile(np.array([0.0]), lambda g: np.array([1.0]),
-                                               2.5, p)[0])
+              + fl.history_convolution(np.array([0.0]), lambda g: np.array([1.0]),
+                                       2.5, p)[0])
     assert_allclose(closed, 223.0 / 48.0, atol=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_rk4_exponential_history_nontrivial():
     # convolution with the whole node array handed to the profile at once
     lam = np.array([2.0])
     flow_part = fl._delayed_exp_grid(lam, tr.times, p)[:, 0]
-    conv_part = np.array([fl.history_convolution_profile(
+    conv_part = np.array([fl.history_convolution(
         lam, lambda g: np.exp(g)[:, None], float(t), p)[0] for t in tr.times])
     exact = flow_part + conv_part
     assert np.max(np.abs(tr.values - exact)) / np.max(np.abs(exact)) <= 1e-6
