@@ -112,7 +112,9 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
         if not path:
             raise InvalidArgumentError("history kind 'grid' needs history.file")
         times, rows = dio.read_grid_history_csv(path, basis)
-        return GridHistory(times, rows, basis, sec.getint("interp_order"))
+        phi = GridHistory(times, rows, basis, sec.getint("interp_order"))
+        phi.pieces(params.tau)      # rejects samples that do not span [-tau, 0]
+        return phi
     raise InvalidArgumentError(f"unknown history kind {kind!r}")
 
 

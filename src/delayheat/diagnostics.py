@@ -29,11 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .basis import QuadratureRule, SpectralField, hs_norm
 from .errors import InvalidArgumentError, UndefinedEstimateError
-from .flow import FlowParams, History, derivative_jump, flow_derivative_factors, solve_trace
+from .flow import (FlowParams, History, _gammaincc_int, derivative_jump, flow_derivative_factors,
+                   solve_trace)
 
 __all__ = [
     "IdentityReport",
@@ -67,9 +67,11 @@ def _weighted_derivative_values(t: np.ndarray, lam: float, alpha: int, beta: int
 def _exact_tail(lam: float, alpha: int, beta: int, t_cut: float) -> float:
     """Integral over t > t_cut of |d^alpha (t^beta e^{-lam t})|^2, in closed form.
 
-    Each cross term of the product rule integrates to an incomplete gamma.
+    Each cross term of the product rule integrates to an upper incomplete
+    gamma function of integer order, Q(m + 1, 2 lam t_cut).
     """
     tail = 0.0
+    q = _gammaincc_int(2.0 * lam * t_cut, 2 * beta).tolist()
     for l in range(min(alpha, beta) + 1):
         for lp in range(min(alpha, beta) + 1):
             c = (math.comb(alpha, l) * math.comb(alpha, lp)
@@ -78,7 +80,7 @@ def _exact_tail(lam: float, alpha: int, beta: int, t_cut: float) -> float:
                  * (-lam) ** (2 * alpha - l - lp))
             m = 2 * beta - l - lp
             tail += (c * math.factorial(m) / (2.0 * lam) ** (m + 1)
-                     * float(gammaincc(m + 1, 2.0 * lam * t_cut)))
+                     * q[m])
     return tail
 
 

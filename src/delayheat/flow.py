@@ -14,32 +14,35 @@ The map t -> E(lambda, t) is piecewise analytic with kinks exactly on the delay
 lattice {j tau}: the jump of its j-th time derivative at t = j tau equals a^j.
 This module evaluates the series, its one-sided time derivatives of any order
 (products of polynomials and exponentials, differentiated exactly), the history
-convolution with quadrature panels split at the lattice kinks, and a Picard
-iteration of the equivalent Volterra integral equation whose error contracts
-factorially in the iteration count; its history forcing is the same history
-convolution.  One private kernel evaluates the series and its derivatives on a
-whole (times x modes) grid.  `solve_trace` is the closed-form entry point: one
-kernel call for the flow of y0 at all times, plus one history convolution.
+convolution in closed form, and a Picard iteration of the equivalent Volterra
+integral equation whose error contracts factorially in the iteration count; its
+history forcing is the same history convolution.  One private kernel evaluates
+the series and its derivatives on a whole (times x modes) grid.  `solve_trace`
+is the closed-form entry point: one kernel call for the flow of y0 at all
+times, plus one history convolution.  The only quadrature left in this module
+is the trapezoid rule of Picard's G.
 
 History protocol: `phi.coeffs(gamma, order=0)` returns the K mode coefficients
 of the order-th time derivative at a scalar gamma, and one row per entry,
-shape (n, K), for a 1-D array of n gammas; the quadratures pass all nodes at once.
-`history_convolution(lams, profile, ts, params, breakpoints)` follows the same
-convention in time: (K,) for a scalar t, (n, K) for n times.
-`phi=None` is the zero history.
+shape (n, K), for a 1-D array of n gammas.  `phi.pieces(tau)` returns
+(lo, hi, anchor, poly, rates): pieces [lo_p, hi_p] that tile [-tau, 0], on each
+of which phi_k(gamma) = exp(rates_k gamma) sum_d poly[p, d, k] (gamma - anchor_p)^d.
+Against the series term (a^j / j!) v^j exp(-lam v) every piece integrates
+exactly to incomplete gamma functions of integer order, which is how
+`history_convolution(lams, phi, ts, params)` sums it: (K,) for a scalar t,
+(n, K) for n times.  `phi=None` is the zero history.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .basis import EigenBasis, QuadratureRule, SpectralField
+from .basis import EigenBasis, SpectralField
 from .errors import InvalidArgumentError, TruncationExceededError
 
 __all__ = [
@@ -94,6 +97,20 @@ class FlowParams:
         return j
 
 
+def _series_coeffs(a: float, j: int, p: int, d: np.ndarray) -> np.ndarray:
+    """a^j d^p / p! for each entry d >= 0 of d, with 0^0 = 1.
+
+    Formed per entry in scalar float arithmetic, in log space past j = 20,
+    where powers and factorials overflow.
+    """
+    if j <= 20:
+        return a**j * np.array([x**p for x in d.tolist()]) / math.factorial(p)
+    sign = -1.0 if (a < 0 and j % 2 == 1) else 1.0
+    ja, lg = j * math.log(abs(a)), math.lgamma(p + 1)
+    return sign * np.array([math.exp(ja + (p * math.log(x) if p > 0 else 0.0) - lg)
+                            if x > 0.0 or p == 0 else 0.0 for x in d.tolist()])
+
+
 def _delayed_exp_grid(lams, ts, params: FlowParams, order: int = 0,
                       side: str = "right") -> np.ndarray:
     """One-sided order-`order` time derivative of E(lambda, t) on the (len(ts), len(lams)) grid.
@@ -105,9 +122,8 @@ def _delayed_exp_grid(lams, ts, params: FlowParams, order: int = 0,
 
     with 0^0 = 1; order 0 is E itself.  `side` selects which terms are active at
     a lattice point: "right" includes j = t/tau, "left" does not.  Coefficients
-    are formed per time in scalar float arithmetic (in log space past j = 20,
-    where factorials and powers overflow), so every row equals the same time
-    evaluated alone, bit for bit.
+    come from `_series_coeffs`, so every row equals the same time evaluated
+    alone, bit for bit.
     """
     a, tau = params.a, params.tau
     lams = np.asarray(lams, dtype=float)
@@ -124,16 +140,9 @@ def _delayed_exp_grid(lams, ts, params: FlowParams, order: int = 0,
         decay = np.exp(-lams * dts[:, None])
         for l in range(min(order, j) + 1):
             p = j - l
-            live = (tops >= j) & ((dts > 0.0) | (p == 0))
-            if j <= 20:
-                c = a**j * np.array([d**p for d in dts[live].tolist()]) / math.factorial(p)
-            else:
-                sign = -1.0 if (a < 0 and j % 2 == 1) else 1.0
-                ja, lg = j * math.log(abs(a)), math.lgamma(p + 1)
-                c = sign * np.array([math.exp(ja + (p * math.log(d) if p > 0 else 0.0) - lg)
-                                     for d in dts[live].tolist()])
+            live = tops >= j
             coef = np.zeros(len(ts))
-            coef[live] = c * math.comb(order, l)
+            coef[live] = _series_coeffs(a, j, p, dts[live]) * math.comb(order, l)
             out += coef[:, None] * np.power(-lams, order - l) * decay
     return out
 
@@ -226,7 +235,6 @@ class ExpModeHistory:
     history) or a per-mode array.  Time derivatives of every order are exact.
     """
 
-    breakpoints: tuple[float, ...] = ()
     max_derivative_order: int | None = None
 
     def __init__(self, fld: SpectralField, rates: float | np.ndarray = 0.0):
@@ -239,9 +247,14 @@ class ExpModeHistory:
     def coeffs(self, gamma, order: int = 0) -> np.ndarray:
         return self.field.coeffs * self.rates**order * np.exp(np.multiply.outer(gamma, self.rates))
 
+    def pieces(self, tau: float):
+        """One degree-0 piece on [-tau, 0] with the history's rates (see the module docstring)."""
+        return (np.array([-tau]), np.array([0.0]), np.array([-tau]),
+                self.field.coeffs[None, None, :], self.rates)
+
 
 class GridHistory:
-    """History given as fields on a uniform time grid over [-tau, 0].
+    """History given as fields on a time grid that spans [-tau, 0].
 
     interp_order 1 is piecewise linear (values only); interp_order 3 is a cubic
     spline with time derivatives available up to order 2.
@@ -263,7 +276,6 @@ class GridHistory:
         self.times = times
         self.rows = coeff_rows
         self.interp_order = interp_order
-        self.breakpoints = tuple(times[1:-1])
         self.max_derivative_order = 0 if interp_order == 1 else 2
         self._spline = CubicSpline(times, coeff_rows, axis=0) if interp_order == 3 else None
 
@@ -280,6 +292,27 @@ class GridHistory:
         w = np.expand_dims((g - self.times[i]) / (self.times[i + 1] - self.times[i]), -1)
         return (1.0 - w) * self.rows[i] + w * self.rows[i + 1]
 
+    def pieces(self, tau: float):
+        """The sample intervals cut to [-tau, 0], each with its interpolating polynomial.
+
+        Raises InvalidArgumentError when the samples do not reach both -tau and
+        0 (up to rounding): the history is never extended past its samples.
+        """
+        lo, hi = float(self.times[0]), float(self.times[-1])
+        tol = _LATTICE_EPS * max(1.0, tau)
+        if lo > -tau + tol or hi < -tol:
+            raise InvalidArgumentError(
+                f"grid history samples cover [{lo:g}, {hi:g}], not all of [-tau, 0] for tau = {tau:g}"
+            )
+        edges = np.clip(self.times, -tau, 0.0)
+        edges[0], edges[-1] = -tau, 0.0
+        if self._spline is not None:
+            poly = self._spline.c[::-1].transpose(1, 0, 2)      # ascending powers, (P, 4, K)
+        else:
+            slopes = np.diff(self.rows, axis=0) / np.diff(self.times)[:, None]
+            poly = np.stack([self.rows[:-1], slopes], axis=1)
+        return edges[:-1], edges[1:], self.times[:-1], poly, np.zeros(self.basis.K)
+
 
 History = ExpModeHistory | GridHistory
 
@@ -288,36 +321,108 @@ History = ExpModeHistory | GridHistory
 # Variation-of-constants solution
 
 
-def history_convolution(lams: np.ndarray, profile: Callable[[np.ndarray], np.ndarray], ts,
-                        params: FlowParams, breakpoints: Sequence[float] = ()) -> np.ndarray:
-    """a * integral_{-tau}^{min(t-tau, 0)} E(lam, t - tau - gamma) profile(gamma) dgamma.
+def _gammaincc_int(x, n: int) -> np.ndarray:
+    """Q(i + 1, x) = exp(-x) sum_{l<=i} x^l / l! for i = 0..n, along a new last axis.
+
+    The regularized upper incomplete gamma function of integer order (DLMF
+    8.4.10); the same finite sum continues it to x < 0.  Each Poisson term is
+    the previous one times x / l, so nothing overflows for x >= 0.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = np.empty(x.shape + (n + 1,))
+    steps[..., 0] = np.exp(-x)
+    steps[..., 1:] = x[..., None] / np.arange(1, n + 1)
+    return steps.cumprod(axis=-1).cumsum(axis=-1)
+
+
+def _exp_moments(mu: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """M[..., i] = integral_0^w (s^i / i!) exp(-mu s) ds for i = 0..n and w >= 0.
+
+    With x = mu w this is w^(i+1) exp(-x) phi_{i+1}(x), phi_k(x) = sum_m x^m / (m + k)!.
+    Where |x| > i + 1 it is taken as (1 - Q(i + 1, x)) / mu^(i+1), a difference
+    that does not cancel there.  Elsewhere the Taylor series of phi_{i+1} is
+    summed until its terms, positive for x >= 0 and alternating with
+    decreasing size for x < 0, no longer change the sum, so every entry is
+    the same whatever else is in the batch.
+    """
+    mu, w = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(w, dtype=float))
+    i = np.arange(n + 1)
+    x = mu * w
+    inv_mu = 1.0 / np.where(np.abs(x) > 1.0, mu, 1.0)    # only entries with |x| > 1 use it
+    out = (1.0 - _gammaincc_int(x, n)) * np.cumprod(np.repeat(inv_mu[..., None], n + 1, -1), -1)
+    near = np.abs(x[..., None]) <= i + 1
+    xn = np.broadcast_to(x[..., None], near.shape)[near]
+    k = np.broadcast_to(i + 1.0, near.shape)[near]
+    term = np.ones(len(xn))
+    total = term.copy()
+    m = 0
+    while True:
+        m += 1
+        term *= xn / (k + m)
+        total += term
+        if not np.any(np.abs(term) > 2.0**-54 * total):
+            break
+    scale = np.cumprod(w[..., None] / np.arange(1, n + 2), axis=-1)      # w^(i+1) / (i+1)!
+    out[near] = scale[near] * np.exp(-xn) * total
+    return out
+
+
+def history_convolution(lams: np.ndarray, phi: History, ts, params: FlowParams) -> np.ndarray:
+    """a * integral_{-tau}^{min(t-tau, 0)} E(lam, t - tau - gamma) phi(gamma) dgamma, exactly.
 
     `ts` is a scalar time, giving shape (len(lams),), or a 1-D array of n
     times, giving one row per time, shape (n, len(lams)), the convention of
-    `phi.coeffs`.  `profile(gammas)` maps a node array to one row per node and
-    one value per lambda.  Each time has its own quadrature panels, split
-    wherever the flow argument t - tau - gamma crosses a lattice point (the
-    integrand has kinks there) and at the breakpoints of the profile itself.
+    `phi.coeffs`.  Series term j sees gamma in [-tau, min(0, t - (j+1) tau)].
+    On each piece of `phi.pieces(tau)` cut to that range write
+    v = t - (j+1) tau - gamma = v_a + s, s in [0, w], anchored at the piece's
+    small-v end; then (v_a + s)^j / j! times the piece polynomial expands into
+    powers of s with no cancelling terms, and each power integrates against
+    exp(-(lam + rate) s) to an `_exp_moments` entry.  Raises
+    InvalidArgumentError for a negative time or a grid history that does not
+    span [-tau, 0].  A sum that overflows is left as inf or nan for the
+    caller's finiteness check.
     """
     lams = np.asarray(lams, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0):
         raise InvalidArgumentError(f"time must be >= 0, got {ts.min()}")
-    quad = QuadratureRule()
-    out = np.zeros((ts.size, len(lams)))
-    for i, t in enumerate(ts.ravel().tolist()):
-        upper = min(t - params.tau, 0.0)
-        if upper <= -params.tau:
+    a, tau = params.a, params.tau
+    lo, hi, anchor, poly, rates = phi.pieces(tau)
+    t = ts.ravel()
+    out = np.zeros((t.size, len(lams)))
+    n_terms = params.series_index(float(t.max())) + 1 if t.size and a != 0.0 else 0
+    mu, deg = lams + rates, poly.shape[1] - 1
+    for j in range(n_terms):
+        u = t - (j + 1) * tau
+        gb = np.minimum(hi, u[:, None])             # (times, pieces): small-v end of each cut piece
+        live = gb > lo
+        if not live.any():
             continue
-        # lattice crossings of the flow argument, t - tau - gamma = j tau; the
-        # rule drops the ones outside the interval
-        kinks = [*breakpoints,
-                 *(t - m * params.tau for m in range(1, math.floor(t / params.tau) + 2))]
-        gammas, weights = quad.points_weights(-params.tau, upper, kinks)
-        E = _delayed_exp_grid(lams, (t - params.tau) - gammas, params)
-        # numpy sums axis 0 of a C-ordered (nodes, K >= 2) array row by row, as a node loop would
-        out[i] = params.a * np.sum(weights[:, None] * E * profile(gammas), axis=0)
-        del E       # free this time's (nodes, K) array before the next time allocates its own
+        ti, pi = np.nonzero(live)
+        gb = gb[live]
+        va, delta = u[ti] - gb, gb - anchor[pi]
+        widths, which = np.unique(gb - lo[pi], return_inverse=True)
+        moments = _exp_moments(mu, widths[:, None], j + deg)
+        # piece polynomial in powers of s: q_m = (-1)^m sum_k C(k, m) poly_k delta^(k - m)
+        dpow = [np.ones_like(delta)]
+        for _ in range(deg):
+            dpow.append(dpow[-1] * delta)
+        coef = poly[pi]
+        q = [(-1) ** m * sum(math.comb(k, m) * coef[:, k] * dpow[k - m][:, None]
+                             for k in range(m, deg + 1)) for m in range(deg + 1)]
+        # a^(j+1) (v_a + s)^j / j! = sum_i a^(j+1) v_a^(j-i) / (j-i)! * s^i / i!
+        c = [_series_coeffs(a, j + 1, j - i, va) for i in range(j + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = np.zeros((len(gb), len(lams)))
+            # s^i / i! * s^m = (i+m)! / i! * s^(i+m) / (i+m)!, whose integral is moment i+m
+            for m in range(deg + 1):
+                inner = sum(c[i][:, None] * (math.factorial(i + m) // math.factorial(i))
+                            * moments[which, :, i + m] for i in range(j + 1))
+                acc += q[m] * inner
+            acc *= np.exp(np.multiply.outer(gb, rates) - np.multiply.outer(va, lams))
+            full = np.zeros(live.shape + (len(lams),))
+            full[live] = acc
+            out += full.sum(axis=1)
     return out.reshape(ts.shape + lams.shape)
 
 
@@ -353,7 +458,7 @@ def solve_trace(y0: SpectralField, phi: History | None, times,
     lams = y0.basis.eigenvalues()
     rows = _delayed_exp_grid(lams, times, params) * y0.coeffs
     if phi is not None:
-        rows = rows + history_convolution(lams, phi.coeffs, times, params, phi.breakpoints)
+        rows = rows + history_convolution(lams, phi, times, params)
     return SolutionTrace(times, rows, y0.basis)
 
 
@@ -399,7 +504,7 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     F = decay * y0.coeffs[None, :]
     if phi is not None:
         m = min(n_sub, n_steps) + 1                 # grid times in [0, tau]
-        H = history_convolution(lams, phi.coeffs, times[:m], params, phi.breakpoints)
+        H = history_convolution(lams, phi, times[:m], params)
         F[:m] += H
         F[m:] += decay[1:len(times) - m + 1] * H[-1]
 

@@ -17,22 +17,48 @@ from .errors import InvalidArgumentError
 
 
 def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return "%.17g" % float(x)
 
 
 def _strs(values) -> list[str]:
     """`fmt` of every entry of a 1-D array, in one pass."""
-    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+_BLOCK_LINES = 4096
 
 
 def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write a CSV header and rows (cells that are not strings go through `fmt`); returns the row count.
+
+    A row is written as its cells joined by commas, in blocks of lines.  Only
+    a row that needs CSV quoting, one whose line holds a quote, CR or LF, or a
+    comma inside a cell, or is empty, goes through `csv.writer`, so the file is
+    byte for byte what `csv.writer` alone would write.
+    """
     n = 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
+        block: list[str] = []
         for row in rows:
-            w.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+            try:
+                line = ",".join(row)
+            except TypeError:       # a cell that is not a string
+                row = [cell if isinstance(cell, str) else fmt(cell) for cell in row]
+                line = ",".join(row)
+            if (not line or '"' in line or "\r" in line or "\n" in line
+                    or line.count(",") >= len(row)):
+                fh.write("".join(block))
+                block.clear()
+                w.writerow(row)
+            else:
+                block.append(line + "\r\n")
+                if len(block) >= _BLOCK_LINES:
+                    fh.write("".join(block))
+                    block.clear()
             n += 1
+        fh.write("".join(block))
     return n
 
 

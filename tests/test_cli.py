@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,20 @@ def test_simulate_grid_history_two_samples(tmp_path):
                  "--history.file", str(hist)])
     assert code == 0
     assert (tmp_path / "out" / "trace_coeffs.csv").exists()
+
+
+def test_simulate_rejects_grid_history_short_of_the_delay(tmp_path, capsys):
+    # samples on [-0.5, 0] for tau = 1 would leave [-1, -0.5) to be made up
+    hist = tmp_path / "hist.csv"
+    hist.write_text("gamma,k,coeff\n-0.5,1,0.3\n0.0,1,1.0\n")
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=tmp_path / "out"))
+    for solver in ("closed-form", "rk4-modes"):
+        code = main(["simulate", "--config", cfg, "--history.kind", "grid",
+                     "--history.file", str(hist), "--run.solver", solver])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "[-0.5, 0]" in err and "tau = 1" in err
+    assert not (tmp_path / "out" / "trace_coeffs.csv").exists()
 
 
 def test_simulate_solver_agreement_across_backends(tmp_path):
@@ -321,3 +336,16 @@ interp_order = 1
 out_dir = {out}
 """)
     assert main(["diagnose", "--config", cfg, "--order", "2"]) == 2
+
+
+def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeypatch, capsys):
+    # with warnings as errors, a numpy overflow warning on the way would turn
+    # into a generic error instead of the numerical-failure report
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--model.coupling", "1e308", "--history.kind", "constant",
+                   "--history.profile", "1e10", "--run.times", "0.5",
+                   "--run.out_dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "numerical failure" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import delayheat.flow as fl
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory,
-                       InvalidArgumentError, QuadratureRule, SpectralField,
+                       InvalidArgumentError, SpectralField,
                        TruncationExceededError, characteristic_root, compatible_history,
                        delayed_exp, derivative_jump, dirac_coeffs, flow_apply, picard_solve,
                        right_limit_derivative, semigroup_apply, solve, solve_trace)
@@ -99,12 +99,17 @@ def test_solve_zero_history_is_flow_apply(basis):
         solve(y0, None, -0.5, p)
 
 
+def _unit_history(rate):
+    """One-mode history exp(rate * gamma)."""
+    return ExpModeHistory(SpectralField(EigenBasis(1.0, 1), np.array([1.0])), rate)
+
+
 def test_history_convolution_constant_profile_lambda_zero():
-    # per-rate helper with lam = 0, constant unit profile: value t on [0, tau)
+    # lam = 0, constant unit profile: value t on [0, tau)
     p = FlowParams(a=1.0, tau=1.0)
     lams = np.array([0.0])
     for t in (0.0, 0.3, 0.95):
-        val = fl.history_convolution(lams, lambda g: np.array([1.0]), t, p)[0]
+        val = fl.history_convolution(lams, _unit_history(0.0), t, p)[0]
         assert_allclose(val, t, atol=1e-13)
 
 
@@ -114,7 +119,7 @@ def test_history_convolution_upper_limit_saturates():
     # t=1: int 1 = 1; t=2: int (1 - g) = 3/2; t=3: int (2 - g) + g^2/2 = 8/3
     p = FlowParams(a=1.0, tau=1.0)
     lams = np.array([0.0])
-    vals = [fl.history_convolution(lams, lambda g: np.array([1.0]), t, p)[0]
+    vals = [fl.history_convolution(lams, _unit_history(0.0), t, p)[0]
             for t in (1.0, 2.0, 3.0)]
     assert_allclose(vals, [1.0, 1.5, 1.0 + 1.5 + 1.0 / 6.0], atol=1e-12)
 
@@ -331,10 +336,8 @@ def test_trace_invariants(basis):
         fl.SolutionTrace(np.array([0.0, 0.0]), np.zeros((2, basis.K)), basis)
 
 
-def _picard_einsum_reference(y0, T, n_iter, dt, params, phi=None):
-    """Picard iteration with G applied as the O(N^2) trapezoid sum, and the
-    history forcing as its own Gauss quadrature over [0, min(t, tau)] at every
-    grid time."""
+def _picard_einsum_reference(y0, T, n_iter, dt, params):
+    """Picard iteration (zero history) with G applied as the O(N^2) trapezoid sum."""
     n_sub = round(params.tau / dt)
     h = params.tau / n_sub
     n_steps = math.ceil(T / h - 1e-9)
@@ -342,15 +345,6 @@ def _picard_einsum_reference(y0, T, n_iter, dt, params, phi=None):
     lams = y0.basis.eigenvalues()
     decay = np.exp(-np.outer(times, lams))
     F = decay * y0.coeffs[None, :]
-    if phi is not None:
-        quad = QuadratureRule()
-        for i, t in enumerate(times):
-            hi = min(float(t), params.tau)
-            if hi <= 0.0:
-                continue
-            x, w = quad.points_weights(0.0, hi, [b + params.tau for b in phi.breakpoints])
-            rows = np.exp(-lams * (t - x)[:, None]) * phi.coeffs(x - params.tau)
-            F[i] += params.a * (w @ rows)
 
     def apply_G(rows):
         out = np.zeros_like(rows)
@@ -409,46 +403,99 @@ def test_picard_equals_solve_trace_up_to_tau(a):
             assert np.array_equal(trace.coeffs[upto], ref.coeffs), (name, T)
 
 
-@pytest.mark.parametrize("a", [1.0, -1.0, 2.0])
-def test_picard_history_forcing_matches_per_time_quadrature(a):
-    p = FlowParams(a=a, tau=1.0)
-    y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
-    # the reference's G agrees with the recurrence to 1e-12 (test above), so a
-    # larger gap would come from the forcing
-    for name, phi in _k60_histories(y0, p).items():
-        trace = picard_solve(y0, phi, 2.5, n_iter=12, dt=1.0 / 64, params=p)
-        times, ref = _picard_einsum_reference(y0, 2.5, 12, 1.0 / 64, p, phi)
-        assert np.array_equal(trace.times, times)
-        scale = np.max(np.abs(ref), axis=0)
-        err = np.max(np.abs(trace.coeffs - ref), axis=0)
-        assert np.all(err <= 1e-11 * scale), (name, float(np.max(err / scale)))
-
-
-def _solve_one_time_reference(y0, phi, t, params):
-    """The closed form at one time as `solve` summed it per time: `flow_apply`
-    plus the history convolution on that time's own Gauss panels."""
-    out = flow_apply(y0, t, params).coeffs
-    upper = min(t - params.tau, 0.0)
-    if phi is None or upper <= -params.tau:
-        return out
-    kinks = [*phi.breakpoints,
-             *(t - m * params.tau for m in range(1, math.floor(t / params.tau) + 2))]
-    gammas, weights = QuadratureRule().points_weights(-params.tau, upper, kinks)
-    E = fl._delayed_exp_grid(y0.basis.eigenvalues(), (t - params.tau) - gammas, params)
-    return out + params.a * np.sum(weights[:, None] * E * phi.coeffs(gammas), axis=0)
-
-
 @pytest.mark.parametrize("a", [1.0, -1.0])
 def test_solve_trace_equals_per_time_reference(a):
+    # the batched closed form equals `solve` one time at a time, bit for bit
     p = FlowParams(a=a, tau=1.0)
     y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
     times = [0.0, 0.3, 1.0, 1.5, 2.0, 2.75]        # 0 and the lattice points 1, 2 included
     for name, phi in {"zero": None, **_k60_histories(y0, p)}.items():
         trace = solve_trace(y0, phi, times, p)
-        ref = np.stack([_solve_one_time_reference(y0, phi, t, p) for t in times])
-        assert np.array_equal(trace.coeffs, ref), name
         for i, t in enumerate(times):
-            assert np.array_equal(solve(y0, phi, t, p).coeffs, ref[i]), (name, t)
+            assert np.array_equal(solve(y0, phi, t, p).coeffs, trace.coeffs[i]), (name, t)
+
+
+@pytest.mark.parametrize("tau", [0.25, 1.0])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_solve_trace_compatible_history_exact_per_mode(a, tau):
+    # the compatible history continues as c_k exp(rho_k t) in every one of the
+    # K = 60 modes, stiff ones included, out to 30 delay windows
+    p = FlowParams(a=a, tau=tau)
+    y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
+    phi = compatible_history(y0, p)
+    times = np.unique(np.concatenate([[0.05], np.arange(1, 31) * tau,
+                                      (np.arange(30) + 0.37) * tau]))
+    got = solve_trace(y0, phi, times, p).coeffs
+    want = y0.coeffs * np.exp(np.outer(times, phi.rates))
+    rel = np.abs(got - want) / np.abs(want)
+    assert np.max(rel) <= 1e-12, (float(np.max(rel)), np.unravel_index(np.argmax(rel), rel.shape))
+
+
+def _delayed_exp_reference(lam, v, a, tau):
+    """The delayed exponential summed term by term in plain floats."""
+    return sum(a**j / math.factorial(j) * (v - j * tau) ** j * math.exp(-lam * (v - j * tau))
+               for j in range(int(math.floor(v / tau + 1e-12)) + 1) if v - j * tau >= 0.0)
+
+
+@pytest.mark.parametrize("interp_order", [1, 3])
+def test_history_convolution_grid_matches_adaptive_quadrature(interp_order):
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
+    p = FlowParams(a=1.0, tau=1.0)
+    y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
+    phi = _k60_histories(y0, p)[f"grid-{'linear' if interp_order == 1 else 'cubic'}"]
+    lams = y0.basis.eigenvalues()
+    times = [0.3, 1.0, 1.5, 2.0, 2.75]
+    got = fl.history_convolution(lams, phi, times, p)
+    for mode in (1, 10, 30, 60):
+        col = phi.rows[:, mode - 1]
+        profile = ((lambda g: float(np.interp(g, phi.times, col))) if interp_order == 1
+                   else CubicSpline(phi.times, col))
+        ref = []
+        for t in times:
+            upper = min(t - p.tau, 0.0)
+            # the integrand has kinks at the samples and where t - tau - gamma
+            # crosses the lattice; the panels resolve exp(-lam v) near each
+            kinks = sorted(g for g in {*phi.times.tolist(), *(t - m * p.tau for m in range(1, 4))}
+                           if -p.tau < g < upper)
+            val, _ = quad(lambda g: _delayed_exp_reference(lams[mode - 1], t - p.tau - g, p.a, p.tau)
+                          * float(profile(g)), -p.tau, upper, points=kinks or None,
+                          limit=500, epsabs=0.0, epsrel=1e-13)
+            ref.append(p.a * val)
+        ref = np.array(ref)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got[:, mode - 1] - ref)) <= 1e-10 * scale, mode
+
+
+@pytest.mark.parametrize("mu_tau", [-50.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 50.0])
+def test_history_convolution_exp_first_window_closed_form(mu_tau):
+    # in the first window only the j = 0 term is active:
+    # a c exp(r (t - tau)) (1 - exp(-mu t)) / mu with mu = lam + r, and a c exp(r (t - tau)) t at mu = 0
+    tau, lam, a, c = 0.5, math.pi**2, 1.5, 0.7
+    p = FlowParams(a=a, tau=tau)
+    mu = mu_tau / tau
+    r = mu - lam
+    phi = ExpModeHistory(SpectralField(EigenBasis(1.0, 1), np.array([c])), r)
+    for t in (0.01, 0.2, 0.37, 0.5):
+        got = fl.history_convolution(np.array([lam]), phi, t, p)[0]
+        want = a * c * math.exp(r * (t - tau)) * (-math.expm1(-mu * t) / mu if mu != 0.0 else t)
+        assert_allclose(got, want, rtol=1e-13, err_msg=f"mu tau={mu_tau}, t={t}")
+
+
+def test_history_convolution_rejects_grid_not_spanning_the_delay(basis):
+    p = FlowParams(a=1.0, tau=1.0)
+    rows = np.ones((3, basis.K))
+    for times in ([-0.5, -0.25, 0.0], [-1.0, -0.6, -0.2]):
+        phi = GridHistory(np.array(times), rows, basis)
+        with pytest.raises(InvalidArgumentError, match="tau = 1"):
+            fl.history_convolution(basis.eigenvalues(), phi, [0.5, 1.5], p)
+    # samples past either end are fine: the pieces are cut to [-tau, 0]
+    wide = GridHistory(np.array([-1.5, -1.0, -0.5, 0.0, 0.5]), np.ones((5, basis.K)), basis)
+    exact = GridHistory(np.array([-1.0, 0.0]), np.ones((2, basis.K)), basis)
+    assert_allclose(fl.history_convolution(basis.eigenvalues(), wide, [0.5, 1.5], p),
+                    fl.history_convolution(basis.eigenvalues(), exact, [0.5, 1.5], p),
+                    rtol=1e-14)
 
 
 def test_solve_trace_guards(basis):

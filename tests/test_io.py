@@ -66,3 +66,34 @@ def test_keyvalue_report(tmp_path):
     text = path.read_text()
     assert "flag = True" in text
     assert "0.33333333333333331" in text
+
+
+def _csv_writer_reference(path, header, rows):
+    """The file a plain `csv.writer` writes, which `_write_rows` must reproduce."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([cell if isinstance(cell, str) else dio.fmt(cell) for cell in row])
+
+
+def test_write_rows_matches_csv_writer_byte_for_byte(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    numeric = [(t, str(k + 1), c) for t in rng.standard_normal(4)
+               for k, c in enumerate(rng.standard_normal(5))]
+    mixed = [("per-mode", "delayed exp vs RK4", "PASS", np.float64(3.2e-9), 1e-6, ""),
+             ("jumps", "off-lattice probes a=2", "FAIL", 7, 1e-8, "worst at t=1.5"),
+             ("picard", "envelope", "PASS", -0.0, float("inf"), "floor=1e-12 C=0.3")]
+    text = [("identity", 'bound "tight", still', "FAIL", 0.1, 0.2, "a,b"),
+            ("jumps", "modes 1,2", "PASS", 0.5, 1.0, ""),
+            ("hybrid", "two\nlines", "PASS", 1.0, 2.0, "carriage\rreturn"),
+            ("x", "", "", 0.5, 0.25, ""), ("",), (), ('"',), ("plain", "row", "after", 1, 2, 3)]
+    # a block of 3 lines makes full blocks, partial blocks and fallbacks interleave
+    monkeypatch.setattr(dio, "_BLOCK_LINES", 3)
+    for name, rows in (("numeric", numeric), ("mixed", mixed), ("text", text),
+                       ("all", numeric + text + mixed + text)):
+        header = ["suite", "check", "status", "value", "threshold", "detail"]
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        assert dio._write_rows(got, header, iter(rows)) == len(rows)
+        _csv_writer_reference(want, header, rows)
+        assert got.read_bytes() == want.read_bytes(), name

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import delayheat.flow as fl
-from delayheat import (EigenBasis, FlowParams, ModeDDEConfig, SpectralField,
-                       TruncationExceededError, delayed_exp, evaluate, hs_norm, project,
-                       rk4_dde_mode, semigroup_apply)
+from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory, ModeDDEConfig,
+                       SpectralField, TruncationExceededError, delayed_exp, evaluate, hs_norm,
+                       project, rk4_dde_mode, semigroup_apply, solve_trace)
 
 finite_coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -80,6 +80,33 @@ def test_flow_linearity(coeffs, t):
     two = fl.flow_apply(f * 2.0, t, params).coeffs
     one = fl.flow_apply(f, t, params).coeffs
     assert_allclose(two, 2.0 * one, rtol=1e-13, atol=1e-280)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0),
+       st.sampled_from(["exp", "grid-linear", "grid-cubic"]), st.sampled_from([-1.0, 0.5, 2.0]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_trace_jointly_linear_in_initial_data_and_history(alpha, beta, kind, a, seed):
+    # exp histories share their rates, grid histories their samples, so the
+    # combination of two histories is a history of the same kind
+    basis = EigenBasis(1.0, 8)
+    params = FlowParams(a=a, tau=0.5)
+    rng = np.random.default_rng(seed)
+    y1, y2 = (SpectralField(basis, rng.standard_normal(8)) for _ in range(2))
+    if kind == "exp":
+        rates = rng.uniform(-3.0, 1.0, 8)
+        h1, h2 = rng.standard_normal((2, 8))
+        make = lambda c: ExpModeHistory(SpectralField(basis, c), rates)
+    else:
+        gammas = np.linspace(-0.5, 0.0, 9)
+        h1, h2 = rng.standard_normal((2, 9, 8))
+        make = lambda rows: GridHistory(gammas, rows, basis, 1 if kind == "grid-linear" else 3)
+    times = [0.0, 0.2, 0.5, 0.8, 1.0, 1.7]
+    s1 = solve_trace(y1, make(h1), times, params).coeffs
+    s2 = solve_trace(y2, make(h2), times, params).coeffs
+    both = solve_trace(y1 * alpha + y2 * beta, make(alpha * h1 + beta * h2), times, params).coeffs
+    scale = np.max(np.abs(alpha * s1) + np.abs(beta * s2), axis=0)
+    assert np.all(np.abs(both - (alpha * s1 + beta * s2)) <= 1e-12 * scale + 1e-300)
 
 
 def _series_one_time(lams, t, order, params, side):

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_banded
 
 import delayheat.flow as fl
-from delayheat import (EigenBasis, FlowParams, InvalidArgumentError, MeshParams, ModeDDEConfig,
+from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError, MeshParams,
+                       ModeDDEConfig,
                        SpectralField, compatible_history, delayed_exp, flow_apply,
                        hybrid_simulate, rk4_dde_mode, semigroup_apply)
 
@@ -47,9 +48,8 @@ def test_rk4_constant_history_value():
     assert abs(tr.values[-1] - 223.0 / 48.0) <= 1e-8
     # same value through the closed-form convolution route
     p = FlowParams(a=1.0, tau=1.0)
-    closed = (delayed_exp(0.0, 2.5, p)
-              + fl.history_convolution(np.array([0.0]), lambda g: np.array([1.0]),
-                                       2.5, p)[0])
+    unit = ExpModeHistory(SpectralField(EigenBasis(1.0, 1), np.array([1.0])), 0.0)
+    closed = delayed_exp(0.0, 2.5, p) + fl.history_convolution(np.array([0.0]), unit, 2.5, p)[0]
     assert_allclose(closed, 223.0 / 48.0, atol=1e-12)
 
 
@@ -67,12 +67,12 @@ def test_rk4_exponential_history_nontrivial():
     cfg = ModeDDEConfig(lam=2.0, a=-1.0, tau=0.5, dt=0.5 / 2000, y0=1.0,
                         history=lambda g: math.exp(g))
     tr = rk4_dde_mode(cfg, 1.5)
-    # the closed form at lam = 2: one kernel call for the flow, and the
-    # convolution with the whole node array handed to the profile at once
+    # the closed form at lam = 2: one kernel call for the flow, and one
+    # convolution of the one-mode history exp(g) at all the trace times
     lam = np.array([2.0])
     flow_part = fl._delayed_exp_grid(lam, tr.times, p)[:, 0]
-    conv_part = np.array([fl.history_convolution(
-        lam, lambda g: np.exp(g)[:, None], float(t), p)[0] for t in tr.times])
+    unit = ExpModeHistory(SpectralField(EigenBasis(1.0, 1), np.array([1.0])), 1.0)
+    conv_part = fl.history_convolution(lam, unit, tr.times, p)[:, 0]
     exact = flow_part + conv_part
     assert np.max(np.abs(tr.values - exact)) / np.max(np.abs(exact)) <= 1e-6
 
