@@ -65,6 +65,7 @@ __all__ = [
 
 # Floating guard so times that are lattice points up to rounding are treated as such.
 _LATTICE_EPS = 1e-12
+_LOG_MAX = math.log(np.finfo(float).max)    # math.exp overflows past this
 
 
 @dataclass(frozen=True)
@@ -98,17 +99,22 @@ class FlowParams:
 
 
 def _series_coeffs(a: float, j: int, p: int, d: np.ndarray) -> np.ndarray:
-    """a^j d^p / p! for each entry d >= 0 of d, with 0^0 = 1.
+    """a^j d^p / p! for each entry d >= 0 of d, with 0^0 = 1; +-inf where it overflows.
 
     Formed per entry in scalar float arithmetic, in log space past j = 20,
-    where powers and factorials overflow.
+    where powers and factorials overflow, and wherever a^j or d^p overflows
+    a float.
     """
     if j <= 20:
-        return a**j * np.array([x**p for x in d.tolist()]) / math.factorial(p)
+        try:
+            return a**j * np.array([x**p for x in d.tolist()]) / math.factorial(p)
+        except OverflowError:
+            pass
     sign = -1.0 if (a < 0 and j % 2 == 1) else 1.0
     ja, lg = j * math.log(abs(a)), math.lgamma(p + 1)
-    return sign * np.array([math.exp(ja + (p * math.log(x) if p > 0 else 0.0) - lg)
-                            if x > 0.0 or p == 0 else 0.0 for x in d.tolist()])
+    logs = [ja + (p * math.log(x) if p > 0 else 0.0) - lg if x > 0.0 or p == 0 else -math.inf
+            for x in d.tolist()]
+    return sign * np.array([math.exp(e) if e <= _LOG_MAX else math.inf for e in logs])
 
 
 def _delayed_exp_grid(lams, ts, params: FlowParams, order: int = 0,
@@ -456,9 +462,10 @@ def solve_trace(y0: SpectralField, phi: History | None, times,
     if np.any(times < 0.0):
         raise InvalidArgumentError(f"time must be >= 0, got {times.min()}")
     lams = y0.basis.eigenvalues()
-    rows = _delayed_exp_grid(lams, times, params) * y0.coeffs
-    if phi is not None:
-        rows = rows + history_convolution(lams, phi, times, params)
+    with np.errstate(over="ignore", invalid="ignore"):     # callers check rows are finite
+        rows = _delayed_exp_grid(lams, times, params) * y0.coeffs
+        if phi is not None:
+            rows = rows + history_convolution(lams, phi, times, params)
     return SolutionTrace(times, rows, y0.basis)
 
 

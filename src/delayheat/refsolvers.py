@@ -1,23 +1,21 @@
 """Independent numerical oracles for the delayed heat dynamics.
 
-Two routes that share nothing with the closed-form series:
+Two routes that share nothing with the closed-form series.  Both step on the
+delay lattice, so every delayed value they read is one they already store:
 
-* ``rk4_dde_mode`` integrates delayed modes, u' = -lam u + a u(t - tau), by
-  classical RK4 with the method of steps.  The delayed value is read from the
-  history for negative arguments and from a cubic-Hermite dense trace
-  afterwards.  Steps are aligned with the delay lattice so the kinks of u sit on
-  grid nodes.  Array form: with ``lam`` and ``y0`` of shape (K,) and a history
-  returning (K,) values, one step loop advances all K modes and returns an
-  (n_steps + 1, K) trace whose columns equal the K one-mode runs bit for bit;
-  scalar ``lam`` and ``y0`` give an (n_steps + 1,) trace.
+* ``rk4_dde_mode`` integrates delayed modes, u' = -lam u + a u(t - tau), by the
+  method of steps with an exponential step, reading the delayed term from the
+  history or from its stored trace.  With ``lam`` and ``y0`` of shape (K,) and
+  a history returning (K,) values, one step loop advances all K modes and
+  returns an (n_steps + 1, K) trace whose columns equal the K one-mode runs
+  bit for bit; scalar ``lam`` and ``y0`` give an (n_steps + 1,) trace.
 
 * ``hybrid_simulate`` advances the equivalent state-space system: a heat
   equation coupled to a transport equation on (0, tau) that carries the delayed
-  state.  Diffusion is Crank-Nicolson on the 3-point Laplacian (second order,
-  unconditionally stable); transport is first-order upwind with inflow equal to
-  the current temperature, so the overall order is upwind-limited.  The delay
-  line is shifted in place, block by block, in the same roundings as the
-  out-of-place update.
+  state, z(t, s) = y(t - s).  Diffusion is Crank-Nicolson on the 3-point
+  Laplacian (second order, unconditionally stable); the time step equals the
+  delay-line spacing, so transport is exact and the delay line is the stored
+  temperature rows.
 """
 
 from __future__ import annotations
@@ -63,75 +61,72 @@ class ModeTrace:
     values: np.ndarray      # (n,) for a scalar config, (n, K) for K modes
 
 
-def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
-    """Method-of-steps RK4 over [0, T]; returns samples at multiples of the step.
+def _phi123(z: np.ndarray) -> list[np.ndarray]:
+    """phi_k(z) = sum_i z^i / (i + k)! for k = 1, 2, 3, elementwise.
 
-    The step is snapped to tau / round(tau / dt) so that every delay-lattice
-    point is a grid node; steps then never straddle a kink and the scheme keeps
-    its design order.  Stage values of the delayed term use the stored dense
-    trace through a cubic Hermite interpolant (or the history for t - tau < 0).
-    Unstable modes (lam * h past RK4's real stability limit 2.785) overflow to
-    inf/nan silently; callers check the result.
+    Taylor series below |z| = 1, where the recurrence cancels; above it the
+    recurrence phi_{k+1} = (phi_k - 1/k!) / z from phi_0 = e^z.
+    """
+    small = np.abs(z) < 1.0
+    zs, zb = np.where(small, z, 0.0), np.where(small, 1.0, z)
+    rec, out = np.exp(zb), []
+    for k in (1, 2, 3):
+        rec = (rec - 1.0 / math.factorial(k - 1)) / zb
+        taylor = np.zeros_like(z)
+        for i in range(18, -1, -1):
+            taylor = taylor * zs + 1.0 / math.factorial(k + i)
+        out.append(np.where(small, taylor, rec))
+    return out
+
+
+def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
+    """Method of steps with an exponential integrator over [0, T]; returns
+    samples at multiples of the step.  (The name is kept from the RK4 step
+    this one replaced.)
+
+    The step is snapped to h = tau / round(tau / dt) so that every delay-lattice
+    point is a grid node and steps never straddle a kink.  Over a step the
+    delayed term v is known, so u' = -lam u + a v is solved as
+
+        u_{i+1} = e^{-lam h} u_i + w0 v0 + wm vm + w1 v1,
+
+    with v0, vm, v1 the delayed values at the step's start, midpoint and end
+    and w the exact integrals of a e^{-lam (h - sigma)} against the quadratic
+    Lagrange basis on (0, h/2, h), in phi-functions at z = -lam h.  Fourth
+    order, stable for every lam*h and exact for a = 0.  Delayed values come
+    from the history for t - tau < 0; after that v0 and v1 are stored nodes
+    and vm is the cubic Hermite midpoint between them.
     """
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
     n_sub = max(10, round(cfg.tau / cfg.dt))
     h = cfg.tau / n_sub
     n_steps = math.ceil(T / h - 1e-9)
-    times = np.arange(n_steps + 1) * h
 
     hist = cfg.history or (lambda g: 0.0)
     lam, a = np.asarray(cfg.lam, dtype=float), cfg.a
-    neg_lam = -lam if lam.ndim else -float(lam)
+    p1, p2, p3 = _phi123(-lam * h)
+    decay, ah = np.exp(-lam * h), a * h
+    w0, wm, w1 = ah * (p1 - 3.0 * p2 + 4.0 * p3), ah * (4.0 * p2 - 8.0 * p3), ah * (4.0 * p3 - p2)
     shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, np.shape(cfg.y0))
     u = np.empty(shape)
     f_right = np.empty(shape)  # derivative entering interval [t_i, t_{i+1}]
     f_left = np.empty(shape)   # derivative ending interval [t_{i-1}, t_i]
     u[0] = cfg.y0
-
-    def dense_value(theta: float, upto: int):
-        """Trace value at theta in [0, t_upto] via per-interval cubic Hermite."""
-        m = int(math.floor(theta / h + 1e-12))
-        m = min(max(m, 0), upto - 1)
-        xi = (theta - times[m]) / h
-        if xi < 1e-14:
-            return u[m]
-        h00 = (1 + 2 * xi) * (1 - xi) ** 2
-        h10 = xi * (1 - xi) ** 2
-        h01 = xi**2 * (3 - 2 * xi)
-        h11 = xi**2 * (xi - 1)
-        return h00 * u[m] + h * h10 * f_right[m] + h01 * u[m + 1] + h * h11 * f_left[m + 1]
-
-    def delayed(theta: float, piece: int, upto: int):
-        # within the first delay period every delayed argument reads the
-        # history, including its one-sided limit at 0
-        if piece == 0:
-            return hist(min(theta, 0.0))
-        return dense_value(theta, upto)
-
-    def rhs(u_val, v_delayed):
-        return neg_lam * u_val + a * v_delayed
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_right[0] = rhs(u[0], hist(-cfg.tau))
-        for i in range(n_steps):
-            t = times[i]
-            piece = int(math.floor((t + 0.5 * h) / cfg.tau))
-            v0 = delayed(t - cfg.tau, piece, i)
-            vm = delayed(t + 0.5 * h - cfg.tau, piece, i)
-            v1 = delayed(t + h - cfg.tau, piece, i)
-            k1 = rhs(u[i], v0)
-            k2 = rhs(u[i] + 0.5 * h * k1, vm)
-            k3 = rhs(u[i] + 0.5 * h * k2, vm)
-            k4 = rhs(u[i] + h * k3, v1)
-            u[i + 1] = u[i] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            # one-sided derivatives at the new node; they differ only where the
-            # delayed argument hits 0 (history limit vs initial value)
-            f_left[i + 1] = rhs(u[i + 1], delayed(times[i + 1] - cfg.tau, piece, i + 1))
-            piece_next = int(math.floor((times[i + 1] + 0.5 * h) / cfg.tau))
-            f_right[i + 1] = (f_left[i + 1] if piece_next == piece else
-                              rhs(u[i + 1], delayed(times[i + 1] - cfg.tau, piece_next, i + 1)))
-    return ModeTrace(times, u)
+    f_right[0] = a * hist(-cfg.tau) - lam * u[0]
+    for i in range(n_steps):
+        m = i - n_sub            # t_i - tau = t_m
+        if m < 0:                # the history, up to its left limit at 0
+            v0, vm, v1 = hist(m * h), hist((m + 0.5) * h), hist((m + 1) * h)
+        else:                    # stored nodes, and the cubic Hermite midpoint between them
+            v0, v1 = u[m], u[m + 1]
+            vm = 0.5 * (v0 + v1) + 0.125 * h * (f_right[m] - f_left[m + 1])
+        u[i + 1] = decay * u[i] + w0 * v0 + wm * vm + w1 * v1
+        # u' is continuous except at t = tau, where the delayed value jumps
+        # from phi(0^-) to y(0)
+        f_left[i + 1] = a * v1 - lam * u[i + 1]
+        f_right[i + 1] = a * u[0] - lam * u[i + 1] if m == -1 else f_left[i + 1]
+    return ModeTrace(np.arange(n_steps + 1) * h, u)
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +135,14 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
 
 @dataclass(frozen=True)
 class MeshParams:
-    """Spatial intervals, delay-line intervals on (0, tau), and time step."""
+    """Spatial intervals, and delay-line intervals on (0, tau); the time step is tau / ns."""
 
     nx: int
     ns: int
-    dt: float
 
     def __post_init__(self):
         if self.nx < 2 or self.ns < 2:
             raise InvalidArgumentError("need at least 2 intervals in x and s")
-        if self.dt <= 0.0:
-            raise InvalidArgumentError("time step must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,83 +160,52 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndar
     """Advance the coupled system to time T and return the temperature trace.
 
     y0_grid holds nodal values on the uniform x-mesh (Dirichlet ends forced to
-    zero).  history_grid(gamma) must return nodal values for gamma in [-tau, 0];
-    it seeds the transport component as z(0, s) = history(-s).  The temperature
-    is stepped by Crank-Nicolson with the source a z(t, s=tau) taken as the
-    average of the old and new delay-line endpoint; the delay line is stepped by
-    first-order upwind with inflow z(t, 0) = y(t).  Requires the transport CFL
-    condition dt <= tau / ns.
+    zero).  history_grid(gamma) must return nodal values for gamma in [-tau, 0].
+    The step is dt = tau / ns, the delay-line spacing, so z(t_n, s_j) =
+    y(t_{n-j}) is a stored row: the rows hold the history samples phi(-s_j),
+    s_j > 0, in front of the temperature trace.  The temperature is stepped by
+    Crank-Nicolson with the source a y(t - tau) averaged over the rows at the
+    two ends of the step; the step that ends at t = tau reads the history's
+    left limit phi(0^-), not y(0).  A transport snapshot requested at time t is
+    z at the first step at or after t.
     """
-    ds = tau / mesh.ns
-    nu = mesh.dt / ds
-    if nu > 1.0 + 1e-12:
-        raise InvalidArgumentError(
-            f"transport CFL violated: dt={mesh.dt} > ds={ds} (tau/ns)"
-        )
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
+    ns, dt = mesh.ns, tau / mesh.ns
+    s = np.linspace(0.0, tau, ns + 1)
+    n_steps = math.ceil(T / dt - 1e-9)
 
-    dx = L / mesh.nx
-    x = np.linspace(0.0, L, mesh.nx + 1)
-    s = np.linspace(0.0, tau, mesh.ns + 1)
-    n_steps = math.ceil(T / mesh.dt - 1e-9)
-
-    y = np.asarray(y0_grid, dtype=float).copy()
-    if y.shape != (mesh.nx + 1,):
+    y0 = np.asarray(y0_grid, dtype=float)
+    if y0.shape != (mesh.nx + 1,):
         raise InvalidArgumentError(f"initial grid data must have {mesh.nx + 1} nodes")
-    y[0] = y[-1] = 0.0
-
-    z = np.zeros((mesh.ns + 1, mesh.nx + 1))
+    # rows[j] = phi(-s[ns - j]) for j < ns, rows[ns + n] = y(t_n)
+    rows = np.zeros((ns + n_steps + 1, mesh.nx + 1))
+    hist_end = np.zeros(mesh.nx + 1)        # phi(0^-)
     if history_grid is not None:
-        for j in range(1, mesh.ns + 1):
-            z[j] = history_grid(-s[j])
-    z[0] = y
+        for j in range(ns):
+            rows[j] = history_grid(-s[ns - j])
+        hist_end = history_grid(0.0)
+    rows[ns, 1:-1] = y0[1:-1]
 
-    # Crank-Nicolson tridiagonal system for the interior nodes
-    n_int = mesh.nx - 1
-    r = mesh.dt / dx**2
-    # LAPACK's tridiagonal solve, the routine solve_banded((1, 1), ...) calls,
-    # without its per-call argument checks; its wrapper wants at least one
-    # off-diagonal entry even for a single unknown.  The matrix is strictly
-    # diagonally dominant, so no pivot is ever zero.
-    off, diag = np.full(max(n_int - 1, 1), -r / 2.0), np.full(n_int, 1.0 + r)
+    # Crank-Nicolson for the interior nodes through LAPACK's tridiagonal
+    # solve, the routine solve_banded((1, 1), ...) calls, without its per-call
+    # argument checks; its wrapper wants at least one off-diagonal entry even
+    # for a single unknown.  The matrix is strictly diagonally dominant, so no
+    # pivot is ever zero.
+    r = dt / (L / mesh.nx) ** 2
+    off, diag = np.full(max(mesh.nx - 2, 1), -r / 2.0), np.full(mesh.nx - 1, 1.0 + r)
     gtsv, = get_lapack_funcs(("gtsv",), (diag,))
 
-    def explicit_half(v: np.ndarray) -> np.ndarray:
-        return v[1:-1] + (r / 2.0) * (v[:-2] - 2.0 * v[1:-1] + v[2:])
-
-    values = np.empty((n_steps + 1, mesh.nx + 1))
-    values[0] = y
-    times = np.arange(n_steps + 1) * mesh.dt
-    z_snapshots: dict[float, np.ndarray] = {}
-    sample_left = sorted(z_sample_times)
-
-    def maybe_snapshot(t_now: float):
-        while sample_left and t_now >= sample_left[0] - 1e-12:
-            z_snapshots[sample_left.pop(0)] = z.copy()
-
-    # The upwind shift z[1:] -= nu * (z[1:] - z[:-1]) runs in place, with the
-    # same three roundings as the out-of-place form, over blocks of rows that
-    # fit in cache; going from the outflow end down, each block still reads the
-    # old row below it.
-    block = max(1, 32768 // (mesh.nx + 1))
-    shift = np.empty((min(block, mesh.ns), mesh.nx + 1))
-    z_end_old = np.empty(mesh.nx + 1)
-    maybe_snapshot(0.0)
     for n in range(n_steps):
-        z_end_old[:] = z[-1]
-        for hi in range(mesh.ns + 1, 1, -block):
-            lo = max(1, hi - block)
-            buf = shift[:hi - lo]
-            np.subtract(z[lo:hi], z[lo - 1:hi - 1], out=buf)
-            buf *= nu
-            z[lo:hi] -= buf
-        source = a * 0.5 * (z_end_old + z[-1])
-        rhs = explicit_half(y) + mesh.dt * source[1:-1]
-        y_new = np.zeros_like(y)
-        y_new[1:-1] = gtsv(off, diag, off, rhs)[3]
-        y = y_new
-        z[0] = y
-        values[n + 1] = y
-        maybe_snapshot(times[n + 1])
-    return HybridTrace(times, x, values, s, z_snapshots)
+        y = rows[ns + n]
+        source = a * 0.5 * (rows[n] + (hist_end if n + 1 == ns else rows[n + 1]))
+        rhs = y[1:-1] + (r / 2.0) * (y[:-2] - 2.0 * y[1:-1] + y[2:]) + dt * source[1:-1]
+        rows[ns + n + 1, 1:-1] = gtsv(off, diag, off, rhs)[3]
+
+    times = np.arange(n_steps + 1) * dt
+    z_snapshots = {}
+    for t_snap in z_sample_times:
+        n = int(np.searchsorted(times, t_snap - 1e-12))
+        if n <= n_steps:
+            z_snapshots[t_snap] = rows[n:n + ns + 1][::-1]
+    return HybridTrace(times, np.linspace(0.0, L, mesh.nx + 1), rows[ns:], s, z_snapshots)

@@ -88,8 +88,8 @@ def test_criterion_7_hybrid_cross_validation():
     zero_hist = [r for r in suite.rows if "zero history" in r.name][0]
     _report("criterion 7: state-space simulator cross-validation",
             suite.passed,
-            f"L2 convergence order {order.value:.3f} in [0.8, 1.2]; finest-mesh "
-            f"(nx=ns=400, dt=tau/800) errors {finest.value:.2e} (smooth history) and "
+            f"L2 convergence order {order.value:.3f} in [1.8, 2.2]; finest-mesh "
+            f"(nx=400, ns=800, dt=tau/800) errors {finest.value:.2e} (smooth history) and "
             f"{zero_hist.value:.2e} (zero history), tolerance 1e-3")
 
 

@@ -148,19 +148,19 @@ def test_simulate_solver_agreement_across_backends(tmp_path):
         assert abs(results["rk4-modes"][key] - ref) <= 1e-6
 
 
-def test_simulate_rk4_default_nonfinite_exits_1(tmp_path, monkeypatch, capsys):
-    # K = 60 at dt = 1e-3 puts modes k >= 17 past RK4's stability limit lam*h = 2.785
+@pytest.mark.parametrize("solver, bound", [("rk4-modes", 1e-9), ("hybrid", 1e-4)])
+def test_simulate_oracle_defaults_match_closed_form(tmp_path, monkeypatch, solver, bound):
+    # K = 60 point mass at the default times; the arrival at t = tau included
     monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
-    out = tmp_path / "out"
-    assert main(["simulate", "--run.solver", "rk4-modes", "--run.out_dir", str(out)]) == 1
-    assert not (out / "trace_coeffs.csv").exists()
-    assert not (out / "trace_grid.csv").exists()
-    err = capsys.readouterr().err
-    assert "non-finite" in err and "k=" in err and "lam*h" in err
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"] == []
-    assert manifest["health"]["max_lam_h"] > 2.785
-    assert "non-finite" in manifest["error"]
+    coeffs = []
+    for name in (solver, "closed-form"):
+        out = tmp_path / name
+        assert main(["simulate", "--run.solver", name, "--run.out_dir", str(out)]) == 0
+        table = read_csv(out / "trace_coeffs.csv")
+        coeffs.append(np.array([float(r["coeff"]) for r in table]).reshape(-1, 60))
+    got, ref = coeffs
+    assert got.shape == (6, 60)
+    assert np.max(np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)) <= bound
 
 
 def test_simulate_closed_form_overflow_exits_1(tmp_path, monkeypatch, capsys):
@@ -182,8 +182,8 @@ def test_simulate_closed_form_overflow_exits_1(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("solver, extra, keys", [
     ("closed-form", [], set()),
     ("picard", ["--picard.dt", "0.03125"], {"h", "n_iter"}),
-    ("rk4-modes", ["--rk4.dt", "0.005"], {"max_lam_h"}),
-    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "40", "--hybrid.dt", "0.02"], {"nu", "r"}),
+    ("rk4-modes", ["--rk4.dt", "0.005"], {"h"}),
+    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50"], {"h", "r"}),
 ])
 def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
     out = tmp_path / "out"
@@ -198,9 +198,9 @@ def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
         # t = 1.2 snaps to 38/32 on the 1/32 grid, the farthest of 0, 0.4 and 1.2
         assert health == {"h": 0.03125, "n_iter": 12, "snap_max_offset": 1.2 - 1.1875}
     if solver == "rk4-modes":
-        assert_allclose(health["max_lam_h"], 64 * math.pi**2 * 0.005, rtol=1e-12)
+        assert_allclose(health["h"], 0.005, rtol=1e-12)
     if solver == "hybrid":
-        assert_allclose([health["nu"], health["r"]], [0.8, 32.0], rtol=1e-12)
+        assert_allclose([health["h"], health["r"]], [0.02, 32.0], rtol=1e-12)
 
 
 def test_validate_prints_suite_wall_time(tmp_path, capsys):
@@ -216,7 +216,7 @@ def test_simulate_hybrid_solver_runs(tmp_path):
     cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
     code = main(["simulate", "--config", cfg, "--run.solver", "hybrid",
                  "--initial.kind", "modes", "--initial.modes", "0.70710678118654752",
-                 "--hybrid.nx", "100", "--hybrid.ns", "100", "--hybrid.dt", "0.005"])
+                 "--hybrid.nx", "100", "--hybrid.ns", "200"])
     assert code == 0
     rows = read_csv(out / "trace_coeffs.csv")
     basis = EigenBasis(1.0, 8)
@@ -233,6 +233,19 @@ def test_simulate_rejects_bad_config(tmp_path):
     assert main(["simulate", "--config", cfg, "--model.tau", "-1.0"]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.ini")]) == 2
     assert main(["simulate", "--config", cfg, "--model.modes", "not_an_int"]) == 2
+
+
+def test_load_config_rejects_unknown_keys(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    bad = write_config(tmp_path / "bad.ini", BASE_CONFIG.format(out=out) + "[rk4]\nsteps = 10\n")
+    for argv, name in ((["--config", cfg, "--hybrid.dt", "0.005"], "hybrid.dt"),  # retired
+                       (["--config", cfg, "--run.solvr", "hybrid"], "run.solvr"),
+                       (["--config", cfg, "--histroy.kind", "zero"], "[histroy]"),
+                       (["--config", bad], "rk4.steps")):
+        assert main(["simulate"] + argv) == 2
+        assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure6_defaults_and_rejections(tmp_path):
@@ -340,12 +353,16 @@ out_dir = {out}
 
 def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeypatch, capsys):
     # with warnings as errors, a numpy overflow warning on the way would turn
-    # into a generic error instead of the numerical-failure report
+    # into a generic error instead of the numerical-failure report; with zero
+    # history it is the series coefficient a^j itself that overflows a float
     monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["simulate", "--model.coupling", "1e308", "--history.kind", "constant",
-                   "--history.profile", "1e10", "--run.times", "0.5",
-                   "--run.out_dir", str(tmp_path / "out")])
-    assert rc == 1
-    assert "numerical failure" in capsys.readouterr().err
+    for i, extra in enumerate((["--history.kind", "constant", "--history.profile", "1e10",
+                                "--run.times", "0.5"],
+                               ["--run.times", "0.5 2.5"])):
+        out = tmp_path / f"out{i}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--model.coupling", "1e308", *extra, "--run.out_dir", str(out)])
+        assert rc == 1
+        assert "numerical failure" in capsys.readouterr().err
+        assert "non-finite" in json.loads((out / "manifest.json").read_text())["error"]

@@ -25,14 +25,24 @@ def test_mode_config_validation():
         ModeDDEConfig(lam=1.0, a=1.0, tau=-1.0, dt=0.01)
 
 
-def test_rk4_pure_decay_order_four():
+def test_exponential_step_exact_without_coupling():
+    # a = 0: the step is u_{i+1} = e^{-lam h} u_i, exact up to rounding at any lam*h
+    for lam in (0.0, 5.0, 3.55e4):
+        tr = rk4_dde_mode(ModeDDEConfig(lam=lam, a=0.0, tau=1.0, dt=0.1), 3.0)
+        assert_allclose(tr.values, np.exp(-lam * tr.times), rtol=1e-14, atol=1e-300)
+
+
+def test_exponential_step_order_four():
+    # a != 0: the quadratic interpolant of the delayed term and its Hermite
+    # midpoint both carry O(h^4), so halving dt gains ~16x
+    p = FlowParams(a=1.0, tau=1.0)
     errs = []
     for dt in (2e-2, 1e-2):
-        cfg = ModeDDEConfig(lam=5.0, a=0.0, tau=1.0, dt=dt)
-        tr = rk4_dde_mode(cfg, 2.0)
-        errs.append(np.max(np.abs(tr.values - np.exp(-5.0 * tr.times))))
-    assert errs[1] <= 1e-7
-    assert errs[0] / errs[1] > 12.0  # fourth order: halving dt gains ~16x
+        tr = rk4_dde_mode(ModeDDEConfig(lam=5.0, a=1.0, tau=1.0, dt=dt), 3.0)
+        exact = fl._delayed_exp_grid(np.array([5.0]), tr.times, p)[:, 0]
+        errs.append(np.max(np.abs(tr.values - exact)) / np.max(np.abs(exact)))
+    assert errs[1] <= 2e-9
+    assert errs[0] / errs[1] > 12.0
 
 
 def test_rk4_zero_history_polynomial_value():
@@ -81,7 +91,7 @@ def test_rk4_exponential_history_nontrivial():
 @given(st.lists(st.floats(min_value=0.0, max_value=3000.0), min_size=1, max_size=5),
        st.sampled_from([-1.5, 0.0, 1.0, 2.0]), st.sampled_from([0.5, 1.0]),
        st.sampled_from(["zero", "constant", "exp"]), st.sampled_from([20, 100]))
-@example([0.0, PI2, 2500.0], -1.5, 1.0, "exp", 20)        # lam*h = 125: overflows to inf/nan
+@example([0.0, PI2, 2500.0], -1.5, 1.0, "exp", 20)        # lam*h = 125: stays finite
 def test_rk4_modes_array_equals_stacked_scalar_runs(lams, a, tau, history, n_sub):
     lams = np.array(lams)
     K = len(lams)
@@ -97,9 +107,8 @@ def test_rk4_modes_array_equals_stacked_scalar_runs(lams, a, tau, history, n_sub
                             history=hist_k)
         cols.append(rk4_dde_mode(cfg, T).values)
     assert vec.values.shape == (len(vec.times), K)
-    assert np.array_equal(vec.values, np.stack(cols, axis=1), equal_nan=True)
-    if lams.max() * tau / n_sub > 100.0:
-        assert not np.all(np.isfinite(vec.values))
+    assert np.all(np.isfinite(vec.values))
+    assert np.array_equal(vec.values, np.stack(cols, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +122,13 @@ def _basis_grid(basis, n):
 
 def test_hybrid_mesh_validation():
     with pytest.raises(InvalidArgumentError):
-        MeshParams(nx=1, ns=10, dt=0.01)
+        MeshParams(nx=1, ns=10)
     with pytest.raises(InvalidArgumentError):
-        MeshParams(nx=10, ns=10, dt=-0.01)
-    mesh = MeshParams(nx=16, ns=8, dt=0.5)   # ds = tau/8 = 0.125 < dt
+        MeshParams(nx=10, ns=1)
     with pytest.raises(InvalidArgumentError):
-        hybrid_simulate(np.zeros(17), None, mesh, 1.0, 1.0, 1.0)
+        hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 0.0, 1.0, 1.0)
+    with pytest.raises(InvalidArgumentError):
+        hybrid_simulate(np.zeros(16), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0)
 
 
 def test_hybrid_zero_coupling_is_pure_heat():
@@ -126,7 +136,7 @@ def test_hybrid_zero_coupling_is_pure_heat():
     y0 = SpectralField.from_modes(basis, {1: 1.0, 3: 0.2})
     n = 160
     xs, emat = _basis_grid(basis, n)
-    mesh = MeshParams(nx=n, ns=40, dt=1.0 / 80)
+    mesh = MeshParams(nx=n, ns=80)             # time step 1/80
     tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 0.5, 0.0, 1.0)
     ref = emat @ semigroup_apply(y0, 0.5).coeffs
     err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
@@ -134,64 +144,50 @@ def test_hybrid_zero_coupling_is_pure_heat():
 
 
 def test_hybrid_before_delay_arrival_matches_pure_heat():
-    # zero history: the delay line is empty until t = tau, so the temperature
-    # follows the pure heat flow on [0, tau) up to the smeared front tail
+    # zero history: the delayed source is zero until t = tau, so the
+    # temperature follows the pure heat flow on [0, tau)
     basis = EigenBasis(1.0, 4)
     y0 = SpectralField.from_modes(basis, {1: 1.0})
     n = 200
     xs, emat = _basis_grid(basis, n)
-    mesh = MeshParams(nx=n, ns=n, dt=1.0 / (2 * n))
+    mesh = MeshParams(nx=n, ns=2 * n)
     tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 0.8, 1.0, 1.0)
     ref = emat @ semigroup_apply(y0, 0.8).coeffs
     err = np.max(np.abs(tr.values[-1] - ref))
     assert err <= 1e-6
 
 
+def _hybrid_inputs(n):
+    basis = EigenBasis(1.0, 4)
+    y0 = SpectralField.from_modes(basis, {1: 1.0 / math.sqrt(2.0)})
+    phi = compatible_history(y0, FlowParams(a=1.0, tau=1.0))
+    xs, emat = _basis_grid(basis, n)
+    return emat @ y0.coeffs, (lambda g: emat @ phi.coeffs(g))
+
+
 def test_hybrid_transport_is_exact_shift_of_history():
-    # a = 0 and zero temperature: the delay line just transports the history
-    basis = EigenBasis(1.0, 2)
-    profile = lambda gamma: math.sin(math.pi * (gamma + 1.0))  # smooth in time
-    sup_errs = []
-    for n in (50, 100, 200):
-        mesh = MeshParams(nx=8, ns=n, dt=1.0 / (2 * n))
-        xs = np.linspace(0.0, 1.0, 9)
-        shape = np.sin(math.pi * xs)
-        hist = lambda g: profile(g) * shape
-        tr = hybrid_simulate(np.zeros(9), hist, mesh, 0.5, 0.0, 1.0,
-                             z_sample_times=(0.5,))
-        z = tr.z_snapshots[0.5]
-        s = tr.s
-        # z(t, s) = history(t - s) for s > t; stay clear of the corner kink,
-        # whose smearing zone is O(sqrt(ds t)) wide and only order-1/2 accurate
-        errs = []
-        for i, si in enumerate(s):
-            if si > 0.5 + 0.15:
-                errs.append(np.max(np.abs(z[i] - profile(0.5 - si) * shape)))
-        sup_errs.append(max(errs))
-    # first-order decay in ds
-    assert sup_errs[0] / sup_errs[1] > 1.5
-    assert sup_errs[1] / sup_errs[2] > 1.5
+    # z(t, s) = phi(t - s) for s > t and y(t - s) for s <= t, bit for bit
+    y0_grid, hist = _hybrid_inputs(40)
+    mesh = MeshParams(nx=40, ns=20)
+    tr = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, z_sample_times=(0.3, 2.0))
+    for t_snap in (0.3, 2.0):
+        n = int(round(t_snap * mesh.ns))
+        z = tr.z_snapshots[t_snap]
+        assert z.shape == (mesh.ns + 1, mesh.nx + 1)
+        for j in range(mesh.ns + 1):
+            want = hist(-tr.s[j - n]) if j > n else tr.values[n - j]
+            assert np.array_equal(z[j], want)
 
 
 def test_hybrid_delay_loop_returns_previous_temperature():
-    # z(t, tau) approximates y(t - tau); the discrepancy drops at first order
-    basis = EigenBasis(1.0, 4)
-    y0 = SpectralField.from_modes(basis, {1: 1.0 / math.sqrt(2.0)})
-    params = FlowParams(a=1.0, tau=1.0)
-    phi = compatible_history(y0, params)
-    gaps = []
-    for n in (100, 200):
-        xs = np.linspace(0.0, 1.0, n + 1)
-        emat = basis.eval_matrix(xs)
-        mesh = MeshParams(nx=n, ns=n, dt=1.0 / (2 * n))
-        hist = lambda g: emat @ phi.coeffs(g)
-        tr = hybrid_simulate(emat @ y0.coeffs, hist, mesh, 2.0, 1.0, 1.0,
-                             z_sample_times=(2.0,))
-        z_end = tr.z_snapshots[2.0][-1]
-        i_prev = int(round(1.0 / mesh.dt))
-        gaps.append(np.max(np.abs(z_end - tr.values[i_prev])))
-    assert gaps[0] / gaps[1] > 1.5
-    assert gaps[1] <= 2e-3
+    # the delay line's outflow z(t, tau) is the stored temperature at t - tau
+    y0_grid, hist = _hybrid_inputs(50)
+    mesh = MeshParams(nx=50, ns=40)
+    times = (1.0, 1.5, 2.0)
+    tr = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, z_sample_times=times)
+    for t_snap in times:
+        n = int(round(t_snap * mesh.ns))
+        assert np.array_equal(tr.z_snapshots[t_snap][-1], tr.values[n - mesh.ns])
 
 
 def test_hybrid_cross_validates_closed_form():
@@ -200,51 +196,55 @@ def test_hybrid_cross_validates_closed_form():
     y0 = SpectralField.from_modes(basis, {1: 1.0 / math.sqrt(2.0)})
     n = 200
     xs, emat = _basis_grid(basis, n)
-    mesh = MeshParams(nx=n, ns=n, dt=1.0 / (2 * n))
+    mesh = MeshParams(nx=n, ns=2 * n)
     tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 2.0, 1.0, 1.0)
     ref = emat @ flow_apply(y0, 2.0, params).coeffs
     err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
     assert err <= 1e-3
 
 
-def _hybrid_out_of_place(y0_grid, history_grid, mesh, T, a, tau, L=1.0):
-    """Reference loop: the delay-line shift written out of place, a banded solve per step."""
-    ds, dx = tau / mesh.ns, L / mesh.nx
-    nu, r = mesh.dt / ds, mesh.dt / dx**2
-    s = np.linspace(0.0, tau, mesh.ns + 1)
-    n_steps = math.ceil(T / mesh.dt - 1e-9)
+def _hybrid_out_of_place(y0_grid, history_grid, mesh, T, a, tau, z_time, L=1.0):
+    """Reference loop: the delay line as an (ns + 1)-row array shifted out of
+    place each step, a banded solve per step."""
+    ns, dt, dx = mesh.ns, tau / mesh.ns, L / mesh.nx
+    r = dt / dx**2
+    s = np.linspace(0.0, tau, ns + 1)
+    n_steps = math.ceil(T / dt - 1e-9)
     y = np.array(y0_grid, dtype=float)
     y[0] = y[-1] = 0.0
-    z = np.zeros((mesh.ns + 1, mesh.nx + 1))
-    if history_grid is not None:
-        for j in range(1, mesh.ns + 1):
-            z[j] = history_grid(-s[j])
+    z = np.zeros((ns + 1, mesh.nx + 1))
+    for j in range(1, ns + 1):
+        z[j] = history_grid(-s[j])
     z[0] = y
     ab = np.zeros((3, mesh.nx - 1))
     ab[0, 1:] = -r / 2.0
     ab[1, :] = 1.0 + r
     ab[2, :-1] = -r / 2.0
-    values = [y]
-    for _ in range(n_steps):
-        z_end_old = z[-1].copy()
-        z[1:] = z[1:] - nu * (z[1:] - z[:-1])
-        source = a * 0.5 * (z_end_old + z[-1])
-        rhs = y[1:-1] + (r / 2.0) * (y[:-2] - 2.0 * y[1:-1] + y[2:]) + mesh.dt * source[1:-1]
+    values, z_early = [y], None
+    for n in range(n_steps):
+        # z[-1] = y(t_n - tau); the step ending at t = tau reads phi(0^-), not y(0)
+        z_end_new = history_grid(0.0) if n + 1 == ns else z[-2]
+        source = a * 0.5 * (z[-1] + z_end_new)
+        rhs = y[1:-1] + (r / 2.0) * (y[:-2] - 2.0 * y[1:-1] + y[2:]) + dt * source[1:-1]
         y = np.zeros_like(y)
         y[1:-1] = solve_banded((1, 1), ab, rhs)
-        z[0] = y
+        z = np.vstack([y, z[:-1]])
         values.append(y)
-    return np.array(values), z
+        if z_early is None and (n + 1) * dt >= z_time - 1e-12:
+            z_early = z
+    return np.array(values), z_early, z
 
 
-@pytest.mark.parametrize("nx, ns, dt", [(2, 2, 0.1), (40, 300, 0.003), (400, 3, 0.2),
-                                        (2000, 50, 0.02)])     # the last: 4 row blocks
-def test_hybrid_equals_out_of_place_reference(nx, ns, dt):
+@pytest.mark.parametrize("nx, ns, z_time", [(2, 2, 0.1), (40, 300, 0.003), (400, 3, 0.2),
+                                            (2000, 50, 0.02)])
+def test_hybrid_equals_out_of_place_reference(nx, ns, z_time):
     xs = np.linspace(0.0, 1.0, nx + 1)
     y0 = np.sin(math.pi * xs) + xs * (1.0 - xs)
     hist = lambda g: math.cos(3.0 * g) * y0
     T = 1.3
-    tr = hybrid_simulate(y0, hist, MeshParams(nx, ns, dt), T, -1.3, 1.0, z_sample_times=(T,))
-    ref_values, ref_z = _hybrid_out_of_place(y0, hist, MeshParams(nx, ns, dt), T, -1.3, 1.0)
+    tr = hybrid_simulate(y0, hist, MeshParams(nx, ns), T, -1.3, 1.0, z_sample_times=(z_time, T))
+    ref_values, ref_z_early, ref_z = _hybrid_out_of_place(y0, hist, MeshParams(nx, ns), T, -1.3,
+                                                          1.0, z_time)
     assert np.array_equal(tr.values, ref_values)
+    assert np.array_equal(tr.z_snapshots[z_time], ref_z_early)
     assert np.array_equal(tr.z_snapshots[T], ref_z)
