@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .basis import EigenBasis, SpectralField
 from .errors import InvalidArgumentError, TruncationExceededError
@@ -283,6 +281,8 @@ class GridHistory:
         self.rows = coeff_rows
         self.interp_order = interp_order
         self.max_derivative_order = 0 if interp_order == 1 else 2
+        if interp_order == 3:
+            from scipy.interpolate import CubicSpline      # the one scipy use in this module
         self._spline = CubicSpline(times, coeff_rows, axis=0) if interp_order == 3 else None
 
     def coeffs(self, gamma, order: int = 0) -> np.ndarray:
@@ -542,32 +542,34 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
 # Compatible histories from per-mode characteristic roots
 
 
-def characteristic_root(lam: float, a: float, tau: float) -> float:
-    """Real root of rho = -lam + a exp(-rho tau), the exponential-solution rate of one mode.
+def characteristic_root(lam, a: float, tau: float):
+    """Real root rho of rho = -lam + a exp(-rho tau), the exponential-solution rate of a mode.
 
-    For a > 0 the root exists and is unique; for a < 0 it may not exist, in
-    which case an InvalidArgumentError is raised.
+    A float for a scalar `lam`, an array of roots for an array.  With
+    w = (rho + lam) tau, w = W(a tau exp(lam tau)) on Lambert W's principal
+    branch: for a < 0 the larger real root, and InvalidArgumentError when
+    L = log(|a| tau) + lam tau > -1 leaves none.  Newton's method starts at
+    w = L - log L (L > 1) or a tau exp(lam tau) and runs on rho (w / tau - lam
+    cancels for stiff modes) in the log form log(s (rho + lam)) + tau rho =
+    log|a|, s = sign(a), which is concave and monotone: after the first step
+    it approaches the root from one side, inside the domain.
     """
-    if a == 0.0:
-        return -lam
-
-    def f(rho):
-        # capped exponent keeps the bracketing search finite; the root itself
-        # always sits where the exponent is moderate
-        return a * math.exp(min(-rho * tau, 700.0)) - lam - rho
-
-    hi = abs(a) + 1.0
-    candidates = [0.0, -1.0]
-    if a < 0:
-        candidates.append(math.log(-a * tau) / tau)
-    x = -2.0
-    while x > -1e6:
-        candidates.append(x)
-        x *= 2.0
-    lo = next((c for c in candidates if f(c) > 0.0), None)
-    if lo is None or f(hi) >= 0.0:
-        raise InvalidArgumentError(f"no real characteristic root for lam={lam}, a={a}, tau={tau}")
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    lams = np.asarray(lam, dtype=float)
+    rho = -lams
+    if a != 0.0:
+        s, log_a = math.copysign(1.0, a), math.log(abs(a))
+        L = log_a + math.log(tau) + lams * tau
+        if a < 0.0 and np.any(L > -1.0):
+            raise InvalidArgumentError(f"no real characteristic root for lam={lams.max()}, a={a}, tau={tau}")
+        rho += np.where(L > 1.0, L - np.log(np.maximum(L, 1.0)), s * np.exp(np.minimum(L, 1.0))) / tau
+        for _ in range(100):            # a guard: a handful of steps reach 2 ulp
+            d = s * (rho + lams)        # > 0 in the domain; 0 where the root rounds to -lam
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(d > 0.0, (np.log(d) + tau * rho - log_a) * d / (s + tau * d), 0.0)
+            rho = rho - step
+            if np.all(np.abs(step) <= 2.0 * np.spacing(np.maximum(np.abs(rho), 1.0 / tau))):
+                break
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def compatible_history(y0: SpectralField, params: FlowParams) -> ExpModeHistory:
@@ -577,6 +579,4 @@ def compatible_history(y0: SpectralField, params: FlowParams) -> ExpModeHistory:
     root of that mode, so the solution is c_k exp(rho_k t) for all t and every
     endpoint matching condition holds at every order.
     """
-    rates = np.array([characteristic_root(lam, params.a, params.tau)
-                      for lam in y0.basis.eigenvalues()])
-    return ExpModeHistory(y0, rates)
+    return ExpModeHistory(y0, characteristic_root(y0.basis.eigenvalues(), params.a, params.tau))

@@ -7,6 +7,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -108,7 +109,12 @@ def write_keyvalue(mapping: dict, path) -> int:
 
 
 def read_grid_history_csv(path, basis: EigenBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Read "gamma,k,coeff" rows into (times, coefficient rows) for a grid history."""
+    """Read "gamma,k,coeff" rows into (times, coefficient rows) for a grid history.
+
+    A (gamma, k) pair with no row reads as 0.  A row with fewer than three
+    cells, a cell that does not parse, or a gamma or coeff that is not finite
+    raises InvalidArgumentError naming the file and line.
+    """
     by_time: dict[float, dict[int, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -118,7 +124,14 @@ def read_grid_history_csv(path, basis: EigenBasis) -> tuple[np.ndarray, np.ndarr
         for row in reader:
             if not row:
                 continue
-            g, k, c = float(row[0]), int(row[1]), float(row[2])
+            try:
+                g, k, c = float(row[0]), int(row[1]), float(row[2])
+            except (IndexError, ValueError):
+                raise InvalidArgumentError(
+                    f"{path}, line {reader.line_num}: expected 'gamma,k,coeff', got {','.join(row)!r}"
+                ) from None
+            if not (math.isfinite(g) and math.isfinite(c)):
+                raise InvalidArgumentError(f"{path}, line {reader.line_num}: non-finite value")
             by_time.setdefault(g, {})[k] = c
     if len(by_time) < 2:
         raise InvalidArgumentError(f"{path}: grid history needs at least 2 samples")

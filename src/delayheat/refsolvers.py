@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidArgumentError
 
@@ -167,10 +166,14 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndar
     Crank-Nicolson with the source a y(t - tau) averaged over the rows at the
     two ends of the step; the step that ends at t = tau reads the history's
     left limit phi(0^-), not y(0).  A transport snapshot requested at time t is
-    z at the first step at or after t.
+    z at the first step at or after t; a time outside [0, T] raises
+    InvalidArgumentError.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
+    outside = [t for t in z_sample_times if not 0.0 <= t <= T]
+    if outside:
+        raise InvalidArgumentError(f"transport snapshot time {outside[0]:g} outside [0, T = {T:g}]")
     ns, dt = mesh.ns, tau / mesh.ns
     s = np.linspace(0.0, tau, ns + 1)
     n_steps = math.ceil(T / dt - 1e-9)
@@ -192,6 +195,7 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndar
     # argument checks; its wrapper wants at least one off-diagonal entry even
     # for a single unknown.  The matrix is strictly diagonally dominant, so no
     # pivot is ever zero.
+    from scipy.linalg import get_lapack_funcs       # the one scipy use in this module
     r = dt / (L / mesh.nx) ** 2
     off, diag = np.full(max(mesh.nx - 2, 1), -r / 2.0), np.full(mesh.nx - 1, 1.0 + r)
     gtsv, = get_lapack_funcs(("gtsv",), (diag,))
@@ -205,7 +209,6 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndar
     times = np.arange(n_steps + 1) * dt
     z_snapshots = {}
     for t_snap in z_sample_times:
-        n = int(np.searchsorted(times, t_snap - 1e-12))
-        if n <= n_steps:
-            z_snapshots[t_snap] = rows[n:n + ns + 1][::-1]
+        n = min(int(np.searchsorted(times, t_snap - 1e-12)), n_steps)
+        z_snapshots[t_snap] = rows[n:n + ns + 1][::-1]
     return HybridTrace(times, np.linspace(0.0, L, mesh.nx + 1), rows[ns:], s, z_snapshots)

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -366,3 +368,61 @@ def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeyp
         assert rc == 1
         assert "numerical failure" in capsys.readouterr().err
         assert "non-finite" in json.loads((out / "manifest.json").read_text())["error"]
+
+
+def test_cold_path_loads_no_scipy(tmp_path):
+    # the import and every closed-form command run on numpy alone; scipy is
+    # loaded only by the cubic grid history and the hybrid
+    import delayheat
+    script = """
+import sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import delayheat.cli as cli
+print("import", loaded())
+out = sys.argv[1]
+for i, argv in enumerate((["simulate"], ["simulate", "--history.kind", "compatible"],
+                          ["diagnose", "--order", "2", "--history.kind", "compatible"])):
+    rc = cli.main(argv + ["--run.out_dir", f"{out}/{i}"])
+    print(" ".join(argv), rc, loaded())
+"""
+    env = dict(os.environ)
+    env.pop("DELAY_HEAT_OUT", None)
+    src = str(Path(delayheat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines() if ln.endswith("]")]
+    assert lines == ["import []", "simulate 0 []", "simulate --history.kind compatible 0 []",
+                     "diagnose --order 2 --history.kind compatible 0 []"]
+
+
+def test_simulate_hybrid_rejects_dump_times_outside_horizon(tmp_path, capsys):
+    # the horizon is 1.2; t = 5 was dropped and t = -1 written as the t = 0 snapshot
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    for dumps, bad in (("0.5 5", "5"), ("0.5 -1", "-1")):
+        code = main(["simulate", "--config", cfg, "--run.solver", "hybrid", "--hybrid.nx", "40",
+                     "--hybrid.ns", "50", "--hybrid.z_dump_times", dumps])
+        assert code == 2
+        assert f"transport snapshot time {bad} outside [0, T = 1.2]" in capsys.readouterr().err
+        assert not list(out.glob("transport_t*.csv"))
+    code = main(["simulate", "--config", cfg, "--run.solver", "hybrid", "--hybrid.nx", "40",
+                 "--hybrid.ns", "50", "--hybrid.z_dump_times", "0.5 1.2"])
+    assert code == 0
+    assert sorted(p.name for p in out.glob("transport_t*.csv")) == ["transport_t0.5.csv",
+                                                                    "transport_t1.2.csv"]
+
+
+@pytest.mark.parametrize("line", ["-0.5,1", "-0.5,1,nan"])
+def test_simulate_rejects_malformed_grid_history(tmp_path, capsys, line):
+    # a short row ended in IndexError and a nan in a non-finite closed form, both exit 1
+    hist = tmp_path / "hist.csv"
+    hist.write_text(f"gamma,k,coeff\n-1.0,1,0.3\n{line}\n0.0,1,1.0\n")
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=tmp_path / "out"))
+    code = main(["simulate", "--config", cfg, "--history.kind", "grid",
+                 "--history.file", str(hist)])
+    assert code == 2
+    assert f"{hist}, line 3" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace_coeffs.csv").exists()

@@ -167,6 +167,62 @@ def test_characteristic_root_and_smooth_continuation(basis):
 def test_characteristic_root_no_real_root():
     with pytest.raises(InvalidArgumentError):
         characteristic_root(5.0, -50.0, 1.0)
+    # a < 0 has a real root only while L = log(|a| tau) + lam tau <= -1
+    lam, tau = 0.3, 0.5
+    a_edge = -math.exp(-1.0 - lam * tau) / tau
+    characteristic_root(lam, a_edge * (1.0 - 1e-9), tau)
+    with pytest.raises(InvalidArgumentError, match="no real characteristic root"):
+        characteristic_root(lam, a_edge * (1.0 + 1e-9), tau)
+    with pytest.raises(InvalidArgumentError, match="lam=0.3"):
+        characteristic_root(np.array([0.0, lam]), a_edge * (1.0 + 1e-9), tau)
+
+
+def _brentq_root(lam, a, tau):
+    """The larger real root of rho + lam = a exp(-rho tau) by scipy's brentq."""
+    from scipy.optimize import brentq
+
+    def f(rho):     # the capped exponent only matters far left of the root
+        return a * math.exp(min(-rho * tau, 700.0)) - lam - rho
+    if a > 0.0:     # f decreases; f(-lam) > 0, and the root is at most max(0, a - lam)
+        lo, hi = -lam, max(0.0, a - lam)
+    else:           # f is concave, peaks at log(-a tau) / tau, and f(-lam) < 0
+        lo, hi = math.log(-a * tau) / tau, -lam
+    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("K", [60, 240])
+@pytest.mark.parametrize("a", [0.1, 1.0, 5.0])
+@pytest.mark.parametrize("tau", [0.05, 1.0])
+def test_characteristic_root_array_matches_brentq(K, a, tau):
+    lams = (np.arange(1, K + 1) * math.pi) ** 2
+    got = characteristic_root(lams, a, tau)
+    assert got.shape == (K,)
+    want = np.array([_brentq_root(lam, a, tau) for lam in lams])
+    assert np.all(np.abs(got - want) <= 2.0 * (1e-15 + 8.9e-16 * np.abs(want)))
+    # the residual of rho + lam = a exp(-rho tau) is at rounding level: that of lam, plus an
+    # ulp of rho times the residual's slope 1 + tau (rho + lam)
+    resid = got + lams - a * np.exp(-got * tau)
+    ulp_rho = np.spacing(np.maximum(np.abs(got), 1.0 / tau))
+    assert np.all(np.abs(resid) <= 4.0 * (np.spacing(lams) + (1.0 + tau * (got + lams)) * ulp_rho))
+
+
+@pytest.mark.parametrize("tau", [0.05, 1.0])
+@pytest.mark.parametrize("a", [-0.01, -0.1, -0.3])
+def test_characteristic_root_negative_coupling_matches_brentq(a, tau):
+    lams = np.array([0.0, 0.01, 0.1, 0.2])
+    got = characteristic_root(lams, a, tau)
+    want = np.array([_brentq_root(lam, a, tau) for lam in lams])
+    assert np.all(np.abs(got - want) <= 2.0 * (1e-15 + 8.9e-16 * np.abs(want)))
+    assert np.all(got + lams < 0.0) and np.all((got + lams) * tau > -1.0)    # principal branch
+    assert_allclose(got + lams - a * np.exp(-got * tau), 0.0, atol=4e-16)
+
+
+def test_characteristic_root_scalar_in_float_out():
+    for a in (0.0, 1.0, -0.1):
+        rho = characteristic_root(PI2 if a >= 0 else 0.05, a, 1.0)
+        assert type(rho) is float
+    assert characteristic_root(PI2, 0.0, 1.0) == -PI2
+    assert_allclose(characteristic_root(np.array([PI2, 4 * PI2]), 0.0, 1.0), [-PI2, -4 * PI2])
 
 
 def test_right_limit_derivative_before_first_lattice(basis):

@@ -45,6 +45,13 @@ def test_grid_history_reader_rejects_bad_input(tmp_path):
     out_of_range.write_text("gamma,k,coeff\n-1.0,9,1.0\n0.0,1,1.0\n")
     with pytest.raises(InvalidArgumentError):
         dio.read_grid_history_csv(out_of_range, basis)
+    # a short row, a cell that does not parse and a non-finite value name the file and line
+    for name, line in (("short", "-0.5,1"), ("text", "-0.5,one,1.0"), ("frac", "-0.5,1.5,1.0"),
+                       ("nan", "-0.5,1,nan"), ("inf", "-0.5,1,inf"), ("gamma", "-inf,1,1.0")):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(f"gamma,k,coeff\n-1.0,1,1.0\n{line}\n0.0,1,1.0\n")
+        with pytest.raises(InvalidArgumentError, match=f"{name}.csv, line 3"):
+            dio.read_grid_history_csv(bad, basis)
 
 
 def test_transport_dump(tmp_path):

@@ -131,6 +131,17 @@ def test_hybrid_mesh_validation():
         hybrid_simulate(np.zeros(16), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("t_snap", [2.5, -1.0, math.nan])
+def test_hybrid_rejects_snapshot_time_outside_horizon(t_snap):
+    # a snapshot past T or before 0 was dropped or clamped to t = 0 without a word
+    with pytest.raises(InvalidArgumentError, match=r"outside \[0, T = 2\]"):
+        hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
+                        z_sample_times=(0.5, t_snap))
+    tr = hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
+                         z_sample_times=(0.0, 2.0))
+    assert set(tr.z_snapshots) == {0.0, 2.0}
+
+
 def test_hybrid_zero_coupling_is_pure_heat():
     basis = EigenBasis(1.0, 4)
     y0 = SpectralField.from_modes(basis, {1: 1.0, 3: 0.2})
