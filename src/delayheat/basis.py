@@ -206,6 +206,23 @@ def semigroup_apply(fld: SpectralField, t: float) -> SpectralField:
     return SpectralField(fld.basis, fld.coeffs * np.exp(-fld.basis.eigenvalues() * t))
 
 
+def _decay_scan(x: np.ndarray, q) -> np.ndarray:
+    """Run x_i <- q x_{i-1} + x_i down axis 0 in place and return x.
+
+    The semigroup step recurrence, for a decay factor 0 <= q <= 1 per column
+    (for example exp(-lambda h)).  A log-depth inclusive scan (Hillis-Steele,
+    after Blelloch, "Prefix sums and their applications", 1990): after the
+    pass with stride d, row i holds the sum over its last 2d terms.  Elementwise
+    per column, so a column of a K-column scan equals its one-column scan bit
+    for bit; since q <= 1 the powers of q can only underflow to 0.
+    """
+    d, p = 1, q
+    while d < len(x):
+        x[d:] = x[d:] + p * x[:-d]
+        p, d = p * p, 2 * d
+    return x
+
+
 def hs_norm(fld: SpectralField, s: float) -> float:
     """Spectral Sobolev-scale norm sqrt(sum c_k^2 lambda_k^s)."""
     lam = fld.basis.eigenvalues()

@@ -208,7 +208,7 @@ def cmd_simulate(cfg, args) -> int:
         n_iter = cfg["picard"].getint("n_iter")
         trace = picard_solve(y0, phi, T, n_iter, cfg["picard"].getfloat("dt"), params)
         out_times, rows = _nearest_rows(trace.times, trace.coeffs, times)
-        health.update(h=float(trace.times[1]), n_iter=n_iter)
+        health.update(h=float(trace.times[1]), n_iter=n_iter, residuals=trace.residuals.tolist())
     elif solver == "rk4-modes":
         T = max(max(times), params.tau)
         mode_cfg = ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,

@@ -273,11 +273,14 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
     g_0 = y0 and g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1}, the Laplacian
     acting as c -> -lambda c per mode.  The reported violations are the raw
     index-0 norms of (d/dt)^k phi(0) - g_k; the matching flag compares them
-    against tol scaled by the size of g_k (floored at 1), since g_k grows like
-    lambda^k and exact matches still carry rounding at that scale.  The two
-    regularity flags are finite-truncation surrogates (spectral-tail
-    boundedness at index 0 for phi's endpoint derivatives, index 1 for g_k)
-    and are heuristic by nature.  phi=None is the zero history.
+    against tol scaled by the larger index-0 norm of the two terms that form
+    g_k, a (d/dt)^{k-1} phi(-tau) and lambda g_{k-1} (of y0 for k = 0),
+    floored at 1.  g_k grows like lambda^k, and its rounding is relative to
+    those terms, which can be far larger than g_k when they cancel, as for a
+    compatible history in stiff modes.  The two regularity flags are
+    finite-truncation surrogates (spectral-tail boundedness at index 0 for
+    phi's endpoint derivatives, index 1 for g_k) and are heuristic by nature.
+    phi=None is the zero history.
     """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
@@ -289,16 +292,16 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
     basis = y0.basis
     lam = basis.eigenvalues()
     hist = (lambda g, order: np.zeros(basis.K)) if phi is None else phi.coeffs
-    g_fields = [y0]
+    g_fields, scales = [y0], [max(1.0, hs_norm(y0, 0.0))]
     for k in range(1, r + 1):
-        g_k = params.a * hist(-params.tau, order=k - 1) - lam * g_fields[-1].coeffs
-        g_fields.append(SpectralField(basis, g_k))
+        delayed, decayed = params.a * hist(-params.tau, order=k - 1), lam * g_fields[-1].coeffs
+        g_fields.append(SpectralField(basis, delayed - decayed))
+        scales.append(max(1.0, float(np.linalg.norm(delayed)), float(np.linalg.norm(decayed))))
     endpoint = [SpectralField(basis, hist(0.0, order=k)) for k in range(r + 1)]
     violations = np.array([
         hs_norm(endpoint[k] - g_fields[k], 0.0) for k in range(r + 1)
     ])
-    scales = np.array([max(1.0, hs_norm(g, 0.0)) for g in g_fields])
-    flag3 = bool(np.all(violations <= tol * scales))
+    flag3 = bool(np.all(violations <= tol * np.array(scales)))
     flag2 = all(_tail_bounded(g, 1.0) for g in g_fields)
     minus_tau = [SpectralField(basis, hist(-params.tau, order=k)) for k in range(r + 1)]
     flag1 = (all(_tail_bounded(f, 0.0) for f in minus_tau)

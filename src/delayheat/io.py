@@ -111,9 +111,11 @@ def write_keyvalue(mapping: dict, path) -> int:
 def read_grid_history_csv(path, basis: EigenBasis) -> tuple[np.ndarray, np.ndarray]:
     """Read "gamma,k,coeff" rows into (times, coefficient rows) for a grid history.
 
-    A (gamma, k) pair with no row reads as 0.  A row with fewer than three
-    cells, a cell that does not parse, or a gamma or coeff that is not finite
-    raises InvalidArgumentError naming the file and line.
+    The grid must be rectangular: every sampled time names the same modes,
+    each once, and a mode that no sample names reads as 0.  A (gamma, k) pair
+    missing at one time or named twice, a row with fewer than three cells, a
+    cell that does not parse, or a gamma or coeff that is not finite raises
+    InvalidArgumentError naming the file and the pair or line.
     """
     by_time: dict[float, dict[int, float]] = {}
     with open(path, newline="") as fh:
@@ -132,14 +134,21 @@ def read_grid_history_csv(path, basis: EigenBasis) -> tuple[np.ndarray, np.ndarr
                 ) from None
             if not (math.isfinite(g) and math.isfinite(c)):
                 raise InvalidArgumentError(f"{path}, line {reader.line_num}: non-finite value")
-            by_time.setdefault(g, {})[k] = c
+            if not 1 <= k <= basis.K:
+                raise InvalidArgumentError(f"{path}: mode {k} outside 1..{basis.K}")
+            sample = by_time.setdefault(g, {})
+            if k in sample:
+                raise InvalidArgumentError(
+                    f"{path}, line {reader.line_num}: second row for (gamma, k) = ({g!r}, {k})")
+            sample[k] = c
     if len(by_time) < 2:
         raise InvalidArgumentError(f"{path}: grid history needs at least 2 samples")
     times = np.array(sorted(by_time))
+    modes = sorted(set().union(*by_time.values()))
     rows = np.zeros((len(times), basis.K))
-    for i, t in enumerate(times):
-        for k, c in by_time[t].items():
-            if not 1 <= k <= basis.K:
-                raise InvalidArgumentError(f"{path}: mode {k} outside 1..{basis.K}")
-            rows[i, k - 1] = c
+    for i, t in enumerate(times.tolist()):
+        for k in modes:
+            if k not in by_time[t]:
+                raise InvalidArgumentError(f"{path}: no row for (gamma, k) = ({t!r}, {k})")
+            rows[i, k - 1] = by_time[t][k]
     return times, rows

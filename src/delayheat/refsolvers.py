@@ -6,9 +6,10 @@ delay lattice, so every delayed value they read is one they already store:
 * ``rk4_dde_mode`` integrates delayed modes, u' = -lam u + a u(t - tau), by the
   method of steps with an exponential step, reading the delayed term from the
   history or from its stored trace.  With ``lam`` and ``y0`` of shape (K,) and
-  a history returning (K,) values, one step loop advances all K modes and
-  returns an (n_steps + 1, K) trace whose columns equal the K one-mode runs
-  bit for bit; scalar ``lam`` and ``y0`` give an (n_steps + 1,) trace.
+  a history returning (K,) values, one decay scan per delay window advances
+  all K modes and returns an (n_steps + 1, K) trace whose columns equal the K
+  one-mode runs bit for bit; scalar ``lam`` and ``y0`` give an (n_steps + 1,)
+  trace.
 
 * ``hybrid_simulate`` advances the equivalent state-space system: a heat
   equation coupled to a transport equation on (0, tau) that carries the delayed
@@ -26,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from .basis import _decay_scan
 from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
@@ -95,6 +97,10 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     order, stable for every lam*h and exact for a = 0.  Delayed values come
     from the history for t - tau < 0; after that v0 and v1 are stored nodes
     and vm is the cubic Hermite midpoint between them.
+
+    Every delayed value a delay window [j tau, (j + 1) tau] reads is known when
+    the window starts, so the window is one array expression for the forcing
+    and one decay scan of the recurrence above; the last window may be partial.
     """
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
@@ -113,18 +119,27 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     f_left = np.empty(shape)   # derivative ending interval [t_{i-1}, t_i]
     u[0] = cfg.y0
     f_right[0] = a * hist(-cfg.tau) - lam * u[0]
-    for i in range(n_steps):
-        m = i - n_sub            # t_i - tau = t_m
-        if m < 0:                # the history, up to its left limit at 0
-            v0, vm, v1 = hist(m * h), hist((m + 0.5) * h), hist((m + 1) * h)
-        else:                    # stored nodes, and the cubic Hermite midpoint between them
-            v0, v1 = u[m], u[m + 1]
-            vm = 0.5 * (v0 + v1) + 0.125 * h * (f_right[m] - f_left[m + 1])
-        u[i + 1] = decay * u[i] + w0 * v0 + wm * vm + w1 * v1
+    for i0 in range(0, n_steps, n_sub):     # the window of steps i0 .. i1 - 1
+        i1 = min(i0 + n_sub, n_steps)
+        n, m0 = i1 - i0, i0 - n_sub         # t_i - tau = t_{i - n_sub}
+        if m0 < 0:                          # the history, up to its left limit at 0
+            nodes, mids = np.empty((n + 1,) + shape[1:]), np.empty((n,) + shape[1:])
+            for m in range(n + 1):
+                nodes[m] = hist((m - n_sub) * h)
+            for m in range(n):
+                mids[m] = hist((m - n_sub + 0.5) * h)
+            v0, vm, v1 = nodes[:-1], mids, nodes[1:]
+        else:                               # stored nodes, and their cubic Hermite midpoint
+            v0, v1 = u[m0:m0 + n], u[m0 + 1:m0 + n + 1]
+            vm = 0.5 * (v0 + v1) + 0.125 * h * (f_right[m0:m0 + n] - f_left[m0 + 1:m0 + n + 1])
+        u[i0 + 1:i1 + 1] = w0 * v0 + wm * vm + w1 * v1
+        _decay_scan(u[i0:i1 + 1], decay)
+        f_left[i0 + 1:i1 + 1] = a * v1 - lam * u[i0 + 1:i1 + 1]
+        f_right[i0 + 1:i1 + 1] = f_left[i0 + 1:i1 + 1]
         # u' is continuous except at t = tau, where the delayed value jumps
         # from phi(0^-) to y(0)
-        f_left[i + 1] = a * v1 - lam * u[i + 1]
-        f_right[i + 1] = a * u[0] - lam * u[i + 1] if m == -1 else f_left[i + 1]
+        if i1 == n_sub:
+            f_right[i1] = a * u[0] - lam * u[i1]
     return ModeTrace(np.arange(n_steps + 1) * h, u)
 
 

@@ -183,7 +183,7 @@ def test_simulate_closed_form_overflow_exits_1(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("solver, extra, keys", [
     ("closed-form", [], set()),
-    ("picard", ["--picard.dt", "0.03125"], {"h", "n_iter"}),
+    ("picard", ["--picard.dt", "0.03125"], {"h", "n_iter", "residuals"}),
     ("rk4-modes", ["--rk4.dt", "0.005"], {"h"}),
     ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50"], {"h", "r"}),
 ])
@@ -193,12 +193,16 @@ def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
     assert main(["simulate", "--config", cfg, "--run.solver", solver] + extra) == 0
     health = json.loads((out / "manifest.json").read_text())["health"]
     assert set(health) == keys | {"snap_max_offset"}
-    assert all(math.isfinite(v) for v in health.values())
+    residuals = health.pop("residuals", [])
+    assert all(math.isfinite(v) for v in list(health.values()) + residuals)
     if solver == "closed-form":
         assert health["snap_max_offset"] == 0.0
     if solver == "picard":
         # t = 1.2 snaps to 38/32 on the 1/32 grid, the farthest of 0, 0.4 and 1.2
         assert health == {"h": 0.03125, "n_iter": 12, "snap_max_offset": 1.2 - 1.1875}
+        # one residual per iteration; at t <= 1.2 < 2 tau only G F is nonzero,
+        # so the first iteration moves the iterate and the rest do not
+        assert len(residuals) == 12 and residuals[0] > 0.0 and residuals[1:] == [0.0] * 11
     if solver == "rk4-modes":
         assert_allclose(health["h"], 0.005, rtol=1e-12)
     if solver == "hybrid":
@@ -425,4 +429,21 @@ def test_simulate_rejects_malformed_grid_history(tmp_path, capsys, line):
                  "--history.file", str(hist)])
     assert code == 2
     assert f"{hist}, line 3" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace_coeffs.csv").exists()
+
+
+@pytest.mark.parametrize("rows, pair", [
+    ("-1.0,1,0.3\n-1.0,2,0.1\n0.0,1,1.0\n", "(0.0, 2)"),
+    ("-1.0,1,0.3\n0.0,1,1.0\n0.0,1,1.0\n", "(0.0, 1)"),
+])
+def test_simulate_rejects_non_rectangular_grid_history(tmp_path, capsys, rows, pair):
+    # a pair missing at one sample time used to read as 0, and a second row overwrote the first
+    hist = tmp_path / "hist.csv"
+    hist.write_text("gamma,k,coeff\n" + rows)
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=tmp_path / "out"))
+    code = main(["simulate", "--config", cfg, "--history.kind", "grid",
+                 "--history.file", str(hist)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(hist) in err and f"(gamma, k) = {pair}" in err
     assert not (tmp_path / "out" / "trace_coeffs.csv").exists()

@@ -189,6 +189,26 @@ def test_compat_compatible_history_all_orders():
         assert rep.violations[k] <= 1e-9 * max(1.0, hs_norm(g, 0.0))
 
 
+def test_compat_compatible_history_all_modes_of_a_point_mass():
+    # K = 60: g_k is a difference of terms of size lam_60^k |c|, whose rounding
+    # is far above tol * |g_k|; the history still matches at every order
+    basis = EigenBasis(1.0, 60)
+    p = FlowParams(a=1.0, tau=1.0)
+    y0 = dirac_coeffs(0.3, basis)
+    phi = compatible_history(y0, p)
+    rep = compatibility_check(y0, phi, p, r=2, tol=1e-9)
+    assert rep.flag_matching
+    assert rep.violations[2] > 1e-9 * max(1.0, np.linalg.norm(rep.g_fields[2].coeffs))
+    # phi(0) moved by one unit in mode 3 still fails, with violation 1, and so
+    # does a move of 1e-6, far above the rounding of |y0| ~ 8
+    for eps in (1.0, 1e-6):
+        perturbed = ExpModeHistory(y0 + SpectralField.from_modes(basis, {3: eps}), phi.rates)
+        for r in (0, 2):
+            rep_p = compatibility_check(y0, perturbed, p, r=r, tol=1e-9)
+            assert not rep_p.flag_matching
+            assert_allclose(rep_p.violations[0], eps, rtol=1e-9)
+
+
 def test_compat_rejects_unavailable_derivatives():
     basis = EigenBasis(1.0, 4)
     p = FlowParams(a=1.0, tau=1.0)

@@ -428,6 +428,89 @@ def test_picard_recurrence_matches_einsum_reference(a):
     assert np.max(np.abs(trace.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _picard_serial_reference(y0, phi, T, n_iter, dt, params):
+    """Picard iteration with the trapezoid sum S_M = q S_{M-1} + f_M run one
+    row at a time: the serial recurrence the decay scan of `picard_solve`
+    replaced, kept as its reference."""
+    n_sub = round(params.tau / dt)
+    h = params.tau / n_sub
+    n_steps = math.ceil(T / h - 1e-9)
+    times = np.arange(n_steps + 1) * h
+    lams = y0.basis.eigenvalues()
+    decay = np.exp(-np.outer(times, lams))
+    F = decay * y0.coeffs[None, :]
+    if phi is not None:
+        m = min(n_sub, n_steps) + 1
+        H = fl.history_convolution(lams, phi, times[:m], params)
+        F[:m] += H
+        F[m:] += decay[1:len(times) - m + 1] * H[-1]
+    q, n_g = decay[1], n_steps - n_sub
+
+    def apply_G(rows):
+        out = np.zeros_like(rows)
+        if params.a == 0.0 or n_g < 1:
+            return out
+        S = np.empty((n_g + 1, rows.shape[1]))
+        S[0] = rows[0]
+        for M in range(1, n_g + 1):
+            S[M] = q * S[M - 1] + rows[M]
+        ends = 0.5 * (decay[1:n_g + 1] * rows[0] + rows[1:n_g + 1])
+        out[n_sub + 1:] = (params.a * h) * (S[1:] - ends)
+        return out
+
+    y = F.copy()
+    for _ in range(n_iter):
+        y = F + apply_G(y)
+    return times, y
+
+
+@pytest.mark.parametrize("a", [-2.0, -1.0, 1.0, 2.0])
+@pytest.mark.parametrize("n_sub", [4, 16, 37])
+@pytest.mark.parametrize("history", [False, True])
+@pytest.mark.parametrize("T_over_tau", [0.55, 1.0, 2.0, 2.3])
+def test_picard_scan_matches_serial_reference(a, n_sub, history, T_over_tau):
+    # K = 60 spans lam from 9.87 (mode 1) and 88.8 (mode 3) to 3.55e4 (mode 60)
+    basis60 = EigenBasis(1.0, 60)
+    p = FlowParams(a=a, tau=0.7)
+    y0 = dirac_coeffs(0.3, basis60)
+    phi = (ExpModeHistory(SpectralField.from_modes(basis60, [0.9, -0.4, 0.2, 0.1]), -1.3)
+           if history else None)
+    T = T_over_tau * p.tau
+    trace = picard_solve(y0, phi, T, n_iter=4, dt=p.tau / n_sub, params=p)
+    times, ref = _picard_serial_reference(y0, phi, T, 4, p.tau / n_sub, p)
+    assert np.array_equal(trace.times, times)
+    scale = np.max(np.abs(ref), axis=0)       # per mode
+    assert np.all(np.max(np.abs(trace.coeffs - ref), axis=0) <= 1e-13 * scale)
+
+
+def test_picard_residuals_contract_factorially():
+    # the setting of `validate --suite picard`: the residual of iteration n is
+    # max_t ||G^{n+1} F||, below C (|a| T)^{n+1} / (n+1)! and exactly 0 once
+    # (n + 1) tau >= T, where the method of steps has run out of windows
+    K, T = 8, 3.0
+    basis8 = EigenBasis(1.0, K)
+    p = FlowParams(a=1.0, tau=0.25)
+    y0 = SpectralField(basis8, 1.0 / np.arange(1, K + 1))
+    trace = picard_solve(y0, None, T, n_iter=16, dt=p.tau / 64, params=p)
+    res = trace.residuals
+    assert res.shape == (16,)
+    bound = np.array([T ** (n + 1) / math.factorial(n + 1) for n in range(16)])
+    C = res[0] / bound[0]
+    assert np.all(res <= C * bound)
+    assert np.all(res[1:11] < 0.1 * res[:10])
+    assert res[0] / res[9] > 1e9
+    assert np.all(res[11:] == 0.0)
+    # each residual is the distance between consecutive iterates
+    for n in (1, 4):
+        prev = picard_solve(y0, None, T, n_iter=n, dt=p.tau / 64, params=p).coeffs
+        nxt = picard_solve(y0, None, T, n_iter=n + 1, dt=p.tau / 64, params=p).coeffs
+        assert res[n] == np.max(np.linalg.norm(nxt - prev, axis=1))
+    # a = 0: G = 0, so the first iterate is already the fixed point
+    p0 = FlowParams(a=0.0, tau=0.25)
+    for phi in (None, compatible_history(y0, p)):
+        assert np.all(picard_solve(y0, phi, T, n_iter=5, dt=p.tau / 64, params=p0).residuals == 0.0)
+
+
 def _k60_histories(y0, params):
     """Seeded exp, grid-linear and grid-cubic histories on 60 modes, plus the
     compatible one where the characteristic roots exist (a > 0)."""

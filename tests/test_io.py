@@ -24,11 +24,12 @@ def test_field_csv_roundtrip_digits(tmp_path):
 def test_grid_history_reader(tmp_path):
     basis = EigenBasis(1.0, 3)
     path = tmp_path / "hist.csv"
-    path.write_text("gamma,k,coeff\n-1.0,1,0.25\n-1.0,2,1.0\n0.0,1,0.75\n")
+    path.write_text("gamma,k,coeff\n-1.0,1,0.25\n-1.0,2,1.0\n0.0,2,-0.5\n0.0,1,0.75\n")
     times, rows = dio.read_grid_history_csv(path, basis)
     assert_allclose(times, [-1.0, 0.0])
+    # mode 3, which no sample names, reads as 0
     assert_allclose(rows[0], [0.25, 1.0, 0.0])
-    assert_allclose(rows[1], [0.75, 0.0, 0.0])
+    assert_allclose(rows[1], [0.75, -0.5, 0.0])
 
 
 def test_grid_history_reader_rejects_bad_input(tmp_path):
@@ -52,6 +53,18 @@ def test_grid_history_reader_rejects_bad_input(tmp_path):
         bad.write_text(f"gamma,k,coeff\n-1.0,1,1.0\n{line}\n0.0,1,1.0\n")
         with pytest.raises(InvalidArgumentError, match=f"{name}.csv, line 3"):
             dio.read_grid_history_csv(bad, basis)
+    # a grid that is not rectangular: a pair missing at one time, or named twice
+    missing = tmp_path / "missing.csv"
+    missing.write_text("gamma,k,coeff\n-1.0,1,0.25\n-1.0,2,1.0\n-0.5,2,0.5\n"
+                       "0.0,1,0.75\n0.0,2,0.0\n")
+    with pytest.raises(InvalidArgumentError,
+                       match=r"missing.csv: no row for \(gamma, k\) = \(-0.5, 1\)"):
+        dio.read_grid_history_csv(missing, basis)
+    twice = tmp_path / "twice.csv"
+    twice.write_text("gamma,k,coeff\n-1.0,1,0.25\n0.0,1,0.75\n-1.0,1,0.25\n")
+    with pytest.raises(InvalidArgumentError,
+                       match=r"twice.csv, line 4: second row for \(gamma, k\) = \(-1.0, 1\)"):
+        dio.read_grid_history_csv(twice, basis)
 
 
 def test_transport_dump(tmp_path):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import delayheat.flow as fl
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory, ModeDDEConfig,
                        SpectralField, TruncationExceededError, delayed_exp, evaluate, hs_norm,
-                       project, rk4_dde_mode, semigroup_apply, solve_trace)
+                       picard_solve, project, rk4_dde_mode, semigroup_apply, solve_trace)
 
 finite_coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -166,3 +166,33 @@ def test_batched_kernel_rejects_any_time_past_j_max(ok_times, late, where):
     times.insert(min(where, len(times)), late)
     with pytest.raises(TruncationExceededError):
         fl._delayed_exp_grid(_KERNEL_LAMS, times, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=0.3, max_value=3.0), st.floats(min_value=0.1, max_value=2.0),
+       st.integers(min_value=10, max_value=60), st.floats(min_value=0.05, max_value=3.5),
+       st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_zero_coupling_reduces_to_heat_semigroup(L, tau, n_sub, T_over_tau, with_history, seed):
+    # a = 0: the closed form, the mode stepper (all modes at once) and Picard
+    # all give e^{-lam t} y0, whatever the history; horizons cover partial windows
+    basis = EigenBasis(L, 6)
+    params = FlowParams(a=0.0, tau=tau)
+    rng = np.random.default_rng(seed)
+    y0 = SpectralField(basis, rng.standard_normal(6))
+    phi = (ExpModeHistory(SpectralField(basis, rng.standard_normal(6)), rng.uniform(-2.0, 1.0, 6))
+           if with_history else None)
+    T = T_over_tau * tau
+
+    def check(times, rows):
+        ref = np.stack([semigroup_apply(y0, float(t)).coeffs for t in times])
+        assert np.all(np.abs(rows - ref) <= 1e-12 * np.abs(ref) + 1e-300)
+
+    times = np.sort(rng.uniform(0.0, T, 5))
+    check(times, solve_trace(y0, phi, times, params).coeffs)
+    cfg = ModeDDEConfig(lam=basis.eigenvalues(), a=0.0, tau=tau, dt=tau / n_sub, y0=y0.coeffs,
+                        history=None if phi is None else phi.coeffs)
+    trace = rk4_dde_mode(cfg, T)
+    check(trace.times, trace.values)
+    pic = picard_solve(y0, phi, T, n_iter=3, dt=tau / n_sub, params=params)
+    check(pic.times, pic.coeffs)
+    assert np.all(pic.residuals == 0.0)

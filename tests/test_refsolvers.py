@@ -12,6 +12,7 @@ from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentEr
                        ModeDDEConfig,
                        SpectralField, compatible_history, delayed_exp, flow_apply,
                        hybrid_simulate, rk4_dde_mode, semigroup_apply)
+from delayheat.refsolvers import _phi123
 
 PI2 = math.pi**2
 
@@ -109,6 +110,57 @@ def test_rk4_modes_array_equals_stacked_scalar_runs(lams, a, tau, history, n_sub
     assert vec.values.shape == (len(vec.times), K)
     assert np.all(np.isfinite(vec.values))
     assert np.array_equal(vec.values, np.stack(cols, axis=1))
+
+
+def _rk4_dde_mode_stepwise(cfg, T):
+    """The mode stepper as one Python step at a time: the per-step loop that
+    the windowed scan of `rk4_dde_mode` replaced, kept as its reference."""
+    n_sub = max(10, round(cfg.tau / cfg.dt))
+    h = cfg.tau / n_sub
+    n_steps = math.ceil(T / h - 1e-9)
+    hist = cfg.history or (lambda g: 0.0)
+    lam, a = np.asarray(cfg.lam, dtype=float), cfg.a
+    p1, p2, p3 = _phi123(-lam * h)
+    decay, ah = np.exp(-lam * h), a * h
+    w0, wm, w1 = ah * (p1 - 3.0 * p2 + 4.0 * p3), ah * (4.0 * p2 - 8.0 * p3), ah * (4.0 * p3 - p2)
+    shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, np.shape(cfg.y0))
+    u, f_right, f_left = np.empty(shape), np.empty(shape), np.empty(shape)
+    u[0] = cfg.y0
+    f_right[0] = a * hist(-cfg.tau) - lam * u[0]
+    for i in range(n_steps):
+        m = i - n_sub
+        if m < 0:
+            v0, vm, v1 = hist(m * h), hist((m + 0.5) * h), hist((m + 1) * h)
+        else:
+            v0, v1 = u[m], u[m + 1]
+            vm = 0.5 * (v0 + v1) + 0.125 * h * (f_right[m] - f_left[m + 1])
+        u[i + 1] = decay * u[i] + w0 * v0 + wm * vm + w1 * v1
+        f_left[i + 1] = a * v1 - lam * u[i + 1]
+        f_right[i + 1] = a * u[0] - lam * u[i + 1] if m == -1 else f_left[i + 1]
+    return np.arange(n_steps + 1) * h, u
+
+
+@pytest.mark.parametrize("a", [-2.0, -1.0, 1.0, 2.0])
+@pytest.mark.parametrize("n_sub", [10, 16, 37])
+@pytest.mark.parametrize("history", [False, True])
+@pytest.mark.parametrize("T_over_tau", [0.55, 1.0, 2.0, 2.3])
+def test_rk4_windowed_scan_matches_stepwise_reference(a, n_sub, history, T_over_tau):
+    # horizons inside the first window, at one and two window edges, and with a
+    # partial last window; K modes and each mode alone
+    lams, tau = np.array([0.0, 9.87, 100.0, 3.55e4]), 0.7
+    y0, c = np.array([1.0, -0.6, 0.3, 0.8]), np.array([0.4, 1.1, -0.7, 0.9])
+    hist = (lambda g: c * np.exp(-1.3 * g) + 0.2 * g) if history else None
+    cfg = ModeDDEConfig(lam=lams, a=a, tau=tau, dt=tau / n_sub, y0=y0, history=hist)
+    T = T_over_tau * tau
+    tr = rk4_dde_mode(cfg, T)
+    times, ref = _rk4_dde_mode_stepwise(cfg, T)
+    assert np.array_equal(tr.times, times)
+    scale = np.max(np.abs(ref), axis=0)       # per mode
+    assert np.all(np.max(np.abs(tr.values - ref), axis=0) <= 1e-13 * scale)
+    k = 2
+    one = ModeDDEConfig(lam=lams[k], a=a, tau=tau, dt=tau / n_sub, y0=y0[k],
+                        history=None if hist is None else (lambda g: float(hist(g)[k])))
+    assert np.array_equal(rk4_dde_mode(one, T).values, tr.values[:, k])
 
 
 # ---------------------------------------------------------------------------
