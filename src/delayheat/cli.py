@@ -33,7 +33,7 @@ from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_r
 from .errors import InvalidArgumentError, NonFiniteOutputError, UnsupportedConfigurationError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
-from .refsolvers import MeshParams, ModeDDEConfig, hybrid_simulate, rk4_dde_mode
+from .refsolvers import GRID_RTOL, MeshParams, ModeDDEConfig, hybrid_simulate, rk4_dde_mode
 from .validate import SUITE_NAMES, figure_panels, run_suite
 
 DEFAULT_CONFIG = {
@@ -125,9 +125,14 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
     raise InvalidArgumentError(f"unknown history kind {kind!r}")
 
 
-def _nearest_rows(trace_times: np.ndarray, coeff_rows: np.ndarray, wanted: list[float]):
+def _grid_index(trace_times: np.ndarray, wanted: list[float], what: str, solver: str) -> list[int]:
+    """Index of the solver sample at each instant; one farther than GRID_RTOL max(1, |t|) raises."""
     idx = [int(np.argmin(np.abs(trace_times - t))) for t in wanted]
-    return trace_times[idx], coeff_rows[idx]
+    for t, near in zip(wanted, trace_times[idx].tolist()):
+        if not abs(near - t) <= GRID_RTOL * max(1.0, abs(t)):
+            raise InvalidArgumentError(f"{what}: t = {t!r} is off the {solver} grid of step h = "
+                                       f"{trace_times[1].item()!r}; its nearest sample is {near!r}")
+    return idx
 
 
 def _project_grid_rows(values: np.ndarray, xs: np.ndarray, basis: EigenBasis) -> np.ndarray:
@@ -199,23 +204,24 @@ def cmd_simulate(cfg, args) -> int:
     manifest.phase("build")
 
     health = {}
-    transport = []      # hybrid delay-line snapshots, written once the trace is known finite
+    transport = {}      # file name -> (requested t, step t, s, x, z), written once rows are finite
+    T = max(max(times), params.tau)     # the stepping solvers' horizon
     if solver == "closed-form":
         trace = solve_trace(y0, phi, times, params)
         out_times, rows = trace.times, trace.coeffs
     elif solver == "picard":
-        T = max(max(times), params.tau)
         n_iter = cfg["picard"].getint("n_iter")
         trace = picard_solve(y0, phi, T, n_iter, cfg["picard"].getfloat("dt"), params)
-        out_times, rows = _nearest_rows(trace.times, trace.coeffs, times)
+        idx = _grid_index(trace.times, times, "run.times", solver)
+        out_times, rows = trace.times[idx], trace.coeffs[idx]
         health.update(h=float(trace.times[1]), n_iter=n_iter, residuals=trace.residuals.tolist())
     elif solver == "rk4-modes":
-        T = max(max(times), params.tau)
         mode_cfg = ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,
                                  dt=cfg["rk4"].getfloat("dt"), y0=y0.coeffs,
                                  history=None if phi is None else phi.coeffs)
         trace = rk4_dde_mode(mode_cfg, T)
-        out_times, rows = _nearest_rows(trace.times, trace.values, times)
+        idx = _grid_index(trace.times, times, "run.times", solver)
+        out_times, rows = trace.times[idx], trace.values[idx]
         health["h"] = float(trace.times[1])
     elif solver == "hybrid":
         hsec = cfg["hybrid"]
@@ -223,19 +229,22 @@ def cmd_simulate(cfg, args) -> int:
         xs_h = np.linspace(0.0, basis.L, mesh.nx + 1)
         emat = basis.eval_matrix(xs_h)
         hist_fn = None if phi is None else (lambda g: emat @ phi.coeffs(g))
-        T = max(max(times), params.tau)
-        z_times = tuple(_floats(hsec.get("z_dump_times", "")))
+        z_times = sorted(_floats(hsec.get("z_dump_times", "")))
         trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T,
-                                params.a, params.tau, basis.L, z_sample_times=z_times)
-        transport = [(t, trace.s, xs_h, z) for t, z in sorted(trace.z_snapshots.items())]
-        out_times, values = _nearest_rows(trace.times, trace.values, times)
-        rows = _project_grid_rows(values, xs_h, basis)
+                                params.a, params.tau, basis.L, z_sample_times=tuple(z_times))
+        idx = _grid_index(trace.times, times, "run.times", solver)
+        out_times, rows = trace.times[idx], _project_grid_rows(trace.values[idx], xs_h, basis)
+        for t, i in zip(z_times, _grid_index(trace.times, z_times, "hybrid.z_dump_times", solver)):
+            name = f"transport_t{trace.times[i]:g}.csv"
+            if name in transport:
+                raise InvalidArgumentError(f"hybrid.z_dump_times: t = {transport[name][0]!r} and "
+                                           f"t = {t!r} would both be written to {name}")
+            transport[name] = (t, float(trace.times[i]), trace.s, xs_h, trace.z_snapshots[t])
         h = float(trace.times[1])
         health.update(h=h, r=h / (basis.L / mesh.nx) ** 2)
     else:
         raise InvalidArgumentError(f"unknown solver {solver!r}")
 
-    out_times = np.asarray(out_times, dtype=float)
     if len(np.unique(out_times)) != len(out_times):
         raise InvalidArgumentError("requested instants collapse onto the same solver samples")
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
@@ -249,9 +258,8 @@ def cmd_simulate(cfg, args) -> int:
         manifest.data["error"] = msg
         manifest.write(out)
         raise NonFiniteOutputError(msg)
-    for t_snap, s_mesh, xs_h, z in transport:
-        z_path = out / f"transport_t{t_snap:g}.csv"
-        manifest.add(z_path, dio.write_transport_dump_csv(t_snap, s_mesh, xs_h, z, z_path))
+    for name, (_, t_step, s_mesh, xs_h, z) in transport.items():
+        manifest.add(out / name, dio.write_transport_dump_csv(t_step, s_mesh, xs_h, z, out / name))
     coeff_path = out / "trace_coeffs.csv"
     manifest.add(coeff_path, dio.write_coeff_trace_csv(out_times, rows, coeff_path))
     xs = basis.mesh(nx)
@@ -329,9 +337,8 @@ def cmd_validate(cfg, args) -> int:
             lines.append((res.suite, row.name, status, row.value, row.threshold, row.detail))
         print(f"suite {res.suite}: {len(res.rows)} checks in {res.seconds:.3f} s")
     table_path = out / "validate_results.csv"
-    n = dio._write_rows(table_path, ["suite", "check", "status", "value", "threshold", "detail"],
-                        ((s, c, st, v, th, d) for s, c, st, v, th, d in lines))
-    manifest.add(table_path, n)
+    manifest.add(table_path, dio._write_rows(
+        table_path, ["suite", "check", "status", "value", "threshold", "detail"], lines))
     manifest.write(out)
     ok = all(res.passed for res in results)
     print("all checks passed" if ok else "some checks FAILED")
@@ -362,11 +369,10 @@ def cmd_diagnose(cfg, args) -> int:
     if phi is not None:
         scan = endpoint_jump_scan(y0, phi, params, r=args.order)
         scan_path = out / "endpoint_jumps.csv"
-        n = dio._write_rows(scan_path,
-                            ["t", "order", "mode", "left", "right", "gap", "rel_gap"],
-                            ((r.t_label, str(r.order), str(r.mode), r.left, r.right,
-                              r.gap, r.rel_gap) for r in scan))
-        manifest.add(scan_path, n)
+        manifest.add(scan_path, dio._write_rows(
+            scan_path, ["t", "order", "mode", "left", "right", "gap", "rel_gap"],
+            ((r.t_label, str(r.order), str(r.mode), r.left, r.right, r.gap, r.rel_gap)
+             for r in scan)))
     manifest.write(out)
     print(f"wrote {compat_path} and {jump_path}")
     return 0

@@ -1,7 +1,8 @@
 """CSV and key-value serialization for fields, traces and report tables.
 
 All floats are written with 17 significant digits so identical runs produce
-byte-identical files.
+byte-identical files.  Rows of cells go through `csv.writer`; the dense traces
+are formatted in bulk, one `%` of a line template per `_CHUNK` lines.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 from .basis import EigenBasis, SpectralField
 from .errors import InvalidArgumentError
 
+_CHUNK = 32     # lines per formatted string, so no string grows past a few KB
+
 
 def fmt(x: float) -> str:
     return "%.17g" % float(x)
@@ -26,41 +29,31 @@ def _strs(values) -> list[str]:
     return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-_BLOCK_LINES = 4096
-
-
-def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """Write a CSV header and rows (cells that are not strings go through `fmt`); returns the row count.
-
-    A row is written as its cells joined by commas, in blocks of lines.  Only
-    a row that needs CSV quoting, one whose line holds a quote, CR or LF, or a
-    comma inside a cell, or is empty, goes through `csv.writer`, so the file is
-    byte for byte what `csv.writer` alone would write.
-    """
+def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence | str]) -> int:
+    """Write a CSV header and rows; returns the row count.  A row of cells goes through
+    `csv.writer` (a cell that is not a string through `fmt`); a string row is text of
+    whole lines, already formatted, and counts as its number of line ends."""
     n = 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        block: list[str] = []
         for row in rows:
-            try:
-                line = ",".join(row)
-            except TypeError:       # a cell that is not a string
-                row = [cell if isinstance(cell, str) else fmt(cell) for cell in row]
-                line = ",".join(row)
-            if (not line or '"' in line or "\r" in line or "\n" in line
-                    or line.count(",") >= len(row)):
-                fh.write("".join(block))
-                block.clear()
-                w.writerow(row)
+            if isinstance(row, str):
+                fh.write(row)
+                n += row.count("\n")
             else:
-                block.append(line + "\r\n")
-                if len(block) >= _BLOCK_LINES:
-                    fh.write("".join(block))
-                    block.clear()
-            n += 1
-        fh.write("".join(block))
+                w.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
+                n += 1
     return n
+
+
+def _trace_lines(heads: Sequence[str], cols: Sequence[str], values) -> Iterable[str]:
+    """Text of the lines "<head>,<col>,<value>" over the 2-D `values`, `_CHUNK` lines a string."""
+    cells = [c + ",%.17g\r\n" for c in cols]
+    for head, row in zip(heads, np.asarray(values, dtype=float)):
+        head, row = head + ",", tuple(row.tolist())
+        for i in range(0, len(cells), _CHUNK):
+            yield (head + head.join(cells[i:i + _CHUNK])) % row[i:i + _CHUNK]
 
 
 def write_field_csv(fld: SpectralField, path) -> int:
@@ -72,23 +65,20 @@ def write_field_csv(fld: SpectralField, path) -> int:
 def write_coeff_trace_csv(times: np.ndarray, coeffs: np.ndarray, path) -> int:
     """Rows "t,k,coeff", one per (time, mode)."""
     ks = [str(k + 1) for k in range(coeffs.shape[1])]
-    rows = ((t, k, c) for t, row in zip(_strs(times), coeffs) for k, c in zip(ks, _strs(row)))
-    return _write_rows(Path(path), ["t", "k", "coeff"], rows)
+    return _write_rows(Path(path), ["t", "k", "coeff"], _trace_lines(_strs(times), ks, coeffs))
 
 
 def write_grid_trace_csv(times: np.ndarray, xs: np.ndarray, values: np.ndarray, path) -> int:
     """Rows "t,x,value" on a fixed spatial mesh."""
-    xs = _strs(xs)
-    rows = ((t, x, v) for t, row in zip(_strs(times), values) for x, v in zip(xs, _strs(row)))
-    return _write_rows(Path(path), ["t", "x", "value"], rows)
+    return _write_rows(Path(path), ["t", "x", "value"],
+                       _trace_lines(_strs(times), _strs(xs), values))
 
 
 def write_transport_dump_csv(t: float, s_mesh: np.ndarray, xs: np.ndarray,
                              z: np.ndarray, path) -> int:
     """Rows "t,s,x,value" for one snapshot of the delay-line component."""
-    t, xs = fmt(t), _strs(xs)
-    rows = ((t, s, x, v) for s, row in zip(_strs(s_mesh), z) for x, v in zip(xs, _strs(row)))
-    return _write_rows(Path(path), ["t", "s", "x", "value"], rows)
+    heads = [f"{fmt(t)},{s}" for s in _strs(s_mesh)]
+    return _write_rows(Path(path), ["t", "s", "x", "value"], _trace_lines(heads, _strs(xs), z))
 
 
 def write_jump_table_csv(rows, path) -> int:

@@ -32,6 +32,8 @@ from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
 
+GRID_RTOL = 1e-9    # a step k h within GRID_RTOL max(1, |t|) of t is at t; k h is rounded
+
 
 @dataclass(frozen=True)
 class ModeDDEConfig:
@@ -181,8 +183,8 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndar
     Crank-Nicolson with the source a y(t - tau) averaged over the rows at the
     two ends of the step; the step that ends at t = tau reads the history's
     left limit phi(0^-), not y(0).  A transport snapshot requested at time t is
-    z at the first step at or after t; a time outside [0, T] raises
-    InvalidArgumentError.
+    z at the first step at or after t - GRID_RTOL max(1, |t|); a time outside
+    [0, T] raises InvalidArgumentError.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
@@ -224,6 +226,6 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndar
     times = np.arange(n_steps + 1) * dt
     z_snapshots = {}
     for t_snap in z_sample_times:
-        n = min(int(np.searchsorted(times, t_snap - 1e-12)), n_steps)
+        n = min(int(np.searchsorted(times, t_snap - GRID_RTOL * max(1.0, abs(t_snap)))), n_steps)
         z_snapshots[t_snap] = rows[n:n + ns + 1][::-1]
     return HybridTrace(times, np.linspace(0.0, L, mesh.nx + 1), rows[ns:], s, z_snapshots)

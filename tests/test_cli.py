@@ -183,7 +183,8 @@ def test_simulate_closed_form_overflow_exits_1(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("solver, extra, keys", [
     ("closed-form", [], set()),
-    ("picard", ["--picard.dt", "0.03125"], {"h", "n_iter", "residuals"}),
+    ("picard", ["--picard.dt", "0.03125", "--run.times", "0 0.375 1.1875"],
+     {"h", "n_iter", "residuals"}),
     ("rk4-modes", ["--rk4.dt", "0.005"], {"h"}),
     ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50"], {"h", "r"}),
 ])
@@ -198,15 +199,38 @@ def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
     if solver == "closed-form":
         assert health["snap_max_offset"] == 0.0
     if solver == "picard":
-        # t = 1.2 snaps to 38/32 on the 1/32 grid, the farthest of 0, 0.4 and 1.2
-        assert health == {"h": 0.03125, "n_iter": 12, "snap_max_offset": 1.2 - 1.1875}
-        # one residual per iteration; at t <= 1.2 < 2 tau only G F is nonzero,
+        # 0, 0.375 and 1.1875 are samples of the 1/32 grid
+        assert health == {"h": 0.03125, "n_iter": 12, "snap_max_offset": 0.0}
+        # one residual per iteration; at t <= 1.1875 < 2 tau only G F is nonzero,
         # so the first iteration moves the iterate and the rest do not
         assert len(residuals) == 12 and residuals[0] > 0.0 and residuals[1:] == [0.0] * 11
     if solver == "rk4-modes":
         assert_allclose(health["h"], 0.005, rtol=1e-12)
     if solver == "hybrid":
         assert_allclose([health["h"], health["r"]], [0.02, 32.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("solver, extra, t, near", [
+    ("picard", [], 0.3, 0.296875),
+    ("rk4-modes", ["--rk4.dt", "0.005"], 0.4012, 0.4),
+    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50"], 0.405, 0.4),
+])
+def test_simulate_rejects_times_off_the_solver_grid(tmp_path, capsys, solver, extra, t, near):
+    # the instant was replaced by its nearest grid sample with no word but health.snap_max_offset
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    code = main(["simulate", "--config", cfg, "--run.solver", solver, "--run.times", f"0 {t!r}"]
+                + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"run.times: t = {t!r} is off the {solver} grid of step h = " in err
+    assert f"; its nearest sample is {near!r}" in err
+    assert not out.exists() or not list(out.iterdir())
+    # an instant within 1e-9 max(1, |t|) of a sample is that sample
+    assert main(["simulate", "--config", cfg, "--run.solver", solver,
+                 "--run.times", f"0 {near + 1e-10!r}"] + extra) == 0
+    assert float(read_csv(out / "trace_coeffs.csv")[-1]["t"]) == near
+    assert json.loads((out / "manifest.json").read_text())["health"]["snap_max_offset"] < 2e-10
 
 
 def test_validate_prints_suite_wall_time(tmp_path, capsys):
@@ -417,6 +441,36 @@ def test_simulate_hybrid_rejects_dump_times_outside_horizon(tmp_path, capsys):
     assert code == 0
     assert sorted(p.name for p in out.glob("transport_t*.csv")) == ["transport_t0.5.csv",
                                                                     "transport_t1.2.csv"]
+
+
+@pytest.mark.parametrize("dumps, message", [
+    # one file, transport_t1.csv, was written and listed twice in the manifest
+    ("1 1.0000001", "hybrid.z_dump_times: t = 1.0000001 is off the hybrid grid of step "
+                    "h = 0.02; its nearest sample is 1.0"),
+    ("0.5 0.5000000001", "hybrid.z_dump_times: t = 0.5 and t = 0.5000000001 would both be "
+                         "written to transport_t0.5.csv"),
+], ids=["off-grid", "same-name"])
+def test_simulate_hybrid_rejects_dump_times_off_grid_or_colliding(tmp_path, capsys, dumps,
+                                                                  message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    code = main(["simulate", "--config", cfg, "--run.solver", "hybrid", "--hybrid.nx", "40",
+                 "--hybrid.ns", "50", "--hybrid.z_dump_times", dumps])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_simulate_hybrid_dump_holds_the_step_time(tmp_path):
+    # a dump requested within 1e-9 of a step is that step, in its name and its t column
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.solver", "hybrid", "--hybrid.nx", "40",
+                 "--hybrid.ns", "50", "--hybrid.z_dump_times", "0.5000000001 1"]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert [o["file"] for o in outputs[:2]] == ["transport_t0.5.csv", "transport_t1.csv"]
+    rows = read_csv(out / "transport_t0.5.csv")
+    assert len(rows) == 51 * 41 and {r["t"] for r in rows} == {"0.5"}
 
 
 @pytest.mark.parametrize("line", ["-0.5,1", "-0.5,1,nan"])

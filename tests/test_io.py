@@ -97,7 +97,7 @@ def _csv_writer_reference(path, header, rows):
             w.writerow([cell if isinstance(cell, str) else dio.fmt(cell) for cell in row])
 
 
-def test_write_rows_matches_csv_writer_byte_for_byte(tmp_path, monkeypatch):
+def test_write_rows_matches_csv_writer_byte_for_byte(tmp_path):
     rng = np.random.default_rng(7)
     numeric = [(t, str(k + 1), c) for t in rng.standard_normal(4)
                for k, c in enumerate(rng.standard_normal(5))]
@@ -108,12 +108,46 @@ def test_write_rows_matches_csv_writer_byte_for_byte(tmp_path, monkeypatch):
             ("jumps", "modes 1,2", "PASS", 0.5, 1.0, ""),
             ("hybrid", "two\nlines", "PASS", 1.0, 2.0, "carriage\rreturn"),
             ("x", "", "", 0.5, 0.25, ""), ("",), (), ('"',), ("plain", "row", "after", 1, 2, 3)]
-    # a block of 3 lines makes full blocks, partial blocks and fallbacks interleave
-    monkeypatch.setattr(dio, "_BLOCK_LINES", 3)
     for name, rows in (("numeric", numeric), ("mixed", mixed), ("text", text),
                        ("all", numeric + text + mixed + text)):
         header = ["suite", "check", "status", "value", "threshold", "detail"]
         got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
         assert dio._write_rows(got, header, iter(rows)) == len(rows)
         _csv_writer_reference(want, header, rows)
+        assert got.read_bytes() == want.read_bytes(), name
+
+
+SPECIAL = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 1.0, float("nan"), float("inf"), float("-inf")]
+
+
+def _trace_reference(path, header, heads, cols, values):
+    """A trace as `csv.writer` writes it: one row per entry, `fmt` of every number."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for head, row in zip(heads, values):
+            for col, v in zip(cols, row):
+                w.writerow([*head, col, dio.fmt(v)])
+
+
+@pytest.mark.parametrize("n_cols", [1, dio._CHUNK - 1, dio._CHUNK + 1, 301])
+@pytest.mark.parametrize("n_times", [0, 1, 3])
+def test_trace_writers_match_csv_writer_byte_for_byte(tmp_path, n_times, n_cols):
+    values = np.resize(SPECIAL, n_times * n_cols + 1)[1:].reshape(n_times, n_cols)
+    times = np.resize(SPECIAL[::-1], n_times)
+    xs = np.linspace(0.0, 1.0, n_cols) ** 3
+    t_labels = [[dio.fmt(t)] for t in times]
+    cases = [
+        ("coeff", ["t", "k", "coeff"], lambda p: dio.write_coeff_trace_csv(times, values, p),
+         t_labels, [str(k + 1) for k in range(n_cols)]),
+        ("grid", ["t", "x", "value"], lambda p: dio.write_grid_trace_csv(times, xs, values, p),
+         t_labels, [dio.fmt(x) for x in xs]),
+        ("transport", ["t", "s", "x", "value"],
+         lambda p: dio.write_transport_dump_csv(1.0 / 3.0, times, xs, values, p),
+         [[dio.fmt(1.0 / 3.0), dio.fmt(s)] for s in times], [dio.fmt(x) for x in xs]),
+    ]
+    for name, header, write, heads, cols in cases:
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        assert write(got) == n_times * n_cols, name
+        _trace_reference(want, header, heads, cols, values)
         assert got.read_bytes() == want.read_bytes(), name
