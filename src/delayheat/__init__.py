@@ -1,7 +1,7 @@
 """Spectral solvers and diagnostics for the 1-D Dirichlet heat equation with a time delay."""
 
-from .basis import (EigenBasis, QuadratureRule, SpectralField, dirac_coeffs, eigenpair,
-                    evaluate, hs_norm, project, semigroup_apply)
+from .basis import (EigenBasis, QuadratureRule, SpectralField, dirac_coeffs, hs_norm, project,
+                    semigroup_apply)
 from .diagnostics import (CompatibilityReport, IdentityReport, RegularityEstimate,
                           compatibility_check, endpoint_jump_scan, lattice_jump_report,
                           off_lattice_probe, regularity_scan, weighted_identity_check)
@@ -17,8 +17,8 @@ from .refsolvers import (HybridTrace, MeshParams, ModeDDEConfig, ModeTrace, hybr
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenBasis", "SpectralField", "QuadratureRule", "eigenpair", "project", "evaluate",
-    "semigroup_apply", "hs_norm", "dirac_coeffs",
+    "EigenBasis", "SpectralField", "QuadratureRule", "project", "semigroup_apply", "hs_norm",
+    "dirac_coeffs",
     "FlowParams", "ExpModeHistory", "GridHistory", "SolutionTrace",
     "delayed_exp", "flow_apply", "history_convolution", "solve", "solve_trace",
     "right_limit_derivative", "derivative_jump", "picard_solve", "characteristic_root",

@@ -22,9 +22,7 @@ __all__ = [
     "EigenBasis",
     "SpectralField",
     "QuadratureRule",
-    "eigenpair",
     "project",
-    "evaluate",
     "semigroup_apply",
     "hs_norm",
     "dirac_coeffs",
@@ -58,24 +56,6 @@ class EigenBasis:
     def mesh(self, nx: int) -> np.ndarray:
         """Uniform mesh with nx intervals, including both endpoints."""
         return np.linspace(0.0, self.L, nx + 1)
-
-
-def eigenpair(k: int, L: float) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
-    """Eigenvalue (k pi / L)^2 and the L^2-normalized eigenfunction evaluator.
-
-    Raises InvalidArgumentError for k < 1 or L <= 0.
-    """
-    if k < 1:
-        raise InvalidArgumentError(f"mode index must be >= 1, got {k}")
-    if not L > 0.0:
-        raise InvalidArgumentError(f"domain length must be positive, got {L}")
-    lam = (k * math.pi / L) ** 2
-    amp = math.sqrt(2.0 / L)
-
-    def efun(x):
-        return amp * np.sin(k * math.pi * np.asarray(x, dtype=float) / L)
-
-    return lam, efun
 
 
 @dataclass(frozen=True)
@@ -182,21 +162,12 @@ class QuadratureRule:
 def project(f: Callable[[np.ndarray], np.ndarray], basis: EigenBasis) -> SpectralField:
     """Coefficients c_k = integral of f * e_k over (0, L) by the default composite quadrature.
 
-    For smooth f, project followed by evaluate reproduces f to quadrature accuracy.
+    For smooth f, project followed by eval_matrix reproduces f to quadrature accuracy.
     """
     x, w = QuadratureRule().points_weights(0.0, basis.L)
     fx = np.asarray(f(x), dtype=float)
     coeffs = basis.eval_matrix(x).T @ (w * fx)
     return SpectralField(basis, coeffs)
-
-
-def evaluate(fld: SpectralField, x) -> np.ndarray | float:
-    """Pointwise value sum_k c_k e_k(x); x may be a scalar or an array in [0, L]."""
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0) or np.any(xs > fld.basis.L):
-        raise InvalidArgumentError(f"evaluation point outside [0, {fld.basis.L}]")
-    vals = fld.basis.eval_matrix(np.atleast_1d(xs)) @ fld.coeffs
-    return float(vals[0]) if np.isscalar(x) or xs.ndim == 0 else vals
 
 
 def semigroup_apply(fld: SpectralField, t: float) -> SpectralField:

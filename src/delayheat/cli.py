@@ -200,7 +200,6 @@ def cmd_simulate(cfg, args) -> int:
         raise InvalidArgumentError("run.times must name at least one instant")
     solver = cfg["run"].get("solver")
     nx = cfg["run"].getint("nx")
-    out = _out_dir(cfg)
     manifest.phase("build")
 
     health = {}
@@ -228,7 +227,7 @@ def cmd_simulate(cfg, args) -> int:
         mesh = MeshParams(hsec.getint("nx"), hsec.getint("ns"))
         xs_h = np.linspace(0.0, basis.L, mesh.nx + 1)
         emat = basis.eval_matrix(xs_h)
-        hist_fn = None if phi is None else (lambda g: emat @ phi.coeffs(g))
+        hist_fn = None if phi is None else (lambda g: phi.coeffs(g) @ emat.T)
         z_times = sorted(_floats(hsec.get("z_dump_times", "")))
         trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T,
                                 params.a, params.tau, basis.L, z_sample_times=tuple(z_times))
@@ -250,6 +249,7 @@ def cmd_simulate(cfg, args) -> int:
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
     manifest.data["health"] = health
     manifest.phase("solve")
+    out = _out_dir(cfg)         # only once every requested instant is accepted
     bad = ~np.isfinite(rows)
     if bad.any():
         i, k = np.argwhere(bad)[0]

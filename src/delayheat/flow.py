@@ -257,11 +257,36 @@ class ExpModeHistory:
                 self.field.coeffs[None, None, :], self.rates)
 
 
+def _not_a_knot_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline (de Boor 1978) from the (P, 1) interval
+    widths h and (P, K) secant slopes m: one tridiagonal elimination for all K columns, no
+    pivoting (pivots h_1, h_0 + h_1, then diagonally dominant rows)."""
+    if len(h) < 3:          # the end conditions coincide: the line or parabola through the samples
+        d = (m[-1] - m[0]) / (h[0] + h[-1])
+        return np.concatenate([m[:1] - d * h[0], m + d * h])
+    h, d0, d1 = h[:, 0], h[0, 0] + h[1, 0], h[-2, 0] + h[-1, 0]
+    lower, upper = np.r_[0.0, h[1:], d1], np.r_[d0, h[:-1], 0.0]
+    diag = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]]
+    rhs = np.vstack([((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
+                     3.0 * (h[1:, None] * m[:-1] + h[:-1, None] * m[1:]),
+                     (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1])
+    for i in range(1, len(diag)):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+    return rhs
+
+
 class GridHistory:
     """History given as fields on a time grid that spans [-tau, 0].
 
-    interp_order 1 is piecewise linear (values only); interp_order 3 is a cubic
-    spline with time derivatives available up to order 2.
+    interp_order 1 is piecewise linear (values only); interp_order 3 is the not-a-knot
+    cubic spline, with time derivatives up to order 2.  Both are built once as
+    `poly[i, d, k]`, the coefficient of (gamma - times[i])^d on sample interval i, read by
+    `pieces` and by `coeffs` (Horner), which rejects a gamma outside the samples.
     """
 
     def __init__(self, times: np.ndarray, coeff_rows: np.ndarray, basis: EigenBasis,
@@ -280,23 +305,31 @@ class GridHistory:
         self.times = times
         self.rows = coeff_rows
         self.interp_order = interp_order
-        self.max_derivative_order = 0 if interp_order == 1 else 2
-        if interp_order == 3:
-            from scipy.interpolate import CubicSpline      # the one scipy use in this module
-        self._spline = CubicSpline(times, coeff_rows, axis=0) if interp_order == 3 else None
+        self.max_derivative_order = interp_order - 1
+        h = np.diff(times)[:, None]
+        m = np.diff(coeff_rows, axis=0) / h
+        poly = [coeff_rows[:-1], m]
+        if interp_order == 3:       # the cubic Hermite form with the spline's node slopes s
+            s = _not_a_knot_slopes(h, m)
+            c3 = (s[:-1] + s[1:] - 2.0 * m) / h
+            poly = [coeff_rows[:-1], s[:-1], (m - s[:-1]) / h - c3, c3 / h]
+        self.poly = np.stack(poly, axis=1)
 
     def coeffs(self, gamma, order: int = 0) -> np.ndarray:
-        if order > (self.max_derivative_order or 0):
+        if order > self.max_derivative_order:
             raise InvalidArgumentError(
                 f"grid history (order-{self.interp_order} interpolation) has no derivative {order}"
             )
-        g = np.clip(gamma, self.times[0], self.times[-1])
-        if self._spline is not None:
-            row = self._spline(g) if order == 0 else self._spline.derivative(order)(g)
-            return np.asarray(row, dtype=float)
+        g, lo, hi = np.asarray(gamma, dtype=float), self.times[0], self.times[-1]
+        off = np.abs(g - np.clip(g, lo, hi)) > _LATTICE_EPS * np.maximum(1.0, np.abs(g))
+        if np.any(off):
+            raise InvalidArgumentError(f"gamma = {g[off][0]!r} is outside the grid history "
+                                       f"samples [{lo!r}, {hi!r}]")
         i = np.clip(np.searchsorted(self.times, g, side="right") - 1, 0, len(self.times) - 2)
-        w = np.expand_dims((g - self.times[i]) / (self.times[i + 1] - self.times[i]), -1)
-        return (1.0 - w) * self.rows[i] + w * self.rows[i + 1]
+        x, poly, out = np.expand_dims(g - self.times[i], -1), self.poly[i], 0.0
+        for d in range(poly.shape[-2] - 1, order - 1, -1):
+            out = out * x + math.perm(d, order) * poly[..., d, :]
+        return out
 
     def pieces(self, tau: float):
         """The sample intervals cut to [-tau, 0], each with its interpolating polynomial.
@@ -312,12 +345,7 @@ class GridHistory:
             )
         edges = np.clip(self.times, -tau, 0.0)
         edges[0], edges[-1] = -tau, 0.0
-        if self._spline is not None:
-            poly = self._spline.c[::-1].transpose(1, 0, 2)      # ascending powers, (P, 4, K)
-        else:
-            slopes = np.diff(self.rows, axis=0) / np.diff(self.times)[:, None]
-            poly = np.stack([self.rows[:-1], slopes], axis=1)
-        return edges[:-1], edges[1:], self.times[:-1], poly, np.zeros(self.basis.K)
+        return edges[:-1], edges[1:], self.times[:-1], self.poly, np.zeros(self.basis.K)
 
 
 History = ExpModeHistory | GridHistory

@@ -1,4 +1,4 @@
-"""CSV and key-value serialization for fields, traces and report tables.
+"""CSV and key-value serialization for traces and report tables.
 
 All floats are written with 17 significant digits so identical runs produce
 byte-identical files.  Rows of cells go through `csv.writer`; the dense traces
@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basis import EigenBasis, SpectralField
+from .basis import EigenBasis
 from .errors import InvalidArgumentError
 
 _CHUNK = 32     # lines per formatted string, so no string grows past a few KB
@@ -54,12 +54,6 @@ def _trace_lines(heads: Sequence[str], cols: Sequence[str], values) -> Iterable[
         head, row = head + ",", tuple(row.tolist())
         for i in range(0, len(cells), _CHUNK):
             yield (head + head.join(cells[i:i + _CHUNK])) % row[i:i + _CHUNK]
-
-
-def write_field_csv(fld: SpectralField, path) -> int:
-    """Rows "k,coeff", one per retained mode."""
-    return _write_rows(Path(path), ["k", "coeff"],
-                       ((str(k + 1), c) for k, c in enumerate(_strs(fld.coeffs))))
 
 
 def write_coeff_trace_csv(times: np.ndarray, coeffs: np.ndarray, path) -> int:

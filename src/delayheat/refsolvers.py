@@ -1,12 +1,13 @@
 """Independent numerical oracles for the delayed heat dynamics.
 
 Two routes that share nothing with the closed-form series.  Both step on the
-delay lattice, so every delayed value they read is one they already store:
+delay lattice, so every delayed value they read is one they already store.
+Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each out.
 
 * ``rk4_dde_mode`` integrates delayed modes, u' = -lam u + a u(t - tau), by the
   method of steps with an exponential step, reading the delayed term from the
   history or from its stored trace.  With ``lam`` and ``y0`` of shape (K,) and
-  a history returning (K,) values, one decay scan per delay window advances
+  a history returning (K,) rows, one decay scan per delay window advances
   all K modes and returns an (n_steps + 1, K) trace whose columns equal the K
   one-mode runs bit for bit; scalar ``lam`` and ``y0`` give an (n_steps + 1,)
   trace.
@@ -16,7 +17,8 @@ delay lattice, so every delayed value they read is one they already store:
   state, z(t, s) = y(t - s).  Diffusion is Crank-Nicolson on the 3-point
   Laplacian (second order, unconditionally stable); the time step equals the
   delay-line spacing, so transport is exact and the delay line is the stored
-  temperature rows.
+  temperature rows.  Its modes mu_j / dx^2 are finite-difference eigenvalues,
+  not the lam_k of the sine basis, and it reads nothing from `flow`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import InvalidArgumentError
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
 
 GRID_RTOL = 1e-9    # a step k h within GRID_RTOL max(1, |t|) of t is at t; k h is rounded
+_BLOCK = 64         # hybrid steps per block of sine transforms, which bounds their buffers
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class ModeDDEConfig:
     tau: float
     dt: float
     y0: float | np.ndarray = 1.0
-    history: Callable[[float], float | np.ndarray] | None = None
+    history: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if np.any(np.asarray(self.lam) < 0.0):
@@ -97,8 +100,9 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     and w the exact integrals of a e^{-lam (h - sigma)} against the quadratic
     Lagrange basis on (0, h/2, h), in phi-functions at z = -lam h.  Fourth
     order, stable for every lam*h and exact for a = 0.  Delayed values come
-    from the history for t - tau < 0; after that v0 and v1 are stored nodes
-    and vm is the cubic Hermite midpoint between them.
+    from the history for t - tau < 0 (one call for the nodes, one for the
+    midpoints); after that v0 and v1 are stored nodes and vm is the cubic
+    Hermite midpoint between them.
 
     Every delayed value a delay window [j tau, (j + 1) tau] reads is known when
     the window starts, so the window is one array expression for the forcing
@@ -110,27 +114,23 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     h = cfg.tau / n_sub
     n_steps = math.ceil(T / h - 1e-9)
 
-    hist = cfg.history or (lambda g: 0.0)
     lam, a = np.asarray(cfg.lam, dtype=float), cfg.a
+    shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, np.shape(cfg.y0))
+    hist = cfg.history or (lambda g: np.zeros(g.shape + shape[1:]))
     p1, p2, p3 = _phi123(-lam * h)
     decay, ah = np.exp(-lam * h), a * h
     w0, wm, w1 = ah * (p1 - 3.0 * p2 + 4.0 * p3), ah * (4.0 * p2 - 8.0 * p3), ah * (4.0 * p3 - p2)
-    shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, np.shape(cfg.y0))
     u = np.empty(shape)
     f_right = np.empty(shape)  # derivative entering interval [t_i, t_{i+1}]
     f_left = np.empty(shape)   # derivative ending interval [t_{i-1}, t_i]
     u[0] = cfg.y0
-    f_right[0] = a * hist(-cfg.tau) - lam * u[0]
     for i0 in range(0, n_steps, n_sub):     # the window of steps i0 .. i1 - 1
         i1 = min(i0 + n_sub, n_steps)
         n, m0 = i1 - i0, i0 - n_sub         # t_i - tau = t_{i - n_sub}
         if m0 < 0:                          # the history, up to its left limit at 0
-            nodes, mids = np.empty((n + 1,) + shape[1:]), np.empty((n,) + shape[1:])
-            for m in range(n + 1):
-                nodes[m] = hist((m - n_sub) * h)
-            for m in range(n):
-                mids[m] = hist((m - n_sub + 0.5) * h)
-            v0, vm, v1 = nodes[:-1], mids, nodes[1:]
+            nodes = hist(np.arange(-n_sub, n - n_sub + 1) * h)
+            v0, vm, v1 = nodes[:-1], hist((np.arange(n) - n_sub + 0.5) * h), nodes[1:]
+            f_right[0] = a * nodes[0] - lam * u[0]
         else:                               # stored nodes, and their cubic Hermite midpoint
             v0, v1 = u[m0:m0 + n], u[m0 + 1:m0 + n + 1]
             vm = 0.5 * (v0 + v1) + 0.125 * h * (f_right[m0:m0 + n] - f_left[m0 + 1:m0 + n + 1])
@@ -170,62 +170,73 @@ class HybridTrace:
     z_snapshots: dict[float, np.ndarray]     # time -> z array of shape (ns + 1, nx + 1)
 
 
-def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[float], np.ndarray] | None,
+def _sine(v: np.ndarray) -> np.ndarray:
+    """2 sum_m v_m sin(pi j m / n) for j, m < n = v.shape[-1] + 1 (twice the DST-I of each row),
+    by one real FFT of the odd extension; applied twice it is 2n times the identity."""
+    n = v.shape[-1] + 1
+    odd = np.zeros(v.shape[:-1] + (2 * n,))
+    odd[..., 1:n], odd[..., n + 1:] = v, -v[..., ::-1]
+    return -np.fft.rfft(odd)[..., 1:n].imag
+
+
+def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np.ndarray] | None,
                     mesh: MeshParams, T: float, a: float, tau: float, L: float = 1.0,
                     z_sample_times: tuple[float, ...] = ()) -> HybridTrace:
     """Advance the coupled system to time T and return the temperature trace.
 
     y0_grid holds nodal values on the uniform x-mesh (Dirichlet ends forced to
-    zero).  history_grid(gamma) must return nodal values for gamma in [-tau, 0].
-    The step is dt = tau / ns, the delay-line spacing, so z(t_n, s_j) =
-    y(t_{n-j}) is a stored row: the rows hold the history samples phi(-s_j),
-    s_j > 0, in front of the temperature trace.  The temperature is stepped by
-    Crank-Nicolson with the source a y(t - tau) averaged over the rows at the
-    two ends of the step; the step that ends at t = tau reads the history's
-    left limit phi(0^-), not y(0).  A transport snapshot requested at time t is
-    z at the first step at or after t - GRID_RTOL max(1, |t|); a time outside
-    [0, T] raises InvalidArgumentError.
+    zero).  history_grid(gammas) must return nodal values, one row per gamma in
+    [-tau, 0]; it is called once.  The step is dt = tau / ns, the delay-line
+    spacing, so z(t_n, s_j) = y(t_{n-j}) is a stored row: the rows hold the
+    history samples phi(-s_j), s_j > 0, in front of the temperature trace.  The
+    temperature is stepped by Crank-Nicolson with the source a y(t - tau)
+    averaged over the rows at the two ends of the step; the step that ends at
+    t = tau reads the history's left limit phi(0^-), not y(0).  A transport
+    snapshot requested at time t is z at the first step at or after
+    t - GRID_RTOL max(1, |t|); a time outside [0, T] raises InvalidArgumentError.
+
+    DST-I diagonalises the second difference, eigenvalues -mu_j = -4 sin^2(j pi / (2 nx))
+    (Strang, SIAM Review 41, 1999): there a step is Y_{n+1} = q Y_n + g (Z_n + Z_{n+1}), Z the
+    source rows, q = (1 - r mu / 2) / (1 + r mu / 2), g = a dt / (2 (1 + r mu / 2)).  Blocks
+    of at most ns steps, which read rows stored before them, are transformed, stepped row by
+    row and transformed back into grid rows.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
     outside = [t for t in z_sample_times if not 0.0 <= t <= T]
     if outside:
         raise InvalidArgumentError(f"transport snapshot time {outside[0]:g} outside [0, T = {T:g}]")
-    ns, dt = mesh.ns, tau / mesh.ns
+    nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
     s = np.linspace(0.0, tau, ns + 1)
     n_steps = math.ceil(T / dt - 1e-9)
 
     y0 = np.asarray(y0_grid, dtype=float)
-    if y0.shape != (mesh.nx + 1,):
-        raise InvalidArgumentError(f"initial grid data must have {mesh.nx + 1} nodes")
-    # rows[j] = phi(-s[ns - j]) for j < ns, rows[ns + n] = y(t_n)
-    rows = np.zeros((ns + n_steps + 1, mesh.nx + 1))
-    hist_end = np.zeros(mesh.nx + 1)        # phi(0^-)
+    if y0.shape != (nx + 1,):
+        raise InvalidArgumentError(f"initial grid data must have {nx + 1} nodes")
+    # rows[j] = phi(-s[ns - j]) for j < ns, rows[ns + n] = y(t_n); hist_end = phi(0^-)
+    rows, hist_end = np.zeros((ns + n_steps + 1, nx + 1)), np.zeros(nx + 1)
     if history_grid is not None:
-        for j in range(ns):
-            rows[j] = history_grid(-s[ns - j])
-        hist_end = history_grid(0.0)
+        hist = history_grid(-s[::-1])
+        rows[:ns], hist_end = hist[:ns], hist[ns]
     rows[ns, 1:-1] = y0[1:-1]
 
-    # Crank-Nicolson for the interior nodes through LAPACK's tridiagonal
-    # solve, the routine solve_banded((1, 1), ...) calls, without its per-call
-    # argument checks; its wrapper wants at least one off-diagonal entry even
-    # for a single unknown.  The matrix is strictly diagonally dominant, so no
-    # pivot is ever zero.
-    from scipy.linalg import get_lapack_funcs       # the one scipy use in this module
-    r = dt / (L / mesh.nx) ** 2
-    off, diag = np.full(max(mesh.nx - 2, 1), -r / 2.0), np.full(mesh.nx - 1, 1.0 + r)
-    gtsv, = get_lapack_funcs(("gtsv",), (diag,))
-
-    for n in range(n_steps):
-        y = rows[ns + n]
-        source = a * 0.5 * (rows[n] + (hist_end if n + 1 == ns else rows[n + 1]))
-        rhs = y[1:-1] + (r / 2.0) * (y[:-2] - 2.0 * y[1:-1] + y[2:]) + dt * source[1:-1]
-        rows[ns + n + 1, 1:-1] = gtsv(off, diag, off, rhs)[3]
+    half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
+    q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
+    y, block = _sine(y0[1:-1]), min(ns, _BLOCK)
+    starts = [*range(0, min(ns, n_steps), block), *range(ns, n_steps, block)]
+    for n0, n1 in zip(starts, starts[1:] + [n_steps]):      # the steps n0 .. n1 - 1
+        z = _sine(rows[n0:n1 + 1, 1:-1])
+        if n1 == ns:                        # the step that ends at t = tau reads phi(0^-)
+            z[-1] = _sine(hist_end[1:-1])
+        src = g * (z[:-1] + z[1:])
+        for i in range(n1 - n0):
+            src[i] += q * y
+            y = src[i]
+        rows[ns + n0 + 1:ns + n1 + 1, 1:-1] = _sine(src) / (2 * nx)
 
     times = np.arange(n_steps + 1) * dt
     z_snapshots = {}
     for t_snap in z_sample_times:
         n = min(int(np.searchsorted(times, t_snap - GRID_RTOL * max(1.0, abs(t_snap)))), n_steps)
         z_snapshots[t_snap] = rows[n:n + ns + 1][::-1]
-    return HybridTrace(times, np.linspace(0.0, L, mesh.nx + 1), rows[ns:], s, z_snapshots)
+    return HybridTrace(times, np.linspace(0.0, L, nx + 1), rows[ns:], s, z_snapshots)

@@ -175,18 +175,13 @@ def suite_picard(T: float = 3.0) -> SuiteResult:
 def _hybrid_error_at(n: int, t_end: float, params: FlowParams, basis: EigenBasis,
                      y0: SpectralField, phi=None) -> float:
     mesh = MeshParams(nx=n, ns=2 * n)      # time step tau / (2n)
-    xs = np.linspace(0.0, basis.L, n + 1)
-    emat = basis.eval_matrix(xs)
-    y0_grid = emat @ y0.coeffs
-    hist_fn = None if phi is None else (lambda g: emat @ phi.coeffs(g))
-    trace = hybrid_simulate(y0_grid, hist_fn, mesh, t_end, params.a, params.tau, basis.L)
-    if phi is None:
-        ref_grid = emat @ flow_apply(y0, t_end, params).coeffs
-    else:
-        ref_grid = emat @ (y0.coeffs * np.exp(phi.rates * t_end))
-    diff = trace.values[-1] - ref_grid
-    dx = basis.L / n
-    return float(math.sqrt(dx * np.sum(diff[1:-1] ** 2)))
+    emat = basis.eval_matrix(basis.mesh(n))
+    hist_fn = None if phi is None else (lambda g: phi.coeffs(g) @ emat.T)
+    trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, t_end, params.a, params.tau, basis.L)
+    exact = (flow_apply(y0, t_end, params).coeffs if phi is None
+             else y0.coeffs * np.exp(phi.rates * t_end))
+    diff = trace.values[-1] - emat @ exact
+    return float(math.sqrt(basis.L / n * np.sum(diff[1:-1] ** 2)))
 
 
 def suite_hybrid() -> SuiteResult:

@@ -6,24 +6,28 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from delayheat import (EigenBasis, InvalidArgumentError, QuadratureRule, SpectralField,
-                       dirac_coeffs, eigenpair, evaluate, hs_norm, project, semigroup_apply)
+                       dirac_coeffs, hs_norm, project, semigroup_apply)
 
 
-def test_eigenpair_unit_interval():
-    lam, e1 = eigenpair(1, 1.0)
-    assert_allclose(lam, math.pi**2, rtol=1e-15)
-    assert_allclose(e1(0.5), math.sqrt(2.0), rtol=1e-15)
-    _, e2 = eigenpair(2, 1.0)
-    assert_allclose(e2(0.25), math.sqrt(2.0), rtol=1e-14)
+def _mode(k, L=1.0):
+    """x -> e_k(x) for a scalar or an array x, through EigenBasis.eval_matrix."""
+    basis = EigenBasis(L, k)
+    return lambda x: basis.eval_matrix(np.atleast_1d(x))[:, k - 1].reshape(np.shape(x))
 
 
-def test_eigenpair_rejects_bad_args():
-    with pytest.raises(InvalidArgumentError):
-        eigenpair(0, 1.0)
-    with pytest.raises(InvalidArgumentError):
-        eigenpair(1, -2.0)
+def test_eigenbasis_unit_interval():
+    basis = EigenBasis(1.0, 2)
+    assert_allclose(basis.eigenvalues()[0], math.pi**2, rtol=1e-15)
+    emat = basis.eval_matrix(np.array([0.5, 0.25]))
+    assert_allclose(emat[0, 0], math.sqrt(2.0), rtol=1e-15)
+    assert_allclose(emat[1, 1], math.sqrt(2.0), rtol=1e-14)
+
+
+def test_eigenbasis_rejects_bad_args():
     with pytest.raises(InvalidArgumentError):
         EigenBasis(1.0, 0)
+    with pytest.raises(InvalidArgumentError):
+        EigenBasis(-2.0, 1)
 
 
 def test_eigenvalues_increasing_and_normalized():
@@ -31,20 +35,18 @@ def test_eigenvalues_increasing_and_normalized():
     lam = basis.eigenvalues()
     assert np.all(np.diff(lam) > 0)
     for k in (1, 5, 12):
-        _, ek = eigenpair(k, 2.5)
+        ek = _mode(k, 2.5)
         norm2, _ = quad(lambda x: ek(x) ** 2, 0.0, 2.5, limit=200)
         assert_allclose(norm2, 1.0, atol=1e-10)
 
 
 def test_project_orthonormality_roundtrip():
     basis = EigenBasis(1.0, 6)
-    _, e1 = eigenpair(1, 1.0)
-    c = project(e1, basis).coeffs
+    c = project(_mode(1), basis).coeffs
     assert_allclose(c[0], 1.0, atol=1e-12)
     assert_allclose(c[1:], 0.0, atol=1e-12)
 
-    _, e2 = eigenpair(2, 1.0)
-    _, e5 = eigenpair(5, 1.0)
+    e2, e5 = _mode(2), _mode(5)
     c = project(lambda x: 3.0 * e2(x) + 0.5 * e5(x), basis).coeffs
     assert_allclose(c[1], 3.0, atol=1e-12)
     assert_allclose(c[4], 0.5, atol=1e-12)
@@ -61,7 +63,7 @@ def test_project_parabola_matches_hand_integral():
     assert_allclose(expected[0], 0.1824422, rtol=1e-6)
     assert_allclose(c, expected, atol=1e-12)
     for k in (1, 2, 3):
-        _, ek = eigenpair(k, 1.0)
+        ek = _mode(k)
         ref, _ = quad(lambda x: x * (1.0 - x) * ek(x), 0.0, 1.0, limit=200)
         assert_allclose(c[k - 1], ref, atol=1e-12)
 
@@ -71,19 +73,14 @@ def test_quadrature_rule_rejects_single_node():
         QuadratureRule(nodes=1)
 
 
-def test_evaluate_values_and_boundary():
+def test_eval_matrix_values_and_boundary():
     basis = EigenBasis(1.0, 2)
-    f = SpectralField.from_modes(basis, [1.0])
-    assert_allclose(evaluate(f, 0.5), math.sqrt(2.0), rtol=1e-15)
-    g = SpectralField.from_modes(basis, [1.0, 1.0])
-    assert_allclose(evaluate(g, 0.25), math.sqrt(2.0) * (math.sin(math.pi / 4) + 1.0),
-                    rtol=1e-14)
-    assert evaluate(g, 0.0) == 0.0
-    assert_allclose(evaluate(g, 1.0), 0.0, atol=1e-15)
-    with pytest.raises(InvalidArgumentError):
-        evaluate(g, -0.1)
-    with pytest.raises(InvalidArgumentError):
-        evaluate(g, 1.1)
+    emat = basis.eval_matrix(np.array([0.5, 0.25, 0.0, 1.0]))
+    assert_allclose(emat @ [1.0, 0.0], [math.sqrt(2.0), 1.0, 0.0, 0.0], atol=1e-15)
+    g = emat @ [1.0, 1.0]
+    assert_allclose(g[1], math.sqrt(2.0) * (math.sin(math.pi / 4) + 1.0), rtol=1e-14)
+    assert g[2] == 0.0
+    assert_allclose(g[3], 0.0, atol=1e-15)
 
 
 def test_field_invariants():
@@ -128,7 +125,7 @@ def test_parseval_against_quadrature():
     basis = EigenBasis(1.0, 10)
     rng = np.random.default_rng(1)
     f = SpectralField(basis, rng.standard_normal(10))
-    l2sq, _ = quad(lambda x: evaluate(f, x) ** 2, 0.0, 1.0, limit=300)
+    l2sq, _ = quad(lambda x: float(basis.eval_matrix([x])[0] @ f.coeffs) ** 2, 0.0, 1.0, limit=300)
     assert_allclose(hs_norm(f, 0.0) ** 2, l2sq, rtol=1e-9)
 
 

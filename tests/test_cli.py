@@ -225,7 +225,7 @@ def test_simulate_rejects_times_off_the_solver_grid(tmp_path, capsys, solver, ex
     err = capsys.readouterr().err
     assert f"run.times: t = {t!r} is off the {solver} grid of step h = " in err
     assert f"; its nearest sample is {near!r}" in err
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
     # an instant within 1e-9 max(1, |t|) of a sample is that sample
     assert main(["simulate", "--config", cfg, "--run.solver", solver,
                  "--run.times", f"0 {near + 1e-10!r}"] + extra) == 0
@@ -399,31 +399,40 @@ def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeyp
 
 
 def test_cold_path_loads_no_scipy(tmp_path):
-    # the import and every closed-form command run on numpy alone; scipy is
-    # loaded only by the cubic grid history and the hybrid
+    # the import and every subcommand, solver and history kind run on numpy alone
     import delayheat
+    hist = tmp_path / "hist.csv"
+    hist.write_text("gamma,k,coeff\n-1,1,0.5\n-0.5,1,0.8\n-0.25,1,0.9\n0,1,1\n")
+    grid = ["--history.kind", "grid", "--history.file", str(hist)]
+    runs = [["simulate", "--run.solver", solver]
+            for solver in ("closed-form", "picard", "rk4-modes", "hybrid")]
+    runs += [["simulate", *grid, "--history.interp_order", order] for order in ("1", "3")]
+    runs += [["simulate", "--run.solver", "hybrid", *grid, "--history.interp_order", "3",
+              "--hybrid.z_dump_times", "0.5 2.5"],
+             ["figure6"], ["diagnose", "--order", "2", "--history.kind", "compatible"],
+             ["validate", "--suite", "hybrid"]]
     script = """
-import sys
+import json, sys
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import delayheat.cli as cli
-print("import", loaded())
+print("loaded: import", loaded())
 out = sys.argv[1]
-for i, argv in enumerate((["simulate"], ["simulate", "--history.kind", "compatible"],
-                          ["diagnose", "--order", "2", "--history.kind", "compatible"])):
+for i, argv in enumerate(json.loads(sys.argv[2])):
     rc = cli.main(argv + ["--run.out_dir", f"{out}/{i}"])
-    print(" ".join(argv), rc, loaded())
+    print("loaded:", " ".join(argv), rc, loaded())
 """
     env = dict(os.environ)
     env.pop("DELAY_HEAT_OUT", None)
     src = str(Path(delayheat.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    lines = [ln for ln in proc.stdout.splitlines() if ln.endswith("]")]
-    assert lines == ["import []", "simulate 0 []", "simulate --history.kind compatible 0 []",
-                     "diagnose --order 2 --history.kind compatible 0 []"]
+    lines = [ln[len("loaded: "):] for ln in proc.stdout.splitlines() if ln.startswith("loaded: ")]
+    assert lines == ["import []"] + [" ".join(argv) + " 0 []" for argv in runs]
+    assert sorted(p.name for p in (tmp_path / "6").glob("transport_t*.csv")) == [
+        "transport_t0.5.csv", "transport_t2.5.csv"]
 
 
 def test_simulate_hybrid_rejects_dump_times_outside_horizon(tmp_path, capsys):
@@ -458,7 +467,7 @@ def test_simulate_hybrid_rejects_dump_times_off_grid_or_colliding(tmp_path, caps
                  "--hybrid.ns", "50", "--hybrid.z_dump_times", dumps])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_simulate_hybrid_dump_holds_the_step_time(tmp_path):

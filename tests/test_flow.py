@@ -309,8 +309,8 @@ def test_history_coeffs_array_gamma_equals_stacked_scalar_calls(basis):
     rng = np.random.default_rng(5)
     times = np.linspace(-1.0, 0.0, 9)
     rows = rng.standard_normal((len(times), basis.K))
-    # on the samples, at both ends, between samples, and past the ends (clamped)
-    gammas = np.concatenate([times, rng.uniform(-1.0, 0.0, 15), [-1.0, 0.0, -1.25, 0.5]])
+    # on the samples, at both ends, and between samples
+    gammas = np.concatenate([times, rng.uniform(-1.0, 0.0, 15), [-1.0, 0.0]])
     fld = SpectralField(basis, rng.standard_normal(basis.K))
     cases = [(GridHistory(times, rows, basis, interp_order=1), 0)]
     cases += [(ExpModeHistory(fld, rng.uniform(-3.0, 1.0, basis.K)), order) for order in range(4)]
@@ -321,6 +321,48 @@ def test_history_coeffs_array_gamma_equals_stacked_scalar_calls(basis):
         stacked = np.stack([phi.coeffs(g, order=order) for g in gammas.tolist()])
         assert np.array_equal(batch, stacked), (type(phi).__name__, order)
         assert phi.coeffs(float(gammas[3]), order=order).shape == (basis.K,)
+
+
+@pytest.mark.parametrize("interp_order", [1, 3])
+def test_grid_history_coeffs_rejects_gamma_outside_the_samples(basis, interp_order):
+    # -1.25 and 0.5 were clamped to the end samples without a word
+    times = np.linspace(-1.0, 0.0, 9)
+    phi = GridHistory(times, np.ones((len(times), basis.K)), basis, interp_order)
+    for gamma in (-1.25, 0.5, np.array([-0.5, 0.5])):
+        with pytest.raises(InvalidArgumentError, match="outside the grid history samples"):
+            phi.coeffs(gamma)
+    # rounding past an end is not outside: within 1e-12 max(1, |gamma|)
+    edge = phi.coeffs(np.array([-1.0 - 5e-13, 5e-13]))
+    assert_allclose(edge, np.ones((2, basis.K)), rtol=1e-12)
+
+
+def _spline_grids():
+    """The bench's 33-sample input, 2- and 3-sample grids, and random grids whose
+    neighbouring intervals differ by at most a factor 10, each with its samples."""
+    rng = np.random.default_rng(7)
+    K = 60
+    k = np.arange(1, K + 1)
+    g33 = np.linspace(-1.0, 0.0, 33)
+    grids = [(g33, (rng.standard_normal(K) / k**2) * np.cos(
+        np.outer(g33, rng.uniform(0.5, 4.0, K)) + rng.uniform(0.0, 2.0 * np.pi, K)))]
+    for n in [2] * 5 + [3] * 20 + list(rng.integers(4, 60, 40)):
+        widths = np.exp(rng.uniform(0.0, math.log(10.0), n - 1))
+        times = np.concatenate([[0.0], np.cumsum(widths)])
+        grids.append((times / times[-1] - 1.0, rng.standard_normal((n, 7))))
+    return grids
+
+
+def test_grid_history_cubic_equals_scipy_cubic_spline():
+    CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+    rng = np.random.default_rng(8)
+    for times, rows in _spline_grids():
+        phi = GridHistory(times, rows, EigenBasis(1.0, rows.shape[1]), interp_order=3)
+        ref = CubicSpline(times, rows, axis=0)
+        gammas = np.concatenate([times, rng.uniform(times[0], times[-1], 100)])
+        for order in range(3):
+            want = ref(gammas, nu=order)
+            err = np.max(np.abs(phi.coeffs(gammas, order) - want))
+            assert err <= 1e-14 * np.max(np.abs(want)), (len(times), order, err)
 
 
 def test_grid_history_two_samples_runs(basis):

@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from delayheat import EigenBasis, InvalidArgumentError, SpectralField
+from delayheat import EigenBasis, InvalidArgumentError
 from delayheat import io as dio
 
 
-def test_field_csv_roundtrip_digits(tmp_path):
-    basis = EigenBasis(1.0, 4)
-    f = SpectralField(basis, np.array([1.0 / 3.0, -2.5e-17, 0.0, 7.0]))
-    path = tmp_path / "field.csv"
-    n = dio.write_field_csv(f, path)
+def test_coeff_trace_csv_roundtrip_digits(tmp_path):
+    coeffs = np.array([[1.0 / 3.0, -2.5e-17, 0.0, 7.0]])
+    path = tmp_path / "trace.csv"
+    n = dio.write_coeff_trace_csv(np.array([0.1]), coeffs, path)
     assert n == 4
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     back = np.array([float(r["coeff"]) for r in rows])
     # 17 significant digits reproduce doubles exactly
-    assert_allclose(back, f.coeffs, rtol=0, atol=0)
+    assert_allclose(back, coeffs[0], rtol=0, atol=0)
 
 
 def test_grid_history_reader(tmp_path):
