@@ -2,9 +2,9 @@
 
 from .basis import (EigenBasis, QuadratureRule, SpectralField, dirac_coeffs, hs_norm, project,
                     semigroup_apply)
-from .diagnostics import (CompatibilityReport, IdentityReport, RegularityEstimate,
-                          compatibility_check, endpoint_jump_scan, lattice_jump_report,
-                          off_lattice_probe, regularity_scan, weighted_identity_check)
+from .diagnostics import (CompatibilityReport, RegularityEstimate, compatibility_check,
+                          endpoint_jump_scan, lattice_jump_report, off_lattice_probe,
+                          regularity_scan)
 from .errors import (InvalidArgumentError, NonFiniteOutputError, TruncationExceededError,
                      UndefinedEstimateError, UnsupportedConfigurationError)
 from .flow import (ExpModeHistory, FlowParams, GridHistory, SolutionTrace,
@@ -25,7 +25,7 @@ __all__ = [
     "compatible_history",
     "ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace",
     "hybrid_simulate",
-    "IdentityReport", "weighted_identity_check", "RegularityEstimate", "regularity_scan",
+    "RegularityEstimate", "regularity_scan",
     "lattice_jump_report", "off_lattice_probe", "CompatibilityReport", "compatibility_check",
     "endpoint_jump_scan",
     "InvalidArgumentError", "TruncationExceededError", "UndefinedEstimateError",

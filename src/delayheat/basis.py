@@ -121,6 +121,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xg, wg
 
 
+def _gauss_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels between consecutive edges of each row."""
+    xg, wg = _gauss_legendre(nodes)
+    half, mid = np.diff(edges) / 2.0, (edges[..., :-1] + edges[..., 1:]) / 2.0
+    x, w = mid[..., None] + half[..., None] * xg, half[..., None] * wg
+    return x.reshape(edges.shape[:-1] + (-1,)), w.reshape(edges.shape[:-1] + (-1,))
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss-Legendre rule: `panels_per_unit` panels per unit length, `nodes` per panel."""
@@ -147,15 +155,12 @@ class QuadratureRule:
             if a < p < b:
                 edges.append(p)
         edges = sorted(set(edges))
-        xg, wg = _gauss_legendre(self.nodes)
         pts, wts = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
             n_panels = max(1, math.ceil((hi - lo) * self.panels_per_unit))
-            sub = np.linspace(lo, hi, n_panels + 1)
-            half = np.diff(sub) / 2.0
-            mid = (sub[:-1] + sub[1:]) / 2.0
-            pts.append((mid[:, None] + half[:, None] * xg[None, :]).ravel())
-            wts.append((half[:, None] * wg[None, :]).ravel())
+            x, w = _gauss_panels(np.linspace(lo, hi, n_panels + 1), self.nodes)
+            pts.append(x)
+            wts.append(w)
         return np.concatenate(pts), np.concatenate(wts)
 
 
@@ -192,6 +197,18 @@ def _decay_scan(x: np.ndarray, q) -> np.ndarray:
         x[d:] = x[d:] + p * x[:-d]
         p, d = p * p, 2 * d
     return x
+
+
+def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, np.ndarray]:
+    """The stepping solvers' n_sub = round(tau / dt) steps per delay and grid k h, h = tau / n_sub,
+    up to the first step within 1e-9 h of T or past it; InvalidArgumentError if n_sub < min_sub."""
+    n_sub = round(tau / dt)
+    if n_sub < min_sub:
+        raise InvalidArgumentError(
+            f"grid step {dt} too coarse: need at least {min_sub} points per delay interval"
+        )
+    h = tau / n_sub
+    return n_sub, np.arange(math.ceil(T / h - 1e-9) + 1) * h
 
 
 def hs_norm(fld: SpectralField, s: float) -> float:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .basis import EigenBasis, SpectralField, dirac_coeffs, project
+from .basis import EigenBasis, SpectralField, _step_grid, dirac_coeffs, project
 from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_report
 from .errors import InvalidArgumentError, NonFiniteOutputError, UnsupportedConfigurationError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
@@ -200,52 +200,59 @@ def cmd_simulate(cfg, args) -> int:
         raise InvalidArgumentError("run.times must name at least one instant")
     solver = cfg["run"].get("solver")
     nx = cfg["run"].getint("nx")
+    # the stepping solvers' grids follow from the config: instants are checked before the solve
+    T = max(max(times), params.tau)     # the stepping solvers' horizon
+    if solver == "picard":
+        grid = _step_grid(params.tau, cfg["picard"].getfloat("dt"), T, min_sub=4)[1]
+    elif solver == "rk4-modes":
+        mode_cfg = ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,
+                                 dt=cfg["rk4"].getfloat("dt"), y0=y0.coeffs,
+                                 history=None if phi is None else phi.coeffs)
+        grid = _step_grid(mode_cfg.tau, mode_cfg.dt, T)[1]
+    elif solver == "hybrid":
+        mesh = MeshParams(cfg["hybrid"].getint("nx"), cfg["hybrid"].getint("ns"))
+        grid = _step_grid(params.tau, params.tau / mesh.ns, T)[1]
+    elif solver != "closed-form":
+        raise InvalidArgumentError(f"unknown solver {solver!r}")
+    if solver != "closed-form":
+        idx = _grid_index(grid, times, "run.times", solver)
+        if len(set(idx)) != len(idx):
+            raise InvalidArgumentError("requested instants collapse onto the same solver samples")
+    dumps = {}      # transport file name -> (requested t, grid index)
+    if solver == "hybrid":
+        z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
+        inside = [t for t in z_times if 0.0 <= t <= T]      # hybrid_simulate rejects the rest
+        for t, i in zip(inside, _grid_index(grid, inside, "hybrid.z_dump_times", solver)):
+            name = f"transport_t{grid[i]:g}.csv"
+            if name in dumps:
+                raise InvalidArgumentError(f"hybrid.z_dump_times: t = {dumps[name][0]!r} and "
+                                           f"t = {t!r} would both be written to {name}")
+            dumps[name] = (t, i)
     manifest.phase("build")
 
     health = {}
-    transport = {}      # file name -> (requested t, step t, s, x, z), written once rows are finite
-    T = max(max(times), params.tau)     # the stepping solvers' horizon
     if solver == "closed-form":
         trace = solve_trace(y0, phi, times, params)
         out_times, rows = trace.times, trace.coeffs
     elif solver == "picard":
         n_iter = cfg["picard"].getint("n_iter")
         trace = picard_solve(y0, phi, T, n_iter, cfg["picard"].getfloat("dt"), params)
-        idx = _grid_index(trace.times, times, "run.times", solver)
         out_times, rows = trace.times[idx], trace.coeffs[idx]
         health.update(h=float(trace.times[1]), n_iter=n_iter, residuals=trace.residuals.tolist())
     elif solver == "rk4-modes":
-        mode_cfg = ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,
-                                 dt=cfg["rk4"].getfloat("dt"), y0=y0.coeffs,
-                                 history=None if phi is None else phi.coeffs)
         trace = rk4_dde_mode(mode_cfg, T)
-        idx = _grid_index(trace.times, times, "run.times", solver)
         out_times, rows = trace.times[idx], trace.values[idx]
         health["h"] = float(trace.times[1])
-    elif solver == "hybrid":
-        hsec = cfg["hybrid"]
-        mesh = MeshParams(hsec.getint("nx"), hsec.getint("ns"))
+    else:
         xs_h = np.linspace(0.0, basis.L, mesh.nx + 1)
         emat = basis.eval_matrix(xs_h)
         hist_fn = None if phi is None else (lambda g: phi.coeffs(g) @ emat.T)
-        z_times = sorted(_floats(hsec.get("z_dump_times", "")))
         trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T,
                                 params.a, params.tau, basis.L, z_sample_times=tuple(z_times))
-        idx = _grid_index(trace.times, times, "run.times", solver)
         out_times, rows = trace.times[idx], _project_grid_rows(trace.values[idx], xs_h, basis)
-        for t, i in zip(z_times, _grid_index(trace.times, z_times, "hybrid.z_dump_times", solver)):
-            name = f"transport_t{trace.times[i]:g}.csv"
-            if name in transport:
-                raise InvalidArgumentError(f"hybrid.z_dump_times: t = {transport[name][0]!r} and "
-                                           f"t = {t!r} would both be written to {name}")
-            transport[name] = (t, float(trace.times[i]), trace.s, xs_h, trace.z_snapshots[t])
         h = float(trace.times[1])
         health.update(h=h, r=h / (basis.L / mesh.nx) ** 2)
-    else:
-        raise InvalidArgumentError(f"unknown solver {solver!r}")
 
-    if len(np.unique(out_times)) != len(out_times):
-        raise InvalidArgumentError("requested instants collapse onto the same solver samples")
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
     manifest.data["health"] = health
     manifest.phase("solve")
@@ -258,8 +265,9 @@ def cmd_simulate(cfg, args) -> int:
         manifest.data["error"] = msg
         manifest.write(out)
         raise NonFiniteOutputError(msg)
-    for name, (_, t_step, s_mesh, xs_h, z) in transport.items():
-        manifest.add(out / name, dio.write_transport_dump_csv(t_step, s_mesh, xs_h, z, out / name))
+    for name, (t, i) in dumps.items():
+        manifest.add(out / name, dio.write_transport_dump_csv(
+            float(trace.times[i]), trace.s, xs_h, trace.z_snapshots[t], out / name))
     coeff_path = out / "trace_coeffs.csv"
     manifest.add(coeff_path, dio.write_coeff_trace_csv(out_times, rows, coeff_path))
     xs = basis.mesh(nx)
@@ -328,6 +336,7 @@ def cmd_validate(cfg, args) -> int:
         return 2
     out = _out_dir(cfg)
     manifest = Manifest("validate", cfg)
+    manifest.data["phases"] = {f"{res.suite}_s": round(res.seconds, 6) for res in results}
     lines = []
     for res in results:
         for row in res.rows:

@@ -2,11 +2,11 @@
 
 Four instruments:
 
-* ``weighted_identity_check`` verifies, per mode and by independent time
-  quadrature, the exact energy identity for weighted heat orbits: the time
-  integral of ||d^alpha/dt^alpha (t^beta e^{t Lap} y0)||^2 in the spectral norm
-  of index s + 2(beta - alpha) + 1 equals a universal scalar (the same integral
-  for decay rate 1) times the squared index-s norm of y0.
+* ``_mode_time_integral`` integrates, for all modes at once but with one
+  independent time quadrature per mode, the energy identity of weighted heat
+  orbits: the time integral of ||d^alpha/dt^alpha (t^beta e^{t Lap} y0)||^2 in
+  the index-(s + 2(beta - alpha) + 1) norm is ``weight_factor`` (the same
+  integral for decay rate 1) times the squared index-s norm of y0.
 
 * ``regularity_scan`` estimates a Sobolev order from coefficient decay, fitting
   |c_k| ~ k^{-q} and reporting q - 1/2 (the standard 1-D embedding offset).
@@ -30,14 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import QuadratureRule, SpectralField, hs_norm
+from .basis import SpectralField, _gauss_panels, hs_norm
 from .errors import InvalidArgumentError, UndefinedEstimateError
 from .flow import (FlowParams, History, _gammaincc_int, derivative_jump, flow_derivative_factors,
                    solve_trace)
 
 __all__ = [
-    "IdentityReport",
-    "weighted_identity_check",
     "weight_factor",
     "RegularityEstimate",
     "regularity_scan",
@@ -55,8 +53,8 @@ __all__ = [
 # Weighted-orbit energy identity
 
 
-def _weighted_derivative_values(t: np.ndarray, lam: float, alpha: int, beta: int) -> np.ndarray:
-    """Exact values of d^alpha/dt^alpha (t^beta e^{-lam t}) by the product rule."""
+def _weighted_derivative_values(t: np.ndarray, lam, alpha: int, beta: int) -> np.ndarray:
+    """Exact values of d^alpha/dt^alpha (t^beta e^{-lam t}) by the product rule, lam broadcast."""
     out = np.zeros_like(t)
     for l in range(min(alpha, beta) + 1):
         c = math.comb(alpha, l) * math.factorial(beta) / math.factorial(beta - l)
@@ -64,14 +62,14 @@ def _weighted_derivative_values(t: np.ndarray, lam: float, alpha: int, beta: int
     return out * np.exp(-lam * t)
 
 
-def _exact_tail(lam: float, alpha: int, beta: int, t_cut: float) -> float:
-    """Integral over t > t_cut of |d^alpha (t^beta e^{-lam t})|^2, in closed form.
+def _exact_tail(lam, alpha: int, beta: int, t_cut):
+    """Integral over t > t_cut of |d^alpha (t^beta e^{-lam t})|^2, in closed form, per entry of lam.
 
     Each cross term of the product rule integrates to an upper incomplete
     gamma function of integer order, Q(m + 1, 2 lam t_cut).
     """
     tail = 0.0
-    q = _gammaincc_int(2.0 * lam * t_cut, 2 * beta).tolist()
+    q = _gammaincc_int(2.0 * lam * t_cut, 2 * beta)
     for l in range(min(alpha, beta) + 1):
         for lp in range(min(alpha, beta) + 1):
             c = (math.comb(alpha, l) * math.comb(alpha, lp)
@@ -80,65 +78,43 @@ def _exact_tail(lam: float, alpha: int, beta: int, t_cut: float) -> float:
                  * (-lam) ** (2 * alpha - l - lp))
             m = 2 * beta - l - lp
             tail += (c * math.factorial(m) / (2.0 * lam) ** (m + 1)
-                     * q[m])
+                     * q[..., m])
     return tail
 
 
 def weight_factor(alpha: int, beta: int) -> float:
     """Closed form of the universal scalar: integral over t > 0 of |d^alpha (t^beta e^-t)|^2."""
-    return _exact_tail(1.0, alpha, beta, 0.0)
+    return float(_exact_tail(1.0, alpha, beta, 0.0))
 
 
-def _mode_time_integral(lam: float, alpha: int, beta: int) -> tuple[float, float]:
-    """Quadrature of |d^alpha (t^beta e^{-lam t})|^2 on [0, T_cut] plus the exact tail.
+def _mode_rules(lams: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T_cut = (60 + 20 beta) / (2 lam) and each mode's time rule as a padded (K, P * 10) row.
+
+    Row k holds, bit for bit, the nodes and weights of QuadratureRule(panels_per_unit=
+    max(1, ceil(48 / T_cut)), nodes=10).points_weights(0, T_cut) for lam_k, then
+    padding panels of weight exactly 0 up to the largest panel count P.
+    """
+    t_cut = (60.0 + 20.0 * beta) / (2.0 * lams)
+    n_panels = np.maximum(1.0, np.ceil(t_cut * np.maximum(1.0, np.ceil(48 / t_cut))))
+    # np.linspace(0, t_cut, n + 1) per row: k (t_cut / n), with the last edge set to t_cut
+    edges = np.arange(n_panels.max() + 1) * (t_cut / n_panels)[:, None]
+    edges[np.arange(len(lams)), n_panels.astype(int)] = t_cut
+    x, w = _gauss_panels(edges, 10)
+    live = np.arange(w.shape[1]) < 10 * n_panels[:, None]
+    return t_cut, x, np.where(live, w, 0.0)
+
+
+def _mode_time_integral(lams: np.ndarray, alpha: int, beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature of |d^alpha (t^beta e^{-lam t})|^2 on [0, T_cut] plus the exact tail, per lam.
 
     T_cut scales like 1/lam and leaves the truncated mass below 1e-16 of the
     total; the remainder beyond T_cut is added in closed form as a certified
-    tail.
+    tail.  Every mode keeps its own rule (`_mode_rules`), so the quadrature
+    stays independent of the scaling law it checks.
     """
-    t_cut = (60.0 + 20.0 * beta) / (2.0 * lam)
-    rule = QuadratureRule(panels_per_unit=max(1, math.ceil(48 / t_cut)), nodes=10)
-    x, w = rule.points_weights(0.0, t_cut)
-    vals = _weighted_derivative_values(x, lam, alpha, beta)
-    return float(w @ vals**2), _exact_tail(lam, alpha, beta, t_cut)
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    alpha: int
-    beta: int
-    s: float
-    lhs: float
-    rhs: float
-    ratio: float
-    degenerate: bool
-    tail: float
-
-
-def weighted_identity_check(y0: SpectralField, s: float, alpha: int, beta: int) -> IdentityReport:
-    """Check the weighted-orbit identity for one field and one (alpha, beta, s).
-
-    The left side is assembled mode by mode from an independent time quadrature
-    of the exact derivative values; the right side is the closed-form scalar
-    times hs_norm(y0, s)^2.  A zero field makes the right side vanish and the
-    report is flagged degenerate.
-    """
-    if alpha < 0 or beta < 0:
-        raise InvalidArgumentError("alpha and beta must be nonnegative integers")
-    lams = y0.basis.eigenvalues()
-    idx = float(s) + 2.0 * (beta - alpha) + 1.0
-    lhs = 0.0
-    tail_total = 0.0
-    for lam, c in zip(lams, y0.coeffs):
-        if c == 0.0:
-            continue
-        bulk, tail = _mode_time_integral(float(lam), alpha, beta)
-        lhs += (bulk + tail) * c**2 * lam**idx
-        tail_total += abs(tail) * c**2 * lam**idx
-    rhs = weight_factor(alpha, beta) * hs_norm(y0, s) ** 2
-    degenerate = rhs == 0.0
-    ratio = math.nan if degenerate else lhs / rhs
-    return IdentityReport(alpha, beta, float(s), lhs, rhs, ratio, degenerate, tail_total)
+    t_cut, x, w = _mode_rules(lams, beta)
+    vals = _weighted_derivative_values(x, lams[:, None], alpha, beta)
+    return np.sum(w * vals**2, axis=1), _exact_tail(lams, alpha, beta, t_cut)
 
 
 # ---------------------------------------------------------------------------

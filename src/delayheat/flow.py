@@ -35,12 +35,13 @@ exactly to incomplete gamma functions of integer order, which is how
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis, SpectralField, _decay_scan
+from .basis import EigenBasis, SpectralField, _decay_scan, _step_grid
 from .errors import InvalidArgumentError, TruncationExceededError
 
 __all__ = [
@@ -527,20 +528,24 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     (|a| T)^(n+1) / (n+1)! down to the trapezoid floor.  Each G sweep is one
     decay scan over the grid, and the trace carries the per-iteration
     residuals max_t ||y_{n+1}(t) - y_n(t)|| (zero for a = 0), which contract
-    the same way.
+    the same way.  The iterates are those of `_picard_iterates`.
     """
-    if T <= 0.0:
-        raise InvalidArgumentError(f"horizon must be positive, got {T}")
     if n_iter < 1:
         raise InvalidArgumentError("need at least one iteration")
-    n_sub = round(params.tau / dt)
-    if n_sub < 4:
-        raise InvalidArgumentError(
-            f"grid step {dt} too coarse: need at least 4 points per delay interval"
-        )
-    h = params.tau / n_sub
-    n_steps = math.ceil(T / h - 1e-9)
-    times = np.arange(n_steps + 1) * h
+    residuals = []
+    for times, y, residual in itertools.islice(_picard_iterates(y0, phi, T, dt, params), n_iter):
+        residuals.append(residual)
+    return SolutionTrace(times, y, y0.basis, np.array(residuals))
+
+
+def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float,
+                     params: FlowParams):
+    """Set up `picard_solve`'s grid, forcing F and G once, then yield (times, y_n, residual_n)
+    for n = 1, 2, ... without end, so that iterate n of a longer run is the n-iteration result."""
+    if T <= 0.0:
+        raise InvalidArgumentError(f"horizon must be positive, got {T}")
+    n_sub, times = _step_grid(params.tau, dt, T, min_sub=4)
+    h, n_steps = times[1], len(times) - 1
     lams = y0.basis.eigenvalues()
 
     decay = np.exp(-np.outer(times, lams))          # (n_times, K)
@@ -566,12 +571,12 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
         out[n_sub + 1:] = (params.a * h) * (S[1:] - ends)
         return out
 
-    y, residuals = F, np.empty(n_iter)
-    for n in range(n_iter):
+    y = F
+    while True:
         y_next = F + apply_G(y)
-        residuals[n] = np.max(np.linalg.norm(y_next - y, axis=1))
+        residual = np.max(np.linalg.norm(y_next - y, axis=1))
         y = y_next
-    return SolutionTrace(times, y, y0.basis, residuals)
+        yield times, y, residual
 
 
 # ---------------------------------------------------------------------------

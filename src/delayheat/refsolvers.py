@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import _decay_scan
+from .basis import _decay_scan, _step_grid
 from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
@@ -110,9 +110,8 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     """
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
-    n_sub = max(10, round(cfg.tau / cfg.dt))
-    h = cfg.tau / n_sub
-    n_steps = math.ceil(T / h - 1e-9)
+    n_sub, times = _step_grid(cfg.tau, cfg.dt, T, min_sub=10)   # dt <= tau / 10 always passes
+    h, n_steps = times[1], len(times) - 1
 
     lam, a = np.asarray(cfg.lam, dtype=float), cfg.a
     shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, np.shape(cfg.y0))
@@ -142,7 +141,7 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
         # from phi(0^-) to y(0)
         if i1 == n_sub:
             f_right[i1] = a * u[0] - lam * u[i1]
-    return ModeTrace(np.arange(n_steps + 1) * h, u)
+    return ModeTrace(times, u)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +207,8 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
         raise InvalidArgumentError(f"transport snapshot time {outside[0]:g} outside [0, T = {T:g}]")
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
     s = np.linspace(0.0, tau, ns + 1)
-    n_steps = math.ceil(T / dt - 1e-9)
+    times = _step_grid(tau, dt, T)[1]
+    n_steps = len(times) - 1
 
     y0 = np.asarray(y0_grid, dtype=float)
     if y0.shape != (nx + 1,):
@@ -234,7 +234,6 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
             y = src[i]
         rows[ns + n0 + 1:ns + n1 + 1, 1:-1] = _sine(src) / (2 * nx)
 
-    times = np.arange(n_steps + 1) * dt
     z_snapshots = {}
     for t_snap in z_sample_times:
         n = min(int(np.searchsorted(times, t_snap - GRID_RTOL * max(1.0, abs(t_snap)))), n_steps)

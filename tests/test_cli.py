@@ -233,12 +233,51 @@ def test_simulate_rejects_times_off_the_solver_grid(tmp_path, capsys, solver, ex
     assert json.loads((out / "manifest.json").read_text())["health"]["snap_max_offset"] < 2e-10
 
 
+@pytest.mark.parametrize("solver, extra, message", [
+    ("picard", ["--run.times", "0 0.3"],
+     "run.times: t = 0.3 is off the picard grid of step h = 0.015625; its nearest sample is "
+     "0.296875"),
+    ("rk4-modes", ["--rk4.dt", "0.005", "--run.times", "0 0.4012"],
+     "run.times: t = 0.4012 is off the rk4-modes grid of step h = 0.005; its nearest sample "
+     "is 0.4"),
+    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50", "--run.times", "0 0.405"],
+     "run.times: t = 0.405 is off the hybrid grid of step h = 0.02; its nearest sample is 0.4"),
+    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50", "--hybrid.z_dump_times", "1 1.0000001"],
+     "hybrid.z_dump_times: t = 1.0000001 is off the hybrid grid of step h = 0.02; its nearest "
+     "sample is 1.0"),
+    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50", "--hybrid.z_dump_times",
+                "0.5 0.5000000001"],
+     "hybrid.z_dump_times: t = 0.5 and t = 0.5000000001 would both be written to "
+     "transport_t0.5.csv"),
+], ids=["picard", "rk4-modes", "hybrid", "hybrid-dump", "hybrid-dump-name"])
+def test_simulate_rejects_off_grid_times_before_the_solve(tmp_path, capsys, monkeypatch, solver,
+                                                         extra, message):
+    # the grid is known from the config, so no solver runs for a time that is off it
+    import delayheat.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    for name in ("picard_solve", "rk4_dde_mode", "hybrid_simulate"):
+        monkeypatch.setattr(cli, name, no_solve)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.solver", solver] + extra) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_validate_prints_suite_wall_time(tmp_path, capsys):
     assert main(["validate", "--suite", "jumps", "--run.out_dir", str(tmp_path / "v")]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("suite jumps:")]
     assert len(lines) == 1 and lines[0].endswith(" s")
     with open(tmp_path / "v" / "validate_results.csv", newline="") as fh:
         assert next(csv.reader(fh)) == ["suite", "check", "status", "value", "threshold", "detail"]
+    # the printed wall time is the one the manifest records
+    phases = json.loads((tmp_path / "v" / "manifest.json").read_text())["phases"]
+    assert list(phases) == ["jumps_s"] and phases["jumps_s"] > 0.0
+    assert lines[0].startswith("suite jumps: 12 checks in ")
+    assert abs(float(lines[0].split()[-2]) - phases["jumps_s"]) <= 5e-4 + 1e-9
 
 
 def test_simulate_hybrid_solver_runs(tmp_path):

@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError,
-                       SpectralField, UndefinedEstimateError, compatible_history,
-                       compatibility_check, dirac_coeffs, endpoint_jump_scan,
-                       lattice_jump_report, off_lattice_probe, regularity_scan,
-                       semigroup_apply, weighted_identity_check)
-from delayheat.diagnostics import weight_factor
+                       QuadratureRule, SpectralField, UndefinedEstimateError,
+                       compatible_history, compatibility_check, dirac_coeffs,
+                       endpoint_jump_scan, hs_norm, lattice_jump_report, off_lattice_probe,
+                       regularity_scan, semigroup_apply)
+from delayheat.diagnostics import _mode_rules, _mode_time_integral, weight_factor
 
 PI2 = math.pi**2
 
@@ -40,14 +40,20 @@ def test_weight_factor_against_adaptive_quadrature(alpha, beta):
     assert_allclose(weight_factor(alpha, beta), ref, rtol=1e-9)
 
 
+def _identity_ratio(y0, s, alpha, beta):
+    # lhs assembled mode by mode from the independent time quadrature, rhs from the closed form
+    lams = y0.basis.eigenvalues()
+    bulk, tail = _mode_time_integral(lams, alpha, beta)
+    lhs = np.sum((bulk + tail) * y0.coeffs**2 * lams ** (s + 2.0 * (beta - alpha) + 1.0))
+    return lhs / (weight_factor(alpha, beta) * hs_norm(y0, s) ** 2)
+
+
 def test_identity_simple_cases():
     basis = EigenBasis(1.0, 60)
     rng = np.random.default_rng(7)
     y0 = SpectralField(basis, rng.standard_normal(60))
     for alpha, beta in ((0, 0), (1, 0), (0, 1)):
-        rep = weighted_identity_check(y0, s=0.0, alpha=alpha, beta=beta)
-        assert abs(rep.ratio - 1.0) <= 1e-6
-        assert not rep.degenerate
+        assert abs(_identity_ratio(y0, 0.0, alpha, beta) - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, 2.0])
@@ -56,15 +62,33 @@ def test_identity_high_orders(s):
     rng = np.random.default_rng(8)
     y0 = SpectralField(basis, rng.standard_normal(60))
     for alpha, beta in ((2, 3), (3, 3), (3, 1)):
-        rep = weighted_identity_check(y0, s=s, alpha=alpha, beta=beta)
-        assert abs(rep.ratio - 1.0) <= 1e-6, (alpha, beta, s, rep.ratio)
+        ratio = _identity_ratio(y0, s, alpha, beta)
+        assert abs(ratio - 1.0) <= 1e-6, (alpha, beta, s, ratio)
 
 
-def test_identity_degenerate_zero_field():
-    basis = EigenBasis(1.0, 8)
-    rep = weighted_identity_check(SpectralField.zero(basis), s=0.0, alpha=1, beta=1)
-    assert rep.degenerate
-    assert math.isnan(rep.ratio)
+@pytest.mark.parametrize("beta", [0, 1, 2, 3])
+def test_mode_rules_are_each_modes_quadrature_rule(beta):
+    # the padded rows hold every mode's own composite rule bit for bit, then weight-0 padding
+    lams = EigenBasis(1.0, 60).eigenvalues()
+    t_cut, x, w = _mode_rules(lams, beta)
+    for k, lam in enumerate(lams.tolist()):
+        tc = (60.0 + 20.0 * beta) / (2.0 * lam)
+        rule = QuadratureRule(panels_per_unit=max(1, math.ceil(48 / tc)), nodes=10)
+        xr, wr = rule.points_weights(0.0, tc)
+        assert t_cut[k] == tc
+        assert np.array_equal(x[k, :len(xr)], xr) and np.array_equal(w[k, :len(wr)], wr), k
+        assert np.all(w[k, len(wr):] == 0.0), k
+
+
+def test_mode_time_integral_is_the_scaling_law():
+    # u = lam t turns the weighted-orbit integral of mode lam into
+    # lam^(2 alpha - 2 beta - 1) times the rate-1 integral, for every mode
+    lams = EigenBasis(1.0, 60).eigenvalues()
+    for alpha in range(4):
+        for beta in range(4):
+            bulk, tail = _mode_time_integral(lams, alpha, beta)
+            expected = lams ** (2 * alpha - 2 * beta - 1) * weight_factor(alpha, beta)
+            assert_allclose(bulk + tail, expected, rtol=1e-6, err_msg=f"{alpha} {beta}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -551,6 +552,42 @@ def test_picard_residuals_contract_factorially():
     p0 = FlowParams(a=0.0, tau=0.25)
     for phi in (None, compatible_history(y0, p)):
         assert np.all(picard_solve(y0, phi, T, n_iter=5, dt=p.tau / 64, params=p0).residuals == 0.0)
+
+
+def _short_delay_histories(a):
+    # L = 10 and tau = 0.25 keep log(|a| tau) + lam tau below -1 for the 3 modes,
+    # so the compatible history exists for a = -1 as well
+    basis3 = EigenBasis(10.0, 3)
+    p = FlowParams(a=a, tau=0.25)
+    y0 = SpectralField(basis3, np.array([1.0, -0.5, 0.25]))
+    return p, y0, {"zero": None, "compatible": compatible_history(y0, p)}
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_picard_solve_is_a_prefix_of_picard_iterates(a):
+    # n iterations of picard_solve are the first n items of one longer run, bit for bit
+    p, y0, histories = _short_delay_histories(a)
+    for name, phi in histories.items():
+        run = list(itertools.islice(fl._picard_iterates(y0, phi, 2.0, p.tau / 16, p), 16))
+        for n in range(1, 17):
+            trace = picard_solve(y0, phi, 2.0, n_iter=n, dt=p.tau / 16, params=p)
+            times, y, _ = run[n - 1]
+            assert np.array_equal(trace.times, times), (name, n)
+            assert np.array_equal(trace.coeffs, y), (name, n)
+            assert np.array_equal(trace.residuals, [r for _, _, r in run[:n]]), (name, n)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_picard_iterates_count_from_one(a):
+    # iterate n is n applications of y <- F + G y to y = F; the horizon of 8 delays keeps
+    # iterates 1..6 apart, where the method of steps has not yet reached a fixed point
+    p, y0, histories = _short_delay_histories(a)
+    for name, phi in histories.items():
+        run = itertools.islice(fl._picard_iterates(y0, phi, 8 * p.tau, p.tau / 16, p), 6)
+        for n, (times, y, _) in enumerate(run, start=1):
+            ref_times, ref = _picard_serial_reference(y0, phi, 8 * p.tau, n, p.tau / 16, p)
+            assert np.array_equal(times, ref_times)
+            assert np.max(np.abs(y - ref)) <= 1e-13 * np.max(np.abs(ref)), (name, n)
 
 
 def _k60_histories(y0, params):
