@@ -33,7 +33,7 @@ from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_r
 from .errors import InvalidArgumentError, NonFiniteOutputError, UnsupportedConfigurationError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
-from .refsolvers import GRID_RTOL, MeshParams, ModeDDEConfig, hybrid_simulate, rk4_dde_mode
+from .refsolvers import GRID_RTOL, MeshParams, ModeDDEConfig, _in_horizon, hybrid_simulate, rk4_dde_mode
 from .validate import SUITE_NAMES, figure_panels, run_suite
 
 DEFAULT_CONFIG = {
@@ -221,7 +221,7 @@ def cmd_simulate(cfg, args) -> int:
     dumps = {}      # transport file name -> (requested t, grid index)
     if solver == "hybrid":
         z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
-        inside = [t for t in z_times if 0.0 <= t <= T]      # hybrid_simulate rejects the rest
+        inside = [t for t in z_times if _in_horizon(t, T)]   # hybrid_simulate rejects the rest
         for t, i in zip(inside, _grid_index(grid, inside, "hybrid.z_dump_times", solver)):
             name = f"transport_t{grid[i]:g}.csv"
             if name in dumps:
@@ -247,10 +247,10 @@ def cmd_simulate(cfg, args) -> int:
         xs_h = np.linspace(0.0, basis.L, mesh.nx + 1)
         emat = basis.eval_matrix(xs_h)
         hist_fn = None if phi is None else (lambda g: phi.coeffs(g) @ emat.T)
-        trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T,
-                                params.a, params.tau, basis.L, z_sample_times=tuple(z_times))
-        out_times, rows = trace.times[idx], _project_grid_rows(trace.values[idx], xs_h, basis)
-        h = float(trace.times[1])
+        out_times, h = grid[idx], float(grid[1])
+        trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T, params.a, params.tau, basis.L,
+                                sample_times=tuple(out_times), z_sample_times=tuple(z_times))
+        rows = _project_grid_rows(trace.values, xs_h, basis)
         health.update(h=h, r=h / (basis.L / mesh.nx) ** 2)
 
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))

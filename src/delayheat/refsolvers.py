@@ -12,13 +12,14 @@ Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each 
   one-mode runs bit for bit; scalar ``lam`` and ``y0`` give an (n_steps + 1,)
   trace.
 
-* ``hybrid_simulate`` advances the equivalent state-space system: a heat
-  equation coupled to a transport equation on (0, tau) that carries the delayed
-  state, z(t, s) = y(t - s).  Diffusion is Crank-Nicolson on the 3-point
-  Laplacian (second order, unconditionally stable); the time step equals the
-  delay-line spacing, so transport is exact and the delay line is the stored
-  temperature rows.  Its modes mu_j / dx^2 are finite-difference eigenvalues,
-  not the lam_k of the sine basis, and it reads nothing from `flow`.
+* ``hybrid_simulate`` advances the equivalent state-space system: a heat equation coupled
+  to a transport equation on (0, tau) that carries the delayed state, z(t, s) = y(t - s).
+  Diffusion is Crank-Nicolson on the 3-point Laplacian (second order, unconditionally
+  stable); the time step equals the delay-line spacing, so transport is exact and the delay
+  line is the previous delay window's temperature rows, kept in DST-I coordinates in two
+  window buffers.  Only the rows at ``sample_times`` and under transport snapshots go back
+  to the grid; ``times`` is every step.  Its modes mu_j / dx^2 are finite-difference
+  eigenvalues, not the lam_k of the sine basis, and it reads nothing from `flow`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import InvalidArgumentError
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
 
 GRID_RTOL = 1e-9    # a step k h within GRID_RTOL max(1, |t|) of t is at t; k h is rounded
-_BLOCK = 64         # hybrid steps per block of sine transforms, which bounds their buffers
+_BLOCK = 64         # rows per block of the hybrid's sine transforms, which bounds their buffers
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,9 @@ class MeshParams:
 
 @dataclass(frozen=True)
 class HybridTrace:
-    times: np.ndarray
+    times: np.ndarray                        # every step n tau / ns, to the first at or past T
     x: np.ndarray
-    values: np.ndarray                       # shape (n_times, nx + 1)
+    values: np.ndarray                       # shape (len(sample_times), nx + 1)
     s: np.ndarray
     z_snapshots: dict[float, np.ndarray]     # time -> z array of shape (ns + 1, nx + 1)
 
@@ -178,64 +179,77 @@ def _sine(v: np.ndarray) -> np.ndarray:
     return -np.fft.rfft(odd)[..., 1:n].imag
 
 
+def _in_horizon(t: float, T: float) -> bool:    # [0, T] widened by GRID_RTOL max(1, |t|)
+    return -GRID_RTOL * max(1.0, abs(t)) <= t <= T + GRID_RTOL * max(1.0, abs(t))
+
+
 def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np.ndarray] | None,
-                    mesh: MeshParams, T: float, a: float, tau: float, L: float = 1.0,
-                    z_sample_times: tuple[float, ...] = ()) -> HybridTrace:
-    """Advance the coupled system to time T and return the temperature trace.
+                    mesh: MeshParams, T: float, a: float, tau: float, L: float = 1.0, *,
+                    sample_times: tuple[float, ...], z_sample_times: tuple[float, ...] = ()
+                    ) -> HybridTrace:
+    """Advance the coupled system to time T; return the temperature at `sample_times`.
 
-    y0_grid holds nodal values on the uniform x-mesh (Dirichlet ends forced to
-    zero).  history_grid(gammas) must return nodal values, one row per gamma in
-    [-tau, 0]; it is called once.  The step is dt = tau / ns, the delay-line
-    spacing, so z(t_n, s_j) = y(t_{n-j}) is a stored row: the rows hold the
-    history samples phi(-s_j), s_j > 0, in front of the temperature trace.  The
-    temperature is stepped by Crank-Nicolson with the source a y(t - tau)
-    averaged over the rows at the two ends of the step; the step that ends at
-    t = tau reads the history's left limit phi(0^-), not y(0).  A transport
-    snapshot requested at time t is z at the first step at or after
-    t - GRID_RTOL max(1, |t|); a time outside [0, T] raises InvalidArgumentError.
+    y0_grid holds nodal values on the uniform x-mesh (Dirichlet ends forced to zero).
+    history_grid(gammas) must return nodal values, one row per gamma in [-tau, 0]; it is called
+    once.  The step is dt = tau / ns, the delay-line spacing, so z(t_n, s_j) = y(t_{n-j}) is a
+    stored row, the history's phi(-s_j) for j > n.  Crank-Nicolson steps the temperature with the
+    source a y(t - tau) averaged over the rows at the two ends of the step; the step that ends at
+    t = tau reads the history's left limit phi(0^-), not y(0).  A sample or snapshot time t is
+    taken at the first step at or after t - GRID_RTOL max(1, |t|); one outside [0, T] by more than
+    that raises InvalidArgumentError.  `times` is every step (the bench tracer counts them),
+    `values` one row per sample time, bit for bit the row a snapshot shows there; snapshot rows
+    before t = 0 are the history's.
 
-    DST-I diagonalises the second difference, eigenvalues -mu_j = -4 sin^2(j pi / (2 nx))
-    (Strang, SIAM Review 41, 1999): there a step is Y_{n+1} = q Y_n + g (Z_n + Z_{n+1}), Z the
-    source rows, q = (1 - r mu / 2) / (1 + r mu / 2), g = a dt / (2 (1 + r mu / 2)).  Blocks
-    of at most ns steps, which read rows stored before them, are transformed, stepped row by
-    row and transformed back into grid rows.
+    DST-I diagonalises the second difference, eigenvalues -mu_j = -4 sin^2(j pi / (2 nx)) (Strang,
+    SIAM Review 41, 1999): there a step is Y_{n+1} = q Y_n + g (Z_n + Z_{n+1}), Z the source rows,
+    q = (1 - r mu / 2) / (1 + r mu / 2), g = a dt / (2 (1 + r mu / 2)).  The state stays in sine
+    coordinates in two (ns + 1)-row buffers: `prev` holds the window the current one reads (for
+    window 0 the history, transformed once, ending in phi(0^-)), and `cur` the rows Y_{n0} ..
+    Y_{n0 + ns} it steps into.  Only the rows the samples and snapshots need go back to the grid.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
-    outside = [t for t in z_sample_times if not 0.0 <= t <= T]
-    if outside:
-        raise InvalidArgumentError(f"transport snapshot time {outside[0]:g} outside [0, T = {T:g}]")
+    for what, ts in (("sample", sample_times), ("transport snapshot", z_sample_times)):
+        outside = [t for t in ts if not _in_horizon(t, T)]
+        if outside:
+            raise InvalidArgumentError(f"{what} time {outside[0]:g} outside [0, T = {T:g}]")
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
-    s = np.linspace(0.0, tau, ns + 1)
-    times = _step_grid(tau, dt, T)[1]
+    s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
+    step = lambda t: min(int(np.searchsorted(times, t - GRID_RTOL * max(1.0, abs(t)))), n_steps)
+    samples, snaps = [step(t) for t in sample_times], [step(t) for t in z_sample_times]
+    # the steps whose rows go back to the grid: the samples and each snapshot's delay line
+    need = np.array(sorted({*samples, *(k for n in snaps for k in range(max(0, n - ns), n + 1))}), int)
 
     y0 = np.asarray(y0_grid, dtype=float)
     if y0.shape != (nx + 1,):
         raise InvalidArgumentError(f"initial grid data must have {nx + 1} nodes")
-    # rows[j] = phi(-s[ns - j]) for j < ns, rows[ns + n] = y(t_n); hist_end = phi(0^-)
-    rows, hist_end = np.zeros((ns + n_steps + 1, nx + 1)), np.zeros(nx + 1)
+    # hist[j] = phi(-s[ns - j]), hist[ns] = phi(0^-); prev = their transforms, window 0's source
+    hist, prev = np.zeros((ns + 1, nx + 1)), np.zeros((ns + 1, nx - 1))
     if history_grid is not None:
-        hist = history_grid(-s[::-1])
-        rows[:ns], hist_end = hist[:ns], hist[ns]
-    rows[ns, 1:-1] = y0[1:-1]
+        hist[:] = history_grid(-s[::-1])
+        for b in range(0, ns + 1, _BLOCK):
+            prev[b:b + _BLOCK] = _sine(hist[b:b + _BLOCK, 1:-1])
 
     half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
-    y, block = _sine(y0[1:-1]), min(ns, _BLOCK)
-    starts = [*range(0, min(ns, n_steps), block), *range(ns, n_steps, block)]
-    for n0, n1 in zip(starts, starts[1:] + [n_steps]):      # the steps n0 .. n1 - 1
-        z = _sine(rows[n0:n1 + 1, 1:-1])
-        if n1 == ns:                        # the step that ends at t = tau reads phi(0^-)
-            z[-1] = _sine(hist_end[1:-1])
-        src = g * (z[:-1] + z[1:])
-        for i in range(n1 - n0):
-            src[i] += q * y
-            y = src[i]
-        rows[ns + n0 + 1:ns + n1 + 1, 1:-1] = _sine(src) / (2 * nx)
+    cur, spec, y = np.empty_like(prev), np.empty((len(need), nx - 1)), _sine(y0[1:-1])
+    for n0 in range(0, n_steps, ns):        # the window of steps n0 .. n0 + m - 1
+        m = min(ns, n_steps - n0)
+        cur[0] = y
+        np.add(prev[:m], prev[1:m + 1], out=cur[1:m + 1])
+        cur[1:m + 1] *= g
+        for i in range(1, m + 1):
+            cur[i] += q * cur[i - 1]
+        lo, hi = np.searchsorted(need, (n0, n0 + m + 1))
+        spec[lo:hi] = cur[need[lo:hi] - n0]
+        y, prev, cur = cur[m], cur, prev
 
-    z_snapshots = {}
-    for t_snap in z_sample_times:
-        n = min(int(np.searchsorted(times, t_snap - GRID_RTOL * max(1.0, abs(t_snap)))), n_steps)
-        z_snapshots[t_snap] = rows[n:n + ns + 1][::-1]
-    return HybridTrace(times, np.linspace(0.0, L, nx + 1), rows[ns:], s, z_snapshots)
+    rows = np.zeros((len(need), nx + 1))
+    for b in range(0, len(need), _BLOCK):
+        rows[b:b + _BLOCK, 1:-1] = _sine(spec[b:b + _BLOCK]) / (2 * nx)
+    rows[need == 0, 1:-1] = y0[1:-1]        # y(0) is the data itself, not its round trip
+    at = lambda n: np.searchsorted(need, n)
+    z_snapshots = {t: np.concatenate([rows[at(max(0, n - ns)):at(n) + 1][::-1], hist[n:ns][::-1]])
+                   for t, n in zip(z_sample_times, snaps)}
+    return HybridTrace(times, np.linspace(0.0, L, nx + 1), rows[at(samples)], s, z_snapshots)

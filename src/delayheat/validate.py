@@ -171,7 +171,8 @@ def _hybrid_error_at(n: int, t_end: float, params: FlowParams, basis: EigenBasis
     mesh = MeshParams(nx=n, ns=2 * n)      # time step tau / (2n)
     emat = basis.eval_matrix(basis.mesh(n))
     hist_fn = None if phi is None else (lambda g: phi.coeffs(g) @ emat.T)
-    trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, t_end, params.a, params.tau, basis.L)
+    trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, t_end, params.a, params.tau, basis.L,
+                            sample_times=(t_end,))
     exact = (flow_apply(y0, t_end, params).coeffs if phi is None
              else y0.coeffs * np.exp(phi.rates * t_end))
     diff = trace.values[-1] - emat @ exact

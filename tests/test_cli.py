@@ -233,6 +233,20 @@ def test_simulate_rejects_times_off_the_solver_grid(tmp_path, capsys, solver, ex
     assert json.loads((out / "manifest.json").read_text())["health"]["snap_max_offset"] < 2e-10
 
 
+def test_simulate_hybrid_takes_a_last_time_just_below_its_sample(tmp_path):
+    # T = 1.9999999999 is the largest requested time and its sample 2.0 lies past it;
+    # the run exited 2 with "sample time 2 outside [0, T = 2]", and a dump time just
+    # past T was rejected the same way
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.solver", "hybrid", "--hybrid.nx", "40",
+                 "--hybrid.ns", "50", "--run.times", "0 1.9999999999",
+                 "--hybrid.z_dump_times", "2.0000000001"]) == 0
+    assert float(read_csv(out / "trace_coeffs.csv")[-1]["t"]) == 2.0
+    assert (out / "transport_t2.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["health"]["snap_max_offset"] < 2e-10
+
+
 @pytest.mark.parametrize("solver, extra, message", [
     ("picard", ["--run.times", "0 0.3"],
      "run.times: t = 0.3 is off the picard grid of step h = 0.015625; its nearest sample is "

@@ -12,6 +12,7 @@ from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentEr
                        ModeDDEConfig,
                        SpectralField, compatible_history, delayed_exp, flow_apply,
                        hybrid_simulate, rk4_dde_mode, semigroup_apply)
+from delayheat.basis import _step_grid
 from delayheat.refsolvers import _phi123
 
 PI2 = math.pi**2
@@ -179,7 +180,8 @@ def test_oracles_read_the_history_once_per_set_of_gammas():
                                history=history(3)), 2.5)
     assert calls == [(101,), (100,)]
     calls.clear()
-    hybrid_simulate(np.zeros(17), history(17), MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0)
+    hybrid_simulate(np.zeros(17), history(17), MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
+                    sample_times=())
     assert calls == [(9,)]
 
 
@@ -198,20 +200,47 @@ def test_hybrid_mesh_validation():
     with pytest.raises(InvalidArgumentError):
         MeshParams(nx=10, ns=1)
     with pytest.raises(InvalidArgumentError):
-        hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 0.0, 1.0, 1.0)
+        hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 0.0, 1.0, 1.0, sample_times=())
     with pytest.raises(InvalidArgumentError):
-        hybrid_simulate(np.zeros(16), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0)
+        hybrid_simulate(np.zeros(16), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0, sample_times=())
+    with pytest.raises(TypeError, match="sample_times"):       # required: () would be no rows
+        hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("t_snap", [2.5, -1.0, math.nan])
-def test_hybrid_rejects_snapshot_time_outside_horizon(t_snap):
+@pytest.mark.parametrize("kind, t_snap", [
+    *(pytest.param("z_sample_times", t, id=f"{t}") for t in (2.5, -1.0, math.nan)),
+    *(pytest.param("sample_times", t, id=f"sample-{t}") for t in (2.5, -1.0, math.nan)),
+])
+def test_hybrid_rejects_snapshot_time_outside_horizon(kind, t_snap):
     # a snapshot past T or before 0 was dropped or clamped to t = 0 without a word
     with pytest.raises(InvalidArgumentError, match=r"outside \[0, T = 2\]"):
         hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
-                        z_sample_times=(0.5, t_snap))
+                        **{"sample_times": (), kind: (0.5, t_snap)})
     tr = hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
-                         z_sample_times=(0.0, 2.0))
+                         sample_times=(0.0, 2.0), z_sample_times=(0.0, 2.0))
     assert set(tr.z_snapshots) == {0.0, 2.0}
+    assert tr.values.shape == (2, 17)
+
+
+def test_hybrid_takes_times_within_rounding_of_the_horizon_as_its_ends():
+    # 3 (1 / 10) rounds to 0.30000000000000004 > T = 0.3, and a caller that snaps its
+    # times to that grid passes that step; it was rejected as outside [0, T]
+    y0_grid, hist = _hybrid_inputs(16)
+    mesh = MeshParams(nx=16, ns=10)
+    ref = hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0, sample_times=(0.0, 0.3),
+                          z_sample_times=(0.3,))
+    assert ref.times[-1] > 0.3
+    ends = (-1e-10, float(ref.times[-1]))
+    tr = hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0, sample_times=ends,
+                         z_sample_times=ends[1:])
+    assert np.array_equal(tr.values, ref.values)
+    assert np.array_equal(tr.z_snapshots[ends[1]], ref.z_snapshots[0.3])
+    assert len(hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0,
+                               sample_times=tuple(ref.times)).values) == 4
+    # the slack is GRID_RTOL max(1, |t|), not more
+    for t in (-2e-9, 0.3 + 2e-9):
+        with pytest.raises(InvalidArgumentError, match=r"outside \[0, T = 0.3\]"):
+            hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0, sample_times=(t,))
 
 
 def test_hybrid_zero_coupling_is_pure_heat():
@@ -220,7 +249,7 @@ def test_hybrid_zero_coupling_is_pure_heat():
     n = 160
     xs, emat = _basis_grid(basis, n)
     mesh = MeshParams(nx=n, ns=80)             # time step 1/80
-    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 0.5, 0.0, 1.0)
+    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 0.5, 0.0, 1.0, sample_times=(0.5,))
     ref = emat @ semigroup_apply(y0, 0.5).coeffs
     err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
     assert err <= 5e-5
@@ -234,7 +263,7 @@ def test_hybrid_before_delay_arrival_matches_pure_heat():
     n = 200
     xs, emat = _basis_grid(basis, n)
     mesh = MeshParams(nx=n, ns=2 * n)
-    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 0.8, 1.0, 1.0)
+    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 0.8, 1.0, 1.0, sample_times=(0.8,))
     ref = emat @ semigroup_apply(y0, 0.8).coeffs
     err = np.max(np.abs(tr.values[-1] - ref))
     assert err <= 1e-6
@@ -248,12 +277,18 @@ def _hybrid_inputs(n):
     return emat @ y0.coeffs, (lambda g: phi.coeffs(g) @ emat.T)
 
 
+def _every_step(T, tau, ns):
+    # the step grid as sample times; its last step, at T or up to a step past it, is sampled as T
+    return tuple(np.minimum(_step_grid(tau, tau / ns, T)[1], T))
+
+
 def test_hybrid_transport_is_exact_shift_of_history():
     # z(t, s) = phi(t - s) for s > t and y(t - s) for s <= t, bit for bit; the
     # history rows come from the one call phi(-tau), ..., phi(0^-) the simulator makes
     y0_grid, hist = _hybrid_inputs(40)
     mesh = MeshParams(nx=40, ns=20)
-    tr = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, z_sample_times=(0.3, 2.0))
+    tr = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, sample_times=_every_step(2.0, 1.0, 20),
+                         z_sample_times=(0.3, 2.0))
     phi_rows = hist(-tr.s[::-1])
     for t_snap in (0.3, 2.0):
         n = int(round(t_snap * mesh.ns))
@@ -269,10 +304,36 @@ def test_hybrid_delay_loop_returns_previous_temperature():
     y0_grid, hist = _hybrid_inputs(50)
     mesh = MeshParams(nx=50, ns=40)
     times = (1.0, 1.5, 2.0)
-    tr = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, z_sample_times=times)
-    for t_snap in times:
-        n = int(round(t_snap * mesh.ns))
-        assert np.array_equal(tr.z_snapshots[t_snap][-1], tr.values[n - mesh.ns])
+    tr = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.0, 0.5, 1.0),
+                         z_sample_times=times)
+    for i, t_snap in enumerate(times):
+        assert np.array_equal(tr.z_snapshots[t_snap][-1], tr.values[i])
+
+
+@pytest.mark.parametrize("history, most", [(False, 2), (True, 40 + 3)], ids=["zero", "history"])
+def test_hybrid_transforms_only_the_history_and_the_sampled_rows(monkeypatch, history, most):
+    # the state stays in sine coordinates over 3 delay windows: y0 and the history's
+    # ns + 1 rows go forward once and only the sampled row comes back (a stepper that
+    # stores grid rows transforms about 2 rows per step, 240 here)
+    import delayheat.refsolvers as rs
+    counted, sine = [], rs._sine
+    monkeypatch.setattr(rs, "_sine", lambda v: counted.append(math.prod(v.shape[:-1])) or sine(v))
+    xs = np.linspace(0.0, 1.0, 33)
+    y0 = np.sin(math.pi * xs)
+    hist = (lambda g: np.multiply.outer(np.cos(g), y0)) if history else None
+    tr = hybrid_simulate(y0, hist, MeshParams(nx=32, ns=40), 3.0, 1.0, 1.0, sample_times=(3.0,))
+    assert tr.values.shape == (1, 33) and len(tr.times) == 121
+    assert sum(counted) <= most
+
+
+def test_hybrid_sampled_rows_equal_the_full_grid_rows():
+    y0_grid, hist = _hybrid_inputs(40)
+    mesh = MeshParams(nx=40, ns=20)
+    full = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0,
+                           sample_times=_every_step(2.0, 1.0, 20))
+    some = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.35, 1.0, 2.0))
+    assert np.array_equal(some.values, full.values[[7, 20, 40]])
+    assert np.array_equal(full.values[0, 1:-1], y0_grid[1:-1])      # y(0) is the data itself
 
 
 def test_hybrid_cross_validates_closed_form():
@@ -282,7 +343,7 @@ def test_hybrid_cross_validates_closed_form():
     n = 200
     xs, emat = _basis_grid(basis, n)
     mesh = MeshParams(nx=n, ns=2 * n)
-    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 2.0, 1.0, 1.0)
+    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 2.0, 1.0, 1.0, sample_times=(2.0,))
     ref = emat @ flow_apply(y0, 2.0, params).coeffs
     err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
     assert err <= 1e-3
@@ -327,7 +388,8 @@ def test_hybrid_equals_out_of_place_reference(nx, ns, z_time):
     y0 = np.sin(math.pi * xs) + xs * (1.0 - xs)
     hist = lambda g: np.multiply.outer(np.cos(3.0 * g), y0)
     T = 1.3
-    tr = hybrid_simulate(y0, hist, MeshParams(nx, ns), T, -1.3, 1.0, z_sample_times=(z_time, T))
+    tr = hybrid_simulate(y0, hist, MeshParams(nx, ns), T, -1.3, 1.0,
+                         sample_times=_every_step(T, 1.0, ns), z_sample_times=(z_time, T))
     ref_values, ref_z_early, ref_z = _hybrid_out_of_place(y0, hist, MeshParams(nx, ns), T, -1.3,
                                                           1.0, z_time)
     # the sine-transform steps round differently from the banded solve
