@@ -55,6 +55,8 @@ class EigenBasis:
 
     def mesh(self, nx: int) -> np.ndarray:
         """Uniform mesh with nx intervals, including both endpoints."""
+        if nx < 1:
+            raise InvalidArgumentError(f"a mesh needs at least 1 interval, got nx = {nx}")
         return np.linspace(0.0, self.L, nx + 1)
 
 

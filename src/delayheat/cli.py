@@ -10,7 +10,12 @@ Configuration is a flat "key = value" file with sections; every option can be
 overridden on the command line as ``--section.key value``; a section or key
 that DEFAULT_CONFIG does not name is rejected.  The environment
 variable DELAY_HEAT_OUT overrides the output directory.  Exit codes: 0 success,
-1 numerical failure, 2 configuration error.
+1 numerical failure or any error a solver raises, 2 configuration error.
+
+Importing this module loads only numpy, `basis`, `flow`, `io` and `errors`; the
+stepping solvers load `refsolvers`, `diagnose` loads `diagnostics`, and `validate`
+and `figure6` load `validate`.  The manifest's phases.import_s, the seconds from
+the start of `import delayheat` to the end of this import, is one value per process.
 """
 
 from __future__ import annotations
@@ -22,19 +27,15 @@ import os
 import platform
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import io as dio
+from . import __version__, _import_started, io as dio
 from .basis import EigenBasis, SpectralField, _step_grid, dirac_coeffs, project
-from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_report
 from .errors import InvalidArgumentError, NonFiniteOutputError, UnsupportedConfigurationError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
-from .refsolvers import GRID_RTOL, MeshParams, ModeDDEConfig, _in_horizon, hybrid_simulate, rk4_dde_mode
-from .validate import SUITE_NAMES, figure_panels, run_suite
 
 DEFAULT_CONFIG = {
     "model": {"length": "1.0", "modes": "60", "tau": "1.0", "coupling": "1.0", "j_max": "128"},
@@ -61,7 +62,10 @@ def load_config(path: str | None, overrides: list[tuple[str, str]]) -> configpar
         section, option = key.split(".", 1)
         if not cfg.has_section(section):
             cfg.add_section(section)
-        cfg.set(section, option, value)
+        try:
+            cfg.set(section, option, value)
+        except ValueError as exc:       # the interpolation rejects a stray '%'
+            raise InvalidArgumentError(f"{key}: {exc}") from None
     for section in cfg.sections():
         if section not in DEFAULT_CONFIG:
             raise InvalidArgumentError(f"unknown config section [{section}]")
@@ -73,15 +77,26 @@ def load_config(path: str | None, overrides: list[tuple[str, str]]) -> configpar
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        values = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot parse float list from {text!r}") from exc
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError(f"non-finite value in float list {text!r}")
+    return values
+
+
+def _num(cfg, key: str, kind=float):
+    """The config value "section.key" as `kind`; text that does not parse raises naming the key."""
+    try:
+        return kind(cfg.get(*key.split(".")))
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{key}: {exc}") from None
 
 
 def build_model(cfg) -> tuple[EigenBasis, FlowParams]:
-    m = cfg["model"]
-    basis = EigenBasis(m.getfloat("length"), m.getint("modes"))
-    params = FlowParams(a=m.getfloat("coupling"), tau=m.getfloat("tau"), j_max=m.getint("j_max"))
+    basis = EigenBasis(_num(cfg, "model.length"), _num(cfg, "model.modes", int))
+    params = FlowParams(a=_num(cfg, "model.coupling"), tau=_num(cfg, "model.tau"),
+                        j_max=_num(cfg, "model.j_max", int))
     return basis, params
 
 
@@ -89,7 +104,7 @@ def build_initial(cfg, basis: EigenBasis) -> SpectralField:
     sec = cfg["initial"]
     kind = sec.get("kind")
     if kind == "dirac":
-        return dirac_coeffs(sec.getfloat("x0"), basis)
+        return dirac_coeffs(_num(cfg, "initial.x0"), basis)
     if kind == "modes":
         return SpectralField.from_modes(basis, _floats(sec.get("modes")))
     if kind == "polynomial":
@@ -111,7 +126,7 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
         return ExpModeHistory(SpectralField.from_modes(basis, _floats(sec.get("profile"))), 0.0)
     if kind == "exp":
         return ExpModeHistory(SpectralField.from_modes(basis, _floats(sec.get("profile"))),
-                              sec.getfloat("rate"))
+                              _num(cfg, "history.rate"))
     if kind == "compatible":
         return compatible_history(y0, params)
     if kind == "grid":
@@ -119,7 +134,7 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
         if not path:
             raise InvalidArgumentError("history kind 'grid' needs history.file")
         times, rows = dio.read_grid_history_csv(path, basis)
-        phi = GridHistory(times, rows, basis, sec.getint("interp_order"))
+        phi = GridHistory(times, rows, basis, _num(cfg, "history.interp_order", int))
         phi.pieces(params.tau)      # rejects samples that do not span [-tau, 0]
         return phi
     raise InvalidArgumentError(f"unknown history kind {kind!r}")
@@ -127,6 +142,7 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
 
 def _grid_index(trace_times: np.ndarray, wanted: list[float], what: str, solver: str) -> list[int]:
     """Index of the solver sample at each instant; one farther than GRID_RTOL max(1, |t|) raises."""
+    from .refsolvers import GRID_RTOL
     idx = [int(np.argmin(np.abs(trace_times - t))) for t in wanted]
     for t, near in zip(wanted, trace_times[idx].tolist()):
         if not abs(near - t) <= GRID_RTOL * max(1.0, abs(t)):
@@ -147,19 +163,17 @@ class Manifest:
         self.data = {
             "command": command,
             "config": {s: dict(cfg[s]) for s in cfg.sections()},
-            "versions": {
-                "delayheat": _package_version(),
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-            },
+            "versions": {"delayheat": __version__, "python": platform.python_version(),
+                         "numpy": np.__version__},
             "outputs": [],
+            "phases": {"import_s": _IMPORT_S},
         }
         self._t0 = self._mark = time.perf_counter()
 
     def phase(self, name: str):
         """Record the seconds since the previous mark as phases[name + "_s"]."""
         now = time.perf_counter()
-        self.data.setdefault("phases", {})[f"{name}_s"] = round(now - self._mark, 6)
+        self.data["phases"][f"{name}_s"] = round(now - self._mark, 6)
         self._mark = now
 
     def add(self, path: Path, rows: int):
@@ -170,13 +184,6 @@ class Manifest:
         path = out_dir / "manifest.json"
         path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
         return path
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("delayheat")
-    except metadata.PackageNotFoundError:
-        return "0.1.0"
 
 
 def _out_dir(cfg) -> Path:
@@ -199,18 +206,20 @@ def cmd_simulate(cfg, args) -> int:
     if not times:
         raise InvalidArgumentError("run.times must name at least one instant")
     solver = cfg["run"].get("solver")
-    nx = cfg["run"].getint("nx")
+    nx = _num(cfg, "run.nx", int)
     # the stepping solvers' grids follow from the config: instants are checked before the solve
     T = max(max(times), params.tau)     # the stepping solvers' horizon
+    if solver in ("rk4-modes", "hybrid"):
+        from . import refsolvers as rs      # the oracles load only when one runs
     if solver == "picard":
-        grid = _step_grid(params.tau, cfg["picard"].getfloat("dt"), T, min_sub=4)[1]
+        grid = _step_grid(params.tau, _num(cfg, "picard.dt"), T, min_sub=4)[1]
     elif solver == "rk4-modes":
-        mode_cfg = ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,
-                                 dt=cfg["rk4"].getfloat("dt"), y0=y0.coeffs,
-                                 history=None if phi is None else phi.coeffs)
+        mode_cfg = rs.ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,
+                                    dt=_num(cfg, "rk4.dt"), y0=y0.coeffs,
+                                    history=None if phi is None else phi.coeffs)
         grid = _step_grid(mode_cfg.tau, mode_cfg.dt, T)[1]
     elif solver == "hybrid":
-        mesh = MeshParams(cfg["hybrid"].getint("nx"), cfg["hybrid"].getint("ns"))
+        mesh = rs.MeshParams(_num(cfg, "hybrid.nx", int), _num(cfg, "hybrid.ns", int))
         grid = _step_grid(params.tau, params.tau / mesh.ns, T)[1]
     elif solver != "closed-form":
         raise InvalidArgumentError(f"unknown solver {solver!r}")
@@ -221,7 +230,7 @@ def cmd_simulate(cfg, args) -> int:
     dumps = {}      # transport file name -> (requested t, grid index)
     if solver == "hybrid":
         z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
-        inside = [t for t in z_times if _in_horizon(t, T)]   # hybrid_simulate rejects the rest
+        inside = [t for t in z_times if rs._in_horizon(t, T)]   # hybrid_simulate rejects the rest
         for t, i in zip(inside, _grid_index(grid, inside, "hybrid.z_dump_times", solver)):
             name = f"transport_t{grid[i]:g}.csv"
             if name in dumps:
@@ -235,12 +244,12 @@ def cmd_simulate(cfg, args) -> int:
         trace = solve_trace(y0, phi, times, params)
         out_times, rows = trace.times, trace.coeffs
     elif solver == "picard":
-        n_iter = cfg["picard"].getint("n_iter")
-        trace = picard_solve(y0, phi, T, n_iter, cfg["picard"].getfloat("dt"), params)
+        n_iter = _num(cfg, "picard.n_iter", int)
+        trace = picard_solve(y0, phi, T, n_iter, _num(cfg, "picard.dt"), params)
         out_times, rows = trace.times[idx], trace.coeffs[idx]
         health.update(h=float(trace.times[1]), n_iter=n_iter, residuals=trace.residuals.tolist())
     elif solver == "rk4-modes":
-        trace = rk4_dde_mode(mode_cfg, T)
+        trace = rs.rk4_dde_mode(mode_cfg, T)
         out_times, rows = trace.times[idx], trace.values[idx]
         health["h"] = float(trace.times[1])
     else:
@@ -248,8 +257,8 @@ def cmd_simulate(cfg, args) -> int:
         emat = basis.eval_matrix(xs_h)
         hist_fn = None if phi is None else (lambda g: phi.coeffs(g) @ emat.T)
         out_times, h = grid[idx], float(grid[1])
-        trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T, params.a, params.tau, basis.L,
-                                sample_times=tuple(out_times), z_sample_times=tuple(z_times))
+        trace = rs.hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T, params.a, params.tau, basis.L,
+                                   sample_times=tuple(out_times), z_sample_times=tuple(z_times))
         rows = _project_grid_rows(trace.values, xs_h, basis)
         health.update(h=h, r=h / (basis.L / mesh.nx) ** 2)
 
@@ -307,16 +316,19 @@ print("wrote figure6.png")
 
 
 def cmd_figure6(cfg, args) -> int:
+    from .validate import figure_panels
     basis, params = build_model(cfg)
     if cfg["initial"].get("kind") != "dirac":
         raise UnsupportedConfigurationError("figure6 needs point-mass initial data (initial.kind = dirac)")
     if cfg["history"].get("kind") != "zero":
         raise UnsupportedConfigurationError("figure6 is defined for zero history only")
     times = sorted(_floats(cfg["run"].get("times")))
+    if not times:
+        raise InvalidArgumentError("run.times must name at least one instant")
     out = _out_dir(cfg)
     manifest = Manifest("figure6", cfg)
-    xs, panels = figure_panels(times, cfg["initial"].getfloat("x0"), basis.K,
-                               cfg["run"].getint("nx"), basis.L, params)
+    xs, panels = figure_panels(times, _num(cfg, "initial.x0"), basis.K, _num(cfg, "run.nx", int),
+                               basis.L, params)
     data_path = out / "figure6_data.csv"
     values = np.stack([panels[t] for t in times])
     manifest.add(data_path, dio.write_grid_trace_csv(np.asarray(times), xs, values, data_path))
@@ -329,14 +341,11 @@ def cmd_figure6(cfg, args) -> int:
 
 
 def cmd_validate(cfg, args) -> int:
-    try:
-        results = run_suite(args.suite)
-    except InvalidArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    from .validate import run_suite
+    results = run_suite(args.suite)     # an unknown suite raises InvalidArgumentError: exit 2
     out = _out_dir(cfg)
     manifest = Manifest("validate", cfg)
-    manifest.data["phases"] = {f"{res.suite}_s": round(res.seconds, 6) for res in results}
+    manifest.data["phases"].update((f"{res.suite}_s", round(res.seconds, 6)) for res in results)
     lines = []
     for res in results:
         for row in res.rows:
@@ -355,6 +364,7 @@ def cmd_validate(cfg, args) -> int:
 
 
 def cmd_diagnose(cfg, args) -> int:
+    from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_report
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
@@ -396,14 +406,13 @@ def _parse(argv):
         description="Delayed heat equation: solvers, experiments and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "figure6", "diagnose"):
+    for name in ("simulate", "figure6", "diagnose", "validate"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value config file with sections")
         if name == "diagnose":
             p.add_argument("--order", type=int, default=1, help="compatibility order r")
-    pv = sub.add_parser("validate")
-    pv.add_argument("--config", default=None)
-    pv.add_argument("--suite", default="all", help=f"one of {', '.join(SUITE_NAMES)}")
+        if name == "validate":
+            p.add_argument("--suite", default="all", help="a suite, or all; an unknown name lists them")
     args, extra = parser.parse_known_args(argv)
     overrides = []
     i = 0
@@ -432,8 +441,7 @@ def main(argv=None) -> int:
     except NonFiniteOutputError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (InvalidArgumentError, UnsupportedConfigurationError,
-            configparser.Error, ValueError) as exc:
+    except (InvalidArgumentError, UnsupportedConfigurationError, configparser.Error) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
@@ -447,6 +455,8 @@ def main(argv=None) -> int:
 def entry():
     sys.exit(main())
 
+
+_IMPORT_S = round(time.perf_counter() - _import_started, 6)    # this module's import ends here
 
 if __name__ == "__main__":
     entry()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import delayheat
 from delayheat import EigenBasis, FlowParams, SpectralField, semigroup_apply
 from delayheat.cli import main
 
@@ -56,6 +57,7 @@ def test_simulate_writes_traces_and_manifest(tmp_path):
     grid_rows = read_csv(out / "trace_grid.csv")
     assert len(grid_rows) == 3 * 41
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["delayheat"] == delayheat.__version__
     by_name = {o["file"]: o["rows"] for o in manifest["outputs"]}
     assert by_name["trace_coeffs.csv"] == len(rows)
     assert by_name["trace_grid.csv"] == len(grid_rows)
@@ -68,9 +70,12 @@ def test_simulate_manifest_records_phase_times(tmp_path):
     assert main(["simulate", "--config", cfg]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     phases = manifest["phases"]
-    assert set(phases) == {"build_s", "solve_s", "write_s"}
+    assert set(phases) == {"import_s", "build_s", "solve_s", "write_s"}
     assert all(v >= 0.0 for v in phases.values())
-    assert sum(phases.values()) <= manifest["wall_seconds"] + 1e-5
+    # the import happened before the command started, so wall_seconds does not hold it
+    assert phases["import_s"] > 0.0
+    run = [phases[k] for k in ("build_s", "solve_s", "write_s")]
+    assert sum(run) <= manifest["wall_seconds"] + 1e-5
 
 
 def test_simulate_deterministic_byte_identical(tmp_path):
@@ -268,12 +273,14 @@ def test_simulate_rejects_off_grid_times_before_the_solve(tmp_path, capsys, monk
                                                          extra, message):
     # the grid is known from the config, so no solver runs for a time that is off it
     import delayheat.cli as cli
+    import delayheat.refsolvers as refsolvers
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran")
 
-    for name in ("picard_solve", "rk4_dde_mode", "hybrid_simulate"):
-        monkeypatch.setattr(cli, name, no_solve)
+    monkeypatch.setattr(cli, "picard_solve", no_solve)
+    for name in ("rk4_dde_mode", "hybrid_simulate"):    # cli reads the oracles off refsolvers
+        monkeypatch.setattr(refsolvers, name, no_solve)
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
     assert main(["simulate", "--config", cfg, "--run.solver", solver] + extra) == 2
@@ -289,7 +296,7 @@ def test_validate_prints_suite_wall_time(tmp_path, capsys):
         assert next(csv.reader(fh)) == ["suite", "check", "status", "value", "threshold", "detail"]
     # the printed wall time is the one the manifest records
     phases = json.loads((tmp_path / "v" / "manifest.json").read_text())["phases"]
-    assert list(phases) == ["jumps_s"] and phases["jumps_s"] > 0.0
+    assert list(phases) == ["import_s", "jumps_s"] and phases["jumps_s"] > 0.0
     assert lines[0].startswith("suite jumps: 12 checks in ")
     assert abs(float(lines[0].split()[-2]) - phases["jumps_s"]) <= 5e-4 + 1e-9
 
@@ -310,12 +317,35 @@ def test_simulate_hybrid_solver_runs(tmp_path):
     assert got and abs(got[0] - ref) <= 1e-3
 
 
-def test_simulate_rejects_bad_config(tmp_path):
+def test_simulate_rejects_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=tmp_path / "out"))
     assert main(["simulate", "--config", cfg, "--run.solver", "nonsense"]) == 2
     assert main(["simulate", "--config", cfg, "--model.tau", "-1.0"]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.ini")]) == 2
+    capsys.readouterr()
     assert main(["simulate", "--config", cfg, "--model.modes", "not_an_int"]) == 2
+    assert capsys.readouterr().err == ("configuration error: model.modes: invalid literal for "
+                                       "int() with base 10: 'not_an_int'\n")
+    # values that numpy or configparser reject with a bare ValueError stay configuration errors
+    for argv, name in ((["--run.times", "0 nan"], "non-finite"), (["--model.tau", "1%"], "model.tau"),
+                       (["--run.nx", "-3"], "nx = -3"), (["--run.nx", "0"], "nx = 0")):
+        assert main(["simulate", "--config", cfg, *argv]) == 2
+        assert name in capsys.readouterr().err
+    assert main(["figure6", "--run.times", "", "--run.out_dir", str(tmp_path / "fig")]) == 2
+    assert "run.times" in capsys.readouterr().err
+
+
+def test_solver_value_error_exits_1(tmp_path, capsys, monkeypatch):
+    # a ValueError from inside a solve is a failure of the run, not of the configuration
+    import delayheat.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "solve_trace", broken)
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=tmp_path / "out"))
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: operands could not be broadcast together\n"
 
 
 def test_load_config_rejects_unknown_keys(tmp_path, capsys):
@@ -452,8 +482,8 @@ def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeyp
 
 
 def test_cold_path_loads_no_scipy(tmp_path):
-    # the import and every subcommand, solver and history kind run on numpy alone
-    import delayheat
+    # the import and every subcommand, solver and history kind run on numpy alone; the
+    # import loads only the modules every subcommand uses, and no importlib.metadata
     hist = tmp_path / "hist.csv"
     hist.write_text("gamma,k,coeff\n-1,1,0.5\n-0.5,1,0.8\n-0.25,1,0.9\n0,1,1\n")
     grid = ["--history.kind", "grid", "--history.file", str(hist)]
@@ -462,18 +492,24 @@ def test_cold_path_loads_no_scipy(tmp_path):
     runs += [["simulate", *grid, "--history.interp_order", order] for order in ("1", "3")]
     runs += [["simulate", "--run.solver", "hybrid", *grid, "--history.interp_order", "3",
               "--hybrid.z_dump_times", "0.5 2.5"],
-             ["figure6"], ["diagnose", "--order", "2", "--history.kind", "compatible"],
+             ["diagnose", "--order", "2", "--history.kind", "compatible"], ["figure6"],
              ["validate", "--suite", "hybrid"]]
     script = """
 import json, sys
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def deferred():
+    return sorted(m[len("delayheat."):] for m in sys.modules if m.startswith("delayheat.")
+                  and m not in ("delayheat.basis", "delayheat.flow", "delayheat.io",
+                                "delayheat.errors", "delayheat.cli"))
+def state():
+    return f"{loaded()} {deferred()} {'importlib.metadata' in sys.modules}"
 import delayheat.cli as cli
-print("loaded: import", loaded())
+print("loaded: import", state(), sorted(m for m in sys.modules if m.startswith("delayheat")))
 out = sys.argv[1]
 for i, argv in enumerate(json.loads(sys.argv[2])):
     rc = cli.main(argv + ["--run.out_dir", f"{out}/{i}"])
-    print("loaded:", " ".join(argv), rc, loaded())
+    print("loaded:", " ".join(argv), rc, state())
 """
     env = dict(os.environ)
     env.pop("DELAY_HEAT_OUT", None)
@@ -483,9 +519,35 @@ for i, argv in enumerate(json.loads(sys.argv[2])):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = [ln[len("loaded: "):] for ln in proc.stdout.splitlines() if ln.startswith("loaded: ")]
-    assert lines == ["import []"] + [" ".join(argv) + " 0 []" for argv in runs]
+    eager = ["delayheat", "delayheat.basis", "delayheat.cli", "delayheat.errors",
+             "delayheat.flow", "delayheat.io"]
+    # one process runs them all, so what a run loads stays loaded for the next ones:
+    # closed-form loads nothing deferred, the stepping solvers refsolvers only (picard
+    # through its grid check), diagnose adds diagnostics, and figure6 adds validate
+    deferred = ([[]] + [["refsolvers"]] * 6 + [["diagnostics", "refsolvers"]]
+                + [["diagnostics", "refsolvers", "validate"]] * 2)
+    assert lines == [f"import [] [] False {eager}"] + [
+        f"{' '.join(argv)} 0 [] {mods} False" for argv, mods in zip(runs, deferred)]
     assert sorted(p.name for p in (tmp_path / "6").glob("transport_t*.csv")) == [
         "transport_t0.5.csv", "transport_t2.5.csv"]
+    # every command records the one import time of its process
+    manifests = [json.loads((tmp_path / str(i) / "manifest.json").read_text())
+                 for i in range(len(runs))]
+    assert {m["command"] for m in manifests} == {"simulate", "diagnose", "figure6", "validate"}
+    import_s = {m["phases"]["import_s"] for m in manifests}
+    assert len(import_s) == 1 and 0.0 < import_s.pop() < 60.0
+
+
+def test_every_public_name_resolves_and_is_listed():
+    # the oracles and diagnostics are bound on first access (PEP 562)
+    import delayheat.refsolvers as refsolvers
+    listed = dir(delayheat)
+    for name in delayheat.__all__:
+        assert getattr(delayheat, name) is not None
+        assert name in listed
+    assert delayheat.rk4_dde_mode is refsolvers.rk4_dde_mode
+    with pytest.raises(AttributeError, match="no_such_name"):
+        delayheat.no_such_name
 
 
 def test_simulate_hybrid_rejects_dump_times_outside_horizon(tmp_path, capsys):
