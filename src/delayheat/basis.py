@@ -203,7 +203,10 @@ def _decay_scan(x: np.ndarray, q) -> np.ndarray:
 
 def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, np.ndarray]:
     """The stepping solvers' n_sub = round(tau / dt) steps per delay and grid k h, h = tau / n_sub,
-    up to the first step within 1e-9 h of T or past it; InvalidArgumentError if n_sub < min_sub."""
+    up to the first step within 1e-9 h of T or past it; InvalidArgumentError if dt is not a
+    positive finite number or n_sub < min_sub."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidArgumentError(f"grid step {dt} must be positive and finite")
     n_sub = round(tau / dt)
     if n_sub < min_sub:
         raise InvalidArgumentError(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import platform
@@ -400,7 +401,9 @@ def cmd_diagnose(cfg, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="delay-heat",
         description="Delayed heat equation: solvers, experiments and verification suites.",
@@ -413,7 +416,11 @@ def _parse(argv):
             p.add_argument("--order", type=int, default=1, help="compatibility order r")
         if name == "validate":
             p.add_argument("--suite", default="all", help="a suite, or all; an unknown name lists them")
-    args, extra = parser.parse_known_args(argv)
+    return parser
+
+
+def _parse(argv):
+    args, extra = _parser().parse_known_args(argv)
     overrides = []
     i = 0
     while i < len(extra):

@@ -464,6 +464,26 @@ out_dir = {out}
     assert main(["diagnose", "--config", cfg, "--order", "2"]) == 2
 
 
+@pytest.mark.parametrize("dt", ["0", "nan", "-1"])
+def test_picard_step_not_positive_and_finite_exits_2(tmp_path, monkeypatch, capsys, dt):
+    monkeypatch.setenv("DELAY_HEAT_OUT", str(tmp_path / "o"))
+    assert main(["simulate", "--run.solver", "picard", "--picard.dt", dt]) == 2
+    assert f"grid step {float(dt)} must be positive and finite" in capsys.readouterr().err
+
+
+def test_successive_main_calls_share_no_parser_state(tmp_path, monkeypatch):
+    # the parser is built once per process; an option given to one call is not a default
+    # of the next
+    monkeypatch.setenv("DELAY_HEAT_OUT", str(tmp_path / "o"))
+    argv = ["diagnose", "--model.modes", "8", "--history.kind", "compatible"]
+    orders = []
+    for extra in (["--order", "3"], []):
+        assert main(argv + extra) == 0
+        text = (tmp_path / "o" / "compatibility.txt").read_text()
+        orders.append(dict(line.split(" = ") for line in text.splitlines())["r"])
+    assert orders == ["3", "1"]
+
+
 def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeypatch, capsys):
     # with warnings as errors, a numpy overflow warning on the way would turn
     # into a generic error instead of the numerical-failure report; with zero

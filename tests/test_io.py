@@ -1,7 +1,10 @@
 import csv
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from delayheat import EigenBasis, InvalidArgumentError
@@ -129,7 +132,7 @@ def _trace_reference(path, header, heads, cols, values):
                 w.writerow([*head, col, dio.fmt(v)])
 
 
-@pytest.mark.parametrize("n_cols", [1, dio._CHUNK - 1, dio._CHUNK + 1, 301])
+@pytest.mark.parametrize("n_cols", [1, 31, 33, 301, dio._BLOCK - 1, dio._BLOCK + 1])
 @pytest.mark.parametrize("n_times", [0, 1, 3])
 def test_trace_writers_match_csv_writer_byte_for_byte(tmp_path, n_times, n_cols):
     values = np.resize(SPECIAL, n_times * n_cols + 1)[1:].reshape(n_times, n_cols)
@@ -150,3 +153,80 @@ def test_trace_writers_match_csv_writer_byte_for_byte(tmp_path, n_times, n_cols)
         assert write(got) == n_times * n_cols, name
         _trace_reference(want, header, heads, cols, values)
         assert got.read_bytes() == want.read_bytes(), name
+
+
+def _formatted(values) -> list[str]:
+    """The texts `_cells` holds for `values`."""
+    return [bytes(row).replace(b"\0", b"").decode() for row in dio._cells(values)]
+
+
+def _assert_formats_like_fmt(values):
+    values = np.asarray(values, dtype=float)
+    got, want = _formatted(values), [dio.fmt(v) for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def _ties() -> list[float]:
+    """Doubles whose exact decimal value has 18 significant digits ending in 5, so that
+    `%.17g` breaks a tie to even: h / 2^s for odd h, s = 2..25 (s = 24 and 25 are the ties
+    whose 10^(16 - e) is not a double)."""
+    rng = np.random.default_rng(5)
+    ties = [1e15 + 0.25]
+    for s in range(2, 26):
+        lo, hi = -(-10**17 // 5**s), min(10**18 // 5**s, 2**53)
+        for h in (rng.integers(lo, hi, 20).tolist() if hi - lo > 20 else range(lo, hi)):
+            digits = Decimal((h | 1) / 2**s).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append((h | 1) / 2**s)
+    return ties
+
+
+# Within 1e-15 of a tie but not on it: the double-double product rounds onto the tie,
+# and rounding that half to even gives the wrong last digit.
+NEAR_TIES = [9.168015998995436e+38, 6.680327267462135e+39, 9.039362603591881e+39,
+             1.8078725207183761e+40, 4.2698305731709663e+40]
+
+
+def test_cells_match_fmt_on_ties():
+    assert dio.fmt(1e15 + 0.25) == "1000000000000000.2"
+    ties = _ties()
+    assert len(ties) > 300
+    _assert_formats_like_fmt(ties + NEAR_TIES + [-v for v in ties + NEAR_TIES])
+
+
+def test_cells_match_fmt_on_decade_edges_and_specials():
+    edges = np.array([10.0**p for p in range(-300, 301)] + [1e-280, 1e280])
+    _assert_formats_like_fmt(
+        np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)]))
+    subnormals = np.random.default_rng(3).integers(1, 2**52, 200).view(np.float64)
+    _assert_formats_like_fmt([*SPECIAL, -0.0, 0.0, -5e-324, 2.2250738585072014e-308,
+                              np.nextafter(2.2250738585072014e-308, 0), 2.0**53, 2.0**53 + 2,
+                              1e16 + 2, 1e17 - 16, 0.0001, 0.00012, 1e16, 123.0, *subnormals])
+
+
+def test_cells_match_fmt_on_random_bit_patterns():
+    bits = np.random.default_rng(11).integers(0, 2**64, 10**5, dtype=np.uint64)
+    _assert_formats_like_fmt(bits.view(np.float64))
+
+
+def test_cells_of_no_values():
+    assert dio._cells(np.empty(0)).shape == (0, dio._WIDTH)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=40))
+def test_cells_match_fmt_property(values):
+    _assert_formats_like_fmt(values)
+
+
+def test_coeff_trace_over_several_blocks_matches_csv_writer(tmp_path):
+    # 240 modes: blocks of 17 whole rows, the last one partial, all of random bit patterns
+    bits = np.random.default_rng(13).integers(0, 2**64, (101, 240), dtype=np.uint64)
+    values, times = bits.view(np.float64), np.linspace(0.0, 2.5, 101)
+    got, want = tmp_path / "coeff.csv", tmp_path / "coeff_ref.csv"
+    assert dio.write_coeff_trace_csv(times, values, got) == values.size
+    _trace_reference(want, ["t", "k", "coeff"], [[dio.fmt(t)] for t in times],
+                     [str(k + 1) for k in range(240)], values)
+    assert got.read_bytes() == want.read_bytes()
