@@ -7,32 +7,27 @@ _import_started = time.perf_counter()       # cli records the seconds since as p
 
 from .basis import (EigenBasis, QuadratureRule, SpectralField, dirac_coeffs, hs_norm, project,
                     semigroup_apply)
-from .errors import (InvalidArgumentError, NonFiniteOutputError, TruncationExceededError,
-                     UndefinedEstimateError, UnsupportedConfigurationError)
-from .flow import (ExpModeHistory, FlowParams, GridHistory, SolutionTrace,
-                   characteristic_root, compatible_history, delayed_exp, derivative_jump,
-                   flow_apply, history_convolution, picard_solve, right_limit_derivative,
-                   solve, solve_trace)
+from .errors import InvalidArgumentError, NonFiniteOutputError, TruncationExceededError
+from .flow import (ExpModeHistory, FlowParams, GridHistory, SolutionTrace, characteristic_root,
+                   compatible_history, delayed_exp, flow_derivative_factors, history_convolution,
+                   picard_solve, solve_trace)
 
 __version__ = "0.1.0"
 
 # public name -> its submodule, imported on first access so that the cold path skips both
 _LAZY = (dict.fromkeys(("ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace",
                         "hybrid_simulate"), "refsolvers")
-         | dict.fromkeys(("RegularityEstimate", "regularity_scan", "lattice_jump_report",
-                          "off_lattice_probe", "CompatibilityReport", "compatibility_check",
-                          "endpoint_jump_scan"), "diagnostics"))
+         | dict.fromkeys(("lattice_jump_report", "off_lattice_probe", "CompatibilityReport",
+                          "compatibility_check", "endpoint_jump_scan"), "diagnostics"))
 
 __all__ = [
     "EigenBasis", "SpectralField", "QuadratureRule", "project", "semigroup_apply", "hs_norm",
     "dirac_coeffs",
     "FlowParams", "ExpModeHistory", "GridHistory", "SolutionTrace",
-    "delayed_exp", "flow_apply", "history_convolution", "solve", "solve_trace",
-    "right_limit_derivative", "derivative_jump", "picard_solve", "characteristic_root",
-    "compatible_history",
+    "delayed_exp", "flow_derivative_factors", "history_convolution", "solve_trace",
+    "picard_solve", "characteristic_root", "compatible_history",
     *_LAZY,
-    "InvalidArgumentError", "TruncationExceededError", "UndefinedEstimateError",
-    "UnsupportedConfigurationError", "NonFiniteOutputError",
+    "InvalidArgumentError", "TruncationExceededError", "NonFiniteOutputError",
 ]
 
 

@@ -144,26 +144,12 @@ class QuadratureRule:
         if self.panels_per_unit < 1:
             raise InvalidArgumentError("panels_per_unit must be >= 1")
 
-    def points_weights(self, a: float, b: float, breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights on [a, b], with panel edges forced at the given breakpoints.
-
-        Breakpoints outside (a, b) are ignored; the integrand is assumed smooth
-        between consecutive edges.
-        """
+    def points_weights(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights on [a, b]; empty when b <= a."""
         if not b > a:
             return np.empty(0), np.empty(0)
-        edges = [a, b]
-        for p in breakpoints:
-            if a < p < b:
-                edges.append(p)
-        edges = sorted(set(edges))
-        pts, wts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n_panels = max(1, math.ceil((hi - lo) * self.panels_per_unit))
-            x, w = _gauss_panels(np.linspace(lo, hi, n_panels + 1), self.nodes)
-            pts.append(x)
-            wts.append(w)
-        return np.concatenate(pts), np.concatenate(wts)
+        n_panels = max(1, math.ceil((b - a) * self.panels_per_unit))
+        return _gauss_panels(np.linspace(a, b, n_panels + 1), self.nodes)
 
 
 def project(f: Callable[[np.ndarray], np.ndarray], basis: EigenBasis) -> SpectralField:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, _import_started, io as dio
 from .basis import EigenBasis, SpectralField, _step_grid, dirac_coeffs, project
-from .errors import InvalidArgumentError, NonFiniteOutputError, UnsupportedConfigurationError
+from .errors import InvalidArgumentError, NonFiniteOutputError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
 
@@ -141,6 +141,17 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
     raise InvalidArgumentError(f"unknown history kind {kind!r}")
 
 
+def _run_times(cfg) -> list[float]:
+    """The run.times instants in increasing order; none, or one named twice, raises."""
+    times = sorted(_floats(cfg["run"].get("times")))
+    if not times:
+        raise InvalidArgumentError("run.times must name at least one instant")
+    if len(set(times)) < len(times):
+        raise InvalidArgumentError("run.times names an instant twice: trace times must be "
+                                   "strictly increasing")
+    return times
+
+
 def _grid_index(trace_times: np.ndarray, wanted: list[float], what: str, solver: str) -> list[int]:
     """Index of the solver sample at each instant; one farther than GRID_RTOL max(1, |t|) raises."""
     from .refsolvers import GRID_RTOL
@@ -203,9 +214,7 @@ def cmd_simulate(cfg, args) -> int:
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
-    times = sorted(_floats(cfg["run"].get("times")))
-    if not times:
-        raise InvalidArgumentError("run.times must name at least one instant")
+    times = _run_times(cfg)
     solver = cfg["run"].get("solver")
     nx = _num(cfg, "run.nx", int)
     # the stepping solvers' grids follow from the config: instants are checked before the solve
@@ -320,18 +329,21 @@ def cmd_figure6(cfg, args) -> int:
     from .validate import figure_panels
     basis, params = build_model(cfg)
     if cfg["initial"].get("kind") != "dirac":
-        raise UnsupportedConfigurationError("figure6 needs point-mass initial data (initial.kind = dirac)")
+        raise InvalidArgumentError("figure6 needs point-mass initial data (initial.kind = dirac)")
     if cfg["history"].get("kind") != "zero":
-        raise UnsupportedConfigurationError("figure6 is defined for zero history only")
-    times = sorted(_floats(cfg["run"].get("times")))
-    if not times:
-        raise InvalidArgumentError("run.times must name at least one instant")
-    out = _out_dir(cfg)
+        raise InvalidArgumentError("figure6 is defined for zero history only")
+    times = _run_times(cfg)
     manifest = Manifest("figure6", cfg)
     xs, panels = figure_panels(times, _num(cfg, "initial.x0"), basis.K, _num(cfg, "run.nx", int),
                                basis.L, params)
-    data_path = out / "figure6_data.csv"
     values = np.stack([panels[t] for t in times])
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise NonFiniteOutputError(f"figure6 produced {int(bad.sum())} non-finite values, the "
+                                   f"first at t={times[i]:g}, x={xs[k]:g}")
+    out = _out_dir(cfg)         # only once every panel is computed and finite
+    data_path = out / "figure6_data.csv"
     manifest.add(data_path, dio.write_grid_trace_csv(np.asarray(times), xs, values, data_path))
     script_path = out / "plot_figure6.py"
     script_path.write_text(_PLOT_SCRIPT)
@@ -369,9 +381,11 @@ def cmd_diagnose(cfg, args) -> int:
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
-    out = _out_dir(cfg)
     manifest = Manifest("diagnose", cfg)
     report = compatibility_check(y0, phi, params, r=args.order)
+    rows = lattice_jump_report(y0, params, j_max=max(4, args.order))
+    scan = None if phi is None else endpoint_jump_scan(y0, phi, params, r=args.order)
+    out = _out_dir(cfg)         # only once every report is computed
     kv = {
         "r": report.r,
         "flag_endpoint_regularity": report.flag_endpoint_regularity,
@@ -384,10 +398,8 @@ def cmd_diagnose(cfg, args) -> int:
     compat_path = out / "compatibility.txt"
     manifest.add(compat_path, dio.write_keyvalue(kv, compat_path))
     jump_path = out / "jump_table.csv"
-    rows = lattice_jump_report(y0, params, j_max=max(4, args.order))
     manifest.add(jump_path, dio.write_jump_table_csv(rows, jump_path))
-    if phi is not None:
-        scan = endpoint_jump_scan(y0, phi, params, r=args.order)
+    if scan is not None:
         scan_path = out / "endpoint_jumps.csv"
         manifest.add(scan_path, dio._write_rows(
             scan_path, ["t", "order", "mode", "left", "right", "gap", "rel_gap"],
@@ -448,7 +460,7 @@ def main(argv=None) -> int:
     except NonFiniteOutputError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (InvalidArgumentError, UnsupportedConfigurationError, configparser.Error) as exc:
+    except (InvalidArgumentError, configparser.Error) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

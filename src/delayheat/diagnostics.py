@@ -1,16 +1,12 @@
 """Computable regularity diagnostics for the delayed heat flow.
 
-Four instruments:
+Three instruments:
 
 * ``_mode_time_integral`` integrates, for all modes at once but with one
   independent time quadrature per mode, the energy identity of weighted heat
   orbits: the time integral of ||d^alpha/dt^alpha (t^beta e^{t Lap} y0)||^2 in
   the index-(s + 2(beta - alpha) + 1) norm is ``weight_factor`` (the same
   integral for decay rate 1) times the squared index-s norm of y0.
-
-* ``regularity_scan`` estimates a Sobolev order from coefficient decay, fitting
-  |c_k| ~ k^{-q} and reporting q - 1/2 (the standard 1-D embedding offset).
-  Oscillatory sequences are fit on block envelopes.
 
 * ``lattice_jump_report`` tabulates the predicted jump a^j y0 of the j-th time
   derivative at t = j tau against the measured one-sided derivative gap, and
@@ -31,14 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralField, _gauss_panels, hs_norm
-from .errors import InvalidArgumentError, UndefinedEstimateError
-from .flow import (FlowParams, History, _gammaincc_int, derivative_jump, flow_derivative_factors,
-                   solve_trace)
+from .errors import InvalidArgumentError, TruncationExceededError
+from .flow import FlowParams, History, _gammaincc_int, flow_derivative_factors, solve_trace
 
 __all__ = [
     "weight_factor",
-    "RegularityEstimate",
-    "regularity_scan",
     "JumpRow",
     "lattice_jump_report",
     "off_lattice_probe",
@@ -118,59 +111,6 @@ def _mode_time_integral(lams: np.ndarray, alpha: int, beta: int) -> tuple[np.nda
 
 
 # ---------------------------------------------------------------------------
-# Spectral decay / regularity estimate
-
-_ORDER_CAP = 50.0
-
-
-@dataclass(frozen=True)
-class RegularityEstimate:
-    decay_exponent: float
-    estimated_order: float
-    fit_lo: int
-    fit_hi: int
-    residual: float
-    n_points: int
-
-
-def regularity_scan(fld: SpectralField, window: tuple[int, int] | None = None,
-                    envelope_block: int = 0) -> RegularityEstimate:
-    """Fit |c_k| ~ k^{-q} over a mode window and report q - 1/2.
-
-    Zero coefficients are skipped; at least 8 nonzero modes are required.  With
-    envelope_block > 1 the fit runs on running maxima over blocks of that many
-    modes, which is the right thing for sign-oscillating sequences whose raw
-    magnitudes have near-zeros.  Super-polynomial decay caps at q > 50 and is
-    reported with an infinite estimated order.
-    """
-    k_lo, k_hi = window or (1, fld.basis.K)
-    if not (1 <= k_lo < k_hi <= fld.basis.K):
-        raise InvalidArgumentError(f"window {window} outside 1..{fld.basis.K}")
-    ks = np.arange(k_lo, k_hi + 1)
-    cs = np.abs(fld.coeffs[k_lo - 1: k_hi])
-    keep = cs > 1e-300
-    ks, cs = ks[keep], cs[keep]
-    if len(ks) == 0:
-        raise UndefinedEstimateError("all coefficients in the window vanish")
-    if len(ks) < 8:
-        raise InvalidArgumentError(f"window has only {len(ks)} nonzero modes, need >= 8")
-    if envelope_block > 1:
-        bk, bc = [], []
-        for start in range(0, len(ks), envelope_block):
-            block = slice(start, start + envelope_block)
-            i = int(np.argmax(cs[block]))
-            bk.append(ks[block][i])
-            bc.append(cs[block][i])
-        ks, cs = np.asarray(bk), np.asarray(bc)
-    logk, logc = np.log(ks.astype(float)), np.log(cs)
-    slope, intercept = np.polyfit(logk, logc, 1)
-    q = -float(slope)
-    resid = float(np.sqrt(np.mean((logc - (slope * logk + intercept)) ** 2)))
-    order = math.inf if q > _ORDER_CAP else q - 0.5
-    return RegularityEstimate(q, order, int(k_lo), int(k_hi), resid, len(ks))
-
-
-# ---------------------------------------------------------------------------
 # Lattice jump report
 
 
@@ -185,13 +125,22 @@ class JumpRow:
 def lattice_jump_report(y0: SpectralField, params: FlowParams, j_max: int) -> list[JumpRow]:
     """Rows j = 0..j_max of predicted (a^j y0) vs measured derivative jumps at j tau.
 
-    Stated for zero history; a smooth history adds a globally smooth part and
-    leaves every lattice jump unchanged.  The relative error is taken mode by
-    mode over the modes where the prediction is nonzero.
+    The measured jump is the right limit minus the left limit of the exact
+    j-th derivative at the lattice point: the shared smooth terms cancel
+    identically, so this is the eps -> 0 limit of the one-sided gap in closed
+    form.  Stated for zero history; a smooth history adds a globally smooth
+    part and leaves every lattice jump unchanged.  The relative error is taken
+    mode by mode over the modes where the prediction is nonzero.
     """
+    if j_max > params.j_max:
+        raise TruncationExceededError(f"lattice index {j_max} above the j_max={params.j_max} guard")
+    lams = y0.basis.eigenvalues()
     rows = []
     for j in range(j_max + 1):
-        predicted, measured = derivative_jump(y0, j, params)
+        right, left = (flow_derivative_factors(lams, j * params.tau, j, params, side=side)
+                       for side in ("right", "left"))
+        predicted = SpectralField(y0.basis, params.a**j * y0.coeffs)
+        measured = SpectralField(y0.basis, (right - left) * y0.coeffs)
         p, m = predicted.coeffs, measured.coeffs
         nz = np.abs(p) > 0.0
         rel = float(np.max(np.abs(m[nz] - p[nz]) / np.abs(p[nz]))) if np.any(nz) else 0.0

@@ -50,13 +50,9 @@ __all__ = [
     "GridHistory",
     "SolutionTrace",
     "delayed_exp",
-    "flow_apply",
     "history_convolution",
-    "solve",
     "solve_trace",
-    "right_limit_derivative",
     "flow_derivative_factors",
-    "derivative_jump",
     "picard_solve",
     "characteristic_root",
     "compatible_history",
@@ -170,14 +166,6 @@ def delayed_exp(lam: float, t: float, params: FlowParams) -> float:
     return float(_delayed_exp_vec(np.array([float(lam)]), t, params)[0])
 
 
-def flow_apply(y0: SpectralField, t: float, params: FlowParams) -> SpectralField:
-    """Zero-history evolution of a field: c_k -> E(lambda_k, t) c_k."""
-    if t < 0.0:
-        raise InvalidArgumentError(f"time must be >= 0, got {t}")
-    mult = _delayed_exp_vec(y0.basis.eigenvalues(), t, params)
-    return SpectralField(y0.basis, mult * y0.coeffs)
-
-
 def flow_derivative_factors(lams: np.ndarray, t: float, order: int, params: FlowParams,
                             side: str = "right") -> np.ndarray:
     """One-sided time derivative of order `order` of t -> E(lambda, t), per lambda.
@@ -192,41 +180,6 @@ def flow_derivative_factors(lams: np.ndarray, t: float, order: int, params: Flow
     if side not in ("right", "left"):
         raise InvalidArgumentError(f"side must be 'right' or 'left', got {side!r}")
     return _delayed_exp_grid(lams, [t], params, order, side)[0]
-
-
-def right_limit_derivative(y0: SpectralField, t: float, params: FlowParams) -> SpectralField:
-    """Right limit at time t of the floor(t/tau)-th time derivative of the zero-history solution.
-
-    Stated for zero history; at lattice times this is the derivative order that
-    jumps, and between lattice times it is an ordinary derivative.
-    """
-    if t < 0.0:
-        raise InvalidArgumentError(f"time must be >= 0, got {t}")
-    order = params.series_index(t)
-    factors = flow_derivative_factors(y0.basis.eigenvalues(), t, order, params, side="right")
-    return SpectralField(y0.basis, factors * y0.coeffs)
-
-
-def derivative_jump(y0: SpectralField, j: int,
-                    params: FlowParams) -> tuple[SpectralField, SpectralField]:
-    """Predicted and measured jump of the j-th time derivative at t = j tau (zero history).
-
-    predicted = a^j * y0 per mode.  The measured value takes the exact
-    one-sided limits of the analytic j-th derivative at the lattice point
-    (shared smooth terms cancel identically, so this is the eps -> 0 limit of
-    the gap between j tau + eps and j tau - eps, in closed form).
-    """
-    if j < 0:
-        raise InvalidArgumentError("lattice index must be >= 0")
-    if j > params.j_max:
-        raise TruncationExceededError(f"lattice index {j} above the j_max={params.j_max} guard")
-    lams = y0.basis.eigenvalues()
-    t0 = j * params.tau
-    predicted = SpectralField(y0.basis, (params.a**j) * y0.coeffs)
-    right = flow_derivative_factors(lams, t0, j, params, side="right")
-    left = flow_derivative_factors(lams, t0, j, params, side="left")
-    measured = (right - left) * y0.coeffs
-    return predicted, SpectralField(y0.basis, measured)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +443,7 @@ def solve_trace(y0: SpectralField, phi: History | None, times,
     """Closed-form solution at strictly increasing times >= 0.
 
     The one closed-form evaluation: the flow of y0 plus the history
-    convolution, each one call over all times.  `solve` is its one-row case.
+    convolution, each one call over all times.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0):
@@ -501,11 +454,6 @@ def solve_trace(y0: SpectralField, phi: History | None, times,
         if phi is not None:
             rows = rows + history_convolution(lams, phi, times, params)
     return SolutionTrace(times, rows, y0.basis)
-
-
-def solve(y0: SpectralField, phi: History | None, t: float, params: FlowParams) -> SpectralField:
-    """Solution at time t: flow of y0 plus the history convolution (none for phi=None)."""
-    return SpectralField(y0.basis, solve_trace(y0, phi, [t], params).coeffs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +469,7 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     (none for phi=None), and (G f)(t) = a * integral_tau^t exp(-lambda (t - sigma))
     f(sigma - tau) dsigma is evaluated per mode by trapezoid quadrature on the
     grid.  Up to tau the forcing is the history convolution of `solve_trace`, so there
-    the iterate equals `solve`; past tau it is its value at tau times
+    the iterate equals `solve_trace`; past tau it is its value at tau times
     exp(-lambda (t - tau)).  The delay must be resolved: dt is snapped to
     tau / round(tau / dt) and rejected when coarser than tau / 4.  After n
     iterations the distance to the exact solution decays like

@@ -19,8 +19,8 @@ from . import diagnostics as diag
 from .basis import EigenBasis, SpectralField, dirac_coeffs, semigroup_apply
 from .errors import InvalidArgumentError
 from .flow import (ExpModeHistory, FlowParams, _delayed_exp_grid, _picard_iterates,
-                   compatible_history, delayed_exp, flow_apply, picard_solve,
-                   right_limit_derivative, solve_trace)
+                   compatible_history, delayed_exp, flow_derivative_factors, picard_solve,
+                   solve_trace)
 from .refsolvers import MeshParams, ModeDDEConfig, hybrid_simulate, rk4_dde_mode
 
 __all__ = ["CheckRow", "SuiteResult", "SUITE_NAMES", "run_suite", "figure_panels", "figure_checks"]
@@ -173,7 +173,7 @@ def _hybrid_error_at(n: int, t_end: float, params: FlowParams, basis: EigenBasis
     hist_fn = None if phi is None else (lambda g: phi.coeffs(g) @ emat.T)
     trace = hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, t_end, params.a, params.tau, basis.L,
                             sample_times=(t_end,))
-    exact = (flow_apply(y0, t_end, params).coeffs if phi is None
+    exact = (solve_trace(y0, None, [t_end], params).coeffs[0] if phi is None
              else y0.coeffs * np.exp(phi.rates * t_end))
     diff = trace.values[-1] - emat @ exact
     return float(math.sqrt(basis.L / n * np.sum(diff[1:-1] ** 2)))
@@ -238,17 +238,19 @@ def figure_panels(times=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5), x0: float = 0.3, K: int 
 
     Returns the mesh and one value row per requested instant.  At lattice
     instants the profile reproduces the spike of the initial point mass at x0;
-    between lattice instants it is smooth.
+    between lattice instants it is smooth.  A derivative that overflows is left
+    as inf or nan for the caller's finiteness check.
     """
     params = params or FlowParams(a=1.0, tau=1.0)
     basis = EigenBasis(L, K)
     y0 = dirac_coeffs(x0, basis)
-    xs = basis.mesh(nx)
+    lams, xs = basis.eigenvalues(), basis.mesh(nx)
     emat = basis.eval_matrix(xs)
     panels = {}
-    for t in times:
-        fld = right_limit_derivative(y0, float(t), params)
-        panels[float(t)] = emat @ fld.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):     # callers check values are finite
+        for t in map(float, times):
+            factors = flow_derivative_factors(lams, t, params.series_index(t), params)
+            panels[t] = emat @ (factors * y0.coeffs)
     return xs, panels
 
 

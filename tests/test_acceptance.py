@@ -5,6 +5,7 @@ criterion; each line states the measured value against its pinned tolerance.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -103,3 +104,12 @@ def test_criterion_8_compatibility_diagnostics():
             f"compatible history: max violation {viol.value:.2e} (tol 1e-9), max "
             f"measured endpoint jump {jumps.value:.2e} (tol 1e-3); unit perturbation "
             f"violation norm {pert.value:.12f} (wanted 1.00 +- 1e-9)")
+
+
+def test_readme_library_example_runs():
+    # the README's example runs as written, so it cannot drift from the API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert np.all(np.isfinite(namespace["state"])) and np.any(namespace["panel"] != 0.0)

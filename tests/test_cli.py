@@ -12,7 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import delayheat
-from delayheat import EigenBasis, FlowParams, SpectralField, semigroup_apply
+from delayheat import (EigenBasis, FlowParams, InvalidArgumentError, SpectralField,
+                       semigroup_apply, solve_trace)
 from delayheat.cli import main
 
 
@@ -311,8 +312,7 @@ def test_simulate_hybrid_solver_runs(tmp_path):
     rows = read_csv(out / "trace_coeffs.csv")
     basis = EigenBasis(1.0, 8)
     y0 = SpectralField.from_modes(basis, [1.0 / math.sqrt(2.0)])
-    from delayheat import flow_apply
-    ref = flow_apply(y0, 1.2, FlowParams(a=1.0, tau=1.0)).coeffs[0]
+    ref = solve_trace(y0, None, [1.2], FlowParams(a=1.0, tau=1.0)).coeffs[0, 0]
     got = [float(r["coeff"]) for r in rows if r["k"] == "1" and abs(float(r["t"]) - 1.2) < 1e-9]
     assert got and abs(got[0] - ref) <= 1e-3
 
@@ -462,6 +462,27 @@ interp_order = 1
 out_dir = {out}
 """)
     assert main(["diagnose", "--config", cfg, "--order", "2"]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, reason", [
+    (["figure6", "--run.times", "-0.5"], 2, "time must be >= 0"),
+    (["figure6", "--run.times", "200"], 1, "above the j_max=128 guard"),
+    (["figure6", "--run.times", "1 1"], 2, "trace times must be strictly increasing"),
+    (["figure6", "--run.times", "3 120"], 1, "non-finite values, the first at t=120"),
+    (["diagnose", "--order", "-1"], 2, "order r must be >= 0"),
+])
+def test_failed_figure6_and_diagnose_leave_no_output_dir(tmp_path, capsys, argv, code, reason):
+    out = tmp_path / "out"
+    assert main([*argv, "--run.out_dir", str(out)]) == code
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_figure_panels_rejects_negative_time():
+    from delayheat.validate import figure_panels
+    with pytest.raises(InvalidArgumentError, match="time must be >= 0"):
+        figure_panels(times=(0.5, -0.5), K=8, nx=10)
 
 
 @pytest.mark.parametrize("dt", ["0", "nan", "-1"])

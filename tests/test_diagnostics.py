@@ -6,10 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError,
-                       QuadratureRule, SpectralField, UndefinedEstimateError,
-                       compatible_history, compatibility_check, dirac_coeffs,
-                       endpoint_jump_scan, hs_norm, lattice_jump_report, off_lattice_probe,
-                       regularity_scan, semigroup_apply)
+                       QuadratureRule, SpectralField, compatible_history, compatibility_check,
+                       dirac_coeffs, endpoint_jump_scan, hs_norm, lattice_jump_report,
+                       off_lattice_probe)
 from delayheat.diagnostics import _mode_rules, _mode_time_integral, weight_factor
 
 PI2 = math.pi**2
@@ -89,46 +88,6 @@ def test_mode_time_integral_is_the_scaling_law():
             bulk, tail = _mode_time_integral(lams, alpha, beta)
             expected = lams ** (2 * alpha - 2 * beta - 1) * weight_factor(alpha, beta)
             assert_allclose(bulk + tail, expected, rtol=1e-6, err_msg=f"{alpha} {beta}")
-
-
-# ---------------------------------------------------------------------------
-# regularity scan
-
-
-def test_regularity_exact_power_law():
-    basis = EigenBasis(1.0, 60)
-    f = SpectralField(basis, 1.0 / np.arange(1, 61, dtype=float) ** 2)
-    est = regularity_scan(f)
-    assert_allclose(est.decay_exponent, 2.0, atol=1e-6)
-    assert_allclose(est.estimated_order, 1.5, atol=1e-6)
-    assert est.residual <= 1e-10
-
-
-def test_regularity_dirac_envelope():
-    basis = EigenBasis(1.0, 60)
-    d = dirac_coeffs(0.3, basis)
-    est = regularity_scan(d, envelope_block=5)
-    assert abs(est.estimated_order - (-0.5)) <= 0.1
-
-
-def test_regularity_heat_smoothed_hits_cap():
-    basis = EigenBasis(1.0, 60)
-    d = semigroup_apply(dirac_coeffs(0.3, basis), 0.1)
-    est = regularity_scan(d, envelope_block=5)
-    assert est.estimated_order == math.inf
-    assert est.decay_exponent > 50.0
-
-
-def test_regularity_errors():
-    basis = EigenBasis(1.0, 60)
-    with pytest.raises(UndefinedEstimateError):
-        regularity_scan(SpectralField.zero(basis))
-    sparse = SpectralField.from_modes(basis, {1: 1.0, 2: 1.0, 3: 1.0})
-    with pytest.raises(InvalidArgumentError):
-        regularity_scan(sparse)
-    f = SpectralField(basis, np.ones(60))
-    with pytest.raises(InvalidArgumentError):
-        regularity_scan(f, window=(50, 70))
 
 
 # ---------------------------------------------------------------------------

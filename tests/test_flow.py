@@ -9,11 +9,16 @@ import delayheat.flow as fl
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory,
                        InvalidArgumentError, SpectralField,
                        TruncationExceededError, characteristic_root, compatible_history,
-                       delayed_exp, derivative_jump, dirac_coeffs, flow_apply, picard_solve,
-                       right_limit_derivative, semigroup_apply, solve, solve_trace)
+                       delayed_exp, dirac_coeffs, flow_derivative_factors, hs_norm,
+                       lattice_jump_report, picard_solve, semigroup_apply, solve_trace)
 from delayheat.refsolvers import ModeDDEConfig, rk4_dde_mode
 
 PI2 = math.pi**2
+
+
+def _solve(y0, phi, t, p):
+    """The closed-form solution at one time."""
+    return solve_trace(y0, phi, [t], p).coeffs[0]
 
 
 @pytest.fixture
@@ -77,15 +82,15 @@ def test_flow_apply_identity_and_heat_reduction(basis):
     p = FlowParams(a=1.0, tau=1.0)
     rng = np.random.default_rng(2)
     f = SpectralField(basis, rng.standard_normal(basis.K))
-    assert_allclose(flow_apply(f, 0.0, p).coeffs, f.coeffs, rtol=0)
+    assert_allclose(_solve(f, None, 0.0, p), f.coeffs, rtol=0)
     for t in (0.25, 0.999):
-        assert_allclose(flow_apply(f, t, p).coeffs, semigroup_apply(f, t).coeffs, rtol=1e-15)
+        assert_allclose(_solve(f, None, t, p), semigroup_apply(f, t).coeffs, rtol=1e-15)
 
 
 def test_flow_apply_dirac_spot_value(basis):
     p = FlowParams(a=1.0, tau=1.0)
     d = dirac_coeffs(0.3, basis)
-    got = flow_apply(d, 1.5, p).coeffs[0]
+    got = _solve(d, None, 1.5, p)[0]
     want = d.coeffs[0] * (math.exp(-1.5 * PI2) + 0.5 * math.exp(-0.5 * PI2))
     assert_allclose(got, want, rtol=1e-15)
     assert_allclose(got, 4.11e-3, rtol=2e-3)
@@ -95,9 +100,10 @@ def test_solve_zero_history_is_flow_apply(basis):
     p = FlowParams(a=1.0, tau=1.0)
     y0 = SpectralField(basis, np.random.default_rng(4).standard_normal(basis.K))
     for t in (0.0, 0.6, 1.0, 1.7):
-        assert np.array_equal(solve(y0, None, t, p).coeffs, flow_apply(y0, t, p).coeffs)
+        flow = fl._delayed_exp_vec(basis.eigenvalues(), t, p) * y0.coeffs
+        assert np.array_equal(_solve(y0, None, t, p), flow)
     with pytest.raises(InvalidArgumentError):
-        solve(y0, None, -0.5, p)
+        _solve(y0, None, -0.5, p)
 
 
 def _unit_history(rate):
@@ -130,7 +136,7 @@ def test_solve_spot_value_single_mode_constant_history(basis):
     p = FlowParams(a=1.0, tau=1.0)
     y0 = SpectralField.zero(basis)
     phi = ExpModeHistory(SpectralField.from_modes(basis, {1: 1.0}), 0.0)
-    got = solve(y0, phi, 0.5, p).coeffs
+    got = _solve(y0, phi, 0.5, p)
     want1 = (1.0 - math.exp(-0.5 * PI2)) / PI2
     assert_allclose(got[0], want1, rtol=1e-12)
     assert_allclose(got[0], 0.1005925, rtol=1e-6)
@@ -142,12 +148,13 @@ def test_solve_reductions(basis):
     y0 = SpectralField(basis, rng.standard_normal(basis.K))
     p0 = FlowParams(a=0.0, tau=1.0)
     phi = ExpModeHistory(SpectralField.from_modes(basis, {2: 1.0}), -0.3)
+    p = FlowParams(a=1.0, tau=1.0)
     for t in (0.4, 1.9):
-        # zero history: solve equals the bare flow
-        assert_allclose(solve(y0, None, t, FlowParams(a=1.0, tau=1.0)).coeffs,
-                        flow_apply(y0, t, FlowParams(a=1.0, tau=1.0)).coeffs, rtol=0)
-        # zero coupling: solve equals the heat semigroup exactly
-        assert_allclose(solve(y0, phi, t, p0).coeffs, semigroup_apply(y0, t).coeffs,
+        # zero history: the solution is the bare flow
+        assert_allclose(_solve(y0, None, t, p),
+                        fl._delayed_exp_vec(basis.eigenvalues(), t, p) * y0.coeffs, rtol=0)
+        # zero coupling: the solution is the heat semigroup exactly
+        assert_allclose(_solve(y0, phi, t, p0), semigroup_apply(y0, t).coeffs,
                         rtol=0, atol=0)
 
 
@@ -158,9 +165,9 @@ def test_characteristic_root_and_smooth_continuation(basis):
     y0 = SpectralField.from_modes(basis, {1: 1.0, 2: 0.3, 5: -0.7})
     phi = compatible_history(y0, p)
     # the solution continues the per-mode exponentials exactly; this exercises
-    # flow_apply and history_convolution jointly against an analytic solution
+    # the flow and history_convolution jointly against an analytic solution
     for t in (0.3, 1.0, 1.7, 2.9):
-        got = solve(y0, phi, t, p).coeffs
+        got = _solve(y0, phi, t, p)
         want = y0.coeffs * np.exp(phi.rates * t)
         assert_allclose(got, want, atol=1e-12)
 
@@ -229,8 +236,8 @@ def test_characteristic_root_scalar_in_float_out():
 def test_right_limit_derivative_before_first_lattice(basis):
     p = FlowParams(a=1.0, tau=1.0)
     d = dirac_coeffs(0.3, basis)
-    for t in (0.2, 0.8):
-        assert_allclose(right_limit_derivative(d, t, p).coeffs,
+    for t in (0.2, 0.8):     # floor(t / tau) = 0: the right limit of the flow itself
+        assert_allclose(flow_derivative_factors(basis.eigenvalues(), t, 0, p) * d.coeffs,
                         semigroup_apply(d, t).coeffs, rtol=1e-15)
 
 
@@ -239,10 +246,8 @@ def test_right_limit_derivative_matches_one_sided_difference(basis):
     p = FlowParams(a=1.0, tau=1.0)
     d = dirac_coeffs(0.3, basis)
     t, h = 1.3, 1e-4
-    got = right_limit_derivative(d, t, p).coeffs
-    f0 = flow_apply(d, t, p).coeffs
-    f1 = flow_apply(d, t + h, p).coeffs
-    f2 = flow_apply(d, t + 2 * h, p).coeffs
+    got = flow_derivative_factors(basis.eigenvalues(), t, 1, p) * d.coeffs
+    f0, f1, f2 = solve_trace(d, None, [t, t + h, t + 2 * h], p).coeffs
     fd = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
     scale = np.maximum(np.abs(got), np.abs(fd))
     mask = scale > 1e-280
@@ -255,7 +260,7 @@ def test_one_sided_differences_agree_between_lattice_points(basis):
     p = FlowParams(a=1.0, tau=1.0)
     d = dirac_coeffs(0.3, basis)
     t, h = 1.3, 1e-4
-    f = {m: flow_apply(d, t + m * h, p).coeffs for m in (-2, -1, 0, 1, 2)}
+    f = {m: _solve(d, None, t + m * h, p) for m in (-2, -1, 0, 1, 2)}
     fd_right = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     fd_left = (3.0 * f[0] - 4.0 * f[-1] + f[-2]) / (2.0 * h)
     scale = np.maximum(np.abs(fd_right), np.abs(fd_left))
@@ -279,14 +284,14 @@ def test_derivative_jump_limit_method(basis):
     rng = np.random.default_rng(4)
     y0 = SpectralField(basis, rng.standard_normal(basis.K))
     p = FlowParams(a=2.0, tau=0.5)
-    pred, meas = derivative_jump(y0, 0, p)
-    assert_allclose(pred.coeffs, y0.coeffs, rtol=0)
-    assert_allclose(meas.coeffs, y0.coeffs, rtol=1e-12)
-    pred, meas = derivative_jump(y0, 3, p)
-    assert_allclose(pred.coeffs, 8.0 * y0.coeffs, rtol=0)
-    assert_allclose(meas.coeffs, pred.coeffs, rtol=1e-9)
+    rows = lattice_jump_report(y0, p, j_max=3)
+    # rel_error is max over modes of |measured - predicted| / |predicted|
+    assert rows[0].predicted_norm == hs_norm(y0, 0.0)
+    assert rows[0].rel_error <= 1e-12
+    assert rows[3].predicted_norm == hs_norm(8.0 * y0, 0.0)
+    assert rows[3].rel_error <= 1e-9
     with pytest.raises(TruncationExceededError):
-        derivative_jump(y0, 200, p)
+        lattice_jump_report(y0, p, j_max=200)
 
 
 def test_grid_history_linear_and_cubic(basis):
@@ -373,8 +378,8 @@ def test_grid_history_two_samples_runs(basis):
     rows[:, 0] = [0.5, 1.5]
     phi = GridHistory(times, rows, basis, interp_order=1)
     y0 = SpectralField.zero(basis)
-    out = solve(y0, phi, 0.75, p)
-    assert np.all(np.isfinite(out.coeffs))
+    out = _solve(y0, phi, 0.75, p)
+    assert np.all(np.isfinite(out))
     # the interpolated profile is 0.5 + (g + 1); compare the first mode against
     # an independent adaptive quadrature of the same convolution
     lam = basis.eigenvalues()[0]
@@ -382,7 +387,7 @@ def test_grid_history_two_samples_runs(basis):
     from scipy.integrate import quad
     ref, _ = quad(lambda g: math.exp(-lam * (t - 1.0 - g)) * (0.5 + (g + 1.0)),
                   -1.0, t - 1.0)
-    assert_allclose(out.coeffs[0], ref, rtol=1e-10)
+    assert_allclose(out[0], ref, rtol=1e-10)
 
 
 def test_picard_matches_closed_form(basis):
@@ -623,14 +628,14 @@ def test_picard_equals_solve_trace_up_to_tau(a):
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
 def test_solve_trace_equals_per_time_reference(a):
-    # the batched closed form equals `solve` one time at a time, bit for bit
+    # the batched closed form equals the closed form one time at a time, bit for bit
     p = FlowParams(a=a, tau=1.0)
     y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
     times = [0.0, 0.3, 1.0, 1.5, 2.0, 2.75]        # 0 and the lattice points 1, 2 included
     for name, phi in {"zero": None, **_k60_histories(y0, p)}.items():
         trace = solve_trace(y0, phi, times, p)
         for i, t in enumerate(times):
-            assert np.array_equal(solve(y0, phi, t, p).coeffs, trace.coeffs[i]), (name, t)
+            assert np.array_equal(_solve(y0, phi, t, p), trace.coeffs[i]), (name, t)
 
 
 @pytest.mark.parametrize("tau", [0.25, 1.0])

@@ -10,8 +10,8 @@ from scipy.linalg import solve_banded
 import delayheat.flow as fl
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError, MeshParams,
                        ModeDDEConfig,
-                       SpectralField, compatible_history, delayed_exp, flow_apply,
-                       hybrid_simulate, rk4_dde_mode, semigroup_apply)
+                       SpectralField, compatible_history, delayed_exp, hybrid_simulate,
+                       rk4_dde_mode, semigroup_apply, solve_trace)
 from delayheat.basis import _step_grid
 from delayheat.refsolvers import _phi123
 
@@ -344,7 +344,7 @@ def test_hybrid_cross_validates_closed_form():
     xs, emat = _basis_grid(basis, n)
     mesh = MeshParams(nx=n, ns=2 * n)
     tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 2.0, 1.0, 1.0, sample_times=(2.0,))
-    ref = emat @ flow_apply(y0, 2.0, params).coeffs
+    ref = emat @ solve_trace(y0, None, [2.0], params).coeffs[0]
     err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
     assert err <= 1e-3
 
