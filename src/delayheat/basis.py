@@ -173,17 +173,28 @@ def semigroup_apply(fld: SpectralField, t: float) -> SpectralField:
 def _decay_scan(x: np.ndarray, q) -> np.ndarray:
     """Run x_i <- q x_{i-1} + x_i down axis 0 in place and return x.
 
-    The semigroup step recurrence, for a decay factor 0 <= q <= 1 per column
-    (for example exp(-lambda h)).  A log-depth inclusive scan (Hillis-Steele,
-    after Blelloch, "Prefix sums and their applications", 1990): after the
-    pass with stride d, row i holds the sum over its last 2d terms.  Elementwise
-    per column, so a column of a K-column scan equals its one-column scan bit
-    for bit; since q <= 1 the powers of q can only underflow to 0.
+    The semigroup step recurrence, for a decay factor |q| <= 1 per column
+    (for example exp(-lambda h)).  A work-efficient inclusive scan (Brent and
+    Kung, IEEE Trans. Computers C-31, 1982) over strided row views, about 2n
+    row updates for n rows.  The up-sweep with stride d = 1, 2, 4, ... adds
+    q^d x_{i-d} to the rows i = 2d - 1, 4d - 1, ..., which then hold the sum
+    over their last 2d terms; the down-sweep, strides in reverse, adds
+    q^d x_{i-d} to the rows i = 3d - 1, 5d - 1, ..., completing each from the
+    full prefix d rows above.
+    Elementwise per column, so a column of a K-column scan equals its
+    one-column scan bit for bit; since |q| <= 1 the powers of q can only
+    underflow to 0.
     """
-    d, p = 1, q
-    while d < len(x):
-        x[d:] = x[d:] + p * x[:-d]
-        p, d = p * p, 2 * d
+    d, powers = 1, [q]
+    while 2 * d <= len(x):
+        dst = x[2 * d - 1::2 * d]
+        dst += powers[-1] * x[d - 1::2 * d][:len(dst)]
+        powers.append(powers[-1] * powers[-1])
+        d *= 2
+    for p in powers[-2::-1]:
+        d //= 2
+        dst = x[3 * d - 1::2 * d]
+        dst += p * x[2 * d - 1::2 * d][:len(dst)]
     return x
 
 

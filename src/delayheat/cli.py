@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, _import_started, io as dio
 from .basis import EigenBasis, SpectralField, _step_grid, dirac_coeffs, project
-from .errors import InvalidArgumentError, NonFiniteOutputError
+from .errors import InvalidArgumentError, NonFiniteOutputError, TruncationExceededError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
 
@@ -163,11 +163,11 @@ def _grid_index(trace_times: np.ndarray, wanted: list[float], what: str, solver:
     return idx
 
 
-def _project_grid_rows(values: np.ndarray, xs: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    # trapezoid projection of nodal values onto the sine modes
+def _project_grid_rows(values: np.ndarray, xs: np.ndarray, emat: np.ndarray) -> np.ndarray:
+    # trapezoid projection of nodal values onto the sine modes, emat = basis.eval_matrix(xs)
     w = np.full(len(xs), xs[1] - xs[0])
     w[0] = w[-1] = (xs[1] - xs[0]) / 2.0
-    return values @ (w[:, None] * basis.eval_matrix(xs))
+    return values @ (w[:, None] * emat)
 
 
 class Manifest:
@@ -256,6 +256,10 @@ def cmd_simulate(cfg, args) -> int:
     elif solver == "picard":
         n_iter = _num(cfg, "picard.n_iter", int)
         trace = picard_solve(y0, phi, T, n_iter, _num(cfg, "picard.dt"), params)
+        if trace.residuals[-1] != 0.0:     # the trace's tail has not converged
+            raise TruncationExceededError(
+                f"picard.n_iter = {n_iter} sweeps end before the fixed point at T = {T:g}: "
+                f"the last residual is {trace.residuals[-1]:.3g}, not 0")
         out_times, rows = trace.times[idx], trace.coeffs[idx]
         health.update(h=float(trace.times[1]), n_iter=n_iter, residuals=trace.residuals.tolist())
     elif solver == "rk4-modes":
@@ -269,7 +273,7 @@ def cmd_simulate(cfg, args) -> int:
         out_times, h = grid[idx], float(grid[1])
         trace = rs.hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T, params.a, params.tau, basis.L,
                                    sample_times=tuple(out_times), z_sample_times=tuple(z_times))
-        rows = _project_grid_rows(trace.values, xs_h, basis)
+        rows = _project_grid_rows(trace.values, xs_h, emat)
         health.update(h=h, r=h / (basis.L / mesh.nx) ** 2)
 
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))

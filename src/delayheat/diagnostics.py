@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralField, _gauss_panels, hs_norm
-from .errors import InvalidArgumentError, TruncationExceededError
+from .errors import InvalidArgumentError, NonFiniteOutputError, TruncationExceededError
 from .flow import FlowParams, History, _gammaincc_int, flow_derivative_factors, solve_trace
 
 __all__ = [
@@ -205,7 +205,9 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
     compatible history in stiff modes.  The two regularity flags are
     finite-truncation surrogates (spectral-tail boundedness at index 0 for
     phi's endpoint derivatives, index 1 for g_k) and are heuristic by nature.
-    phi=None is the zero history.
+    phi=None is the zero history.  NonFiniteOutputError names the first order
+    whose field or violation is not finite, which for the zero history and
+    K = 60 is order 34, where the squares of lambda_60^34 overflow.
     """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
@@ -217,20 +219,32 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
     basis = y0.basis
     lam = basis.eigenvalues()
     hist = (lambda g, order: np.zeros(basis.K)) if phi is None else phi.coeffs
-    g_fields, scales = [y0], [max(1.0, hs_norm(y0, 0.0))]
-    for k in range(1, r + 1):
-        delayed, decayed = params.a * hist(-params.tau, order=k - 1), lam * g_fields[-1].coeffs
-        g_fields.append(SpectralField(basis, delayed - decayed))
-        scales.append(max(1.0, float(np.linalg.norm(delayed)), float(np.linalg.norm(decayed))))
-    endpoint = [SpectralField(basis, hist(0.0, order=k)) for k in range(r + 1)]
-    violations = np.array([
-        hs_norm(endpoint[k] - g_fields[k], 0.0) for k in range(r + 1)
-    ])
-    flag3 = bool(np.all(violations <= tol * np.array(scales)))
-    flag2 = all(_tail_bounded(g, 1.0) for g in g_fields)
-    minus_tau = [SpectralField(basis, hist(-params.tau, order=k)) for k in range(r + 1)]
-    flag1 = (all(_tail_bounded(f, 0.0) for f in minus_tau)
-             and all(_tail_bounded(f, 0.0) for f in endpoint))
+    g_fields, endpoint, minus_tau, violations, scales = [], [], [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):      # a non-finite order raises below
+        for k in range(r + 1):
+            if k == 0:
+                g, scale = y0.coeffs, max(1.0, hs_norm(y0, 0.0))
+            else:
+                delayed, decayed = params.a * minus_tau[-1].coeffs, lam * g_fields[-1].coeffs
+                g = delayed - decayed
+                scale = max(1.0, float(np.linalg.norm(delayed)), float(np.linalg.norm(decayed)))
+            end, before = hist(0.0, order=k), hist(-params.tau, order=k)
+            violation = math.sqrt(float(np.sum((end - g) ** 2)))     # hs_norm(end - g, 0)
+            if not (math.isfinite(violation) and np.all(np.isfinite(before))):
+                raise NonFiniteOutputError(
+                    f"compatibility order {k} of r = {r} is not finite: g_{k}, violation_{k} or "
+                    f"a history derivative overflows (g_k grows like lambda_K^k, lambda_K = "
+                    f"{lam[-1]:.3g})")
+            g_fields.append(SpectralField(basis, g))
+            endpoint.append(SpectralField(basis, end))
+            minus_tau.append(SpectralField(basis, before))
+            violations.append(violation)
+            scales.append(scale)
+        violations = np.array(violations)
+        flag3 = bool(np.all(violations <= tol * np.array(scales)))
+        flag2 = all(_tail_bounded(g, 1.0) for g in g_fields)
+        flag1 = (all(_tail_bounded(f, 0.0) for f in minus_tau)
+                 and all(_tail_bounded(f, 0.0) for f in endpoint))
     return CompatibilityReport(r, g_fields, endpoint, violations, flag1, flag2, flag3, tol)
 
 

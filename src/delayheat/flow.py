@@ -474,9 +474,13 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     tau / round(tau / dt) and rejected when coarser than tau / 4.  After n
     iterations the distance to the exact solution decays like
     (|a| T)^(n+1) / (n+1)! down to the trapezoid floor.  Each G sweep is one
-    decay scan over the grid, and the trace carries the per-iteration
+    decay scan over the grid, and the trace carries the n_iter per-iteration
     residuals max_t ||y_{n+1}(t) - y_n(t)|| (zero for a = 0), which contract
-    the same way.  The iterates are those of `_picard_iterates`.
+    the same way.  G shifts by tau, so the residual of iteration n is exactly 0
+    once n tau >= T: the method of steps has reached its fixed point, and the
+    later iterations repeat it with residual 0 and no sweep.  A last residual
+    that is not 0 means n_iter ended before the fixed point.  The iterates are
+    those of `_picard_iterates`.
     """
     if n_iter < 1:
         raise InvalidArgumentError("need at least one iteration")
@@ -489,7 +493,11 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
 def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float,
                      params: FlowParams):
     """Set up `picard_solve`'s grid, forcing F and G once, then yield (times, y_n, residual_n)
-    for n = 1, 2, ... without end, so that iterate n of a longer run is the n-iteration result."""
+    for n = 1, 2, ... without end, so that iterate n of a longer run is the n-iteration result.
+
+    Once a sweep's residual is 0 and its iterate equals the previous one bit for bit (compared
+    as int64, since a residual of 0 allows a +0.0 / -0.0 difference), that iterate is the
+    floating-point fixed point: it is yielded again, residual 0, without sweeping."""
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
     n_sub, times = _step_grid(params.tau, dt, T, min_sub=4)
@@ -519,11 +527,13 @@ def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float
         out[n_sub + 1:] = (params.a * h) * (S[1:] - ends)
         return out
 
-    y = F
+    y, fixed = F, False
     while True:
-        y_next = F + apply_G(y)
-        residual = np.max(np.linalg.norm(y_next - y, axis=1))
-        y = y_next
+        if not fixed:
+            y_next = F + apply_G(y)
+            residual = np.max(np.linalg.norm(y_next - y, axis=1))
+            fixed = residual == 0.0 and np.array_equal(y_next.view(np.int64), y.view(np.int64))
+            y = y_next
         yield times, y, residual
 
 

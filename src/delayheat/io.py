@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -98,18 +99,26 @@ def _cells(values) -> np.ndarray:
     return out
 
 
-def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence | str]) -> int:
+@dataclass(frozen=True)
+class _Lines:
+    """Text of `count` whole CSV lines, already formatted, as `_trace_lines` yields it."""
+
+    text: str
+    count: int
+
+
+def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence | _Lines]) -> int:
     """Write a CSV header and rows; returns the row count.  A row of cells goes through
-    `csv.writer` (a cell that is not a string through `fmt`); a string row is text of
-    whole lines, already formatted, and counts as its number of line ends."""
+    `csv.writer` (a cell that is not a string through `fmt`); a `_Lines` row is written
+    as it is and counts as its `count` lines."""
     n = 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            if isinstance(row, str):
-                fh.write(row)
-                n += row.count("\n")
+            if isinstance(row, _Lines):
+                fh.write(row.text)
+                n += row.count
             else:
                 w.writerow([cell if isinstance(cell, str) else fmt(cell) for cell in row])
                 n += 1
@@ -127,10 +136,10 @@ def _labels(cells: np.ndarray, prefix: bytes = b"") -> np.ndarray:
     return out
 
 
-def _trace_lines(heads, cols, values, prefix: str = "") -> Iterable[str]:
+def _trace_lines(heads, cols, values, prefix: str = "") -> Iterable[_Lines]:
     """Text of the lines "<prefix><head>,<col>,<value>" over the 2-D `values`, with the
     floats `heads` labelling its rows and `cols` its columns, every float as `fmt` writes
-    it; one string per block of whole rows, about `_BLOCK` values."""
+    it; one `_Lines` per block of whole rows, about `_BLOCK` values."""
     values = np.asarray(values, dtype=float)
     (n_rows, n_cols), nh = values.shape, len(heads)
     step = max(1, _BLOCK // max(n_cols, 1))
@@ -144,7 +153,8 @@ def _trace_lines(heads, cols, values, prefix: str = "") -> Iterable[str]:
         lines[:, :, wh:wh + wc] = cols
         lines[:, :, wh + wc:-2] = block.reshape(len(lines), n_cols, _WIDTH)
         lines[:, :, -2:] = np.frombuffer(b"\r\n", np.uint8)
-        yield lines.tobytes().translate(None, b"\0").decode("ascii")
+        text = lines.tobytes().translate(None, b"\0").decode("ascii")
+        yield _Lines(text, lines.shape[0] * n_cols)
 
 
 def write_coeff_trace_csv(times: np.ndarray, coeffs: np.ndarray, path) -> int:

@@ -106,8 +106,12 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     Hermite midpoint between them.
 
     Every delayed value a delay window [j tau, (j + 1) tau] reads is known when
-    the window starts, so the window is one array expression for the forcing
-    and one decay scan of the recurrence above; the last window may be partial.
+    the window starts, so the window is one array pass for the forcing and one
+    decay scan of the recurrence above; the last window may be partial.  The
+    midpoints and the forcing are formed in the trace rows they step into, and
+    the derivatives a v1 - lam u the next window's midpoints read in a buffer
+    of one window's rows, with one more of scratch: in place, in the operation
+    order of the array expressions, so the values are theirs bit for bit.
     """
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
@@ -121,27 +125,42 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     decay, ah = np.exp(-lam * h), a * h
     w0, wm, w1 = ah * (p1 - 3.0 * p2 + 4.0 * p3), ah * (4.0 * p2 - 8.0 * p3), ah * (4.0 * p3 - p2)
     u = np.empty(shape)
-    f_right = np.empty(shape)  # derivative entering interval [t_i, t_{i+1}]
-    f_left = np.empty(shape)   # derivative ending interval [t_{i-1}, t_i]
+    # f: the derivatives of the window last stepped, f[0] entering its first step and f[j]
+    # ending its step j; rest: one window's scratch rows
+    f, rest_buf = np.empty((n_sub + 1,) + shape[1:]), np.empty((n_sub,) + shape[1:])
     u[0] = cfg.y0
     for i0 in range(0, n_steps, n_sub):     # the window of steps i0 .. i1 - 1
         i1 = min(i0 + n_sub, n_steps)
         n, m0 = i1 - i0, i0 - n_sub         # t_i - tau = t_{i - n_sub}
+        new, rest = u[i0 + 1:i1 + 1], rest_buf[:n]
         if m0 < 0:                          # the history, up to its left limit at 0
             nodes = hist(np.arange(-n_sub, n - n_sub + 1) * h)
-            v0, vm, v1 = nodes[:-1], hist((np.arange(n) - n_sub + 0.5) * h), nodes[1:]
-            f_right[0] = a * nodes[0] - lam * u[0]
+            v0, v1 = nodes[:-1], nodes[1:]
+            new[...] = hist((np.arange(n) - n_sub + 0.5) * h)
         else:                               # stored nodes, and their cubic Hermite midpoint
             v0, v1 = u[m0:m0 + n], u[m0 + 1:m0 + n + 1]
-            vm = 0.5 * (v0 + v1) + 0.125 * h * (f_right[m0:m0 + n] - f_left[m0 + 1:m0 + n + 1])
-        u[i0 + 1:i1 + 1] = w0 * v0 + wm * vm + w1 * v1
+            np.add(v0, v1, out=new)         # vm = 0.5 (v0 + v1) + h/8 (f_right - f_left)
+            new *= 0.5
+            np.subtract(f[:n], f[1:n + 1], out=rest)
+            rest *= 0.125 * h
+            new += rest
+        new *= wm                           # the forcing w0 v0 + wm vm + w1 v1, in `new`
+        np.multiply(w0, v0, out=rest)
+        rest += new
+        np.multiply(w1, v1, out=new)
+        new += rest
         _decay_scan(u[i0:i1 + 1], decay)
-        f_left[i0 + 1:i1 + 1] = a * v1 - lam * u[i0 + 1:i1 + 1]
-        f_right[i0 + 1:i1 + 1] = f_left[i0 + 1:i1 + 1]
-        # u' is continuous except at t = tau, where the delayed value jumps
-        # from phi(0^-) to y(0)
-        if i1 == n_sub:
-            f_right[i1] = a * u[0] - lam * u[i1]
+        # u' is continuous except at t = tau, where the delayed value jumps from phi(0^-)
+        # to y(0): f[0] is the derivative entering step i0, the last window's f[n_sub] else
+        if m0 < 0:
+            f[0] = a * nodes[0] - lam * u[0]
+        elif i0 == n_sub:
+            f[0] = a * u[0] - lam * u[i0]
+        else:
+            f[0] = f[n_sub]
+        np.multiply(lam, new, out=rest)     # f = a v1 - lam u
+        np.multiply(a, v1, out=f[1:n + 1])
+        f[1:n + 1] -= rest
     return ModeTrace(times, u)
 
 
@@ -224,9 +243,11 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
     y0 = np.asarray(y0_grid, dtype=float)
     if y0.shape != (nx + 1,):
         raise InvalidArgumentError(f"initial grid data must have {nx + 1} nodes")
-    # hist[j] = phi(-s[ns - j]), hist[ns] = phi(0^-); prev = their transforms, window 0's source
-    hist, prev = np.zeros((ns + 1, nx + 1)), np.zeros((ns + 1, nx - 1))
+    # hist[j] = phi(-s[ns - j]), hist[ns] = phi(0^-); prev = their transforms, window 0's source.
+    # The zero history is a read-only broadcast of 0, stored nowhere.
+    hist, prev = np.broadcast_to(0.0, (ns + 1, nx + 1)), np.zeros((ns + 1, nx - 1))
     if history_grid is not None:
+        hist = np.empty((ns + 1, nx + 1))
         hist[:] = history_grid(-s[::-1])
         for b in range(0, ns + 1, _BLOCK):
             prev[b:b + _BLOCK] = _sine(hist[b:b + _BLOCK, 1:-1])
@@ -234,16 +255,17 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
     half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
     cur, spec, y = np.empty_like(prev), np.empty((len(need), nx - 1)), _sine(y0[1:-1])
+    prev_rows, cur_rows = list(prev), list(cur)     # the buffers' row views, made once
     for n0 in range(0, n_steps, ns):        # the window of steps n0 .. n0 + m - 1
         m = min(ns, n_steps - n0)
         cur[0] = y
         np.add(prev[:m], prev[1:m + 1], out=cur[1:m + 1])
         cur[1:m + 1] *= g
-        for i in range(1, m + 1):
-            cur[i] += q * cur[i - 1]
+        for last, row in zip(cur_rows[:m], cur_rows[1:m + 1]):
+            row += q * last
         lo, hi = np.searchsorted(need, (n0, n0 + m + 1))
         spec[lo:hi] = cur[need[lo:hi] - n0]
-        y, prev, cur = cur[m], cur, prev
+        y, prev, cur, prev_rows, cur_rows = cur[m], cur, prev, cur_rows, prev_rows
 
     rows = np.zeros((len(need), nx + 1))
     for b in range(0, len(need), _BLOCK):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from delayheat import (EigenBasis, InvalidArgumentError, QuadratureRule, SpectralField,
                        dirac_coeffs, hs_norm, project, semigroup_apply)
+from delayheat.basis import _decay_scan
 
 
 def _mode(k, L=1.0):
@@ -157,3 +160,28 @@ def test_orthonormality_matrix():
     emat = basis.eval_matrix(x)
     gram = emat.T @ (w[:, None] * emat)
     assert_allclose(gram, np.eye(8), atol=1e-12)
+
+
+def _serial_scan(x, q):
+    """x_i <- q x_{i-1} + x_i one row at a time: the recurrence `_decay_scan` computes."""
+    out = x.copy()
+    for i in range(1, len(out)):
+        out[i] = q * out[i - 1] + out[i]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.one_of(st.integers(0, 70), st.sampled_from([97, 705, 1001, 1024])),
+       cols=st.sampled_from([1, 4, 60]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_decay_scan_matches_serial_recurrence(n, cols, seed, data):
+    # within a few eps n of the sum of |terms| q^(i-j) x_j, and every column is its
+    # one-column scan bit for bit
+    q = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                                              st.floats(-1.0, 1.0)),
+                                    min_size=cols, max_size=cols)))
+    x = np.random.default_rng(seed).standard_normal((n, cols))
+    got = _decay_scan(x.copy(), q)
+    terms = _serial_scan(np.abs(x), np.abs(q))
+    assert np.all(np.abs(got - _serial_scan(x, q)) <= 4.0 * np.finfo(float).eps * max(n, 1) * terms)
+    for k in range(cols):
+        assert _decay_scan(x[:, k].copy(), q[k]).tobytes() == got[:, k].tobytes()

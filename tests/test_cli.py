@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import delayheat
 from delayheat import (EigenBasis, FlowParams, InvalidArgumentError, SpectralField,
-                       semigroup_apply, solve_trace)
+                       dirac_coeffs, picard_solve, semigroup_apply, solve_trace)
 from delayheat.cli import main
 
 
@@ -471,12 +471,51 @@ out_dir = {out}
     (["figure6", "--run.times", "1 1"], 2, "trace times must be strictly increasing"),
     (["figure6", "--run.times", "3 120"], 1, "non-finite values, the first at t=120"),
     (["diagnose", "--order", "-1"], 2, "order r must be >= 0"),
+    # g_k grows like lambda_60^k: the squares in violation_34 overflow, and g_68 itself
+    (["diagnose", "--order", "60"], 1, "compatibility order 34 of r = 60 is not finite"),
+    (["diagnose", "--order", "70"], 1, "compatibility order 34 of r = 70 is not finite"),
 ])
 def test_failed_figure6_and_diagnose_leave_no_output_dir(tmp_path, capsys, argv, code, reason):
     out = tmp_path / "out"
     assert main([*argv, "--run.out_dir", str(out)]) == code
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_picard_cut_off_before_its_fixed_point_exits_1(tmp_path, monkeypatch, capsys):
+    # at T = 7.5 tau the fixed point takes 8 sweeps; 4 leave t = 7.5 off by 100%
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    argv = ["simulate", "--run.solver", "picard", "--run.times", "0 2.5 5 7.5",
+            "--run.out_dir", str(out)]
+    assert main(argv + ["--picard.n_iter", "4"]) == 1
+    err = capsys.readouterr().err
+    assert ("picard.n_iter = 4 sweeps end before the fixed point at T = 7.5: "
+            "the last residual is 2.36e-05, not 0") in err
+    assert not out.exists()
+    assert main(argv + ["--picard.n_iter", "8"]) == 0
+    residuals = json.loads((out / "manifest.json").read_text())["health"]["residuals"]
+    assert residuals[-2] > 0.0 and residuals[-1] == 0.0
+
+
+def test_picard_cli_default_stops_sweeping_at_its_fixed_point(tmp_path, monkeypatch):
+    # T = 2.5 tau: iterate 3 is the fixed point, so the 12 default iterations make 3 G scans,
+    # and the trace and residuals are those of 3 iterations, then 9 residuals of 0
+    import delayheat.flow as fl
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    scans, scan = [], fl._decay_scan
+    monkeypatch.setattr(fl, "_decay_scan", lambda x, q: scans.append(len(x)) or scan(x, q))
+    out = tmp_path / "out"
+    assert main(["simulate", "--run.solver", "picard", "--run.out_dir", str(out)]) == 0
+    assert len(scans) == 3
+    ref = picard_solve(dirac_coeffs(0.3, EigenBasis(1.0, 60)), None, 2.5, n_iter=3,
+                       dt=1.0 / 64, params=FlowParams())
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    assert health["n_iter"] == 12
+    assert health["residuals"] == ref.residuals.tolist() + [0.0] * 9
+    rows = np.array([float(r["coeff"]) for r in read_csv(out / "trace_coeffs.csv")])
+    idx = np.searchsorted(ref.times, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    assert rows.tobytes() == ref.coeffs[idx].tobytes()
 
 
 def test_figure_panels_rejects_negative_time():

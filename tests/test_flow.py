@@ -559,6 +559,17 @@ def test_picard_residuals_contract_factorially():
         assert np.all(picard_solve(y0, phi, T, n_iter=5, dt=p.tau / 64, params=p0).residuals == 0.0)
 
 
+def test_picard_skips_only_once_an_iterate_repeats_bit_for_bit(monkeypatch):
+    # y0 = -0.0: the first sweep's residual is 0, but F + G F turns every -0.0 into +0.0,
+    # so a second sweep confirms the fixed point; after it no sweep runs
+    scans, scan = [], fl._decay_scan
+    monkeypatch.setattr(fl, "_decay_scan", lambda x, q: scans.append(len(x)) or scan(x, q))
+    y0 = SpectralField(EigenBasis(1.0, 8), np.full(8, -0.0))
+    trace = picard_solve(y0, None, 2.5, n_iter=6, dt=1.0 / 16, params=FlowParams())
+    assert len(scans) == 2
+    assert np.all(trace.residuals == 0.0) and not np.signbit(trace.coeffs).any()
+
+
 def _short_delay_histories(a):
     # L = 10 and tau = 0.25 keep log(|a| tau) + lam tau below -1 for the 3 modes,
     # so the compatible history exists for a = -1 as well
