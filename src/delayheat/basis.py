@@ -198,10 +198,17 @@ def _decay_scan(x: np.ndarray, q) -> np.ndarray:
     return x
 
 
+GRID_RTOL = 1e-9    # a step k h within GRID_RTOL max(1, |t|) of t is at t; k h is rounded
+
+
+def _in_horizon(t: float, T: float) -> bool:    # [0, T] widened by GRID_RTOL max(1, |t|)
+    return -GRID_RTOL * max(1.0, abs(t)) <= t <= T + GRID_RTOL * max(1.0, abs(t))
+
+
 def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, np.ndarray]:
     """The stepping solvers' n_sub = round(tau / dt) steps per delay and grid k h, h = tau / n_sub,
-    up to the first step within 1e-9 h of T or past it; InvalidArgumentError if dt is not a
-    positive finite number or n_sub < min_sub."""
+    up to the first step within 1e-9 h of T or past it, and at least one step; InvalidArgumentError
+    if dt is not a positive finite number or n_sub < min_sub."""
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidArgumentError(f"grid step {dt} must be positive and finite")
     n_sub = round(tau / dt)
@@ -210,7 +217,7 @@ def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, 
             f"grid step {dt} too coarse: need at least {min_sub} points per delay interval"
         )
     h = tau / n_sub
-    return n_sub, np.arange(math.ceil(T / h - 1e-9) + 1) * h
+    return n_sub, np.arange(max(1, math.ceil(T / h - 1e-9)) + 1) * h
 
 
 def hs_norm(fld: SpectralField, s: float) -> float:

@@ -13,8 +13,8 @@ variable DELAY_HEAT_OUT overrides the output directory.  Exit codes: 0 success,
 1 numerical failure or any error a solver raises, 2 configuration error.
 
 Importing this module loads only numpy, `basis`, `flow`, `io` and `errors`; the
-stepping solvers load `refsolvers`, `diagnose` loads `diagnostics`, and `validate`
-and `figure6` load `validate`.  The manifest's phases.import_s, the seconds from
+rk4-modes and hybrid solvers load `refsolvers`, `diagnose` loads `diagnostics`, and
+`validate` and `figure6` load `validate`.  The manifest's phases.import_s, the seconds from
 the start of `import delayheat` to the end of this import, is one value per process.
 """
 
@@ -33,8 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _import_started, io as dio
-from .basis import EigenBasis, SpectralField, _step_grid, dirac_coeffs, project
-from .errors import InvalidArgumentError, NonFiniteOutputError, TruncationExceededError
+from .basis import (GRID_RTOL, EigenBasis, SpectralField, _in_horizon, _step_grid, dirac_coeffs,
+                    project)
+from .errors import InvalidArgumentError, NonFiniteOutputError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
 
@@ -44,7 +45,7 @@ DEFAULT_CONFIG = {
     "history": {"kind": "zero", "rate": "-1.0", "profile": "1.0", "file": "", "interp_order": "1"},
     "run": {"solver": "closed-form", "times": "0.0 0.5 1.0 1.5 2.0 2.5",
             "out_dir": "out", "nx": "300"},
-    "picard": {"n_iter": "12", "dt": "0.015625"},
+    "picard": {"dt": "0.015625"},
     "hybrid": {"nx": "400", "ns": "800", "z_dump_times": ""},
     "rk4": {"dt": "0.001"},
 }
@@ -154,7 +155,6 @@ def _run_times(cfg) -> list[float]:
 
 def _grid_index(trace_times: np.ndarray, wanted: list[float], what: str, solver: str) -> list[int]:
     """Index of the solver sample at each instant; one farther than GRID_RTOL max(1, |t|) raises."""
-    from .refsolvers import GRID_RTOL
     idx = [int(np.argmin(np.abs(trace_times - t))) for t in wanted]
     for t, near in zip(wanted, trace_times[idx].tolist()):
         if not abs(near - t) <= GRID_RTOL * max(1.0, abs(t)):
@@ -240,7 +240,7 @@ def cmd_simulate(cfg, args) -> int:
     dumps = {}      # transport file name -> (requested t, grid index)
     if solver == "hybrid":
         z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
-        inside = [t for t in z_times if rs._in_horizon(t, T)]   # hybrid_simulate rejects the rest
+        inside = [t for t in z_times if _in_horizon(t, T)]   # hybrid_simulate rejects the rest
         for t, i in zip(inside, _grid_index(grid, inside, "hybrid.z_dump_times", solver)):
             name = f"transport_t{grid[i]:g}.csv"
             if name in dumps:
@@ -254,14 +254,9 @@ def cmd_simulate(cfg, args) -> int:
         trace = solve_trace(y0, phi, times, params)
         out_times, rows = trace.times, trace.coeffs
     elif solver == "picard":
-        n_iter = _num(cfg, "picard.n_iter", int)
-        trace = picard_solve(y0, phi, T, n_iter, _num(cfg, "picard.dt"), params)
-        if trace.residuals[-1] != 0.0:     # the trace's tail has not converged
-            raise TruncationExceededError(
-                f"picard.n_iter = {n_iter} sweeps end before the fixed point at T = {T:g}: "
-                f"the last residual is {trace.residuals[-1]:.3g}, not 0")
+        trace = picard_solve(y0, phi, T, _num(cfg, "picard.dt"), params)
         out_times, rows = trace.times[idx], trace.coeffs[idx]
-        health.update(h=float(trace.times[1]), n_iter=n_iter, residuals=trace.residuals.tolist())
+        health.update(h=float(trace.times[1]), residuals=trace.residuals.tolist())
     elif solver == "rk4-modes":
         trace = rs.rk4_dde_mode(mode_cfg, T)
         out_times, rows = trace.times[idx], trace.values[idx]

@@ -35,7 +35,6 @@ exactly to incomplete gamma functions of integer order, which is how
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -418,7 +417,7 @@ def history_convolution(lams: np.ndarray, phi: History, ts, params: FlowParams) 
 class SolutionTrace:
     """Solution samples at strictly increasing times, one coefficient row per time.
 
-    `residuals` is set by `picard_solve`: for each iteration, max over time of
+    `residuals` is set by `picard_solve`: for each sweep, max over time of
     the L2 norm over modes of y_{n+1} - y_n.
     """
 
@@ -460,9 +459,9 @@ def solve_trace(y0: SpectralField, phi: History | None, times,
 # Picard iteration of the Volterra integral equation
 
 
-def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
-                 dt: float, params: FlowParams) -> SolutionTrace:
-    """Iterate y <- F + G y on a uniform grid, starting from y = F.
+def picard_solve(y0: SpectralField, phi: History | None, T: float, dt: float,
+                 params: FlowParams) -> SolutionTrace:
+    """Iterate y <- F + G y on a uniform grid, starting from y = F, to its fixed point.
 
     F(t) is the heat evolution of y0 plus the history forcing
     a * integral_0^{min(t, tau)} exp(-lambda (t - sigma)) phi(sigma - tau) dsigma
@@ -471,21 +470,16 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
     grid.  Up to tau the forcing is the history convolution of `solve_trace`, so there
     the iterate equals `solve_trace`; past tau it is its value at tau times
     exp(-lambda (t - tau)).  The delay must be resolved: dt is snapped to
-    tau / round(tau / dt) and rejected when coarser than tau / 4.  After n
-    iterations the distance to the exact solution decays like
-    (|a| T)^(n+1) / (n+1)! down to the trapezoid floor.  Each G sweep is one
-    decay scan over the grid, and the trace carries the n_iter per-iteration
-    residuals max_t ||y_{n+1}(t) - y_n(t)|| (zero for a = 0), which contract
-    the same way.  G shifts by tau, so the residual of iteration n is exactly 0
-    once n tau >= T: the method of steps has reached its fixed point, and the
-    later iterations repeat it with residual 0 and no sweep.  A last residual
-    that is not 0 means n_iter ended before the fixed point.  The iterates are
-    those of `_picard_iterates`.
+    tau / round(tau / dt) and rejected when coarser than tau / 4.  G shifts by
+    tau, so on a grid of W delay windows (W = ceil(T / tau) up to the grid's
+    rounding) G^W = 0: this is the method of steps, and its W sweeps of
+    `_picard_iterates` reach the fixed point, whose distance to the exact
+    solution is the trapezoid error.  The trace carries the W per-sweep
+    residuals max_t ||y_{n+1}(t) - y_n(t)||, which contract like
+    (|a| T)^(n+1) / (n+1)! and end in exactly 0 (all 0 for a = 0).
     """
-    if n_iter < 1:
-        raise InvalidArgumentError("need at least one iteration")
     residuals = []
-    for times, y, residual in itertools.islice(_picard_iterates(y0, phi, T, dt, params), n_iter):
+    for times, y, residual in _picard_iterates(y0, phi, T, dt, params):
         residuals.append(residual)
     return SolutionTrace(times, y, y0.basis, np.array(residuals))
 
@@ -493,11 +487,10 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, n_iter: int,
 def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float,
                      params: FlowParams):
     """Set up `picard_solve`'s grid, forcing F and G once, then yield (times, y_n, residual_n)
-    for n = 1, 2, ... without end, so that iterate n of a longer run is the n-iteration result.
+    for n = 1..W, W = ceil(n_steps / n_sub), one G sweep each.
 
-    Once a sweep's residual is 0 and its iterate equals the previous one bit for bit (compared
-    as int64, since a residual of 0 allows a +0.0 / -0.0 difference), that iterate is the
-    floating-point fixed point: it is yielded again, residual 0, without sweeping."""
+    Iterates n - 1 and n differ only on grid rows past n n_sub, where G^n F starts, so the
+    residual of sweep W is exactly 0 and iterate W equals iterate W - 1."""
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
     n_sub, times = _step_grid(params.tau, dt, T, min_sub=4)
@@ -527,14 +520,10 @@ def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float
         out[n_sub + 1:] = (params.a * h) * (S[1:] - ends)
         return out
 
-    y, fixed = F, False
-    while True:
-        if not fixed:
-            y_next = F + apply_G(y)
-            residual = np.max(np.linalg.norm(y_next - y, axis=1))
-            fixed = residual == 0.0 and np.array_equal(y_next.view(np.int64), y.view(np.int64))
-            y = y_next
-        yield times, y, residual
+    y = F
+    for _ in range(math.ceil(n_steps / n_sub)):
+        y, prev = F + apply_G(y), y
+        yield times, y, np.max(np.linalg.norm(y - prev, axis=1))
 
 
 # ---------------------------------------------------------------------------

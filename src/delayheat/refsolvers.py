@@ -30,12 +30,11 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import _decay_scan, _step_grid
+from .basis import GRID_RTOL, _decay_scan, _in_horizon, _step_grid
 from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
 
-GRID_RTOL = 1e-9    # a step k h within GRID_RTOL max(1, |t|) of t is at t; k h is rounded
 _BLOCK = 64         # rows per block of the hybrid's sine transforms, which bounds their buffers
 
 
@@ -196,10 +195,6 @@ def _sine(v: np.ndarray) -> np.ndarray:
     odd = np.zeros(v.shape[:-1] + (2 * n,))
     odd[..., 1:n], odd[..., n + 1:] = v, -v[..., ::-1]
     return -np.fft.rfft(odd)[..., 1:n].imag
-
-
-def _in_horizon(t: float, T: float) -> bool:    # [0, T] widened by GRID_RTOL max(1, |t|)
-    return -GRID_RTOL * max(1.0, abs(t)) <= t <= T + GRID_RTOL * max(1.0, abs(t))
 
 
 def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np.ndarray] | None,

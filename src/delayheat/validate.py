@@ -56,7 +56,7 @@ def _random_field(basis: EigenBasis, rng: np.random.Generator) -> SpectralField:
 # per-mode: closed form vs the method-of-steps mode stepper, plus hand-computable spot values
 
 
-def suite_per_mode(dt_frac: int = 1000) -> SuiteResult:
+def suite_per_mode() -> SuiteResult:
     """Delayed exponential vs the mode stepper on u' = -lam u + a u(t - tau),
     zero history, u(0) = 1."""
     rows = []
@@ -68,7 +68,7 @@ def suite_per_mode(dt_frac: int = 1000) -> SuiteResult:
     rel = {}
     for a, tau in itertools.product((-1.0, 1.0, 2.0), (0.5, 1.0)):
         # all rates in one call; each column equals the one-mode run
-        trace = rk4_dde_mode(ModeDDEConfig(lam=lams, a=a, tau=tau, dt=tau / dt_frac), 3.0 * tau)
+        trace = rk4_dde_mode(ModeDDEConfig(lam=lams, a=a, tau=tau, dt=tau / 1000), 3.0 * tau)
         exact = _delayed_exp_grid(lams, trace.times, FlowParams(a=a, tau=tau))
         # relative to the trajectory scale; pointwise relative error is
         # meaningless once the solution decays below rounding
@@ -83,7 +83,8 @@ def suite_per_mode(dt_frac: int = 1000) -> SuiteResult:
 # identity: weighted-orbit energy identity over random fields
 
 
-def suite_identity(n_fields: int = 20, K: int = 60) -> SuiteResult:
+def suite_identity() -> SuiteResult:
+    n_fields, K = 20, 60
     rng = np.random.default_rng(_SEED)
     lams = EigenBasis(1.0, K).eigenvalues()
     sq = rng.standard_normal((n_fields, K)) ** 2        # one field per row
@@ -105,9 +106,9 @@ def suite_identity(n_fields: int = 20, K: int = 60) -> SuiteResult:
 # jumps: lattice jump law and off-lattice smoothness
 
 
-def suite_jumps(K: int = 60) -> SuiteResult:
+def suite_jumps() -> SuiteResult:
     rng = np.random.default_rng(_SEED + 1)
-    basis = EigenBasis(1.0, K)
+    basis = EigenBasis(1.0, 60)
     y0 = _random_field(basis, rng)
     rows = []
     for a in (1.0, 2.0):
@@ -125,15 +126,15 @@ def suite_jumps(K: int = 60) -> SuiteResult:
 # picard: factorial contraction of the integral-equation iteration
 
 
-def suite_picard(T: float = 3.0) -> SuiteResult:
+def suite_picard() -> SuiteResult:
     # tau = T/12 keeps 12 series terms alive on [0, T]; with tau = T the series
     # terminates after a couple of terms and there is nothing to contract
-    K, n_sub = 8, 64
+    T, K, n_sub = 3.0, 8, 64
     basis = EigenBasis(1.0, K)
     params = FlowParams(a=1.0, tau=0.25)
     y0 = SpectralField(basis, 1.0 / np.arange(1, K + 1))
-    # iterate n of one 16-iteration run is the n-iteration result
-    run = list(itertools.islice(_picard_iterates(y0, None, T, params.tau / n_sub, params), 16))
+    # the run's 12 iterates, one per delay window; iterate n is the n-iteration result
+    run = list(_picard_iterates(y0, None, T, params.tau / n_sub, params))
     exact = solve_trace(y0, None, run[0][0], params).coeffs
     errors = {n: float(np.max(np.linalg.norm(y - exact, axis=1)))
               for n, (_, y, _) in enumerate(run, start=1)}
@@ -149,13 +150,13 @@ def suite_picard(T: float = 3.0) -> SuiteResult:
         worst_excess = max(worst_excess, e / (C * bound(n) + floor))
     rows.append(CheckRow("picard factorial envelope", worst_excess <= 1.0, worst_excess, 1.0,
                          detail=f"floor={floor:.3g} C={C:.3g}"))
-    rows.append(CheckRow("picard reaches grid floor", errors[16] <= 10.0 * floor, errors[16],
-                         10.0 * floor))
+    last = errors[len(run)]
+    rows.append(CheckRow("picard reaches grid floor", last <= 10.0 * floor, last, 10.0 * floor))
     rows.append(CheckRow("picard envelope spans decades", errors[1] >= 100.0 * floor,
                          errors[1] / max(floor, 1e-300), 100.0))
     # a = 0 converges in a single iteration, exactly
     params0 = FlowParams(a=0.0, tau=1.0)
-    tr0 = picard_solve(y0, None, 1.0, n_iter=1, dt=1.0 / 16, params=params0)
+    tr0 = picard_solve(y0, None, 1.0, dt=1.0 / 16, params=params0)
     ref0 = np.stack([semigroup_apply(y0, float(t)).coeffs for t in tr0.times])
     gap0 = float(np.max(np.abs(tr0.coeffs - ref0)))
     rows.append(CheckRow("picard a=0 one-shot", gap0 == 0.0, gap0, 0.0))
@@ -254,8 +255,9 @@ def figure_panels(times=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5), x0: float = 0.3, K: int 
     return xs, panels
 
 
-def figure_checks(nx: int = 300) -> SuiteResult:
+def figure_checks() -> SuiteResult:
     """Spike-location and smoothness checks on the default panels."""
+    nx = 300
     xs, panels = figure_panels(nx=nx)
     rows = []
 
@@ -280,8 +282,6 @@ def figure_checks(nx: int = 300) -> SuiteResult:
 
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("per-mode", "picard", "hybrid", "identity", "jumps", "compatibility", "all")
-
 _SUITES = {
     "per-mode": suite_per_mode,
     "picard": suite_picard,
@@ -289,7 +289,10 @@ _SUITES = {
     "identity": suite_identity,
     "jumps": suite_jumps,
     "compatibility": suite_compatibility,
+    "figure": figure_checks,
 }
+
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str) -> list[SuiteResult]:

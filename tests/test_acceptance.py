@@ -19,7 +19,7 @@ def _report(criterion: str, ok: bool, detail: str):
 
 
 def test_criterion_1_per_mode_oracle_equivalence():
-    suite = dv.suite_per_mode(dt_frac=1000)
+    suite = dv.suite_per_mode()
     rk4_rows = [r for r in suite.rows if r.name.startswith("rk4")]
     assert len(rk4_rows) == 24  # 4 rates x 3 couplings x 2 delays
     worst = max(r.value for r in rk4_rows)
@@ -41,7 +41,7 @@ def test_criterion_2_scalar_spot_values():
 
 
 def test_criterion_3_weighted_identity():
-    suite = dv.suite_identity(n_fields=20, K=60)
+    suite = dv.suite_identity()
     worst = max(r.value for r in suite.rows)
     _report("criterion 3: weighted-orbit identity ratios",
             suite.passed,
@@ -50,7 +50,7 @@ def test_criterion_3_weighted_identity():
 
 
 def test_criterion_4_jump_law():
-    suite = dv.suite_jumps(K=60)
+    suite = dv.suite_jumps()
     jump_rows = [r for r in suite.rows if r.name.startswith("jump")]
     probe_rows = [r for r in suite.rows if "probe" in r.name]
     worst_jump = max(r.value for r in jump_rows)
@@ -62,7 +62,7 @@ def test_criterion_4_jump_law():
 
 
 def test_criterion_5_figure_panels():
-    suite = dv.figure_checks(nx=300)
+    suite = dv.figure_checks()
     peaks = [r for r in suite.rows if "peak" in r.name]
     smooth = [r for r in suite.rows if "smooth" in r.name]
     _report("criterion 5: point-mass derivative panels (K=60, mesh 1/300)",
@@ -73,7 +73,7 @@ def test_criterion_5_figure_panels():
 
 
 def test_criterion_6_picard_contraction():
-    suite = dv.suite_picard(T=3.0)
+    suite = dv.suite_picard()
     env = [r for r in suite.rows if "envelope" in r.name][0]
     floor = [r for r in suite.rows if "floor" in r.name][0]
     _report("criterion 6: integral-iteration factorial contraction",

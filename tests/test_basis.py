@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from delayheat import (EigenBasis, InvalidArgumentError, QuadratureRule, SpectralField,
                        dirac_coeffs, hs_norm, project, semigroup_apply)
-from delayheat.basis import _decay_scan
+from delayheat.basis import _decay_scan, _step_grid
 
 
 def _mode(k, L=1.0):
@@ -185,3 +185,16 @@ def test_decay_scan_matches_serial_recurrence(n, cols, seed, data):
     assert np.all(np.abs(got - _serial_scan(x, q)) <= 4.0 * np.finfo(float).eps * max(n, 1) * terms)
     for k in range(cols):
         assert _decay_scan(x[:, k].copy(), q[k]).tobytes() == got[:, k].tobytes()
+
+
+def test_step_grid_holds_at_least_one_step():
+    # a horizon within 1e-9 h of 0 gave the one-point grid [0], and the stepping solvers,
+    # which read h = times[1], raised IndexError
+    from delayheat import FlowParams, ModeDDEConfig, picard_solve, rk4_dde_mode
+    assert _step_grid(1.0, 0.25, 1e-13)[1].tolist() == [0.0, 0.25]
+    assert _step_grid(1.0, 0.25, 0.5 + 1e-12)[1].tolist() == [0.0, 0.25, 0.5]
+    y0 = SpectralField(EigenBasis(1.0, 4), np.ones(4))
+    pic = picard_solve(y0, None, 1e-13, 0.25, FlowParams())
+    assert pic.times.tolist() == [0.0, 0.25] and pic.residuals.tolist() == [0.0]
+    rk4 = rk4_dde_mode(ModeDDEConfig(lam=1.0, a=1.0, tau=1.0, dt=0.1), 1e-13)
+    assert rk4.times.tolist() == [0.0, 0.1]

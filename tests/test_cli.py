@@ -143,7 +143,7 @@ def test_simulate_solver_agreement_across_backends(tmp_path):
     times = ["--run.times", "0.0 0.5 1.25"]
     results = {}
     for solver, extra in (("closed-form", []),
-                          ("picard", ["--picard.n_iter", "12", "--picard.dt", "0.03125"]),
+                          ("picard", ["--picard.dt", "0.03125"]),
                           ("rk4-modes", ["--rk4.dt", "0.005"])):
         out = tmp_path / solver
         cfg = write_config(tmp_path / f"{solver}.ini", BASE_CONFIG.format(out=out))
@@ -190,7 +190,7 @@ def test_simulate_closed_form_overflow_exits_1(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("solver, extra, keys", [
     ("closed-form", [], set()),
     ("picard", ["--picard.dt", "0.03125", "--run.times", "0 0.375 1.1875"],
-     {"h", "n_iter", "residuals"}),
+     {"h", "residuals"}),
     ("rk4-modes", ["--rk4.dt", "0.005"], {"h"}),
     ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50"], {"h", "r"}),
 ])
@@ -206,10 +206,10 @@ def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
         assert health["snap_max_offset"] == 0.0
     if solver == "picard":
         # 0, 0.375 and 1.1875 are samples of the 1/32 grid
-        assert health == {"h": 0.03125, "n_iter": 12, "snap_max_offset": 0.0}
-        # one residual per iteration; at t <= 1.1875 < 2 tau only G F is nonzero,
-        # so the first iteration moves the iterate and the rest do not
-        assert len(residuals) == 12 and residuals[0] > 0.0 and residuals[1:] == [0.0] * 11
+        assert health == {"h": 0.03125, "snap_max_offset": 0.0}
+        # one residual per sweep, one sweep per delay window; at t <= 1.1875 < 2 tau only
+        # G F is nonzero, so the first sweep moves the iterate and the second does not
+        assert len(residuals) == 2 and residuals[0] > 0.0 and residuals[1] == 0.0
     if solver == "rk4-modes":
         assert_allclose(health["h"], 0.005, rtol=1e-12)
     if solver == "hybrid":
@@ -482,25 +482,29 @@ def test_failed_figure6_and_diagnose_leave_no_output_dir(tmp_path, capsys, argv,
     assert not out.exists()
 
 
-def test_picard_cut_off_before_its_fixed_point_exits_1(tmp_path, monkeypatch, capsys):
-    # at T = 7.5 tau the fixed point takes 8 sweeps; 4 leave t = 7.5 off by 100%
+def test_picard_runs_to_its_fixed_point_over_20_delays(tmp_path, monkeypatch):
+    # T = 20 tau takes 20 sweeps, one per delay window; the last residual is exactly 0
     monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
     out = tmp_path / "out"
-    argv = ["simulate", "--run.solver", "picard", "--run.times", "0 2.5 5 7.5",
-            "--run.out_dir", str(out)]
-    assert main(argv + ["--picard.n_iter", "4"]) == 1
-    err = capsys.readouterr().err
-    assert ("picard.n_iter = 4 sweeps end before the fixed point at T = 7.5: "
-            "the last residual is 2.36e-05, not 0") in err
-    assert not out.exists()
-    assert main(argv + ["--picard.n_iter", "8"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--run.solver", "picard", "--run.times", "0 10 20",
+                     "--run.out_dir", str(out)]) == 0
     residuals = json.loads((out / "manifest.json").read_text())["health"]["residuals"]
-    assert residuals[-2] > 0.0 and residuals[-1] == 0.0
+    assert len(residuals) == 20 and residuals[-2] > 0.0 and residuals[-1] == 0.0
+
+
+def test_picard_n_iter_is_an_unknown_key(tmp_path, capsys):
+    # the sweep count follows from T / tau, so there is no option to set it
+    out = tmp_path / "out"
+    assert main(["simulate", "--run.solver", "picard", "--picard.n_iter", "4",
+                 "--run.out_dir", str(out)]) == 2
+    assert "unknown config key picard.n_iter" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_picard_cli_default_stops_sweeping_at_its_fixed_point(tmp_path, monkeypatch):
-    # T = 2.5 tau: iterate 3 is the fixed point, so the 12 default iterations make 3 G scans,
-    # and the trace and residuals are those of 3 iterations, then 9 residuals of 0
+    # T = 2.5 tau: 3 delay windows, so 3 G scans, the last with residual 0
     import delayheat.flow as fl
     monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
     scans, scan = [], fl._decay_scan
@@ -508,11 +512,11 @@ def test_picard_cli_default_stops_sweeping_at_its_fixed_point(tmp_path, monkeypa
     out = tmp_path / "out"
     assert main(["simulate", "--run.solver", "picard", "--run.out_dir", str(out)]) == 0
     assert len(scans) == 3
-    ref = picard_solve(dirac_coeffs(0.3, EigenBasis(1.0, 60)), None, 2.5, n_iter=3,
-                       dt=1.0 / 64, params=FlowParams())
+    ref = picard_solve(dirac_coeffs(0.3, EigenBasis(1.0, 60)), None, 2.5, dt=1.0 / 64,
+                       params=FlowParams())
     health = json.loads((out / "manifest.json").read_text())["health"]
-    assert health["n_iter"] == 12
-    assert health["residuals"] == ref.residuals.tolist() + [0.0] * 9
+    assert health["residuals"] == ref.residuals.tolist()
+    assert len(health["residuals"]) == 3 and health["residuals"][-1] == 0.0
     rows = np.array([float(r["coeff"]) for r in read_csv(out / "trace_coeffs.csv")])
     idx = np.searchsorted(ref.times, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
     assert rows.tobytes() == ref.coeffs[idx].tobytes()
@@ -561,6 +565,27 @@ def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeyp
         assert "non-finite" in json.loads((out / "manifest.json").read_text())["error"]
 
 
+def _python_env():
+    """The environment of a child python that imports delayheat from this source tree."""
+    env = dict(os.environ)
+    env.pop("DELAY_HEAT_OUT", None)
+    src = str(Path(delayheat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_default_picard_run_leaves_refsolvers_unloaded(tmp_path):
+    # the grid check reads its rounding rule from basis, so Picard loads no oracle
+    script = ("import sys, delayheat.cli as cli\n"
+              "rc = cli.main(['simulate', '--run.solver', 'picard',\n"
+              "               '--run.out_dir', sys.argv[1]])\n"
+              "print(rc, 'delayheat.refsolvers' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], env=_python_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_cold_path_loads_no_scipy(tmp_path):
     # the import and every subcommand, solver and history kind run on numpy alone; the
     # import loads only the modules every subcommand uses, and no importlib.metadata
@@ -591,20 +616,16 @@ for i, argv in enumerate(json.loads(sys.argv[2])):
     rc = cli.main(argv + ["--run.out_dir", f"{out}/{i}"])
     print("loaded:", " ".join(argv), rc, state())
 """
-    env = dict(os.environ)
-    env.pop("DELAY_HEAT_OUT", None)
-    src = str(Path(delayheat.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(runs)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_python_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = [ln[len("loaded: "):] for ln in proc.stdout.splitlines() if ln.startswith("loaded: ")]
     eager = ["delayheat", "delayheat.basis", "delayheat.cli", "delayheat.errors",
              "delayheat.flow", "delayheat.io"]
     # one process runs them all, so what a run loads stays loaded for the next ones:
-    # closed-form loads nothing deferred, the stepping solvers refsolvers only (picard
-    # through its grid check), diagnose adds diagnostics, and figure6 adds validate
-    deferred = ([[]] + [["refsolvers"]] * 6 + [["diagnostics", "refsolvers"]]
+    # closed-form and picard load nothing deferred, rk4-modes and hybrid refsolvers only,
+    # diagnose adds diagnostics, and figure6 adds validate
+    deferred = ([[]] * 2 + [["refsolvers"]] * 5 + [["diagnostics", "refsolvers"]]
                 + [["diagnostics", "refsolvers", "validate"]] * 2)
     assert lines == [f"import [] [] False {eager}"] + [
         f"{' '.join(argv)} 0 [] {mods} False" for argv, mods in zip(runs, deferred)]

@@ -396,7 +396,7 @@ def test_picard_matches_closed_form(basis):
     y0 = SpectralField(basis, rng.standard_normal(basis.K))
     errs = []
     for n_sub in (64, 128):
-        trace = picard_solve(y0, None, 2.0, n_iter=14, dt=p.tau / n_sub, params=p)
+        trace = picard_solve(y0, None, 2.0, dt=p.tau / n_sub, params=p)
         ref = solve_trace(y0, None, trace.times, p)
         errs.append(np.max(np.abs(trace.coeffs - ref.coeffs)))
     assert errs[0] <= 1e-6
@@ -408,7 +408,7 @@ def test_picard_with_history_matches_closed_form(basis):
     p = FlowParams(a=1.0, tau=0.5)
     y0 = SpectralField.from_modes(basis, {1: 1.0})
     phi = ExpModeHistory(SpectralField.from_modes(basis, {1: 0.8, 2: 0.1}), -1.0)
-    trace = picard_solve(y0, phi, 1.6, n_iter=12, dt=p.tau / 128, params=p)
+    trace = picard_solve(y0, phi, 1.6, dt=p.tau / 128, params=p)
     ref = solve_trace(y0, phi, trace.times, p)
     err = np.max(np.abs(trace.coeffs - ref.coeffs))
     assert err <= 5e-5
@@ -418,21 +418,20 @@ def test_picard_guards(basis):
     y0 = SpectralField.zero(basis)
     p = FlowParams(a=1.0, tau=1.0)
     with pytest.raises(InvalidArgumentError):
-        picard_solve(y0, None, 1.0, n_iter=1, dt=0.5, params=p)  # coarser than tau/4
+        picard_solve(y0, None, 1.0, dt=0.5, params=p)  # coarser than tau/4
     with pytest.raises(InvalidArgumentError):
-        picard_solve(y0, None, -1.0, n_iter=1, dt=0.1, params=p)
-    with pytest.raises(InvalidArgumentError):
-        picard_solve(y0, None, 1.0, n_iter=0, dt=0.1, params=p)
+        picard_solve(y0, None, -1.0, dt=0.1, params=p)
 
 
 def test_picard_inactive_delay_equals_forcing_term(basis):
-    # horizons below the delay never engage the feedback term
+    # horizons below the delay never engage the feedback term: one sweep, which moves nothing,
+    # and the forcing is the closed form there
     p = FlowParams(a=3.0, tau=1.0)
     y0 = SpectralField.from_modes(basis, {1: 1.0})
     phi = ExpModeHistory(SpectralField.from_modes(basis, {1: 1.0}), 0.0)
-    one = picard_solve(y0, phi, 0.75, n_iter=1, dt=p.tau / 16, params=p)
-    many = picard_solve(y0, phi, 0.75, n_iter=7, dt=p.tau / 16, params=p)
-    assert_allclose(one.coeffs, many.coeffs, rtol=0, atol=0)
+    trace = picard_solve(y0, phi, 0.75, dt=p.tau / 16, params=p)
+    assert trace.residuals.tolist() == [0.0]
+    assert_allclose(trace.coeffs, solve_trace(y0, phi, trace.times, p).coeffs, rtol=0, atol=0)
 
 
 def test_trace_invariants(basis):
@@ -470,7 +469,8 @@ def test_picard_recurrence_matches_einsum_reference(a):
     basis60 = EigenBasis(1.0, 60)
     p = FlowParams(a=a, tau=1.0)
     y0 = dirac_coeffs(0.3, basis60)
-    trace = picard_solve(y0, None, 3.0, n_iter=12, dt=1.0 / 64, params=p)
+    trace = picard_solve(y0, None, 3.0, dt=1.0 / 64, params=p)
+    # 3 sweeps reach the fixed point; the reference makes 9 more
     times, ref = _picard_einsum_reference(y0, 3.0, 12, 1.0 / 64, p)
     assert np.array_equal(trace.times, times)
     assert np.max(np.abs(trace.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -524,7 +524,7 @@ def test_picard_scan_matches_serial_reference(a, n_sub, history, T_over_tau):
     phi = (ExpModeHistory(SpectralField.from_modes(basis60, [0.9, -0.4, 0.2, 0.1]), -1.3)
            if history else None)
     T = T_over_tau * p.tau
-    trace = picard_solve(y0, phi, T, n_iter=4, dt=p.tau / n_sub, params=p)
+    trace = picard_solve(y0, phi, T, dt=p.tau / n_sub, params=p)      # at most 3 windows
     times, ref = _picard_serial_reference(y0, phi, T, 4, p.tau / n_sub, p)
     assert np.array_equal(trace.times, times)
     scale = np.max(np.abs(ref), axis=0)       # per mode
@@ -539,35 +539,34 @@ def test_picard_residuals_contract_factorially():
     basis8 = EigenBasis(1.0, K)
     p = FlowParams(a=1.0, tau=0.25)
     y0 = SpectralField(basis8, 1.0 / np.arange(1, K + 1))
-    trace = picard_solve(y0, None, T, n_iter=16, dt=p.tau / 64, params=p)
+    trace = picard_solve(y0, None, T, dt=p.tau / 64, params=p)
     res = trace.residuals
-    assert res.shape == (16,)
-    bound = np.array([T ** (n + 1) / math.factorial(n + 1) for n in range(16)])
+    assert res.shape == (12,)       # one sweep per delay window
+    bound = np.array([T ** (n + 1) / math.factorial(n + 1) for n in range(12)])
     C = res[0] / bound[0]
     assert np.all(res <= C * bound)
     assert np.all(res[1:11] < 0.1 * res[:10])
     assert res[0] / res[9] > 1e9
-    assert np.all(res[11:] == 0.0)
+    assert res[11] == 0.0
     # each residual is the distance between consecutive iterates
+    run = [y for _, y, _ in fl._picard_iterates(y0, None, T, p.tau / 64, p)]
     for n in (1, 4):
-        prev = picard_solve(y0, None, T, n_iter=n, dt=p.tau / 64, params=p).coeffs
-        nxt = picard_solve(y0, None, T, n_iter=n + 1, dt=p.tau / 64, params=p).coeffs
-        assert res[n] == np.max(np.linalg.norm(nxt - prev, axis=1))
+        assert res[n] == np.max(np.linalg.norm(run[n] - run[n - 1], axis=1))
     # a = 0: G = 0, so the first iterate is already the fixed point
     p0 = FlowParams(a=0.0, tau=0.25)
     for phi in (None, compatible_history(y0, p)):
-        assert np.all(picard_solve(y0, phi, T, n_iter=5, dt=p.tau / 64, params=p0).residuals == 0.0)
+        assert np.all(picard_solve(y0, phi, T, dt=p.tau / 64, params=p0).residuals == 0.0)
 
 
-def test_picard_skips_only_once_an_iterate_repeats_bit_for_bit(monkeypatch):
-    # y0 = -0.0: the first sweep's residual is 0, but F + G F turns every -0.0 into +0.0,
-    # so a second sweep confirms the fixed point; after it no sweep runs
+def test_picard_turns_negative_zero_data_into_positive_zeros(monkeypatch):
+    # y0 = -0.0: F is -0.0 throughout and F + G F turns every -0.0 into +0.0; the
+    # 3 delay windows of T = 2.5 take 3 sweeps, each with residual 0
     scans, scan = [], fl._decay_scan
     monkeypatch.setattr(fl, "_decay_scan", lambda x, q: scans.append(len(x)) or scan(x, q))
     y0 = SpectralField(EigenBasis(1.0, 8), np.full(8, -0.0))
-    trace = picard_solve(y0, None, 2.5, n_iter=6, dt=1.0 / 16, params=FlowParams())
-    assert len(scans) == 2
-    assert np.all(trace.residuals == 0.0) and not np.signbit(trace.coeffs).any()
+    trace = picard_solve(y0, None, 2.5, dt=1.0 / 16, params=FlowParams())
+    assert len(scans) == 3
+    assert trace.residuals.tolist() == [0.0] * 3 and not np.signbit(trace.coeffs).any()
 
 
 def _short_delay_histories(a):
@@ -581,16 +580,17 @@ def _short_delay_histories(a):
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
 def test_picard_solve_is_a_prefix_of_picard_iterates(a):
-    # n iterations of picard_solve are the first n items of one longer run, bit for bit
+    # picard_solve is the whole run of _picard_iterates, one item per delay window: its
+    # residuals are the run's and its coefficients the last iterate, bit for bit
     p, y0, histories = _short_delay_histories(a)
     for name, phi in histories.items():
-        run = list(itertools.islice(fl._picard_iterates(y0, phi, 2.0, p.tau / 16, p), 16))
-        for n in range(1, 17):
-            trace = picard_solve(y0, phi, 2.0, n_iter=n, dt=p.tau / 16, params=p)
-            times, y, _ = run[n - 1]
-            assert np.array_equal(trace.times, times), (name, n)
-            assert np.array_equal(trace.coeffs, y), (name, n)
-            assert np.array_equal(trace.residuals, [r for _, _, r in run[:n]]), (name, n)
+        run = list(fl._picard_iterates(y0, phi, 2.0, p.tau / 16, p))
+        assert len(run) == 8, name
+        trace = picard_solve(y0, phi, 2.0, dt=p.tau / 16, params=p)
+        times, y, _ = run[-1]
+        assert np.array_equal(trace.times, times), name
+        assert np.array_equal(trace.coeffs, y), name
+        assert np.array_equal(trace.residuals, [r for _, _, r in run]), name
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
@@ -631,7 +631,7 @@ def test_picard_equals_solve_trace_up_to_tau(a):
     y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
     for name, phi in _k60_histories(y0, p).items():
         for T in (0.75, 2.5):      # a horizon inside the first delay window, and past it
-            trace = picard_solve(y0, phi, T, n_iter=12, dt=1.0 / 64, params=p)
+            trace = picard_solve(y0, phi, T, dt=1.0 / 64, params=p)
             upto = trace.times <= p.tau
             ref = solve_trace(y0, phi, trace.times[upto], p)
             assert np.array_equal(trace.coeffs[upto], ref.coeffs), (name, T)

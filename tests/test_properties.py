@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import delayheat.flow as fl
-from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory, ModeDDEConfig,
-                       SpectralField, TruncationExceededError, delayed_exp, hs_norm,
-                       picard_solve, project, rk4_dde_mode, semigroup_apply, solve_trace)
+from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory, InvalidArgumentError,
+                       ModeDDEConfig, SpectralField, TruncationExceededError, compatible_history,
+                       delayed_exp, hs_norm, picard_solve, project, rk4_dde_mode, semigroup_apply,
+                       solve_trace)
 
 finite_coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -193,6 +194,41 @@ def test_zero_coupling_reduces_to_heat_semigroup(L, tau, n_sub, T_over_tau, with
                         history=None if phi is None else phi.coeffs)
     trace = rk4_dde_mode(cfg, T)
     check(trace.times, trace.values)
-    pic = picard_solve(y0, phi, T, n_iter=3, dt=tau / n_sub, params=params)
+    pic = picard_solve(y0, phi, T, dt=tau / n_sub, params=params)
     check(pic.times, pic.coeffs)
     assert np.all(pic.residuals == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=5.0), st.sampled_from([0.25, 0.3, 0.5, 1.0]),
+       st.floats(min_value=0.0, max_value=8.0, exclude_min=True),
+       st.integers(min_value=4, max_value=24),
+       st.sampled_from(["zero", "exp", "grid", "compatible"]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_picard_reaches_its_fixed_point_in_one_sweep_per_delay_window(a, tau, T, n_sub,
+                                                                      history, seed):
+    # G shifts by tau, so on a grid of W = ceil(n_steps / n_sub) delay windows G^W = 0:
+    # sweep W moves nothing, and its iterate equals the one before it
+    basis = EigenBasis(1.0, 4)
+    params = FlowParams(a=a, tau=tau)
+    rng = np.random.default_rng(seed)
+    y0 = SpectralField(basis, rng.standard_normal(4))
+    if history == "compatible":
+        try:
+            phi = compatible_history(y0, params)
+        except InvalidArgumentError:        # no real characteristic root (a < 0)
+            assume(False)
+    elif history == "exp":
+        phi = ExpModeHistory(SpectralField(basis, rng.standard_normal(4)), rng.uniform(-2.0, 1.0))
+    elif history == "grid":
+        gammas = np.linspace(-tau, 0.0, 9)
+        phi = GridHistory(gammas, rng.standard_normal((9, 4)), basis)
+    else:
+        phi = None
+    run = list(fl._picard_iterates(y0, phi, T, tau / n_sub, params))
+    trace = picard_solve(y0, phi, T, tau / n_sub, params)
+    n_steps = len(trace.times) - 1
+    assert len(trace.residuals) == len(run) == math.ceil(n_steps / n_sub)
+    assert trace.residuals[-1] == 0.0
+    if len(run) > 1:
+        assert np.array_equal(run[-1][1], run[-2][1])
