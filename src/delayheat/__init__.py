@@ -5,8 +5,7 @@ from importlib import import_module
 
 _import_started = time.perf_counter()       # cli records the seconds since as phases.import_s
 
-from .basis import (EigenBasis, QuadratureRule, SpectralField, dirac_coeffs, hs_norm, project,
-                    semigroup_apply)
+from .basis import EigenBasis, SpectralField, dirac_coeffs, hs_norm, project, semigroup_apply
 from .errors import InvalidArgumentError, NonFiniteOutputError, TruncationExceededError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, SolutionTrace, characteristic_root,
                    compatible_history, delayed_exp, flow_derivative_factors, history_convolution,
@@ -17,12 +16,11 @@ __version__ = "0.1.0"
 # public name -> its submodule, imported on first access so that the cold path skips both
 _LAZY = (dict.fromkeys(("ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace",
                         "hybrid_simulate"), "refsolvers")
-         | dict.fromkeys(("lattice_jump_report", "off_lattice_probe", "CompatibilityReport",
-                          "compatibility_check", "endpoint_jump_scan"), "diagnostics"))
+         | dict.fromkeys(("lattice_jump_report", "CompatibilityReport", "compatibility_check",
+                          "endpoint_jump_scan"), "diagnostics"))
 
 __all__ = [
-    "EigenBasis", "SpectralField", "QuadratureRule", "project", "semigroup_apply", "hs_norm",
-    "dirac_coeffs",
+    "EigenBasis", "SpectralField", "project", "semigroup_apply", "hs_norm", "dirac_coeffs",
     "FlowParams", "ExpModeHistory", "GridHistory", "SolutionTrace",
     "delayed_exp", "flow_derivative_factors", "history_convolution", "solve_trace",
     "picard_solve", "characteristic_root", "compatible_history",

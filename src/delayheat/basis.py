@@ -21,7 +21,6 @@ from .errors import InvalidArgumentError
 __all__ = [
     "EigenBasis",
     "SpectralField",
-    "QuadratureRule",
     "project",
     "semigroup_apply",
     "hs_norm",
@@ -131,33 +130,13 @@ def _gauss_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray
     return x.reshape(edges.shape[:-1] + (-1,)), w.reshape(edges.shape[:-1] + (-1,))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite Gauss-Legendre rule: `panels_per_unit` panels per unit length, `nodes` per panel."""
-
-    panels_per_unit: int = 64
-    nodes: int = 8
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise InvalidArgumentError(f"quadrature node count must be >= 2, got {self.nodes}")
-        if self.panels_per_unit < 1:
-            raise InvalidArgumentError("panels_per_unit must be >= 1")
-
-    def points_weights(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights on [a, b]; empty when b <= a."""
-        if not b > a:
-            return np.empty(0), np.empty(0)
-        n_panels = max(1, math.ceil((b - a) * self.panels_per_unit))
-        return _gauss_panels(np.linspace(a, b, n_panels + 1), self.nodes)
-
-
 def project(f: Callable[[np.ndarray], np.ndarray], basis: EigenBasis) -> SpectralField:
-    """Coefficients c_k = integral of f * e_k over (0, L) by the default composite quadrature.
+    """Coefficients c_k = integral of f * e_k over (0, L) by composite Gauss-Legendre quadrature,
+    8 nodes on each of 64 panels per unit length.
 
     For smooth f, project followed by eval_matrix reproduces f to quadrature accuracy.
     """
-    x, w = QuadratureRule().points_weights(0.0, basis.L)
+    x, w = _gauss_panels(np.linspace(0.0, basis.L, math.ceil(64 * basis.L) + 1), 8)
     fx = np.asarray(f(x), dtype=float)
     coeffs = basis.eval_matrix(x).T @ (w * fx)
     return SpectralField(basis, coeffs)
@@ -201,8 +180,16 @@ def _decay_scan(x: np.ndarray, q) -> np.ndarray:
 GRID_RTOL = 1e-9    # a step k h within GRID_RTOL max(1, |t|) of t is at t; k h is rounded
 
 
-def _in_horizon(t: float, T: float) -> bool:    # [0, T] widened by GRID_RTOL max(1, |t|)
-    return -GRID_RTOL * max(1.0, abs(t)) <= t <= T + GRID_RTOL * max(1.0, abs(t))
+def _grid_index(grid: np.ndarray, wanted, what: str, solver: str) -> list[int]:
+    """Index of the grid step nearest each requested instant t, the one rule for requested times;
+    InvalidArgumentError names t, the step h and that grid value when it is farther than
+    GRID_RTOL max(1, |t|) from t."""
+    idx = [int(np.argmin(np.abs(grid - t))) for t in wanted]
+    for t, near in zip(wanted, grid[idx].tolist()):
+        if not abs(near - t) <= GRID_RTOL * max(1.0, abs(t)):
+            raise InvalidArgumentError(f"{what}: t = {float(t)!r} is off the {solver} grid of step "
+                                       f"h = {grid[1].item()!r}; its nearest sample is {near!r}")
+    return idx
 
 
 def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, np.ndarray]:

@@ -33,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _import_started, io as dio
-from .basis import (GRID_RTOL, EigenBasis, SpectralField, _in_horizon, _step_grid, dirac_coeffs,
-                    project)
+from .basis import EigenBasis, SpectralField, _grid_index, _step_grid, dirac_coeffs, project
 from .errors import InvalidArgumentError, NonFiniteOutputError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
@@ -124,8 +123,6 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
     kind = sec.get("kind")
     if kind == "zero":
         return None
-    if kind == "constant":
-        return ExpModeHistory(SpectralField.from_modes(basis, _floats(sec.get("profile"))), 0.0)
     if kind == "exp":
         return ExpModeHistory(SpectralField.from_modes(basis, _floats(sec.get("profile"))),
                               _num(cfg, "history.rate"))
@@ -151,16 +148,6 @@ def _run_times(cfg) -> list[float]:
         raise InvalidArgumentError("run.times names an instant twice: trace times must be "
                                    "strictly increasing")
     return times
-
-
-def _grid_index(trace_times: np.ndarray, wanted: list[float], what: str, solver: str) -> list[int]:
-    """Index of the solver sample at each instant; one farther than GRID_RTOL max(1, |t|) raises."""
-    idx = [int(np.argmin(np.abs(trace_times - t))) for t in wanted]
-    for t, near in zip(wanted, trace_times[idx].tolist()):
-        if not abs(near - t) <= GRID_RTOL * max(1.0, abs(t)):
-            raise InvalidArgumentError(f"{what}: t = {t!r} is off the {solver} grid of step h = "
-                                       f"{trace_times[1].item()!r}; its nearest sample is {near!r}")
-    return idx
 
 
 def _project_grid_rows(values: np.ndarray, xs: np.ndarray, emat: np.ndarray) -> np.ndarray:
@@ -240,8 +227,7 @@ def cmd_simulate(cfg, args) -> int:
     dumps = {}      # transport file name -> (requested t, grid index)
     if solver == "hybrid":
         z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
-        inside = [t for t in z_times if _in_horizon(t, T)]   # hybrid_simulate rejects the rest
-        for t, i in zip(inside, _grid_index(grid, inside, "hybrid.z_dump_times", solver)):
+        for t, i in zip(z_times, _grid_index(grid, z_times, "hybrid.z_dump_times", solver)):
             name = f"transport_t{grid[i]:g}.csv"
             if name in dumps:
                 raise InvalidArgumentError(f"hybrid.z_dump_times: t = {dumps[name][0]!r} and "
@@ -397,7 +383,9 @@ def cmd_diagnose(cfg, args) -> int:
     compat_path = out / "compatibility.txt"
     manifest.add(compat_path, dio.write_keyvalue(kv, compat_path))
     jump_path = out / "jump_table.csv"
-    manifest.add(jump_path, dio.write_jump_table_csv(rows, jump_path))
+    manifest.add(jump_path, dio._write_rows(
+        jump_path, ["j", "predicted_norm", "measured_norm", "rel_error"],
+        ((str(r.j), r.predicted_norm, r.measured_norm, r.rel_error) for r in rows)))
     if scan is not None:
         scan_path = out / "endpoint_jumps.csv"
         manifest.add(scan_path, dio._write_rows(

@@ -9,8 +9,9 @@ Three instruments:
   integral for decay rate 1) times the squared index-s norm of y0.
 
 * ``lattice_jump_report`` tabulates the predicted jump a^j y0 of the j-th time
-  derivative at t = j tau against the measured one-sided derivative gap, and
-  ``off_lattice_probe`` checks that the gap vanishes away from the lattice.
+  derivative at t = j tau against the measured one-sided derivative gap.  Off
+  the lattice both one-sided series sum the same terms, so the gap there is 0
+  by construction and needs no instrument.
 
 * ``compatibility_check`` builds the endpoint matching fields
   g_0 = y0, g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1} and compares them
@@ -34,7 +35,6 @@ __all__ = [
     "weight_factor",
     "JumpRow",
     "lattice_jump_report",
-    "off_lattice_probe",
     "CompatibilityReport",
     "compatibility_check",
     "EndpointJumpRow",
@@ -83,9 +83,9 @@ def weight_factor(alpha: int, beta: int) -> float:
 def _mode_rules(lams: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T_cut = (60 + 20 beta) / (2 lam) and each mode's time rule as a padded (K, P * 10) row.
 
-    Row k holds, bit for bit, the nodes and weights of QuadratureRule(panels_per_unit=
-    max(1, ceil(48 / T_cut)), nodes=10).points_weights(0, T_cut) for lam_k, then
-    padding panels of weight exactly 0 up to the largest panel count P.
+    Row k holds, bit for bit, the nodes and weights of `_gauss_panels(np.linspace(0, T_cut, n + 1),
+    10)` for lam_k, n = max(1, ceil(T_cut max(1, ceil(48 / T_cut)))) panels, then padding panels
+    of weight exactly 0 up to the largest panel count P.
     """
     t_cut = (60.0 + 20.0 * beta) / (2.0 * lams)
     n_panels = np.maximum(1.0, np.ceil(t_cut * np.maximum(1.0, np.ceil(48 / t_cut))))
@@ -148,18 +148,6 @@ def lattice_jump_report(y0: SpectralField, params: FlowParams, j_max: int) -> li
     return rows
 
 
-def off_lattice_probe(y0: SpectralField, params: FlowParams, t: float, order: int) -> float:
-    """Max per-mode gap between left and right flow derivatives at an off-lattice t.
-
-    Both one-sided evaluations share the same active terms away from the
-    lattice, so any nonzero gap is a spurious jump.
-    """
-    lams = y0.basis.eigenvalues()
-    right = flow_derivative_factors(lams, t, order, params, side="right")
-    left = flow_derivative_factors(lams, t, order, params, side="left")
-    return float(np.max(np.abs((right - left) * y0.coeffs)))
-
-
 # ---------------------------------------------------------------------------
 # Endpoint compatibility
 
@@ -168,16 +156,11 @@ def off_lattice_probe(y0: SpectralField, params: FlowParams, t: float, order: in
 class CompatibilityReport:
     r: int
     g_fields: list[SpectralField]
-    endpoint_derivs: list[SpectralField]
     violations: np.ndarray
     flag_endpoint_regularity: bool   # finite, tail-bounded endpoint derivatives
     flag_g_regularity: bool          # g_k tail-bounded at index 1
     flag_matching: bool              # endpoint derivatives equal g_k within tol
     tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.flag_endpoint_regularity and self.flag_g_regularity and self.flag_matching
 
 
 def _tail_bounded(fld: SpectralField, s: float) -> bool:
@@ -245,7 +228,7 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
         flag2 = all(_tail_bounded(g, 1.0) for g in g_fields)
         flag1 = (all(_tail_bounded(f, 0.0) for f in minus_tau)
                  and all(_tail_bounded(f, 0.0) for f in endpoint))
-    return CompatibilityReport(r, g_fields, endpoint, violations, flag1, flag2, flag3, tol)
+    return CompatibilityReport(r, g_fields, violations, flag1, flag2, flag3, tol)
 
 
 # ---------------------------------------------------------------------------

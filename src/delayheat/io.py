@@ -175,12 +175,6 @@ def write_transport_dump_csv(t: float, s_mesh: np.ndarray, xs: np.ndarray,
                        _trace_lines(s_mesh, xs, z, prefix=fmt(t) + ","))
 
 
-def write_jump_table_csv(rows, path) -> int:
-    """Rows "j,predicted_norm,measured_norm,rel_error"."""
-    return _write_rows(Path(path), ["j", "predicted_norm", "measured_norm", "rel_error"],
-                       ((str(r.j), r.predicted_norm, r.measured_norm, r.rel_error) for r in rows))
-
-
 def write_keyvalue(mapping: dict, path) -> int:
     """Flat "key = value" report, one entry per line."""
     n = 0

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import GRID_RTOL, _decay_scan, _in_horizon, _step_grid
+from .basis import _decay_scan, _grid_index, _step_grid
 from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
@@ -182,7 +182,6 @@ class MeshParams:
 @dataclass(frozen=True)
 class HybridTrace:
     times: np.ndarray                        # every step n tau / ns, to the first at or past T
-    x: np.ndarray
     values: np.ndarray                       # shape (len(sample_times), nx + 1)
     s: np.ndarray
     z_snapshots: dict[float, np.ndarray]     # time -> z array of shape (ns + 1, nx + 1)
@@ -209,8 +208,8 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
     stored row, the history's phi(-s_j) for j > n.  Crank-Nicolson steps the temperature with the
     source a y(t - tau) averaged over the rows at the two ends of the step; the step that ends at
     t = tau reads the history's left limit phi(0^-), not y(0).  A sample or snapshot time t is
-    taken at the first step at or after t - GRID_RTOL max(1, |t|); one outside [0, T] by more than
-    that raises InvalidArgumentError.  `times` is every step (the bench tracer counts them),
+    taken at its nearest step (`basis._grid_index`); one farther than GRID_RTOL max(1, |t|) from
+    every step raises InvalidArgumentError.  `times` is every step (the bench tracer counts them),
     `values` one row per sample time, bit for bit the row a snapshot shows there; snapshot rows
     before t = 0 are the history's.
 
@@ -223,15 +222,11 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
-    for what, ts in (("sample", sample_times), ("transport snapshot", z_sample_times)):
-        outside = [t for t in ts if not _in_horizon(t, T)]
-        if outside:
-            raise InvalidArgumentError(f"{what} time {outside[0]:g} outside [0, T = {T:g}]")
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
     s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
-    step = lambda t: min(int(np.searchsorted(times, t - GRID_RTOL * max(1.0, abs(t)))), n_steps)
-    samples, snaps = [step(t) for t in sample_times], [step(t) for t in z_sample_times]
+    samples = _grid_index(times, sample_times, "sample_times", "hybrid")
+    snaps = _grid_index(times, z_sample_times, "z_sample_times", "hybrid")
     # the steps whose rows go back to the grid: the samples and each snapshot's delay line
     need = np.array(sorted({*samples, *(k for n in snaps for k in range(max(0, n - ns), n + 1))}), int)
 
@@ -269,4 +264,4 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
     at = lambda n: np.searchsorted(need, n)
     z_snapshots = {t: np.concatenate([rows[at(max(0, n - ns)):at(n) + 1][::-1], hist[n:ns][::-1]])
                    for t, n in zip(z_sample_times, snaps)}
-    return HybridTrace(times, np.linspace(0.0, L, nx + 1), rows[at(samples)], s, z_snapshots)
+    return HybridTrace(times, rows[at(samples)], s, z_snapshots)

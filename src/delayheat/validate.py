@@ -103,7 +103,7 @@ def suite_identity() -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# jumps: lattice jump law and off-lattice smoothness
+# jumps: lattice jump law
 
 
 def suite_jumps() -> SuiteResult:
@@ -116,9 +116,6 @@ def suite_jumps() -> SuiteResult:
         for r in diag.lattice_jump_report(y0, params, j_max=4):
             rows.append(CheckRow(f"jump a={a:g} j={r.j}", r.rel_error <= 1e-6,
                                  r.rel_error, 1e-6))
-        worst = max(diag.off_lattice_probe(y0, params, (j + 0.5) * params.tau, order)
-                    for j in range(4) for order in range(1, 5))
-        rows.append(CheckRow(f"off-lattice probes a={a:g}", worst <= 1e-8, worst, 1e-8))
     return SuiteResult("jumps", rows)
 
 

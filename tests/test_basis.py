@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from delayheat import (EigenBasis, InvalidArgumentError, QuadratureRule, SpectralField,
-                       dirac_coeffs, hs_norm, project, semigroup_apply)
-from delayheat.basis import _decay_scan, _step_grid
+from delayheat import (EigenBasis, InvalidArgumentError, SpectralField, dirac_coeffs, hs_norm,
+                       project, semigroup_apply)
+from delayheat.basis import _decay_scan, _gauss_panels, _step_grid
 
 
 def _mode(k, L=1.0):
@@ -69,11 +69,6 @@ def test_project_parabola_matches_hand_integral():
         ek = _mode(k)
         ref, _ = quad(lambda x: x * (1.0 - x) * ek(x), 0.0, 1.0, limit=200)
         assert_allclose(c[k - 1], ref, atol=1e-12)
-
-
-def test_quadrature_rule_rejects_single_node():
-    with pytest.raises(InvalidArgumentError):
-        QuadratureRule(nodes=1)
 
 
 def test_eval_matrix_values_and_boundary():
@@ -155,8 +150,7 @@ def test_dirac_coeffs():
 
 def test_orthonormality_matrix():
     basis = EigenBasis(1.0, 8)
-    rule = QuadratureRule()
-    x, w = rule.points_weights(0.0, 1.0)
+    x, w = _gauss_panels(np.linspace(0.0, 1.0, 65), 8)      # project's rule
     emat = basis.eval_matrix(x)
     gram = emat.T @ (w[:, None] * emat)
     assert_allclose(gram, np.eye(8), atol=1e-12)

@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import delayheat
-from delayheat import (EigenBasis, FlowParams, InvalidArgumentError, SpectralField,
-                       dirac_coeffs, picard_solve, semigroup_apply, solve_trace)
+from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError,
+                       SpectralField, dirac_coeffs, picard_solve, semigroup_apply, solve_trace)
 from delayheat.cli import main
 
 
@@ -64,6 +64,24 @@ def test_simulate_writes_traces_and_manifest(tmp_path):
     assert by_name["trace_grid.csv"] == len(grid_rows)
     for entry in manifest["outputs"]:
         assert (out / entry["file"]).stat().st_size > 0
+    # the exp kind at rate 0 is the history constant in time, written exactly
+    assert main(["simulate", "--config", cfg, "--history.kind", "exp", "--history.rate", "0",
+                 "--history.profile", "0.3 -0.1"]) == 0
+    basis = EigenBasis(1.0, 8)
+    phi = ExpModeHistory(SpectralField.from_modes(basis, [0.3, -0.1]), 0.0)
+    want = solve_trace(SpectralField.from_modes(basis, [1.0, 0.5]), phi, [0.0, 0.4, 1.2],
+                       FlowParams(a=1.0, tau=1.0)).coeffs
+    got = [float(r["coeff"]) for r in read_csv(out / "trace_coeffs.csv")]
+    assert np.array_equal(np.reshape(got, (3, 8)), want)
+
+
+def test_simulate_rejects_the_constant_history_kind(tmp_path, capsys):
+    # `exp` at history.rate 0 is the same history; `constant` was a second name for it
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--history.kind", "constant"]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown history kind 'constant'\n"
+    assert not out.exists()
 
 
 def test_simulate_manifest_records_phase_times(tmp_path):
@@ -176,8 +194,9 @@ def test_simulate_closed_form_overflow_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["simulate", "--model.coupling", "1e308", "--history.kind", "constant",
-                   "--history.profile", "1e10", "--run.times", "0.5", "--run.out_dir", str(out)])
+        rc = main(["simulate", "--model.coupling", "1e308", "--history.kind", "exp",
+                   "--history.rate", "0", "--history.profile", "1e10", "--run.times", "0.5",
+                   "--run.out_dir", str(out)])
     assert rc == 1
     assert not (out / "trace_coeffs.csv").exists()
     assert not (out / "trace_grid.csv").exists()
@@ -298,7 +317,7 @@ def test_validate_prints_suite_wall_time(tmp_path, capsys):
     # the printed wall time is the one the manifest records
     phases = json.loads((tmp_path / "v" / "manifest.json").read_text())["phases"]
     assert list(phases) == ["import_s", "jumps_s"] and phases["jumps_s"] > 0.0
-    assert lines[0].startswith("suite jumps: 12 checks in ")
+    assert lines[0].startswith("suite jumps: 10 checks in ")
     assert abs(float(lines[0].split()[-2]) - phases["jumps_s"]) <= 5e-4 + 1e-9
 
 
@@ -385,7 +404,7 @@ out_dir = {out}
     peak_x = xs[int(np.argmax(np.abs(vals)))]
     assert abs(peak_x - 0.3) <= 1.0 / 300 + 1e-12
     # nonzero history is not a supported figure configuration
-    assert main(["figure6", "--config", cfg, "--history.kind", "constant"]) == 2
+    assert main(["figure6", "--config", cfg, "--history.kind", "exp", "--history.rate", "0"]) == 2
     assert main(["figure6", "--config", cfg, "--initial.kind", "modes"]) == 2
 
 
@@ -553,8 +572,8 @@ def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeyp
     # into a generic error instead of the numerical-failure report; with zero
     # history it is the series coefficient a^j itself that overflows a float
     monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
-    for i, extra in enumerate((["--history.kind", "constant", "--history.profile", "1e10",
-                                "--run.times", "0.5"],
+    for i, extra in enumerate((["--history.kind", "exp", "--history.rate", "0",
+                                "--history.profile", "1e10", "--run.times", "0.5"],
                                ["--run.times", "0.5 2.5"])):
         out = tmp_path / f"out{i}"
         with warnings.catch_warnings():
@@ -655,12 +674,13 @@ def test_simulate_hybrid_rejects_dump_times_outside_horizon(tmp_path, capsys):
     # the horizon is 1.2; t = 5 was dropped and t = -1 written as the t = 0 snapshot
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
-    for dumps, bad in (("0.5 5", "5"), ("0.5 -1", "-1")):
+    for dumps, bad, near in (("0.5 5", 5.0, 1.2), ("0.5 -1", -1.0, 0.0)):
         code = main(["simulate", "--config", cfg, "--run.solver", "hybrid", "--hybrid.nx", "40",
                      "--hybrid.ns", "50", "--hybrid.z_dump_times", dumps])
         assert code == 2
-        assert f"transport snapshot time {bad} outside [0, T = 1.2]" in capsys.readouterr().err
-        assert not list(out.glob("transport_t*.csv"))
+        assert (f"hybrid.z_dump_times: t = {bad!r} is off the hybrid grid of step h = 0.02; its "
+                f"nearest sample is {near!r}") in capsys.readouterr().err
+        assert not out.exists()
     code = main(["simulate", "--config", cfg, "--run.solver", "hybrid", "--hybrid.nx", "40",
                  "--hybrid.ns", "50", "--hybrid.z_dump_times", "0.5 1.2"])
     assert code == 0

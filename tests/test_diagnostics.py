@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError,
-                       QuadratureRule, SpectralField, compatible_history, compatibility_check,
-                       dirac_coeffs, endpoint_jump_scan, hs_norm, lattice_jump_report,
-                       off_lattice_probe)
+                       SpectralField, compatible_history, compatibility_check, dirac_coeffs,
+                       endpoint_jump_scan, hs_norm, lattice_jump_report)
+from delayheat.basis import _gauss_panels
 from delayheat.diagnostics import _mode_rules, _mode_time_integral, weight_factor
 
 PI2 = math.pi**2
@@ -72,8 +72,8 @@ def test_mode_rules_are_each_modes_quadrature_rule(beta):
     t_cut, x, w = _mode_rules(lams, beta)
     for k, lam in enumerate(lams.tolist()):
         tc = (60.0 + 20.0 * beta) / (2.0 * lam)
-        rule = QuadratureRule(panels_per_unit=max(1, math.ceil(48 / tc)), nodes=10)
-        xr, wr = rule.points_weights(0.0, tc)
+        n = max(1, math.ceil(tc * max(1, math.ceil(48 / tc))))
+        xr, wr = _gauss_panels(np.linspace(0.0, tc, n + 1), 10)
         assert t_cut[k] == tc
         assert np.array_equal(x[k, :len(xr)], xr) and np.array_equal(w[k, :len(wr)], wr), k
         assert np.all(w[k, len(wr):] == 0.0), k
@@ -113,16 +113,6 @@ def test_predicted_jump_scaling_spot():
     y0 = SpectralField.from_modes(basis, [1.0, 2.0])
     rows = lattice_jump_report(y0, FlowParams(a=2.0, tau=0.5), j_max=3)
     assert_allclose(rows[3].predicted_norm, 8.0 * math.sqrt(5.0), rtol=1e-12)
-
-
-def test_off_lattice_probe_is_zero():
-    basis = EigenBasis(1.0, 24)
-    rng = np.random.default_rng(10)
-    y0 = SpectralField(basis, rng.standard_normal(24))
-    p = FlowParams(a=1.0, tau=1.0)
-    for j in range(4):
-        for order in range(1, 5):
-            assert off_lattice_probe(y0, p, (j + 0.5) * p.tau, order) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,13 +208,18 @@ def test_hybrid_mesh_validation():
         hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("kind, t_snap", [
-    *(pytest.param("z_sample_times", t, id=f"{t}") for t in (2.5, -1.0, math.nan)),
-    *(pytest.param("sample_times", t, id=f"sample-{t}") for t in (2.5, -1.0, math.nan)),
+_OUTSIDE = ((2.5, 2.0), (-1.0, 0.0), (math.nan, 0.0))     # (t, its nearest step on [0, 2])
+
+
+@pytest.mark.parametrize("kind, t_snap, near", [
+    *(pytest.param("z_sample_times", t, near, id=f"{t}") for t, near in _OUTSIDE),
+    *(pytest.param("sample_times", t, near, id=f"sample-{t}") for t, near in _OUTSIDE),
 ])
-def test_hybrid_rejects_snapshot_time_outside_horizon(kind, t_snap):
+def test_hybrid_rejects_snapshot_time_outside_horizon(kind, t_snap, near):
     # a snapshot past T or before 0 was dropped or clamped to t = 0 without a word
-    with pytest.raises(InvalidArgumentError, match=r"outside \[0, T = 2\]"):
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+            f"{kind}: t = {t_snap!r} is off the hybrid grid of step h = 0.125; its nearest "
+            f"sample is {near!r}")):
         hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
                         **{"sample_times": (), kind: (0.5, t_snap)})
     tr = hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
@@ -238,9 +244,20 @@ def test_hybrid_takes_times_within_rounding_of_the_horizon_as_its_ends():
     assert len(hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0,
                                sample_times=tuple(ref.times)).values) == 4
     # the slack is GRID_RTOL max(1, |t|), not more
-    for t in (-2e-9, 0.3 + 2e-9):
-        with pytest.raises(InvalidArgumentError, match=r"outside \[0, T = 0.3\]"):
+    for t, near in ((-2e-9, 0.0), (0.3 + 2e-9, ends[1])):
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                f"sample_times: t = {t!r} is off the hybrid grid of step h = 0.1; its nearest "
+                f"sample is {near!r}")):
             hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0, sample_times=(t,))
+
+
+@pytest.mark.parametrize("kind", ["sample_times", "z_sample_times"])
+def test_hybrid_rejects_a_time_between_steps(kind):
+    # t = 0.3 on the grid of step 1/8 was taken at 0.375, the first step after it, without a word
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+            f"{kind}: t = 0.3 is off the hybrid grid of step h = 0.125; its nearest sample is 0.25")):
+        hybrid_simulate(np.zeros(21), None, MeshParams(20, 8), 1.0, 1.0, 1.0,
+                        **{"sample_times": (), kind: (0.3,)})
 
 
 def test_hybrid_zero_coupling_is_pure_heat():
@@ -278,8 +295,8 @@ def _hybrid_inputs(n):
 
 
 def _every_step(T, tau, ns):
-    # the step grid as sample times; its last step, at T or up to a step past it, is sampled as T
-    return tuple(np.minimum(_step_grid(tau, tau / ns, T)[1], T))
+    # the step grid as sample times, its last step at T or up to a step past it
+    return tuple(_step_grid(tau, tau / ns, T)[1].tolist())
 
 
 def test_hybrid_transport_is_exact_shift_of_history():
@@ -388,13 +405,17 @@ def test_hybrid_equals_out_of_place_reference(nx, ns, z_time):
     y0 = np.sin(math.pi * xs) + xs * (1.0 - xs)
     hist = lambda g: np.multiply.outer(np.cos(3.0 * g), y0)
     T = 1.3
+    # the reference's rows: every step, the first step at or after z_time and the last step,
+    # which lies past T unless 1.3 is a step
+    steps = _every_step(T, 1.0, ns)
+    z_step, end = steps[int(np.searchsorted(steps, z_time - 1e-12))], steps[-1]
     tr = hybrid_simulate(y0, hist, MeshParams(nx, ns), T, -1.3, 1.0,
-                         sample_times=_every_step(T, 1.0, ns), z_sample_times=(z_time, T))
+                         sample_times=steps, z_sample_times=(z_step, end))
     ref_values, ref_z_early, ref_z = _hybrid_out_of_place(y0, hist, MeshParams(nx, ns), T, -1.3,
                                                           1.0, z_time)
     # the sine-transform steps round differently from the banded solve
     # (at most 2e-13 of max|value| measured on these meshes)
     scale = np.max(np.abs(ref_values))
     assert np.max(np.abs(tr.values - ref_values)) <= 1e-12 * scale
-    assert np.max(np.abs(tr.z_snapshots[z_time] - ref_z_early)) <= 1e-12 * scale
-    assert np.max(np.abs(tr.z_snapshots[T] - ref_z)) <= 1e-12 * scale
+    assert np.max(np.abs(tr.z_snapshots[z_step] - ref_z_early)) <= 1e-12 * scale
+    assert np.max(np.abs(tr.z_snapshots[end] - ref_z)) <= 1e-12 * scale
