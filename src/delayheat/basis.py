@@ -182,10 +182,12 @@ GRID_RTOL = 1e-9    # a step k h within GRID_RTOL max(1, |t|) of t is at t; k h 
 
 def _grid_index(grid: np.ndarray, wanted, what: str, solver: str) -> list[int]:
     """Index of the grid step nearest each requested instant t, the one rule for requested times;
-    InvalidArgumentError names t, the step h and that grid value when it is farther than
-    GRID_RTOL max(1, |t|) from t."""
+    InvalidArgumentError names a t that is not finite, and names t, the step h and that grid value
+    when it is farther than GRID_RTOL max(1, |t|) from t."""
     idx = [int(np.argmin(np.abs(grid - t))) for t in wanted]
     for t, near in zip(wanted, grid[idx].tolist()):
+        if not math.isfinite(t):        # +-inf would pass the test below, at the t = 0 row
+            raise InvalidArgumentError(f"{what}: t = {float(t)!r} is not a finite instant")
         if not abs(near - t) <= GRID_RTOL * max(1.0, abs(t)):
             raise InvalidArgumentError(f"{what}: t = {float(t)!r} is off the {solver} grid of step "
                                        f"h = {grid[1].item()!r}; its nearest sample is {near!r}")

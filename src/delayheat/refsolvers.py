@@ -16,10 +16,11 @@ Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each 
   to a transport equation on (0, tau) that carries the delayed state, z(t, s) = y(t - s).
   Diffusion is Crank-Nicolson on the 3-point Laplacian (second order, unconditionally
   stable); the time step equals the delay-line spacing, so transport is exact and the delay
-  line is the previous delay window's temperature rows, kept in DST-I coordinates in two
-  window buffers.  Only the rows at ``sample_times`` and under transport snapshots go back
-  to the grid; ``times`` is every step.  Its modes mu_j / dx^2 are finite-difference
-  eigenvalues, not the lam_k of the sine basis, and it reads nothing from `flow`.
+  line is the previous delay window's temperature rows, kept in DST-I coordinates in one
+  buffer that each window steps in place.  Only the rows at ``sample_times`` and under
+  transport snapshots go back to the grid; ``times`` is every step.  Its modes mu_j / dx^2
+  are finite-difference eigenvalues, not the lam_k of the sine basis, and it reads nothing
+  from `flow`.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ _BLOCK = 64         # rows per block of the hybrid's sine transforms, which boun
 
 @dataclass(frozen=True)
 class ModeDDEConfig:
-    """Delayed modes u' = -lam u + a u(t - tau): scalar `lam`, `y0` and history
-    values for one mode, (K,) arrays for K modes; history covers [-tau, 0]."""
+    """Delayed modes u' = -lam u + a u(t - tau): scalar `lam`, `a`, `y0` and history
+    values for one mode, (K,) arrays for K modes; history covers [-tau, 0].  An array `a`
+    that broadcasts with `lam` and `y0`, say (C, 1) against (K,), runs every coupling in
+    one call, each (C, K) entry equal to its scalar-`a` run bit for bit; history rows then
+    need as many axes as that, (1, K) here."""
 
     lam: float | np.ndarray
-    a: float
+    a: float | np.ndarray
     tau: float
     dt: float
     y0: float | np.ndarray = 1.0
@@ -53,6 +57,8 @@ class ModeDDEConfig:
     def __post_init__(self):
         if np.any(np.asarray(self.lam) < 0.0):
             raise InvalidArgumentError(f"decay rate must be >= 0, got {self.lam}")
+        if not np.all(np.isfinite(self.a)):
+            raise InvalidArgumentError(f"coupling must be finite, got {self.a}")
         if self.tau <= 0.0:
             raise InvalidArgumentError(f"delay must be positive, got {self.tau}")
         if not 0.0 < self.dt <= self.tau / 10.0:
@@ -117,9 +123,9 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     n_sub, times = _step_grid(cfg.tau, cfg.dt, T, min_sub=10)   # dt <= tau / 10 always passes
     h, n_steps = times[1], len(times) - 1
 
-    lam, a = np.asarray(cfg.lam, dtype=float), cfg.a
-    shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, np.shape(cfg.y0))
-    hist = cfg.history or (lambda g: np.zeros(g.shape + shape[1:]))
+    lam, a = np.asarray(cfg.lam, dtype=float), np.asarray(cfg.a, dtype=float)
+    shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, a.shape, np.shape(cfg.y0))
+    hist = cfg.history or (lambda g: np.broadcast_to(0.0, g.shape + shape[1:]))    # read-only
     p1, p2, p3 = _phi123(-lam * h)
     decay, ah = np.exp(-lam * h), a * h
     w0, wm, w1 = ah * (p1 - 3.0 * p2 + 4.0 * p3), ah * (4.0 * p2 - 8.0 * p3), ah * (4.0 * p3 - p2)
@@ -215,13 +221,19 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
 
     DST-I diagonalises the second difference, eigenvalues -mu_j = -4 sin^2(j pi / (2 nx)) (Strang,
     SIAM Review 41, 1999): there a step is Y_{n+1} = q Y_n + g (Z_n + Z_{n+1}), Z the source rows,
-    q = (1 - r mu / 2) / (1 + r mu / 2), g = a dt / (2 (1 + r mu / 2)).  The state stays in sine
-    coordinates in two (ns + 1)-row buffers: `prev` holds the window the current one reads (for
-    window 0 the history, transformed once, ending in phi(0^-)), and `cur` the rows Y_{n0} ..
-    Y_{n0 + ns} it steps into.  Only the rows the samples and snapshots need go back to the grid.
+    q = (1 - r mu / 2) / (1 + r mu / 2), g = a dt / (2 (1 + r mu / 2)).  One delay window of
+    stored rows is the whole state of the method of steps (Bellen and Zennaro, Numerical Methods
+    for Delay Differential Equations, 2003, ch. 3), so the state stays in sine coordinates in one
+    delay line of W + ns + 1 rows, W = ceil(n_steps / ns) windows.  Window w finds its source
+    Z_0 .. Z_ns in rows b .. b + ns, b = W - w (for window 0 the history, transformed once, ending
+    in phi(0^-)), puts Y_{n0} in row b - 1 and steps in place: row b + k becomes
+    g (Z_k + Z_{k+1}), then Y_{n0 + k + 1}, so rows b - 1 .. b - 1 + ns are the next window's
+    source.  Only the rows the samples and snapshots need go back to the grid.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
+    if not math.isfinite(a):
+        raise InvalidArgumentError(f"coupling must be finite, got {a}")
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
     s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
@@ -233,29 +245,29 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
     y0 = np.asarray(y0_grid, dtype=float)
     if y0.shape != (nx + 1,):
         raise InvalidArgumentError(f"initial grid data must have {nx + 1} nodes")
-    # hist[j] = phi(-s[ns - j]), hist[ns] = phi(0^-); prev = their transforms, window 0's source.
-    # The zero history is a read-only broadcast of 0, stored nowhere.
-    hist, prev = np.broadcast_to(0.0, (ns + 1, nx + 1)), np.zeros((ns + 1, nx - 1))
+    # hist[j] = phi(-s[ns - j]), hist[ns] = phi(0^-); their transforms, in the delay line's last
+    # ns + 1 rows, are window 0's source.  The zero history is a read-only broadcast of 0.
+    n_win = -(-n_steps // ns)
+    buf, hist = np.zeros((n_win + ns + 1, nx - 1)), np.broadcast_to(0.0, (ns + 1, nx + 1))
     if history_grid is not None:
-        hist = np.empty((ns + 1, nx + 1))
-        hist[:] = history_grid(-s[::-1])
+        hist = np.broadcast_to(np.asarray(history_grid(-s[::-1]), dtype=float), hist.shape)
         for b in range(0, ns + 1, _BLOCK):
-            prev[b:b + _BLOCK] = _sine(hist[b:b + _BLOCK, 1:-1])
+            buf[n_win + b:n_win + b + _BLOCK] = _sine(hist[b:b + _BLOCK, 1:-1])
 
     half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
-    cur, spec, y = np.empty_like(prev), np.empty((len(need), nx - 1)), _sine(y0[1:-1])
-    prev_rows, cur_rows = list(prev), list(cur)     # the buffers' row views, made once
-    for n0 in range(0, n_steps, ns):        # the window of steps n0 .. n0 + m - 1
-        m = min(ns, n_steps - n0)
-        cur[0] = y
-        np.add(prev[:m], prev[1:m + 1], out=cur[1:m + 1])
-        cur[1:m + 1] *= g
-        for last, row in zip(cur_rows[:m], cur_rows[1:m + 1]):
-            row += q * last
+    spec, y, buf_rows = np.empty((len(need), nx - 1)), _sine(y0[1:-1]), list(buf)
+    for w, n0 in enumerate(range(0, n_steps, ns)):      # the window of steps n0 .. n0 + m - 1
+        m, b = min(ns, n_steps - n0), n_win - w         # its source Z_0 .. Z_ns: rows b .. b + ns
+        buf[b - 1] = y
+        src = buf[b:b + m]      # forward in place: row b + k + 1 is read before it is written
+        np.add(src, buf[b + 1:b + m + 1], out=src)
+        src *= g
+        for last, row in zip(buf_rows[b - 1:b + m - 1], buf_rows[b:b + m]):
+            row += q * last                     # rows b - 1 .. b - 1 + m hold Y_{n0} .. Y_{n0 + m}
         lo, hi = np.searchsorted(need, (n0, n0 + m + 1))
-        spec[lo:hi] = cur[need[lo:hi] - n0]
-        y, prev, cur, prev_rows, cur_rows = cur[m], cur, prev, cur_rows, prev_rows
+        spec[lo:hi] = buf[need[lo:hi] - n0 + b - 1]
+        y = buf[b + m - 1]
 
     rows = np.zeros((len(need), nx + 1))
     for b in range(0, len(need), _BLOCK):

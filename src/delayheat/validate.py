@@ -64,16 +64,18 @@ def suite_per_mode() -> SuiteResult:
         got = delayed_exp(0.0, t, FlowParams(a=1.0, tau=1.0))
         err = abs(got - expect)
         rows.append(CheckRow(f"spot u({t})={expect}", err <= 1e-14, err, 1e-14))
-    lams = np.array([0.0, math.pi**2, 4 * math.pi**2, 100.0])
+    lams, couplings = np.array([0.0, math.pi**2, 4 * math.pi**2, 100.0]), (-1.0, 1.0, 2.0)
     rel = {}
-    for a, tau in itertools.product((-1.0, 1.0, 2.0), (0.5, 1.0)):
-        # all rates in one call; each column equals the one-mode run
-        trace = rk4_dde_mode(ModeDDEConfig(lam=lams, a=a, tau=tau, dt=tau / 1000), 3.0 * tau)
-        exact = _delayed_exp_grid(lams, trace.times, FlowParams(a=a, tau=tau))
-        # relative to the trajectory scale; pointwise relative error is
-        # meaningless once the solution decays below rounding
-        errs = np.max(np.abs(trace.values - exact), axis=0) / np.max(np.abs(exact), axis=0)
-        rel.update({(lam, a, tau): float(e) for lam, e in zip(lams.tolist(), errs)})
+    for tau in (0.5, 1.0):
+        # every coupling and rate in one call; entry (c, k) equals the one-mode run
+        trace = rk4_dde_mode(ModeDDEConfig(lam=lams, a=np.array(couplings)[:, None], tau=tau,
+                                           dt=tau / 1000), 3.0 * tau)
+        for a, values in zip(couplings, trace.values.transpose(1, 0, 2)):
+            exact = _delayed_exp_grid(lams, trace.times, FlowParams(a=a, tau=tau))
+            # relative to the trajectory scale; pointwise relative error is
+            # meaningless once the solution decays below rounding
+            errs = np.max(np.abs(values - exact), axis=0) / np.max(np.abs(exact), axis=0)
+            rel.update({(lam, a, tau): float(e) for lam, e in zip(lams.tolist(), errs)})
     for (lam, a, tau), err in sorted(rel.items()):         # rows ordered by lam, a, tau
         rows.append(CheckRow(f"rk4 lam={lam:g} a={a:g} tau={tau:g}", err <= 1e-6, err, 1e-6))
     return SuiteResult("per-mode", rows)
@@ -90,15 +92,15 @@ def suite_identity() -> SuiteResult:
     sq = rng.standard_normal((n_fields, K)) ** 2        # one field per row
     svals = np.array([-1.0, 0.0, 2.0])
     norms = sq @ lams[:, None] ** svals                 # (n_fields, s): squared index-s norms
+    # integrals[beta][alpha]: one rule per beta serves every alpha
+    integrals = [np.add(*diag._mode_time_integral(lams, range(4), beta)) for beta in range(4)]
     rows = []
-    for alpha in range(4):
-        for beta in range(4):
-            integrals = np.sum(diag._mode_time_integral(lams, alpha, beta), axis=0)
-            idx = svals + 2.0 * (beta - alpha) + 1.0
-            lhs = sq @ (integrals[:, None] * lams[:, None] ** idx)
-            worst = np.max(np.abs(lhs / (diag.weight_factor(alpha, beta) * norms) - 1.0), axis=0)
-            for s, w in zip(svals.tolist(), worst.tolist()):
-                rows.append(CheckRow(f"identity a={alpha} b={beta} s={s:g}", w <= 1e-6, w, 1e-6))
+    for alpha, beta in itertools.product(range(4), range(4)):
+        idx = svals + 2.0 * (beta - alpha) + 1.0
+        lhs = sq @ (integrals[beta][alpha][:, None] * lams[:, None] ** idx)
+        worst = np.max(np.abs(lhs / (diag.weight_factor(alpha, beta) * norms) - 1.0), axis=0)
+        for s, w in zip(svals.tolist(), worst.tolist()):
+            rows.append(CheckRow(f"identity a={alpha} b={beta} s={s:g}", w <= 1e-6, w, 1e-6))
     return SuiteResult("identity", rows)
 
 

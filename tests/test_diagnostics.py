@@ -9,7 +9,7 @@ from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentEr
                        SpectralField, compatible_history, compatibility_check, dirac_coeffs,
                        endpoint_jump_scan, hs_norm, lattice_jump_report)
 from delayheat.basis import _gauss_panels
-from delayheat.diagnostics import _mode_rules, _mode_time_integral, weight_factor
+from delayheat.diagnostics import _exact_tail, _mode_rules, _mode_time_integral, weight_factor
 
 PI2 = math.pi**2
 
@@ -42,8 +42,8 @@ def test_weight_factor_against_adaptive_quadrature(alpha, beta):
 def _identity_ratio(y0, s, alpha, beta):
     # lhs assembled mode by mode from the independent time quadrature, rhs from the closed form
     lams = y0.basis.eigenvalues()
-    bulk, tail = _mode_time_integral(lams, alpha, beta)
-    lhs = np.sum((bulk + tail) * y0.coeffs**2 * lams ** (s + 2.0 * (beta - alpha) + 1.0))
+    bulk, tail = _mode_time_integral(lams, (alpha,), beta)
+    lhs = np.sum((bulk[0] + tail[0]) * y0.coeffs**2 * lams ** (s + 2.0 * (beta - alpha) + 1.0))
     return lhs / (weight_factor(alpha, beta) * hs_norm(y0, s) ** 2)
 
 
@@ -83,11 +83,37 @@ def test_mode_time_integral_is_the_scaling_law():
     # u = lam t turns the weighted-orbit integral of mode lam into
     # lam^(2 alpha - 2 beta - 1) times the rate-1 integral, for every mode
     lams = EigenBasis(1.0, 60).eigenvalues()
-    for alpha in range(4):
-        for beta in range(4):
-            bulk, tail = _mode_time_integral(lams, alpha, beta)
+    for beta in range(4):
+        bulk, tail = _mode_time_integral(lams, range(4), beta)
+        for alpha in range(4):
             expected = lams ** (2 * alpha - 2 * beta - 1) * weight_factor(alpha, beta)
-            assert_allclose(bulk + tail, expected, rtol=1e-6, err_msg=f"{alpha} {beta}")
+            assert_allclose(bulk[alpha] + tail[alpha], expected, rtol=1e-6,
+                            err_msg=f"{alpha} {beta}")
+
+
+def _one_alpha_integral(lams, alpha, beta):
+    """The single-alpha quadrature: its own rule, powers and e^{-lam t}, the product rule's
+    terms in order, then the exact tail."""
+    t_cut, x, w = _mode_rules(lams, beta)
+    lam, vals = lams[:, None], np.zeros_like(x)
+    for l in range(min(alpha, beta) + 1):
+        c = math.comb(alpha, l) * math.factorial(beta) / math.factorial(beta - l)
+        vals += c * x ** (beta - l) * (-lam) ** (alpha - l)
+    vals = vals * np.exp(-lam * x)
+    return np.sum(w * vals**2, axis=1), _exact_tail(lams, alpha, beta, t_cut)
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2, 3])
+def test_mode_time_integral_over_several_alphas_equals_each_alpha_alone(beta):
+    # the shared rule, decay and powers change no bit of any alpha's row, in any alpha order
+    lams = EigenBasis(1.0, 60).eigenvalues()
+    alphas = (3, 0, 2, 1)
+    bulk, tail = _mode_time_integral(lams, alphas, beta)
+    assert bulk.shape == tail.shape == (4, 60)
+    for i, alpha in enumerate(alphas):
+        ref_bulk, ref_tail = _one_alpha_integral(lams, alpha, beta)
+        assert bulk[i].tobytes() == ref_bulk.tobytes(), alpha
+        assert tail[i].tobytes() == ref_tail.tobytes(), alpha
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,23 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_banded
 
 import delayheat.flow as fl
+import delayheat.refsolvers as rs
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError, MeshParams,
                        ModeDDEConfig,
                        SpectralField, compatible_history, delayed_exp, hybrid_simulate,
                        rk4_dde_mode, semigroup_apply, solve_trace)
-from delayheat.basis import _step_grid
+from delayheat.basis import _grid_index, _step_grid
 from delayheat.refsolvers import _phi123
 
 PI2 = math.pi**2
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, np.array([[1.0], [-math.inf]])],
+                         ids=["nan", "inf", "array-with-inf"])
+def test_mode_config_rejects_a_non_finite_coupling(a):
+    # a = nan ran to the horizon and returned NaN values without an error
+    with pytest.raises(InvalidArgumentError, match="coupling must be finite"):
+        ModeDDEConfig(lam=[1.0, 4.0], a=a, tau=1.0, dt=0.1)
 
 
 def test_mode_config_validation():
@@ -114,6 +124,23 @@ def test_rk4_modes_array_equals_stacked_scalar_runs(lams, a, tau, history, n_sub
     assert np.array_equal(vec.values, np.stack(cols, axis=1))
 
 
+@pytest.mark.parametrize("history", [False, True], ids=["zero", "exp"])
+def test_rk4_modes_array_coupling_equals_one_run_per_coupling(history):
+    # couplings (C, 1) against rates (K,) step as one (C, K) trace; entry (c, k) is the run at
+    # coupling c alone, bit for bit, over three delay windows and a partial fourth
+    lams, couplings = np.array([0.0, PI2, 4 * PI2, 100.0]), np.array([-1.0, 0.5, 1.0, 2.0])
+    y0, c = np.array([1.0, -0.6, 0.3, 0.8]), np.array([0.4, 1.1, -0.7, 0.9])
+    hist = (lambda g: np.multiply.outer(np.exp(1.7 * g), c)) if history else None
+    rows = None if hist is None else (lambda g: hist(g)[..., None, :])  # (1, K) history rows
+    trace = rk4_dde_mode(ModeDDEConfig(lam=lams, a=couplings[:, None], tau=0.5, dt=0.5 / 40,
+                                       y0=y0, history=rows), 1.8)
+    assert trace.values.shape == (len(trace.times), 4, 4)
+    for i, a in enumerate(couplings.tolist()):
+        one = rk4_dde_mode(ModeDDEConfig(lam=lams, a=a, tau=0.5, dt=0.5 / 40, y0=y0,
+                                         history=hist), 1.8)
+        assert np.ascontiguousarray(trace.values[:, i]).tobytes() == one.values.tobytes(), a
+
+
 def _rk4_dde_mode_stepwise(cfg, T):
     """The mode stepper as one Python step at a time: the per-step loop that
     the windowed scan of `rk4_dde_mode` replaced, kept as its reference."""
@@ -208,16 +235,20 @@ def test_hybrid_mesh_validation():
         hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0)
 
 
-_OUTSIDE = ((2.5, 2.0), (-1.0, 0.0), (math.nan, 0.0))     # (t, its nearest step on [0, 2])
+_OUTSIDE = ((2.5, 2.0), (-1.0, 0.0))     # (t, its nearest step on [0, 2])
+_NON_FINITE = ((math.nan, None), (math.inf, None), (-math.inf, None))  # no step is nearest
 
 
 @pytest.mark.parametrize("kind, t_snap, near", [
-    *(pytest.param("z_sample_times", t, near, id=f"{t}") for t, near in _OUTSIDE),
-    *(pytest.param("sample_times", t, near, id=f"sample-{t}") for t, near in _OUTSIDE),
+    *(pytest.param("z_sample_times", t, near, id=f"{t}") for t, near in _OUTSIDE + _NON_FINITE),
+    *(pytest.param("sample_times", t, near, id=f"sample-{t}")
+      for t, near in _OUTSIDE + _NON_FINITE),
 ])
 def test_hybrid_rejects_snapshot_time_outside_horizon(kind, t_snap, near):
-    # a snapshot past T or before 0 was dropped or clamped to t = 0 without a word
+    # a snapshot past T or before 0 was dropped or clamped to t = 0 without a word; +-inf
+    # returned the t = 0 row, and nan named a nearest sample 0.0 that does not exist
     with pytest.raises(InvalidArgumentError, match=re.escape(
+            f"{kind}: t = {t_snap!r} is not a finite instant" if near is None else
             f"{kind}: t = {t_snap!r} is off the hybrid grid of step h = 0.125; its nearest "
             f"sample is {near!r}")):
         hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
@@ -226,6 +257,14 @@ def test_hybrid_rejects_snapshot_time_outside_horizon(kind, t_snap, near):
                          sample_times=(0.0, 2.0), z_sample_times=(0.0, 2.0))
     assert set(tr.z_snapshots) == {0.0, 2.0}
     assert tr.values.shape == (2, 17)
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+def test_hybrid_rejects_a_non_finite_coupling(a):
+    # a = inf returned NaN rows with only a RuntimeWarning
+    with pytest.raises(InvalidArgumentError, match="coupling must be finite"):
+        hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, a, 1.0,
+                        sample_times=(2.0,))
 
 
 def test_hybrid_takes_times_within_rounding_of_the_horizon_as_its_ends():
@@ -419,3 +458,83 @@ def test_hybrid_equals_out_of_place_reference(nx, ns, z_time):
     assert np.max(np.abs(tr.values - ref_values)) <= 1e-12 * scale
     assert np.max(np.abs(tr.z_snapshots[z_step] - ref_z_early)) <= 1e-12 * scale
     assert np.max(np.abs(tr.z_snapshots[end] - ref_z)) <= 1e-12 * scale
+
+
+def _hybrid_two_window_buffers(y0_grid, history_grid, mesh, T, a, tau, L=1.0, *, sample_times,
+                               z_sample_times=()):
+    """Reference loop: the delay line in two (ns + 1)-row window buffers that trade places
+    each window, `prev` the window read and `cur` the rows stepped into, with the history
+    copied to an (ns + 1, nx + 1) array; the same per-element operations in the same order
+    as the one in-place buffer of `hybrid_simulate`."""
+    nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
+    s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
+    n_steps = len(times) - 1
+    samples = _grid_index(times, sample_times, "sample_times", "hybrid")
+    snaps = _grid_index(times, z_sample_times, "z_sample_times", "hybrid")
+    need = np.array(sorted({*samples, *(k for n in snaps for k in range(max(0, n - ns), n + 1))}),
+                    int)
+    y0 = np.asarray(y0_grid, dtype=float)
+    hist, prev = np.broadcast_to(0.0, (ns + 1, nx + 1)), np.zeros((ns + 1, nx - 1))
+    if history_grid is not None:
+        hist = np.empty((ns + 1, nx + 1))
+        hist[:] = history_grid(-s[::-1])
+        for b in range(0, ns + 1, rs._BLOCK):
+            prev[b:b + rs._BLOCK] = rs._sine(hist[b:b + rs._BLOCK, 1:-1])
+    half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
+    q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
+    cur, spec, y = np.empty_like(prev), np.empty((len(need), nx - 1)), rs._sine(y0[1:-1])
+    for n0 in range(0, n_steps, ns):
+        m = min(ns, n_steps - n0)
+        cur[0] = y
+        np.add(prev[:m], prev[1:m + 1], out=cur[1:m + 1])
+        cur[1:m + 1] *= g
+        for j in range(m):
+            cur[j + 1] += q * cur[j]
+        lo, hi = np.searchsorted(need, (n0, n0 + m + 1))
+        spec[lo:hi] = cur[need[lo:hi] - n0]
+        y, prev, cur = cur[m], cur, prev
+    rows = np.zeros((len(need), nx + 1))
+    for b in range(0, len(need), rs._BLOCK):
+        rows[b:b + rs._BLOCK, 1:-1] = rs._sine(spec[b:b + rs._BLOCK]) / (2 * nx)
+    rows[need == 0, 1:-1] = y0[1:-1]
+    at = lambda n: np.searchsorted(need, n)
+    z_snapshots = {t: np.concatenate([rows[at(max(0, n - ns)):at(n) + 1][::-1], hist[n:ns][::-1]])
+                   for t, n in zip(z_sample_times, snaps)}
+    return rows[at(samples)], z_snapshots
+
+
+@pytest.mark.parametrize("nx, ns, T, dumps", [
+    (16, 8, 2.0, (0.25, 1.5, 2.0)),         # ns = 8: dumps into the history, past it, at T
+    (16, 8, 2.3, (0.0, 0.875, 2.375)),      # a partial last window; its last step past T
+    (32, 40, 7.25, (0.5, 3.0, 7.25)),       # 7 full windows and a quarter of one
+    (2, 2, 3.0, (0.5, 1.0, 3.0)),           # one interior node
+])
+@pytest.mark.parametrize("history", [False, True], ids=["zero", "compatible"])
+def test_hybrid_equals_two_window_buffer_reference(nx, ns, T, dumps, history):
+    # the one in-place delay line steps, samples and dumps every value bit for bit
+    y0_grid, hist = _hybrid_inputs(nx)
+    hist = hist if history else None
+    steps = _every_step(T, 1.0, ns)
+    tr = hybrid_simulate(y0_grid, hist, MeshParams(nx, ns), T, -1.3, 1.0, sample_times=steps,
+                         z_sample_times=dumps)
+    values, z_snapshots = _hybrid_two_window_buffers(y0_grid, hist, MeshParams(nx, ns), T, -1.3,
+                                                     1.0, sample_times=steps, z_sample_times=dumps)
+    assert np.all(np.isfinite(values))
+    assert tr.values.tobytes() == values.tobytes()
+    assert tr.z_snapshots.keys() == z_snapshots.keys()
+    for t in dumps:
+        assert tr.z_snapshots[t].tobytes() == z_snapshots[t].tobytes(), t
+
+
+def test_hybrid_default_mesh_holds_one_delay_line():
+    # the CLI's default mesh to T = 2.5 keeps one (3 + ns + 1)-row buffer of sine coefficients
+    # (2.57 MB) where two window buffers took 5.1 MB
+    xs = np.linspace(0.0, 1.0, 401)
+    y0 = np.sin(math.pi * xs)
+    tracemalloc.start()
+    try:
+        hybrid_simulate(y0, None, MeshParams(400, 800), 2.5, 1.0, 1.0, sample_times=(0.0, 2.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6, peak
