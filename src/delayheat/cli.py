@@ -249,12 +249,11 @@ def cmd_simulate(cfg, args) -> int:
         health["h"] = float(trace.times[1])
     else:
         xs_h = np.linspace(0.0, basis.L, mesh.nx + 1)
-        emat = basis.eval_matrix(xs_h)
-        hist_fn = None if phi is None else (lambda g: phi.coeffs(g) @ emat.T)
         out_times, h = grid[idx], float(grid[1])
-        trace = rs.hybrid_simulate(emat @ y0.coeffs, hist_fn, mesh, T, params.a, params.tau, basis.L,
-                                   sample_times=tuple(out_times), z_sample_times=tuple(z_times))
-        rows = _project_grid_rows(trace.values, xs_h, emat)
+        trace = rs.hybrid_simulate(y0.coeffs, None if phi is None else phi.coeffs, mesh, T,
+                                   params.a, params.tau, basis.L, sample_times=tuple(out_times),
+                                   z_sample_times=tuple(z_times))
+        rows = _project_grid_rows(trace.values, xs_h, basis.eval_matrix(xs_h))
         health.update(h=h, r=h / (basis.L / mesh.nx) ** 2)
 
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))

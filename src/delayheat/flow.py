@@ -92,27 +92,30 @@ class FlowParams:
         return j
 
 
-def _series_coeffs(a: float, j: int, p: int, d: np.ndarray) -> np.ndarray:
-    """a^j d^p / p! for each entry d >= 0 of d, with 0^0 = 1; +-inf where it overflows.
+def _series_coeffs(couplings: list[float], j: int, p: int, d: np.ndarray) -> np.ndarray:
+    """a^j d^p / p! per coupling a (rows) and entry d >= 0 (columns); 0^0 = 1, +-inf on overflow.
 
-    Formed per entry in scalar float arithmetic, in log space past j = 20,
-    where powers and factorials overflow, and wherever a^j or d^p overflows
-    a float.
+    Formed per entry in scalar float arithmetic, d^p once for every coupling; in log space past
+    j = 20, where powers and factorials overflow, and wherever a^j or d^p overflows a float.
     """
     if j <= 20:
         try:
-            return a**j * np.array([x**p for x in d.tolist()]) / math.factorial(p)
+            dp = np.array([x**p for x in d.tolist()]) if p else np.ones(len(d))
+            return np.array([[a**j] for a in couplings], dtype=float) * dp / math.factorial(p)
         except OverflowError:
-            pass
-    sign = -1.0 if (a < 0 and j % 2 == 1) else 1.0
-    ja, lg = j * math.log(abs(a)), math.lgamma(p + 1)
-    logs = [ja + (p * math.log(x) if p > 0 else 0.0) - lg if x > 0.0 or p == 0 else -math.inf
-            for x in d.tolist()]
-    return sign * np.array([math.exp(e) if e <= _LOG_MAX else math.inf for e in logs])
+            if len(couplings) > 1:      # each coupling as its own call
+                return np.vstack([_series_coeffs([a], j, p, d) for a in couplings])
+    cols, lg = [], math.lgamma(p + 1)
+    for a in couplings:
+        sign, ja = -1.0 if (a < 0 and j % 2 == 1) else 1.0, j * math.log(abs(a)) if a else -math.inf
+        logs = [ja + (p * math.log(x) if p > 0 else 0.0) - lg if x > 0.0 or p == 0 else -math.inf
+                for x in d.tolist()]
+        cols.append(sign * np.array([math.exp(e) if e <= _LOG_MAX else math.inf for e in logs]))
+    return np.array(cols)
 
 
 def _delayed_exp_grid(lams, ts, params: FlowParams, order: int = 0,
-                      side: str = "right") -> np.ndarray:
+                      side: str = "right", a=None) -> np.ndarray:
     """One-sided order-`order` time derivative of E(lambda, t) on the (len(ts), len(lams)) grid.
 
     Differentiating each polynomial-times-exponential term exactly gives
@@ -123,28 +126,30 @@ def _delayed_exp_grid(lams, ts, params: FlowParams, order: int = 0,
     with 0^0 = 1; order 0 is E itself.  `side` selects which terms are active at
     a lattice point: "right" includes j = t/tau, "left" does not.  Coefficients
     come from `_series_coeffs`, so every row equals the same time evaluated
-    alone, bit for bit.
+    alone, bit for bit.  Couplings `a` of shape (C, 1, 1) replace `params.a`: one grid each,
+    (C, len(ts), len(lams)), bit for bit its scalar call where finite (a = 0 adds zeros).
     """
-    a, tau = params.a, params.tau
-    lams = np.asarray(lams, dtype=float)
-    ts = np.asarray(ts, dtype=float)
+    couplings, tau = [params.a] if a is None else np.ravel(a).astype(float).tolist(), params.tau
+    if a is not None and np.shape(a)[-2:] != (1, 1):
+        raise InvalidArgumentError(f"couplings must have shape (C, 1, 1), got {np.shape(a)}")
+    lams, ts = np.asarray(lams, dtype=float), np.asarray(ts, dtype=float)
     if ts.size:
         params.series_index(float(ts.max()))            # the j_max guard, at the latest time
     tops = np.floor(ts / tau + _LATTICE_EPS)            # series_index per time
     if side == "left":
         tops -= np.abs(ts - tops * tau) <= _LATTICE_EPS * np.maximum(1.0, np.abs(ts))
     n_terms = int(tops.max(initial=-1.0)) + 1
-    out = np.zeros((len(ts), len(lams)))
-    for j in range(min(n_terms, 1) if a == 0.0 else n_terms):
+    out = np.zeros((len(couplings), len(ts), len(lams)))
+    for j in range(n_terms if any(couplings) else min(n_terms, 1)):
         dts = np.maximum(ts - j * tau, 0.0)
         decay = np.exp(-lams * dts[:, None])
         for l in range(min(order, j) + 1):
             p = j - l
             live = tops >= j
-            coef = np.zeros(len(ts))
-            coef[live] = _series_coeffs(a, j, p, dts[live]) * math.comb(order, l)
-            out += coef[:, None] * np.power(-lams, order - l) * decay
-    return out
+            coef = np.zeros((len(couplings), len(ts)))
+            coef[:, live] = _series_coeffs(couplings, j, p, dts[live]) * math.comb(order, l)
+            out += coef[:, :, None] * (1.0 if l == order else np.power(-lams, order - l)) * decay
+    return out[0] if a is None else out.reshape(np.shape(a)[:-2] + out.shape[1:])
 
 
 def _delayed_exp_vec(lams: np.ndarray, t: float, params: FlowParams) -> np.ndarray:
@@ -398,7 +403,7 @@ def history_convolution(lams: np.ndarray, phi: History, ts, params: FlowParams) 
         q = [(-1) ** m * sum(math.comb(k, m) * coef[:, k] * dpow[k - m][:, None]
                              for k in range(m, deg + 1)) for m in range(deg + 1)]
         # a^(j+1) (v_a + s)^j / j! = sum_i a^(j+1) v_a^(j-i) / (j-i)! * s^i / i!
-        c = [_series_coeffs(a, j + 1, j - i, va) for i in range(j + 1)]
+        c = [_series_coeffs([a], j + 1, j - i, va)[0] for i in range(j + 1)]
         with np.errstate(over="ignore", invalid="ignore"):
             acc = np.zeros((len(gb), len(lams)))
             # s^i / i! * s^m = (i+m)! / i! * s^(i+m) / (i+m)!, whose integral is moment i+m

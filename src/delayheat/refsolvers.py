@@ -17,10 +17,10 @@ Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each 
   Diffusion is Crank-Nicolson on the 3-point Laplacian (second order, unconditionally
   stable); the time step equals the delay-line spacing, so transport is exact and the delay
   line is the previous delay window's temperature rows, kept in DST-I coordinates in one
-  buffer that each window steps in place.  Only the rows at ``sample_times`` and under
-  transport snapshots go back to the grid; ``times`` is every step.  Its modes mu_j / dx^2
-  are finite-difference eigenvalues, not the lam_k of the sine basis, and it reads nothing
-  from `flow`.
+  buffer that each window steps in place; y0 and the history enter as sine coefficients.
+  Only the rows at ``sample_times`` and under transport snapshots go back to the grid;
+  ``times`` is every step.  Its modes mu_j / dx^2 are finite-difference eigenvalues, not the
+  lam_k of the sine basis, and it reads nothing from `flow`.
 """
 
 from __future__ import annotations
@@ -199,25 +199,38 @@ def _sine(v: np.ndarray) -> np.ndarray:
     n = v.shape[-1] + 1
     odd = np.zeros(v.shape[:-1] + (2 * n,))
     odd[..., 1:n], odd[..., n + 1:] = v, -v[..., ::-1]
-    return -np.fft.rfft(odd)[..., 1:n].imag
+    return 0.0 - np.fft.rfft(odd)[..., 1:n].imag      # 0 - x: a zero row comes back +0
 
 
-def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np.ndarray] | None,
+def _sine_bins(c: np.ndarray, nx: int, L: float, out: np.ndarray) -> np.ndarray:
+    """Add to `out` (..., nx - 1), zero on entry, the `_sine` of the interior nodal samples of
+    sum_k c_k e_k, c (..., K): e_k(x_m) is nx sqrt(2/L) in bin k < nx; a mode k >= nx folds onto
+    bin r = k mod 2nx, or onto 2nx - r with a minus sign when r > nx; r = 0 and nx vanish."""
+    c = c * (nx * math.sqrt(2.0 / L))
+    for k0 in range(0, c.shape[-1], 2 * nx):        # modes k0 + 1 .. k0 + 2nx
+        up, down = c[..., k0:k0 + nx - 1], c[..., k0 + nx:k0 + 2 * nx - 1]
+        out[..., :up.shape[-1]] += up
+        out[..., nx - 1 - down.shape[-1]:] -= down[..., ::-1]
+    return out
+
+
+def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] | None,
                     mesh: MeshParams, T: float, a: float, tau: float, L: float = 1.0, *,
                     sample_times: tuple[float, ...], z_sample_times: tuple[float, ...] = ()
                     ) -> HybridTrace:
     """Advance the coupled system to time T; return the temperature at `sample_times`.
 
-    y0_grid holds nodal values on the uniform x-mesh (Dirichlet ends forced to zero).
-    history_grid(gammas) must return nodal values, one row per gamma in [-tau, 0]; it is called
-    once.  The step is dt = tau / ns, the delay-line spacing, so z(t_n, s_j) = y(t_{n-j}) is a
-    stored row, the history's phi(-s_j) for j > n.  Crank-Nicolson steps the temperature with the
-    source a y(t - tau) averaged over the rows at the two ends of the step; the step that ends at
-    t = tau reads the history's left limit phi(0^-), not y(0).  A sample or snapshot time t is
-    taken at its nearest step (`basis._grid_index`); one farther than GRID_RTOL max(1, |t|) from
-    every step raises InvalidArgumentError.  `times` is every step (the bench tracer counts them),
-    `values` one row per sample time, bit for bit the row a snapshot shows there; snapshot rows
-    before t = 0 are the history's.
+    y0 holds the K sine coefficients of the initial temperature, a finite (K,) array, and
+    history(gammas) follows `phi.coeffs`, (n, K) rows for n gammas in [-tau, 0], called once;
+    other shapes raise InvalidArgumentError.  Both fold straight into the mesh's sine
+    coordinates (`_sine_bins`).  The step is dt = tau / ns, the delay-line spacing, so
+    z(t_n, s_j) = y(t_{n-j}) is a stored row, the history's phi(-s_j) for j > n.  Crank-Nicolson
+    steps the temperature with the source a y(t - tau) averaged over the rows at the two ends of
+    the step; the step that ends at t = tau reads the history's left limit phi(0^-), not y(0).  A
+    sample or snapshot time t is taken at its nearest step (`basis._grid_index`); one farther than
+    GRID_RTOL max(1, |t|) from every step raises InvalidArgumentError.  `times` is every step (the
+    bench tracer counts them), `values` one grid row per sample time, bit for bit the row a
+    snapshot shows there.
 
     DST-I diagonalises the second difference, eigenvalues -mu_j = -4 sin^2(j pi / (2 nx)) (Strang,
     SIAM Review 41, 1999): there a step is Y_{n+1} = q Y_n + g (Z_n + Z_{n+1}), Z the source rows,
@@ -225,38 +238,39 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
     stored rows is the whole state of the method of steps (Bellen and Zennaro, Numerical Methods
     for Delay Differential Equations, 2003, ch. 3), so the state stays in sine coordinates in one
     delay line of W + ns + 1 rows, W = ceil(n_steps / ns) windows.  Window w finds its source
-    Z_0 .. Z_ns in rows b .. b + ns, b = W - w (for window 0 the history, transformed once, ending
-    in phi(0^-)), puts Y_{n0} in row b - 1 and steps in place: row b + k becomes
-    g (Z_k + Z_{k+1}), then Y_{n0 + k + 1}, so rows b - 1 .. b - 1 + ns are the next window's
-    source.  Only the rows the samples and snapshots need go back to the grid.
+    Z_0 .. Z_ns in rows b .. b + ns, b = W - w (for window 0 the history, ending in phi(0^-)),
+    puts Y_{n0} in row b - 1 and steps in place: row b + k becomes g (Z_k + Z_{k+1}), then
+    Y_{n0 + k + 1}, so rows b - 1 .. b - 1 + ns are the next window's source.  Only the rows the
+    samples and snapshots need go back to the grid, the history's among them.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
     if not math.isfinite(a):
         raise InvalidArgumentError(f"coupling must be finite, got {a}")
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim != 1 or not np.all(np.isfinite(y0)):
+        raise InvalidArgumentError(f"y0 must be finite coefficients of shape (K,), got {y0.shape}")
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
     s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
     samples = _grid_index(times, sample_times, "sample_times", "hybrid")
     snaps = _grid_index(times, z_sample_times, "z_sample_times", "hybrid")
     # the steps whose rows go back to the grid: the samples and each snapshot's delay line
-    need = np.array(sorted({*samples, *(k for n in snaps for k in range(max(0, n - ns), n + 1))}), int)
+    need = np.array(sorted({*samples, *(k for n in snaps for k in range(n - ns, n + 1))}), int)
 
-    y0 = np.asarray(y0_grid, dtype=float)
-    if y0.shape != (nx + 1,):
-        raise InvalidArgumentError(f"initial grid data must have {nx + 1} nodes")
-    # hist[j] = phi(-s[ns - j]), hist[ns] = phi(0^-); their transforms, in the delay line's last
-    # ns + 1 rows, are window 0's source.  The zero history is a read-only broadcast of 0.
+    # window 0's source: row n_win + ns + k holds step k = -ns .. 0, phi(0^-) at k = 0
     n_win = -(-n_steps // ns)
-    buf, hist = np.zeros((n_win + ns + 1, nx - 1)), np.broadcast_to(0.0, (ns + 1, nx + 1))
-    if history_grid is not None:
-        hist = np.broadcast_to(np.asarray(history_grid(-s[::-1]), dtype=float), hist.shape)
-        for b in range(0, ns + 1, _BLOCK):
-            buf[n_win + b:n_win + b + _BLOCK] = _sine(hist[b:b + _BLOCK, 1:-1])
+    buf, spec = np.zeros((n_win + ns + 1, nx - 1)), np.zeros((len(need), nx - 1))
+    if history is not None:
+        hist = np.asarray(history(-s[::-1]), dtype=float)
+        if hist.shape != (ns + 1, len(y0)):
+            raise InvalidArgumentError(f"history rows are {hist.shape}, need {(ns + 1, len(y0))}")
+        _sine_bins(hist, nx, L, buf[n_win:])
+        spec[need < 0] = buf[n_win + ns + need[need < 0]]
 
     half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
-    spec, y, buf_rows = np.empty((len(need), nx - 1)), _sine(y0[1:-1]), list(buf)
+    y, buf_rows = _sine_bins(y0, nx, L, np.zeros(nx - 1)), list(buf)
     for w, n0 in enumerate(range(0, n_steps, ns)):      # the window of steps n0 .. n0 + m - 1
         m, b = min(ns, n_steps - n0), n_win - w         # its source Z_0 .. Z_ns: rows b .. b + ns
         buf[b - 1] = y
@@ -272,8 +286,6 @@ def hybrid_simulate(y0_grid: np.ndarray, history_grid: Callable[[np.ndarray], np
     rows = np.zeros((len(need), nx + 1))
     for b in range(0, len(need), _BLOCK):
         rows[b:b + _BLOCK, 1:-1] = _sine(spec[b:b + _BLOCK]) / (2 * nx)
-    rows[need == 0, 1:-1] = y0[1:-1]        # y(0) is the data itself, not its round trip
     at = lambda n: np.searchsorted(need, n)
-    z_snapshots = {t: np.concatenate([rows[at(max(0, n - ns)):at(n) + 1][::-1], hist[n:ns][::-1]])
-                   for t, n in zip(z_sample_times, snaps)}
+    z_snapshots = {t: rows[at(n - ns):at(n) + 1][::-1] for t, n in zip(z_sample_times, snaps)}
     return HybridTrace(times, rows[at(samples)], s, z_snapshots)

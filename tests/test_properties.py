@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,28 @@ def test_batched_kernel_equals_one_time_at_a_time(a, tau, off, lattice, order, s
         alone = fl._delayed_exp_grid(_KERNEL_LAMS, [t], params, order, side)[0]
         assert np.array_equal(row, alone)
         assert np.array_equal(row, _series_one_time(_KERNEL_LAMS, t, order, params, side))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_kernel_coupling_array_equals_one_call_per_coupling(order, side):
+    # times at 0, on the lattice and between; 22 tau and 22.5 tau reach the j > 20 log-space
+    # branch, where a = 0 has no logarithm
+    couplings, tau = (-2.0, -1.0, 0.0, 1.0, 2.0), 0.5
+    times = np.array([0.0, 0.2, 0.5, 1.0, 1.25, 1.5, 2.0, 3.1, 11.0, 11.25])
+    grids = fl._delayed_exp_grid(_KERNEL_LAMS, times, FlowParams(tau=tau), order, side,
+                                 a=np.array(couplings)[:, None, None])
+    assert grids.shape == (len(couplings), len(times), len(_KERNEL_LAMS))
+    for a, grid in zip(couplings, grids):
+        alone = fl._delayed_exp_grid(_KERNEL_LAMS, times, FlowParams(a=a, tau=tau), order, side)
+        assert np.all(np.isfinite(alone))
+        assert grid.tobytes() == alone.tobytes(), a
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (1, 3, 1)])
+def test_kernel_rejects_couplings_that_are_not_one_per_grid(shape):
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"got {shape}")):
+        fl._delayed_exp_grid(_KERNEL_LAMS, [1.0], FlowParams(), a=np.ones(shape))
 
 
 @settings(max_examples=20, deadline=None)

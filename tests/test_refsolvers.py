@@ -222,6 +222,36 @@ def _basis_grid(basis, n):
     return xs, basis.eval_matrix(xs)
 
 
+def _coords(nodal):
+    """The K = nx - 1 sine coefficients on (0, 1) whose nodal samples are the rows `nodal`
+    (ends zero), its exact DST-I coordinates."""
+    nx = np.shape(nodal)[-1] - 1
+    return rs._sine(np.asarray(nodal, dtype=float)[..., 1:-1]) / (nx * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("y0", [np.zeros((2, 17)), np.float64(1.0), np.array([0.0, math.nan]),
+                                np.array([math.inf, 0.0])], ids=["2-d", "scalar", "nan", "inf"])
+def test_hybrid_rejects_initial_data_that_is_not_finite_coefficients(y0):
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+            f"y0 must be finite coefficients of shape (K,), got {np.shape(y0)}")):
+        hybrid_simulate(y0, None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0, sample_times=())
+
+
+@pytest.mark.parametrize("rows", [
+    lambda g: np.ones((len(g), 1)),         # one column: spread over every node, ends included
+    lambda g: 1.0,                          # a scalar, likewise
+    lambda g: np.ones((len(g), 4)),         # one mode too many: a raw numpy ValueError
+    lambda g: np.ones((len(g) - 1, 3)),
+    lambda g: np.ones(len(g)),
+], ids=["column", "scalar", "wide", "short", "1-d"])
+def test_hybrid_rejects_history_rows_that_are_not_n_by_k(rows):
+    shape = np.shape(rows(np.zeros(9)))
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+            f"history rows are {shape}, need (9, 3)")):
+        hybrid_simulate(np.ones(3), rows, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0,
+                        sample_times=(), z_sample_times=(0.5,))
+
+
 def test_hybrid_mesh_validation():
     with pytest.raises(InvalidArgumentError):
         MeshParams(nx=1, ns=10)
@@ -229,8 +259,6 @@ def test_hybrid_mesh_validation():
         MeshParams(nx=10, ns=1)
     with pytest.raises(InvalidArgumentError):
         hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 0.0, 1.0, 1.0, sample_times=())
-    with pytest.raises(InvalidArgumentError):
-        hybrid_simulate(np.zeros(16), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0, sample_times=())
     with pytest.raises(TypeError, match="sample_times"):       # required: () would be no rows
         hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 1.0, 1.0, 1.0)
 
@@ -270,24 +298,24 @@ def test_hybrid_rejects_a_non_finite_coupling(a):
 def test_hybrid_takes_times_within_rounding_of_the_horizon_as_its_ends():
     # 3 (1 / 10) rounds to 0.30000000000000004 > T = 0.3, and a caller that snaps its
     # times to that grid passes that step; it was rejected as outside [0, T]
-    y0_grid, hist = _hybrid_inputs(16)
+    y0, hist = _hybrid_inputs()
     mesh = MeshParams(nx=16, ns=10)
-    ref = hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0, sample_times=(0.0, 0.3),
+    ref = hybrid_simulate(y0, hist, mesh, 0.3, 1.0, 1.0, sample_times=(0.0, 0.3),
                           z_sample_times=(0.3,))
     assert ref.times[-1] > 0.3
     ends = (-1e-10, float(ref.times[-1]))
-    tr = hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0, sample_times=ends,
+    tr = hybrid_simulate(y0, hist, mesh, 0.3, 1.0, 1.0, sample_times=ends,
                          z_sample_times=ends[1:])
     assert np.array_equal(tr.values, ref.values)
     assert np.array_equal(tr.z_snapshots[ends[1]], ref.z_snapshots[0.3])
-    assert len(hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0,
+    assert len(hybrid_simulate(y0, hist, mesh, 0.3, 1.0, 1.0,
                                sample_times=tuple(ref.times)).values) == 4
     # the slack is GRID_RTOL max(1, |t|), not more
     for t, near in ((-2e-9, 0.0), (0.3 + 2e-9, ends[1])):
         with pytest.raises(InvalidArgumentError, match=re.escape(
                 f"sample_times: t = {t!r} is off the hybrid grid of step h = 0.1; its nearest "
                 f"sample is {near!r}")):
-            hybrid_simulate(y0_grid, hist, mesh, 0.3, 1.0, 1.0, sample_times=(t,))
+            hybrid_simulate(y0, hist, mesh, 0.3, 1.0, 1.0, sample_times=(t,))
 
 
 @pytest.mark.parametrize("kind", ["sample_times", "z_sample_times"])
@@ -305,7 +333,7 @@ def test_hybrid_zero_coupling_is_pure_heat():
     n = 160
     xs, emat = _basis_grid(basis, n)
     mesh = MeshParams(nx=n, ns=80)             # time step 1/80
-    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 0.5, 0.0, 1.0, sample_times=(0.5,))
+    tr = hybrid_simulate(y0.coeffs, None, mesh, 0.5, 0.0, 1.0, sample_times=(0.5,))
     ref = emat @ semigroup_apply(y0, 0.5).coeffs
     err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
     assert err <= 5e-5
@@ -319,18 +347,16 @@ def test_hybrid_before_delay_arrival_matches_pure_heat():
     n = 200
     xs, emat = _basis_grid(basis, n)
     mesh = MeshParams(nx=n, ns=2 * n)
-    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 0.8, 1.0, 1.0, sample_times=(0.8,))
+    tr = hybrid_simulate(y0.coeffs, None, mesh, 0.8, 1.0, 1.0, sample_times=(0.8,))
     ref = emat @ semigroup_apply(y0, 0.8).coeffs
     err = np.max(np.abs(tr.values[-1] - ref))
     assert err <= 1e-6
 
 
-def _hybrid_inputs(n):
+def _hybrid_inputs():
     basis = EigenBasis(1.0, 4)
     y0 = SpectralField.from_modes(basis, {1: 1.0 / math.sqrt(2.0)})
-    phi = compatible_history(y0, FlowParams(a=1.0, tau=1.0))
-    xs, emat = _basis_grid(basis, n)
-    return emat @ y0.coeffs, (lambda g: phi.coeffs(g) @ emat.T)
+    return y0.coeffs, compatible_history(y0, FlowParams(a=1.0, tau=1.0)).coeffs
 
 
 def _every_step(T, tau, ns):
@@ -339,57 +365,59 @@ def _every_step(T, tau, ns):
 
 
 def test_hybrid_transport_is_exact_shift_of_history():
-    # z(t, s) = phi(t - s) for s > t and y(t - s) for s <= t, bit for bit; the
-    # history rows come from the one call phi(-tau), ..., phi(0^-) the simulator makes
-    y0_grid, hist = _hybrid_inputs(40)
+    # z(t, s) = y(t - s) for s <= t, bit for bit, and phi(t - s) for s > t, the nodal samples
+    # of the rows of the one call phi(-tau), ..., phi(0^-) the simulator makes, up to the
+    # rounding of their sine transform
+    y0, hist = _hybrid_inputs()
     mesh = MeshParams(nx=40, ns=20)
-    tr = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, sample_times=_every_step(2.0, 1.0, 20),
+    tr = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=_every_step(2.0, 1.0, 20),
                          z_sample_times=(0.3, 2.0))
-    phi_rows = hist(-tr.s[::-1])
+    phi_rows = hist(-tr.s[::-1]) @ _basis_grid(EigenBasis(1.0, 4), 40)[1].T
     for t_snap in (0.3, 2.0):
         n = int(round(t_snap * mesh.ns))
         z = tr.z_snapshots[t_snap]
         assert z.shape == (mesh.ns + 1, mesh.nx + 1)
         for j in range(mesh.ns + 1):
-            want = phi_rows[mesh.ns - (j - n)] if j > n else tr.values[n - j]
-            assert np.array_equal(z[j], want)
+            if j > n:
+                assert_allclose(z[j], phi_rows[mesh.ns - (j - n)], rtol=0.0, atol=1e-14)
+            else:
+                assert np.array_equal(z[j], tr.values[n - j])
 
 
 def test_hybrid_delay_loop_returns_previous_temperature():
     # the delay line's outflow z(t, tau) is the stored temperature at t - tau
-    y0_grid, hist = _hybrid_inputs(50)
+    y0, hist = _hybrid_inputs()
     mesh = MeshParams(nx=50, ns=40)
     times = (1.0, 1.5, 2.0)
-    tr = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.0, 0.5, 1.0),
+    tr = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.0, 0.5, 1.0),
                          z_sample_times=times)
     for i, t_snap in enumerate(times):
         assert np.array_equal(tr.z_snapshots[t_snap][-1], tr.values[i])
 
 
-@pytest.mark.parametrize("history, most", [(False, 2), (True, 40 + 3)], ids=["zero", "history"])
-def test_hybrid_transforms_only_the_history_and_the_sampled_rows(monkeypatch, history, most):
+@pytest.mark.parametrize("history", [False, True], ids=["zero", "history"])
+def test_hybrid_transforms_only_the_history_and_the_sampled_rows(monkeypatch, history):
     # the state stays in sine coordinates over 3 delay windows: y0 and the history's
-    # ns + 1 rows go forward once and only the sampled row comes back (a stepper that
-    # stores grid rows transforms about 2 rows per step, 240 here)
-    import delayheat.refsolvers as rs
+    # ns + 1 rows fold into them with no transform and only the sampled row comes back
+    # (a stepper that stores grid rows transforms about 2 rows per step, 240 here)
+    y0 = _coords(np.sin(math.pi * np.linspace(0.0, 1.0, 33)))
+    hist = (lambda g: np.multiply.outer(np.cos(g), y0)) if history else None
     counted, sine = [], rs._sine
     monkeypatch.setattr(rs, "_sine", lambda v: counted.append(math.prod(v.shape[:-1])) or sine(v))
-    xs = np.linspace(0.0, 1.0, 33)
-    y0 = np.sin(math.pi * xs)
-    hist = (lambda g: np.multiply.outer(np.cos(g), y0)) if history else None
     tr = hybrid_simulate(y0, hist, MeshParams(nx=32, ns=40), 3.0, 1.0, 1.0, sample_times=(3.0,))
     assert tr.values.shape == (1, 33) and len(tr.times) == 121
-    assert sum(counted) <= most
+    assert sum(counted) <= 1
 
 
 def test_hybrid_sampled_rows_equal_the_full_grid_rows():
-    y0_grid, hist = _hybrid_inputs(40)
+    y0, hist = _hybrid_inputs()
     mesh = MeshParams(nx=40, ns=20)
-    full = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0,
-                           sample_times=_every_step(2.0, 1.0, 20))
-    some = hybrid_simulate(y0_grid, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.35, 1.0, 2.0))
+    full = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=_every_step(2.0, 1.0, 20))
+    some = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.35, 1.0, 2.0))
     assert np.array_equal(some.values, full.values[[7, 20, 40]])
-    assert np.array_equal(full.values[0, 1:-1], y0_grid[1:-1])      # y(0) is the data itself
+    # y(0) is the nodal samples of y0, up to the rounding of their sine transform
+    assert_allclose(full.values[0], _basis_grid(EigenBasis(1.0, 4), 40)[1] @ y0, rtol=0.0,
+                    atol=1e-15)
 
 
 def test_hybrid_cross_validates_closed_form():
@@ -399,7 +427,7 @@ def test_hybrid_cross_validates_closed_form():
     n = 200
     xs, emat = _basis_grid(basis, n)
     mesh = MeshParams(nx=n, ns=2 * n)
-    tr = hybrid_simulate(emat @ y0.coeffs, None, mesh, 2.0, 1.0, 1.0, sample_times=(2.0,))
+    tr = hybrid_simulate(y0.coeffs, None, mesh, 2.0, 1.0, 1.0, sample_times=(2.0,))
     ref = emat @ solve_trace(y0, None, [2.0], params).coeffs[0]
     err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
     assert err <= 1e-3
@@ -443,13 +471,14 @@ def test_hybrid_equals_out_of_place_reference(nx, ns, z_time):
     xs = np.linspace(0.0, 1.0, nx + 1)
     y0 = np.sin(math.pi * xs) + xs * (1.0 - xs)
     hist = lambda g: np.multiply.outer(np.cos(3.0 * g), y0)
+    c0 = _coords(y0)        # the simulator takes the same data as sine coefficients
     T = 1.3
     # the reference's rows: every step, the first step at or after z_time and the last step,
     # which lies past T unless 1.3 is a step
     steps = _every_step(T, 1.0, ns)
     z_step, end = steps[int(np.searchsorted(steps, z_time - 1e-12))], steps[-1]
-    tr = hybrid_simulate(y0, hist, MeshParams(nx, ns), T, -1.3, 1.0,
-                         sample_times=steps, z_sample_times=(z_step, end))
+    tr = hybrid_simulate(c0, lambda g: np.multiply.outer(np.cos(3.0 * g), c0), MeshParams(nx, ns),
+                         T, -1.3, 1.0, sample_times=steps, z_sample_times=(z_step, end))
     ref_values, ref_z_early, ref_z = _hybrid_out_of_place(y0, hist, MeshParams(nx, ns), T, -1.3,
                                                           1.0, z_time)
     # the sine-transform steps round differently from the banded solve
@@ -460,29 +489,28 @@ def test_hybrid_equals_out_of_place_reference(nx, ns, z_time):
     assert np.max(np.abs(tr.z_snapshots[end] - ref_z)) <= 1e-12 * scale
 
 
-def _hybrid_two_window_buffers(y0_grid, history_grid, mesh, T, a, tau, L=1.0, *, sample_times,
-                               z_sample_times=()):
+def _hybrid_two_window_buffers(y0, history, mesh, T, a, tau, L=1.0, *, sample_times,
+                               z_sample_times=(), to_sine=None):
     """Reference loop: the delay line in two (ns + 1)-row window buffers that trade places
-    each window, `prev` the window read and `cur` the rows stepped into, with the history
-    copied to an (ns + 1, nx + 1) array; the same per-element operations in the same order
-    as the one in-place buffer of `hybrid_simulate`."""
+    each window, `prev` the window read and `cur` the rows stepped into, with the history's
+    sine coordinates kept apart; the same per-element operations in the same order as the
+    one in-place buffer of `hybrid_simulate`.  `to_sine` maps (..., K) coefficient rows to
+    their (..., nx - 1) sine coordinates, by default as the simulator does."""
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
+    to_sine = to_sine or (lambda c: rs._sine_bins(c, nx, L, np.zeros(c.shape[:-1] + (nx - 1,))))
     s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
     samples = _grid_index(times, sample_times, "sample_times", "hybrid")
     snaps = _grid_index(times, z_sample_times, "z_sample_times", "hybrid")
-    need = np.array(sorted({*samples, *(k for n in snaps for k in range(max(0, n - ns), n + 1))}),
-                    int)
-    y0 = np.asarray(y0_grid, dtype=float)
-    hist, prev = np.broadcast_to(0.0, (ns + 1, nx + 1)), np.zeros((ns + 1, nx - 1))
-    if history_grid is not None:
-        hist = np.empty((ns + 1, nx + 1))
-        hist[:] = history_grid(-s[::-1])
-        for b in range(0, ns + 1, rs._BLOCK):
-            prev[b:b + rs._BLOCK] = rs._sine(hist[b:b + rs._BLOCK, 1:-1])
+    need = np.array(sorted({*samples, *(k for n in snaps for k in range(n - ns, n + 1))}), int)
+    prev = np.zeros((ns + 1, nx - 1))
+    if history is not None:
+        prev[:] = to_sine(history(-s[::-1]))
+    hist_spec = prev.copy()         # step k < 0 is row ns + k
     half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
-    cur, spec, y = np.empty_like(prev), np.empty((len(need), nx - 1)), rs._sine(y0[1:-1])
+    cur, spec, y = np.empty_like(prev), np.zeros((len(need), nx - 1)), to_sine(np.asarray(y0))
+    spec[need < 0] = hist_spec[ns + need[need < 0]]
     for n0 in range(0, n_steps, ns):
         m = min(ns, n_steps - n0)
         cur[0] = y
@@ -496,10 +524,8 @@ def _hybrid_two_window_buffers(y0_grid, history_grid, mesh, T, a, tau, L=1.0, *,
     rows = np.zeros((len(need), nx + 1))
     for b in range(0, len(need), rs._BLOCK):
         rows[b:b + rs._BLOCK, 1:-1] = rs._sine(spec[b:b + rs._BLOCK]) / (2 * nx)
-    rows[need == 0, 1:-1] = y0[1:-1]
     at = lambda n: np.searchsorted(need, n)
-    z_snapshots = {t: np.concatenate([rows[at(max(0, n - ns)):at(n) + 1][::-1], hist[n:ns][::-1]])
-                   for t, n in zip(z_sample_times, snaps)}
+    z_snapshots = {t: rows[at(n - ns):at(n) + 1][::-1] for t, n in zip(z_sample_times, snaps)}
     return rows[at(samples)], z_snapshots
 
 
@@ -512,12 +538,12 @@ def _hybrid_two_window_buffers(y0_grid, history_grid, mesh, T, a, tau, L=1.0, *,
 @pytest.mark.parametrize("history", [False, True], ids=["zero", "compatible"])
 def test_hybrid_equals_two_window_buffer_reference(nx, ns, T, dumps, history):
     # the one in-place delay line steps, samples and dumps every value bit for bit
-    y0_grid, hist = _hybrid_inputs(nx)
+    y0, hist = _hybrid_inputs()
     hist = hist if history else None
     steps = _every_step(T, 1.0, ns)
-    tr = hybrid_simulate(y0_grid, hist, MeshParams(nx, ns), T, -1.3, 1.0, sample_times=steps,
+    tr = hybrid_simulate(y0, hist, MeshParams(nx, ns), T, -1.3, 1.0, sample_times=steps,
                          z_sample_times=dumps)
-    values, z_snapshots = _hybrid_two_window_buffers(y0_grid, hist, MeshParams(nx, ns), T, -1.3,
+    values, z_snapshots = _hybrid_two_window_buffers(y0, hist, MeshParams(nx, ns), T, -1.3,
                                                      1.0, sample_times=steps, z_sample_times=dumps)
     assert np.all(np.isfinite(values))
     assert tr.values.tobytes() == values.tobytes()
@@ -526,11 +552,37 @@ def test_hybrid_equals_two_window_buffer_reference(nx, ns, T, dumps, history):
         assert tr.z_snapshots[t].tobytes() == z_snapshots[t].tobytes(), t
 
 
+@pytest.mark.parametrize("K", [5, 7, 20], ids=["K<nx-1", "K=nx-1", "K>2nx"])
+@pytest.mark.parametrize("kind", ["zero", "exp", "compatible"])
+@pytest.mark.parametrize("a", [-1.3, 1.0])
+def test_hybrid_coefficient_input_equals_the_grid_path(K, kind, a):
+    # y0 and the history fold straight into sine coordinates; the grid path they replace
+    # sampled the modes on the nodes and transformed them.  nx = 8: modes 9 .. 15 fold onto
+    # bins 7 .. 1 with a minus sign, k = 8 and k = 16 vanish on the nodes, 17 .. 20 wrap.
+    nx, ns, T, dumps = 8, 6, 2.5, (0.5, 2.5)
+    basis = EigenBasis(1.0, K)
+    y0 = SpectralField(basis, np.random.default_rng(K).standard_normal(K))
+    # a < 0 has no real characteristic root here, so both runs take a = 1's compatible history
+    hist = {"zero": None, "exp": ExpModeHistory(y0 * 0.5, np.linspace(-2.0, 1.0, K)).coeffs,
+            "compatible": compatible_history(y0, FlowParams()).coeffs}[kind]
+    emat = _basis_grid(basis, nx)[1]
+    steps = _every_step(T, 1.0, ns)
+    tr = hybrid_simulate(y0.coeffs, hist, MeshParams(nx, ns), T, a, 1.0, sample_times=steps,
+                         z_sample_times=dumps)
+    values, z_snapshots = _hybrid_two_window_buffers(
+        y0.coeffs, hist, MeshParams(nx, ns), T, a, 1.0, sample_times=steps, z_sample_times=dumps,
+        to_sine=lambda c: rs._sine((c @ emat.T)[..., 1:-1]))
+    scale = np.max(np.abs(values))
+    assert scale > 0.1
+    assert np.max(np.abs(tr.values - values)) <= 1e-12 * scale
+    for t in dumps:
+        assert np.max(np.abs(tr.z_snapshots[t] - z_snapshots[t])) <= 1e-12 * scale, t
+
+
 def test_hybrid_default_mesh_holds_one_delay_line():
     # the CLI's default mesh to T = 2.5 keeps one (3 + ns + 1)-row buffer of sine coefficients
     # (2.57 MB) where two window buffers took 5.1 MB
-    xs = np.linspace(0.0, 1.0, 401)
-    y0 = np.sin(math.pi * xs)
+    y0 = _coords(np.sin(math.pi * np.linspace(0.0, 1.0, 401)))
     tracemalloc.start()
     try:
         hybrid_simulate(y0, None, MeshParams(400, 800), 2.5, 1.0, 1.0, sample_times=(0.0, 2.5))
