@@ -6,6 +6,13 @@ Subcommands
     validate   run a named verification suite, exit 0 only if every check passes
     diagnose   endpoint compatibility report and lattice jump table
 
+`simulate` looks `run.solver` up in `_SOLVERS` before it builds anything.  Each entry takes
+(cfg, basis, params, y0, phi, times, T) and returns the sample times, their coefficient rows,
+the manifest's `health` figures and {transport file: `write_transport_dump_csv` arguments}.
+The closed form is evaluated at the requested instants themselves; each stepping solver first
+checks them against its grid, which the config fixes, so the check is timed in the `solve_s`
+phase and a rejected instant exits 2 before the solver runs or the output directory exists.
+
 Configuration is a flat "key = value" file with sections; every option can be
 overridden on the command line as ``--section.key value``; a section or key
 that DEFAULT_CONFIG does not name is rejected.  The environment
@@ -132,7 +139,11 @@ def build_history(cfg, basis: EigenBasis, params: FlowParams, y0: SpectralField)
         path = sec.get("file")
         if not path:
             raise InvalidArgumentError("history kind 'grid' needs history.file")
-        times, rows = dio.read_grid_history_csv(path, basis)
+        try:
+            times, rows = dio.read_grid_history_csv(path, basis)
+        except (OSError, UnicodeDecodeError) as exc:    # missing, a directory, not text
+            raise InvalidArgumentError(f"history.file: cannot read {path}: "
+                                       f"{getattr(exc, 'strerror', None) or exc}") from None
         phi = GridHistory(times, rows, basis, _num(cfg, "history.interp_order", int))
         phi.pieces(params.tau)      # rejects samples that do not span [-tau, 0]
         return phi
@@ -148,13 +159,6 @@ def _run_times(cfg) -> list[float]:
         raise InvalidArgumentError("run.times names an instant twice: trace times must be "
                                    "strictly increasing")
     return times
-
-
-def _project_grid_rows(values: np.ndarray, xs: np.ndarray, emat: np.ndarray) -> np.ndarray:
-    # trapezoid projection of nodal values onto the sine modes, emat = basis.eval_matrix(xs)
-    w = np.full(len(xs), xs[1] - xs[0])
-    w[0] = w[-1] = (xs[1] - xs[0]) / 2.0
-    return values @ (w[:, None] * emat)
 
 
 class Manifest:
@@ -196,66 +200,81 @@ def _out_dir(cfg) -> Path:
 # subcommands
 
 
+def _samples(grid: np.ndarray, times: list[float], solver: str) -> list[int]:
+    """`_grid_index` of each requested instant; two instants on one grid sample raise."""
+    idx = _grid_index(grid, times, "run.times", solver)
+    for t0, t1, i0, i1 in zip(times, times[1:], idx, idx[1:]):
+        if i0 == i1:
+            raise InvalidArgumentError(f"run.times: t = {t0!r} and t = {t1!r} both fall on the "
+                                       f"{solver} sample {grid[i0].item()!r}")
+    return idx
+
+
+def _closed_form(cfg, basis, params, y0, phi, times, T):
+    trace = solve_trace(y0, phi, times, params)
+    return trace.times, trace.coeffs, {}, {}
+
+
+def _picard(cfg, basis, params, y0, phi, times, T):
+    dt = _num(cfg, "picard.dt")
+    idx = _samples(_step_grid(params.tau, dt, T, min_sub=4)[1], times, "picard")
+    trace = picard_solve(y0, phi, T, dt, params)
+    health = {"h": float(trace.times[1]), "residuals": trace.residuals.tolist()}
+    return trace.times[idx], trace.coeffs[idx], health, {}
+
+
+def _rk4_modes(cfg, basis, params, y0, phi, times, T):
+    from . import refsolvers as rs
+    mode_cfg = rs.ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,
+                                dt=_num(cfg, "rk4.dt"), y0=y0.coeffs,
+                                history=None if phi is None else phi.coeffs)
+    idx = _samples(_step_grid(mode_cfg.tau, mode_cfg.dt, T)[1], times, "rk4-modes")
+    trace = rs.rk4_dde_mode(mode_cfg, T)
+    return trace.times[idx], trace.values[idx], {"h": float(trace.times[1])}, {}
+
+
+def _hybrid(cfg, basis, params, y0, phi, times, T):
+    from . import refsolvers as rs
+    mesh = rs.MeshParams(_num(cfg, "hybrid.nx", int), _num(cfg, "hybrid.ns", int))
+    grid = _step_grid(params.tau, params.tau / mesh.ns, T)[1]
+    out_times, h = grid[_samples(grid, times, "hybrid")], float(grid[1])
+    z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
+    dumps = {}      # transport file name -> (requested t, grid index)
+    for t, i in zip(z_times, _grid_index(grid, z_times, "hybrid.z_dump_times", "hybrid")):
+        name = f"transport_t{grid[i]:g}.csv"
+        if name in dumps:
+            raise InvalidArgumentError(f"hybrid.z_dump_times: t = {dumps[name][0]!r} and "
+                                       f"t = {t!r} would both be written to {name}")
+        dumps[name] = (t, i)
+    xs = np.linspace(0.0, basis.L, mesh.nx + 1)
+    trace = rs.hybrid_simulate(y0.coeffs, None if phi is None else phi.coeffs, mesh, T,
+                               params.a, params.tau, basis.L, sample_times=tuple(out_times),
+                               z_sample_times=tuple(z_times))
+    rows = trace.values @ ((xs[1] - xs[0]) * basis.eval_matrix(xs))  # trapezoid; 0 at both ends
+    dumps = {name: (float(trace.times[i]), trace.s, xs, trace.z_snapshots[t])
+             for name, (t, i) in dumps.items()}
+    return out_times, rows, {"h": h, "r": h / (basis.L / mesh.nx) ** 2}, dumps
+
+
+_SOLVERS = {"closed-form": _closed_form, "picard": _picard, "rk4-modes": _rk4_modes,
+            "hybrid": _hybrid}
+
+
 def cmd_simulate(cfg, args) -> int:
     manifest = Manifest("simulate", cfg)
+    solver = cfg["run"].get("solver")
+    if solver not in _SOLVERS:      # before any history file is read
+        raise InvalidArgumentError(f"unknown solver {solver!r}")
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
     times = _run_times(cfg)
-    solver = cfg["run"].get("solver")
     nx = _num(cfg, "run.nx", int)
-    # the stepping solvers' grids follow from the config: instants are checked before the solve
+    xs = basis.mesh(nx)         # rejects nx < 1 before the output directory exists
     T = max(max(times), params.tau)     # the stepping solvers' horizon
-    if solver in ("rk4-modes", "hybrid"):
-        from . import refsolvers as rs      # the oracles load only when one runs
-    if solver == "picard":
-        grid = _step_grid(params.tau, _num(cfg, "picard.dt"), T, min_sub=4)[1]
-    elif solver == "rk4-modes":
-        mode_cfg = rs.ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,
-                                    dt=_num(cfg, "rk4.dt"), y0=y0.coeffs,
-                                    history=None if phi is None else phi.coeffs)
-        grid = _step_grid(mode_cfg.tau, mode_cfg.dt, T)[1]
-    elif solver == "hybrid":
-        mesh = rs.MeshParams(_num(cfg, "hybrid.nx", int), _num(cfg, "hybrid.ns", int))
-        grid = _step_grid(params.tau, params.tau / mesh.ns, T)[1]
-    elif solver != "closed-form":
-        raise InvalidArgumentError(f"unknown solver {solver!r}")
-    if solver != "closed-form":
-        idx = _grid_index(grid, times, "run.times", solver)
-        if len(set(idx)) != len(idx):
-            raise InvalidArgumentError("requested instants collapse onto the same solver samples")
-    dumps = {}      # transport file name -> (requested t, grid index)
-    if solver == "hybrid":
-        z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
-        for t, i in zip(z_times, _grid_index(grid, z_times, "hybrid.z_dump_times", solver)):
-            name = f"transport_t{grid[i]:g}.csv"
-            if name in dumps:
-                raise InvalidArgumentError(f"hybrid.z_dump_times: t = {dumps[name][0]!r} and "
-                                           f"t = {t!r} would both be written to {name}")
-            dumps[name] = (t, i)
     manifest.phase("build")
 
-    health = {}
-    if solver == "closed-form":
-        trace = solve_trace(y0, phi, times, params)
-        out_times, rows = trace.times, trace.coeffs
-    elif solver == "picard":
-        trace = picard_solve(y0, phi, T, _num(cfg, "picard.dt"), params)
-        out_times, rows = trace.times[idx], trace.coeffs[idx]
-        health.update(h=float(trace.times[1]), residuals=trace.residuals.tolist())
-    elif solver == "rk4-modes":
-        trace = rs.rk4_dde_mode(mode_cfg, T)
-        out_times, rows = trace.times[idx], trace.values[idx]
-        health["h"] = float(trace.times[1])
-    else:
-        xs_h = np.linspace(0.0, basis.L, mesh.nx + 1)
-        out_times, h = grid[idx], float(grid[1])
-        trace = rs.hybrid_simulate(y0.coeffs, None if phi is None else phi.coeffs, mesh, T,
-                                   params.a, params.tau, basis.L, sample_times=tuple(out_times),
-                                   z_sample_times=tuple(z_times))
-        rows = _project_grid_rows(trace.values, xs_h, basis.eval_matrix(xs_h))
-        health.update(h=h, r=h / (basis.L / mesh.nx) ** 2)
-
+    out_times, rows, health, dumps = _SOLVERS[solver](cfg, basis, params, y0, phi, times, T)
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
     manifest.data["health"] = health
     manifest.phase("solve")
@@ -268,12 +287,10 @@ def cmd_simulate(cfg, args) -> int:
         manifest.data["error"] = msg
         manifest.write(out)
         raise NonFiniteOutputError(msg)
-    for name, (t, i) in dumps.items():
-        manifest.add(out / name, dio.write_transport_dump_csv(
-            float(trace.times[i]), trace.s, xs_h, trace.z_snapshots[t], out / name))
+    for name, dump in dumps.items():
+        manifest.add(out / name, dio.write_transport_dump_csv(*dump, out / name))
     coeff_path = out / "trace_coeffs.csv"
     manifest.add(coeff_path, dio.write_coeff_trace_csv(out_times, rows, coeff_path))
-    xs = basis.mesh(nx)
     grid_vals = rows @ basis.eval_matrix(xs).T
     grid_path = out / "trace_grid.csv"
     manifest.add(grid_path, dio.write_grid_trace_csv(out_times, xs, grid_vals, grid_path))

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import delayheat
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError,
                        SpectralField, dirac_coeffs, picard_solve, semigroup_apply, solve_trace)
-from delayheat.cli import main
+from delayheat.cli import _SOLVERS, main
 
 
 def read_csv(path):
@@ -305,6 +305,93 @@ def test_simulate_rejects_off_grid_times_before_the_solve(tmp_path, capsys, monk
     cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
     assert main(["simulate", "--config", cfg, "--run.solver", solver] + extra) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["picard", "hybrid"])
+def test_simulate_rejects_two_instants_on_one_sample_before_the_solve(tmp_path, capsys,
+                                                                      monkeypatch, solver):
+    # the message named neither instant nor the sample they share
+    import delayheat.cli as cli
+    import delayheat.refsolvers as refsolvers
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "picard_solve", no_solve)
+    monkeypatch.setattr(refsolvers, "hybrid_simulate", no_solve)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.solver", solver,
+                 "--run.times", "0.5 0.5000000001"]) == 2
+    assert capsys.readouterr().err == (f"configuration error: run.times: t = 0.5 and "
+                                       f"t = 0.5000000001 both fall on the {solver} sample 0.5\n")
+    assert not out.exists()
+
+
+def _library_rows(solver, y0, phi, params, times):
+    """(sample times, coefficient rows) of the library call behind `solver` at its defaults."""
+    import delayheat.refsolvers as rs
+
+    def nearest(grid):
+        return [int(np.argmin(np.abs(grid - t))) for t in times]
+
+    T = max(max(times), params.tau)
+    if solver == "closed-form":
+        trace = solve_trace(y0, phi, times, params)
+        return trace.times, trace.coeffs
+    if solver == "picard":
+        trace = picard_solve(y0, phi, T, 0.015625, params)
+        return trace.times[nearest(trace.times)], trace.coeffs[nearest(trace.times)]
+    if solver == "rk4-modes":
+        trace = rs.rk4_dde_mode(rs.ModeDDEConfig(lam=y0.basis.eigenvalues(), a=params.a,
+                                                 tau=params.tau, dt=0.001, y0=y0.coeffs,
+                                                 history=phi.coeffs), T)
+        return trace.times[nearest(trace.times)], trace.values[nearest(trace.times)]
+    # the hybrid's nodal rows, projected onto the modes by the trapezoid rule
+    xs = np.linspace(0.0, y0.basis.L, 401)
+    w = np.full(401, xs[1] - xs[0])
+    w[0] = w[-1] = (xs[1] - xs[0]) / 2.0
+    trace = rs.hybrid_simulate(y0.coeffs, phi.coeffs, rs.MeshParams(400, 800), T, params.a,
+                               params.tau, y0.basis.L, sample_times=tuple(times))
+    return (trace.times[nearest(trace.times)],
+            trace.values @ (w[:, None] * y0.basis.eval_matrix(xs)))
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_simulate_writes_exactly_the_library_rows(tmp_path, solver):
+    # the CLI adds nothing to a solver's rows: each is read back bit for bit
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.solver", solver, "--run.times", "0 0.5 1.25",
+                 "--history.kind", "exp", "--history.profile", "0.3 0 -0.2",
+                 "--history.rate", "-0.5"]) == 0
+    basis = EigenBasis(1.0, 8)
+    y0 = SpectralField.from_modes(basis, [1.0, 0.5])
+    phi = ExpModeHistory(SpectralField.from_modes(basis, [0.3, 0.0, -0.2]), -0.5)
+    want_t, want = _library_rows(solver, y0, phi, FlowParams(a=1.0, tau=1.0), [0.0, 0.5, 1.25])
+    table = read_csv(out / "trace_coeffs.csv")
+    assert [int(r["k"]) for r in table] == list(range(1, 9)) * 3
+    assert np.array_equal(np.reshape([float(r["t"]) for r in table], (3, 8))[:, 0], want_t)
+    assert np.array_equal(np.reshape([float(r["coeff"]) for r in table], (3, 8)), want)
+
+
+def test_simulate_unknown_solver_exits_2_before_the_history_is_read(tmp_path, capsys):
+    # the history file was read first, so a missing one exited 1 and hid the solver name
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.solver", "nonsense", "--history.kind",
+                 "grid", "--history.file", str(tmp_path / "missing.csv")]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown solver 'nonsense'\n"
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_mesh_below_one_cell_before_the_output_dir(tmp_path, capsys):
+    # run.nx = -3 exited 2 only after trace_coeffs.csv was written
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.nx", "-3"]) == 2
+    assert "nx = -3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -746,3 +833,25 @@ def test_simulate_rejects_non_rectangular_grid_history(tmp_path, capsys, rows, p
     err = capsys.readouterr().err
     assert str(hist) in err and f"(gamma, k) = {pair}" in err
     assert not (tmp_path / "out" / "trace_coeffs.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory"),
+                                          ("binary", "codec can't decode byte 0xff")])
+def test_unreadable_grid_history_file_is_a_configuration_error(tmp_path, capsys, command, kind,
+                                                               reason):
+    # open() and the decoder raised straight to main, which exited 1 with "error: ..."
+    path = tmp_path / "hist.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfe\x00gamma,k,coeff\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main([command, "--config", cfg, "--history.kind", "grid",
+                 "--history.file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: history.file: cannot read {path}: ")
+    assert reason in err and "Errno" not in err
+    assert not out.exists()
