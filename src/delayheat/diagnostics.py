@@ -168,15 +168,17 @@ class CompatibilityReport:
     tol: float
 
 
-def _tail_bounded(fld: SpectralField, s: float) -> bool:
-    # finite-K surrogate for membership at index s: the top half of the spectrum
-    # must not outweigh the bottom half
-    K = fld.basis.K
-    lam = fld.basis.eigenvalues()
-    w = fld.coeffs**2 * lam**s
-    head = math.sqrt(float(np.sum(w[: K // 2])))
-    tail = math.sqrt(float(np.sum(w[K // 2:])))
-    return bool(np.isfinite(head) and np.isfinite(tail) and tail <= head + 1e-300)
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row (the last axis)."""
+    return np.sqrt(np.sum(rows**2, axis=-1))
+
+
+def _tail_bounded(rows: np.ndarray, lam: np.ndarray, s: float) -> bool:
+    # finite-K surrogate for membership at index s: in every row the top half of the
+    # spectrum must not outweigh the bottom half
+    weighted, half = rows * lam ** (s / 2.0), rows.shape[-1] // 2
+    head, tail = _norms(weighted[:, :half]), _norms(weighted[:, half:])
+    return bool(np.all(np.isfinite(head) & np.isfinite(tail) & (tail <= head + 1e-300)))
 
 
 def compatibility_check(y0: SpectralField, phi: History | None, params: FlowParams, r: int,
@@ -206,34 +208,30 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
         )
     basis = y0.basis
     lam = basis.eigenvalues()
-    hist = (lambda g, order: np.zeros(basis.K)) if phi is None else phi.coeffs
-    g_fields, endpoint, minus_tau, violations, scales = [], [], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):      # a non-finite order raises below
-        for k in range(r + 1):
-            if k == 0:
-                g, scale = y0.coeffs, max(1.0, hs_norm(y0, 0.0))
-            else:
-                delayed, decayed = params.a * minus_tau[-1].coeffs, lam * g_fields[-1].coeffs
-                g = delayed - decayed
-                scale = max(1.0, float(np.linalg.norm(delayed)), float(np.linalg.norm(decayed)))
-            end, before = hist(0.0, order=k), hist(-params.tau, order=k)
-            violation = math.sqrt(float(np.sum((end - g) ** 2)))     # hs_norm(end - g, 0)
-            if not (math.isfinite(violation) and np.all(np.isfinite(before))):
-                raise NonFiniteOutputError(
-                    f"compatibility order {k} of r = {r} is not finite: g_{k}, violation_{k} or "
-                    f"a history derivative overflows (g_k grows like lambda_K^k, lambda_K = "
-                    f"{lam[-1]:.3g})")
-            g_fields.append(SpectralField(basis, g))
-            endpoint.append(SpectralField(basis, end))
-            minus_tau.append(SpectralField(basis, before))
-            violations.append(violation)
-            scales.append(scale)
-        violations = np.array(violations)
-        flag3 = bool(np.all(violations <= tol * np.array(scales)))
-        flag2 = all(_tail_bounded(g, 1.0) for g in g_fields)
-        flag1 = (all(_tail_bounded(f, 0.0) for f in minus_tau)
-                 and all(_tail_bounded(f, 0.0) for f in endpoint))
-    return CompatibilityReport(r, g_fields, violations, flag1, flag2, flag3, tol)
+        # row k of `end` and `before`: (d/dt)^k phi at 0 and at -tau
+        end, before = np.zeros((2, r + 1, basis.K)) if phi is None else np.stack(
+            [phi.coeffs(np.array([0.0, -params.tau]), order=k) for k in range(r + 1)], axis=1)
+        delayed = params.a * before         # row k - 1 forms g_k
+        g = np.empty_like(end)
+        g[0] = y0.coeffs
+        for k in range(1, r + 1):
+            g[k] = delayed[k - 1] - lam * g[k - 1]
+        violations = _norms(end - g)
+        bad = ~(np.isfinite(violations) & np.all(np.isfinite(before), axis=1))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NonFiniteOutputError(
+                f"compatibility order {k} of r = {r} is not finite: g_{k}, violation_{k} or "
+                f"a history derivative overflows (g_k grows like lambda_K^k, lambda_K = "
+                f"{lam[-1]:.3g})")
+        scales = np.maximum(1.0, np.r_[_norms(g[:1]), np.maximum(_norms(delayed[:-1]),
+                                                                   _norms(lam * g[:-1]))])
+        flag3 = bool(np.all(violations <= tol * scales))
+        flag2 = _tail_bounded(g, lam, 1.0)
+        flag1 = _tail_bounded(np.vstack([before, end]), lam, 0.0)
+    return CompatibilityReport(r, [SpectralField(basis, row) for row in g], violations,
+                               flag1, flag2, flag3, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -275,33 +273,25 @@ def endpoint_jump_scan(y0: SpectralField, phi: History | None, params: FlowParam
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
     accuracy = 5
-    lams = y0.basis.eigenvalues()
-    lam_max = max(lams[m - 1] for m in modes)
-    h = min(params.tau / (4.0 * (r + accuracy)), 0.08 / max(lam_max, 1.0))
-    n = r + accuracy
-    times_needed = sorted({round(side * i * h + t0, 15)
-                           for t0 in (0.0, params.tau)
-                           for side in (+1, -1)
-                           for i in range(n)
-                           if side * i * h + t0 >= 0.0})
-    cache = dict(zip(times_needed, solve_trace(y0, phi, times_needed, params).coeffs))
-    rows = []
-    for t0, label in ((0.0, "0"), (params.tau, "tau")):
-        for k in range(r + 1):
-            c = _one_sided_weights(k, k + accuracy)
-            m_pts = len(c)
-            for mode in modes:
-                def sample(side, i):
-                    t = side * i * h + t0
-                    # left of t = 0 the trajectory IS the history, including its
-                    # one-sided limit at 0
-                    if side < 0 and t0 == 0.0:
-                        return 0.0 if phi is None else float(phi.coeffs(t, order=0)[mode - 1])
-                    return float(cache[round(t, 15)][mode - 1])
-
-                d_right = sum(c[i] * sample(+1, i) for i in range(m_pts)) / h**k
-                d_left = sum(c[i] * sample(-1, i) for i in range(m_pts)) / (-h) ** k
-                gap = d_right - d_left
-                scale = max(abs(d_right), abs(d_left), 1e-300)
-                rows.append(EndpointJumpRow(label, k, mode, d_left, d_right, gap, abs(gap) / scale))
-    return rows
+    n, cols = r + accuracy, np.array(modes) - 1
+    h = min(params.tau / (4.0 * n), 0.08 / max(y0.basis.eigenvalues()[cols].max(), 1.0))
+    # sample i of a side at t0 is the solution at t0 + side * i * h, rounded to 15 digits
+    when = [round(side * i * h + t0, 15)
+            for t0, side in ((0.0, 1), (params.tau, -1), (params.tau, 1)) for i in range(n)]
+    times, at = np.unique(when, return_inverse=True)
+    solution = solve_trace(y0, phi, times, params).coeffs[at.reshape(3, n)][..., cols]
+    # left of t = 0 the trajectory IS the history, including its one-sided limit at 0
+    history = (np.zeros((n, len(modes))) if phi is None
+               else phi.coeffs(-1 * np.arange(n) * h + 0.0, order=0)[:, cols])
+    table = np.stack([history, *solution])     # left and right of 0, left and right of tau
+    weights = [_one_sided_weights(k, k + accuracy) for k in range(r + 1)]
+    # d[k, side]: `sum` adds each stencil's terms in order, sample 0 first
+    d = np.array([sum(c_i * samples for c_i, samples in zip(c, table.swapaxes(0, 1)))
+                  / np.array([(-h) ** k, h ** k] * 2)[:, None] for k, c in enumerate(weights)])
+    left, right = d[:, 0::2], d[:, 1::2]        # [order, point (0 or tau), mode]
+    gap = right - left
+    rel = np.abs(gap) / np.maximum(np.maximum(np.abs(right), np.abs(left)), 1e-300)
+    return [EndpointJumpRow(label, k, mode, left[k, p, j], right[k, p, j], gap[k, p, j],
+                            rel[k, p, j])
+            for p, label in enumerate(("0", "tau")) for k in range(r + 1)
+            for j, mode in enumerate(modes)]

@@ -5,11 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError,
+from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory, InvalidArgumentError,
                        SpectralField, compatible_history, compatibility_check, dirac_coeffs,
-                       endpoint_jump_scan, hs_norm, lattice_jump_report)
+                       endpoint_jump_scan, hs_norm, lattice_jump_report, solve_trace)
 from delayheat.basis import _gauss_panels
-from delayheat.diagnostics import _exact_tail, _mode_rules, _mode_time_integral, weight_factor
+from delayheat.diagnostics import (_exact_tail, _mode_rules, _mode_time_integral,
+                                   _one_sided_weights, weight_factor)
 
 PI2 = math.pi**2
 
@@ -247,3 +248,108 @@ def test_endpoint_jump_scan_zero_history():
     for r in at0:
         if r.order == 0:
             assert_allclose(r.right, y0.coeffs[r.mode - 1], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array programs against the scalar loops they replaced
+
+_P = FlowParams(a=1.3, tau=0.8)
+_B = EigenBasis(1.0, 8)
+_Y0 = SpectralField(_B, np.random.default_rng(11).standard_normal(8) * 0.05 ** np.arange(8))
+
+
+def _history(kind):
+    if kind == "zero":
+        return None
+    if kind in ("exp+1", "exp-1"):
+        return ExpModeHistory(SpectralField(_B, np.linspace(1.0, -0.5, 8)), float(kind[3:]))
+    if kind == "compatible":
+        return compatible_history(_Y0, _P)
+    rows = np.random.default_rng(12).standard_normal((9, 8))
+    return GridHistory(np.linspace(-_P.tau, 0.0, 9), rows, _B, interp_order=int(kind[-1]))
+
+
+# (history, r) up to order 4, the spline to order 2 and the linear grid, in compatibility_check,
+# to its one order
+_SCAN_CASES = [(kind, r) for kind in ("zero", "exp+1", "exp-1", "compatible", "grid1", "grid3")
+               for r in range(3 if kind == "grid3" else 5)]
+_COMPAT_CASES = [(kind, r) for kind, r in _SCAN_CASES if kind != "grid1" or r == 0]
+
+
+def _scalar_compatibility(y0, phi, params, r, tol=1e-9):
+    """The per-order loop: g rows, violations and (endpoint, g, matching) flags."""
+    lam = y0.basis.eigenvalues()
+    hist = (lambda g, order: np.zeros(y0.basis.K)) if phi is None else phi.coeffs
+
+    def tail_bounded(c, s):
+        w = c**2 * lam**s
+        head = math.sqrt(float(np.sum(w[: len(c) // 2])))
+        tail = math.sqrt(float(np.sum(w[len(c) // 2:])))
+        return bool(np.isfinite(head) and np.isfinite(tail) and tail <= head + 1e-300)
+
+    gs, ends, befores, violations, scales = [], [], [], [], []
+    for k in range(r + 1):
+        if k == 0:
+            g, scale = y0.coeffs, max(1.0, hs_norm(y0, 0.0))
+        else:
+            delayed, decayed = params.a * befores[-1], lam * gs[-1]
+            g = delayed - decayed
+            scale = max(1.0, float(np.linalg.norm(delayed)), float(np.linalg.norm(decayed)))
+        ends.append(hist(0.0, order=k))
+        befores.append(hist(-params.tau, order=k))
+        violations.append(math.sqrt(float(np.sum((ends[-1] - g) ** 2))))
+        gs.append(g)
+        scales.append(scale)
+    flags = (all(tail_bounded(f, 0.0) for f in befores + ends),
+             all(tail_bounded(g, 1.0) for g in gs),
+             all(v <= tol * s for v, s in zip(violations, scales)))
+    return np.array(gs), np.array(violations), flags
+
+
+def _scalar_endpoint_scan(y0, phi, params, r, modes):
+    """The per-(point, order, mode) stencil sums over scalar samples."""
+    accuracy = 5
+    lams = y0.basis.eigenvalues()
+    h = min(params.tau / (4.0 * (r + accuracy)), 0.08 / max(max(lams[m - 1] for m in modes), 1.0))
+    n = r + accuracy
+    times = sorted({round(side * i * h + t0, 15) for t0 in (0.0, params.tau)
+                    for side in (+1, -1) for i in range(n) if side * i * h + t0 >= 0.0})
+    cache = dict(zip(times, solve_trace(y0, phi, times, params).coeffs))
+    rows = []
+    for t0, label in ((0.0, "0"), (params.tau, "tau")):
+        for k in range(r + 1):
+            c = _one_sided_weights(k, k + accuracy)
+            for mode in modes:
+                def sample(side, i):
+                    t = side * i * h + t0
+                    if side < 0 and t0 == 0.0:
+                        return 0.0 if phi is None else float(phi.coeffs(t, order=0)[mode - 1])
+                    return float(cache[round(t, 15)][mode - 1])
+
+                d_right = sum(c[i] * sample(+1, i) for i in range(len(c))) / h**k
+                d_left = sum(c[i] * sample(-1, i) for i in range(len(c))) / (-h) ** k
+                gap = d_right - d_left
+                scale = max(abs(d_right), abs(d_left), 1e-300)
+                rows.append((label, k, mode, d_left, d_right, gap, abs(gap) / scale))
+    return rows
+
+
+@pytest.mark.parametrize("kind, r", _COMPAT_CASES)
+def test_compatibility_check_equals_the_per_order_loop(kind, r):
+    phi = _history(kind)
+    rep = compatibility_check(_Y0, phi, _P, r)
+    g, violations, flags = _scalar_compatibility(_Y0, phi, _P, r)
+    assert np.array([f.coeffs for f in rep.g_fields]).tobytes() == g.tobytes()
+    assert (rep.flag_endpoint_regularity, rep.flag_g_regularity, rep.flag_matching) == flags
+    assert_allclose(rep.violations, violations, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("kind, r", _SCAN_CASES)
+def test_endpoint_jump_scan_equals_the_per_sample_stencils(kind, r):
+    phi = _history(kind)
+    for modes in ((1,), (1, 2), (3, 7)):
+        rows = endpoint_jump_scan(_Y0, phi, _P, r, modes=modes)
+        ref = _scalar_endpoint_scan(_Y0, phi, _P, r, modes)
+        assert [(row.t_label, row.order, row.mode) for row in rows] == [x[:3] for x in ref]
+        got = np.array([(row.left, row.right, row.gap, row.rel_gap) for row in rows])
+        assert got.tobytes() == np.array([x[3:] for x in ref]).tobytes(), modes
