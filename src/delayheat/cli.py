@@ -190,9 +190,14 @@ class Manifest:
 
 
 def _out_dir(cfg) -> Path:
-    out = os.environ.get("DELAY_HEAT_OUT") or cfg["run"].get("out_dir")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, checked before any work; each command makes it only on success."""
+    path = Path(os.environ.get("DELAY_HEAT_OUT") or cfg["run"].get("out_dir"))
+    existing = next(p for p in (path, *path.parents) if p.exists())    # "." or "/" at the latest
+    if not existing.is_dir():
+        raise InvalidArgumentError(
+            f"run.out_dir: cannot make {path}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise InvalidArgumentError(f"run.out_dir: cannot make {path}: {existing} is not writable")
     return path
 
 
@@ -265,6 +270,7 @@ def cmd_simulate(cfg, args) -> int:
     solver = cfg["run"].get("solver")
     if solver not in _SOLVERS:      # before any history file is read
         raise InvalidArgumentError(f"unknown solver {solver!r}")
+    out = _out_dir(cfg)
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
@@ -278,7 +284,7 @@ def cmd_simulate(cfg, args) -> int:
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
     manifest.data["health"] = health
     manifest.phase("solve")
-    out = _out_dir(cfg)         # only once every requested instant is accepted
+    out.mkdir(parents=True, exist_ok=True)      # only once every requested instant is accepted
     bad = ~np.isfinite(rows)
     if bad.any():
         i, k = np.argwhere(bad)[0]
@@ -328,6 +334,7 @@ print("wrote figure6.png")
 
 def cmd_figure6(cfg, args) -> int:
     from .validate import figure_panels
+    out = _out_dir(cfg)
     basis, params = build_model(cfg)
     if cfg["initial"].get("kind") != "dirac":
         raise InvalidArgumentError("figure6 needs point-mass initial data (initial.kind = dirac)")
@@ -343,7 +350,7 @@ def cmd_figure6(cfg, args) -> int:
         i, k = np.argwhere(bad)[0]
         raise NonFiniteOutputError(f"figure6 produced {int(bad.sum())} non-finite values, the "
                                    f"first at t={times[i]:g}, x={xs[k]:g}")
-    out = _out_dir(cfg)         # only once every panel is computed and finite
+    out.mkdir(parents=True, exist_ok=True)      # only once every panel is computed and finite
     data_path = out / "figure6_data.csv"
     manifest.add(data_path, dio.write_grid_trace_csv(np.asarray(times), xs, values, data_path))
     script_path = out / "plot_figure6.py"
@@ -356,8 +363,9 @@ def cmd_figure6(cfg, args) -> int:
 
 def cmd_validate(cfg, args) -> int:
     from .validate import run_suite
-    results = run_suite(args.suite)     # an unknown suite raises InvalidArgumentError: exit 2
     out = _out_dir(cfg)
+    results = run_suite(args.suite)     # an unknown suite raises InvalidArgumentError: exit 2
+    out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("validate", cfg)
     manifest.data["phases"].update((f"{res.suite}_s", round(res.seconds, 6)) for res in results)
     lines = []
@@ -379,6 +387,7 @@ def cmd_validate(cfg, args) -> int:
 
 def cmd_diagnose(cfg, args) -> int:
     from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_report
+    out = _out_dir(cfg)
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
@@ -386,7 +395,7 @@ def cmd_diagnose(cfg, args) -> int:
     report = compatibility_check(y0, phi, params, r=args.order)
     rows = lattice_jump_report(y0, params, j_max=max(4, args.order))
     scan = None if phi is None else endpoint_jump_scan(y0, phi, params, r=args.order)
-    out = _out_dir(cfg)         # only once every report is computed
+    out.mkdir(parents=True, exist_ok=True)      # only once every report is computed
     kv = {
         "r": report.r,
         "flag_endpoint_regularity": report.flag_endpoint_regularity,

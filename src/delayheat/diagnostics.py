@@ -12,13 +12,17 @@ Three instruments:
 * ``lattice_jump_report`` tabulates the predicted jump a^j y0 of the j-th time
   derivative at t = j tau against the measured one-sided derivative gap.  Off
   the lattice both one-sided series sum the same terms, so the gap there is 0
-  by construction and needs no instrument.
+  by construction and needs no instrument.  A jump whose derivative factors
+  overflow (j = 65 at K = 60) raises NonFiniteOutputError.
 
 * ``compatibility_check`` builds the endpoint matching fields
-  g_0 = y0, g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1} and compares them
-  with the time derivatives of phi at 0; agreement at orders <= r is exactly
-  what removes the derivative jumps of the solution at t = 0 and t = tau,
-  which ``endpoint_jump_scan`` measures independently by one-sided stencils.
+  g_0 = y0, g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1}, one row per order of
+  one array, and compares them with the time derivatives of phi at 0; agreement
+  at orders <= r is exactly what removes the derivative jumps of the solution at
+  t = 0 and t = tau, which ``endpoint_jump_scan`` measures independently by
+  one-sided stencils over one table of solution and history samples.  Every
+  norm is a row norm scaled before squaring, so an order is reported while its
+  field is a finite float.
 """
 
 from __future__ import annotations
@@ -142,10 +146,17 @@ def lattice_jump_report(y0: SpectralField, params: FlowParams, j_max: int) -> li
     lams = y0.basis.eigenvalues()
     rows = []
     for j in range(j_max + 1):
-        right, left = (flow_derivative_factors(lams, j * params.tau, j, params, side=side)
-                       for side in ("right", "left"))
+        with np.errstate(over="ignore", invalid="ignore"):      # a non-finite jump raises below
+            right, left = (flow_derivative_factors(lams, j * params.tau, j, params, side=side)
+                           for side in ("right", "left"))
+            jump = (right - left) * y0.coeffs
+        if not np.all(np.isfinite(jump)):
+            raise NonFiniteOutputError(
+                f"lattice jump j = {j} of j_max = {j_max} is not finite: the order-{j} "
+                f"derivative factors overflow (they grow like lambda_K^j, lambda_K = "
+                f"{lams[-1]:.3g})")
         predicted = SpectralField(y0.basis, params.a**j * y0.coeffs)
-        measured = SpectralField(y0.basis, (right - left) * y0.coeffs)
+        measured = SpectralField(y0.basis, jump)
         p, m = predicted.coeffs, measured.coeffs
         nz = np.abs(p) > 0.0
         rel = float(np.max(np.abs(m[nz] - p[nz]) / np.abs(p[nz]))) if np.any(nz) else 0.0
@@ -169,8 +180,11 @@ class CompatibilityReport:
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row (the last axis)."""
-    return np.sqrt(np.sum(rows**2, axis=-1))
+    """The Euclidean norm of each row (the last axis), its entries divided by the row's largest
+    magnitude before squaring (Higham 2002, §27.5): it overflows only where the norm does, and
+    is NaN for a row that holds inf or NaN."""
+    top = np.max(np.abs(rows), axis=-1, keepdims=True, initial=0.0)
+    return top[..., 0] * np.sqrt(np.sum((rows / np.where(top > 0.0, top, 1.0)) ** 2, axis=-1))
 
 
 def _tail_bounded(rows: np.ndarray, lam: np.ndarray, s: float) -> bool:
@@ -197,7 +211,8 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
     phi's endpoint derivatives, index 1 for g_k) and are heuristic by nature.
     phi=None is the zero history.  NonFiniteOutputError names the first order
     whose field or violation is not finite, which for the zero history and
-    K = 60 is order 34, where the squares of lambda_60^34 overflow.
+    K = 60 is order 68, where lambda_60^68 itself overflows: the norms divide
+    each row by its largest entry before squaring, so orders to 67 report.
     """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")

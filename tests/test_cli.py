@@ -577,9 +577,11 @@ out_dir = {out}
     (["figure6", "--run.times", "1 1"], 2, "trace times must be strictly increasing"),
     (["figure6", "--run.times", "3 120"], 1, "non-finite values, the first at t=120"),
     (["diagnose", "--order", "-1"], 2, "order r must be >= 0"),
-    # g_k grows like lambda_60^k: the squares in violation_34 overflow, and g_68 itself
-    (["diagnose", "--order", "60"], 1, "compatibility order 34 of r = 60 is not finite"),
-    (["diagnose", "--order", "70"], 1, "compatibility order 34 of r = 70 is not finite"),
+    # g_k grows like lambda_60^k and reports to order 67; the lattice jump's derivative
+    # factors overflow first, at j = 65, and g_68 is the first field to overflow
+    (["diagnose", "--order", "65"], 1, "lattice jump j = 65 of j_max = 65 is not finite"),
+    (["diagnose", "--order", "70"], 1, "compatibility order 68 of r = 70 is not finite"),
+    (["diagnose", "--order", "68"], 1, "compatibility order 68 of r = 68 is not finite"),
 ])
 def test_failed_figure6_and_diagnose_leave_no_output_dir(tmp_path, capsys, argv, code, reason):
     out = tmp_path / "out"
@@ -854,4 +856,54 @@ def test_unreadable_grid_history_file_is_a_configuration_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: history.file: cannot read {path}: ")
     assert reason in err and "Errno" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", [40, 64])
+def test_diagnose_reports_every_order_below_the_float_range(tmp_path, order):
+    # the compatibility norms scale each row before squaring, and j <= 64 jumps are finite
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["diagnose", "--order", str(order), "--run.out_dir", str(out)]) == 0
+    kv = dict(line.split(" = ") for line in (out / "compatibility.txt").read_text().splitlines())
+    assert all(math.isfinite(float(kv[f"violation_{k}"])) for k in range(order + 1))
+    table = read_csv(out / "jump_table.csv")
+    assert len(table) == order + 1
+    assert all(math.isfinite(float(v)) for row in table for v in row.values())
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("called before the output directory was checked")
+
+
+@pytest.mark.parametrize("command", ["simulate", "figure6", "validate", "diagnose"])
+@pytest.mark.parametrize("below", [False, True])
+def test_an_output_dir_that_cannot_be_made_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                   command, below):
+    # run.out_dir naming an existing file, or a path below one: mkdir raised Errno 17 or 20
+    # (exit 1) once the work was done
+    import delayheat.diagnostics
+    import delayheat.validate
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    for module, name in ((delayheat.cli, "build_model"), (delayheat.cli, "solve_trace"),
+                         (delayheat.validate, "run_suite"), (delayheat.validate, "figure_panels"),
+                         (delayheat.diagnostics, "compatibility_check")):
+        monkeypatch.setattr(module, name, _fail_if_called)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory\n")
+    out = blocker / "sub" if below else blocker
+    assert main([command, "--run.out_dir", str(out)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: run.out_dir: cannot make {out}: "
+                                       f"{blocker} is not a directory\n")
+    assert blocker.read_bytes() == b"not a directory\n"
+
+
+def test_an_output_dir_in_a_read_only_directory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    out = tmp_path / "out"
+    assert main(["simulate", "--run.out_dir", str(out)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: run.out_dir: cannot make {out}: "
+                                       f"{tmp_path} is not writable\n")
     assert not out.exists()

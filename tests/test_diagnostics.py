@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory, InvalidArgumentError,
-                       SpectralField, compatible_history, compatibility_check, dirac_coeffs,
-                       endpoint_jump_scan, hs_norm, lattice_jump_report, solve_trace)
+                       NonFiniteOutputError, SpectralField, compatible_history, compatibility_check,
+                       dirac_coeffs, endpoint_jump_scan, hs_norm, lattice_jump_report, solve_trace)
 from delayheat.basis import _gauss_panels
 from delayheat.diagnostics import (_exact_tail, _mode_rules, _mode_time_integral,
                                    _one_sided_weights, weight_factor)
@@ -353,3 +354,28 @@ def test_endpoint_jump_scan_equals_the_per_sample_stencils(kind, r):
         assert [(row.t_label, row.order, row.mode) for row in rows] == [x[:3] for x in ref]
         got = np.array([(row.left, row.right, row.gap, row.rel_gap) for row in rows])
         assert got.tobytes() == np.array([x[3:] for x in ref]).tobytes(), modes
+
+
+def test_compatibility_reports_every_order_whose_field_is_a_float():
+    # zero history, K = 60 point mass: the scaled norms report to order 67, whose g_67 is
+    # near 1e305 (its squares overflow from order 34 on), and g_68 overflows itself
+    y0, p = dirac_coeffs(0.3, EigenBasis(1.0, 60)), FlowParams(a=1.0, tau=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = compatibility_check(y0, None, p, r=67)
+    assert np.all(np.isfinite(rep.violations)) and rep.violations[67] > 1e300
+    # the violation of the zero history is |g_k|, and the scaled norm is |g_k| to rounding
+    assert_allclose(rep.violations[:30], [np.linalg.norm(g.coeffs) for g in rep.g_fields[:30]],
+                    rtol=1e-15)
+    with pytest.raises(NonFiniteOutputError, match="compatibility order 68 of r = 68"):
+        compatibility_check(y0, None, p, r=68)
+
+
+def test_lattice_jump_report_names_the_first_jump_that_overflows():
+    # at K = 60 the order-65 derivative factors overflow (inf * 0 in the kernel): the report
+    # raises naming j = 65, with no RuntimeWarning and no non-finite field
+    y0, p = dirac_coeffs(0.3, EigenBasis(1.0, 60)), FlowParams(a=1.0, tau=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteOutputError, match="lattice jump j = 65 of j_max = 66"):
+            lattice_jump_report(y0, p, j_max=66)
