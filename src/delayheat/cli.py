@@ -16,7 +16,9 @@ phase and a rejected instant exits 2 before the solver runs or the output direct
 Configuration is a flat "key = value" file with sections; every option can be
 overridden on the command line as ``--section.key value``; a section or key
 that DEFAULT_CONFIG does not name is rejected.  The environment
-variable DELAY_HEAT_OUT overrides the output directory.  Exit codes: 0 success,
+variable DELAY_HEAT_OUT overrides the output directory.  Every command checks that
+directory before it builds anything (a path that is or lies below a file exits 2)
+and makes it only once its computation has finished.  Exit codes: 0 success,
 1 numerical failure or any error a solver raises, 2 configuration error.
 
 Importing this module loads only numpy, `basis`, `flow`, `io` and `errors`; the

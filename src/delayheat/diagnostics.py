@@ -297,7 +297,7 @@ def endpoint_jump_scan(y0: SpectralField, phi: History | None, params: FlowParam
     solution = solve_trace(y0, phi, times, params).coeffs[at.reshape(3, n)][..., cols]
     # left of t = 0 the trajectory IS the history, including its one-sided limit at 0
     history = (np.zeros((n, len(modes))) if phi is None
-               else phi.coeffs(-1 * np.arange(n) * h + 0.0, order=0)[:, cols])
+               else phi.coeffs(-np.arange(n) * h, order=0)[:, cols])
     table = np.stack([history, *solution])     # left and right of 0, left and right of tau
     weights = [_one_sided_weights(k, k + accuracy) for k in range(r + 1)]
     # d[k, side]: `sum` adds each stencil's terms in order, sample 0 first
