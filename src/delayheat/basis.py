@@ -194,10 +194,10 @@ def _grid_index(grid: np.ndarray, wanted, what: str, solver: str) -> list[int]:
     return idx
 
 
-def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, np.ndarray]:
-    """The stepping solvers' n_sub = round(tau / dt) steps per delay and grid k h, h = tau / n_sub,
-    up to the first step within 1e-9 h of T or past it, and at least one step; InvalidArgumentError
-    if dt is not a positive finite number or n_sub < min_sub."""
+def _step_count(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, int]:
+    """The stepping solvers' n_sub = round(tau / dt) steps per delay and their step count up to
+    the first step k h, h = tau / n_sub, within 1e-9 h of T or past it, at least one; no array is
+    made.  InvalidArgumentError if dt is not a positive finite number or n_sub < min_sub."""
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidArgumentError(f"grid step {dt} must be positive and finite")
     n_sub = round(tau / dt)
@@ -205,8 +205,13 @@ def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, 
         raise InvalidArgumentError(
             f"grid step {dt} too coarse: need at least {min_sub} points per delay interval"
         )
-    h = tau / n_sub
-    return n_sub, np.arange(max(1, math.ceil(T / h - 1e-9)) + 1) * h
+    return n_sub, max(1, math.ceil(T / (tau / n_sub) - 1e-9))
+
+
+def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, np.ndarray]:
+    """n_sub and the grid k h, k = 0..n_steps, of `_step_count`."""
+    n_sub, n_steps = _step_count(tau, dt, T, min_sub)
+    return n_sub, np.arange(n_steps + 1) * (tau / n_sub)
 
 
 def hs_norm(fld: SpectralField, s: float) -> float:

@@ -10,8 +10,9 @@ Subcommands
 (cfg, basis, params, y0, phi, times, T) and returns the sample times, their coefficient rows,
 the manifest's `health` figures and {transport file: `write_transport_dump_csv` arguments}.
 The closed form is evaluated at the requested instants themselves; each stepping solver first
-checks them against its grid, which the config fixes, so the check is timed in the `solve_s`
-phase and a rejected instant exits 2 before the solver runs or the output directory exists.
+checks that its arrays, whose size the config fixes, fit in physical memory, then checks the
+instants against its grid, so the checks are timed in the `solve_s` phase and a grid too large or
+a rejected instant exits 2 before any grid is made or the output directory exists.
 
 Configuration is a flat "key = value" file with sections; every option can be
 overridden on the command line as ``--section.key value``; a section or key
@@ -42,7 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _import_started, io as dio
-from .basis import EigenBasis, SpectralField, _grid_index, _step_grid, dirac_coeffs, project
+from .basis import (EigenBasis, SpectralField, _grid_index, _step_count, _step_grid, dirac_coeffs,
+                    project)
 from .errors import InvalidArgumentError, NonFiniteOutputError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
@@ -217,6 +219,22 @@ def _samples(grid: np.ndarray, times: list[float], solver: str) -> list[int]:
     return idx
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, from os.sysconf; inf where the platform does not report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
+def _fits_in_memory(key: str, n_bytes: int) -> None:
+    """InvalidArgumentError naming `key` when a stepping solver's arrays would not fit."""
+    available = _physical_memory()
+    if n_bytes > available:
+        raise InvalidArgumentError(f"{key}: the stepping grid needs {n_bytes:.4g} bytes of arrays, "
+                                   f"more than the {available:.4g} bytes of physical memory")
+
+
 def _closed_form(cfg, basis, params, y0, phi, times, T):
     trace = solve_trace(y0, phi, times, params)
     return trace.times, trace.coeffs, {}, {}
@@ -224,6 +242,8 @@ def _closed_form(cfg, basis, params, y0, phi, times, T):
 
 def _picard(cfg, basis, params, y0, phi, times, T):
     dt = _num(cfg, "picard.dt")
+    n_steps = _step_count(params.tau, dt, T, min_sub=4)[1]
+    _fits_in_memory("picard.dt", 8 * 10 * (n_steps + 1) * basis.K)  # about 10 (N, K) arrays live
     idx = _samples(_step_grid(params.tau, dt, T, min_sub=4)[1], times, "picard")
     trace = picard_solve(y0, phi, T, dt, params)
     health = {"h": float(trace.times[1]), "residuals": trace.residuals.tolist()}
@@ -235,6 +255,9 @@ def _rk4_modes(cfg, basis, params, y0, phi, times, T):
     mode_cfg = rs.ModeDDEConfig(lam=basis.eigenvalues(), a=params.a, tau=params.tau,
                                 dt=_num(cfg, "rk4.dt"), y0=y0.coeffs,
                                 history=None if phi is None else phi.coeffs)
+    n_sub, n_steps = _step_count(mode_cfg.tau, mode_cfg.dt, T)
+    # the trace and the times, a window of slopes, one of scratch and one of history nodes
+    _fits_in_memory("rk4.dt", 8 * (basis.K + 1) * (n_steps + 1 + 3 * (n_sub + 1)))
     idx = _samples(_step_grid(mode_cfg.tau, mode_cfg.dt, T)[1], times, "rk4-modes")
     trace = rs.rk4_dde_mode(mode_cfg, T)
     return trace.times[idx], trace.values[idx], {"h": float(trace.times[1])}, {}
@@ -243,9 +266,13 @@ def _rk4_modes(cfg, basis, params, y0, phi, times, T):
 def _hybrid(cfg, basis, params, y0, phi, times, T):
     from . import refsolvers as rs
     mesh = rs.MeshParams(_num(cfg, "hybrid.nx", int), _num(cfg, "hybrid.ns", int))
+    z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
+    n_steps = _step_count(params.tau, params.tau / mesh.ns, T)[1]
+    # the delay line, and the spectral and grid rows of every sample and dumped delay line
+    rows = -(-n_steps // mesh.ns) + mesh.ns + 1 + 2 * (len(times) + len(z_times) * (mesh.ns + 1))
+    _fits_in_memory("hybrid.nx, hybrid.ns", 8 * ((mesh.nx + 1) * rows + n_steps + 1))
     grid = _step_grid(params.tau, params.tau / mesh.ns, T)[1]
     out_times, h = grid[_samples(grid, times, "hybrid")], float(grid[1])
-    z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
     dumps = {}      # transport file name -> (requested t, grid index)
     for t, i in zip(z_times, _grid_index(grid, z_times, "hybrid.z_dump_times", "hybrid")):
         name = f"transport_t{grid[i]:g}.csv"
@@ -396,7 +423,8 @@ def cmd_diagnose(cfg, args) -> int:
     manifest = Manifest("diagnose", cfg)
     report = compatibility_check(y0, phi, params, r=args.order)
     rows = lattice_jump_report(y0, params, j_max=max(4, args.order))
-    scan = None if phi is None else endpoint_jump_scan(y0, phi, params, r=args.order)
+    scan = None if phi is None else endpoint_jump_scan(
+        y0, phi, params, r=args.order, modes=tuple(range(1, min(2, basis.K) + 1)))
     out.mkdir(parents=True, exist_ok=True)      # only once every report is computed
     kv = {
         "r": report.r,

@@ -283,10 +283,14 @@ def endpoint_jump_scan(y0: SpectralField, phi: History | None, params: FlowParam
     points, and the gap is reported relative to the larger one-sided
     magnitude.  Every solution sample comes from one ``solve_trace`` call.
     This is an independent check on ``compatibility_check``: matching
-    endpoint data must drive every gap to the stencil noise floor.
+    endpoint data must drive every gap to the stencil noise floor.  A mode
+    outside 1..K raises InvalidArgumentError.
     """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
+    bad = [k for k in modes if not 1 <= k <= y0.basis.K]
+    if bad:
+        raise InvalidArgumentError(f"mode {bad[0]} is outside 1..{y0.basis.K}")
     accuracy = 5
     n, cols = r + accuracy, np.array(modes) - 1
     h = min(params.tau / (4.0 * n), 0.08 / max(y0.basis.eigenvalues()[cols].max(), 1.0))

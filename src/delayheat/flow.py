@@ -20,7 +20,7 @@ history forcing is the same history convolution.  One private kernel evaluates
 the series and its derivatives on a whole (times x modes) grid.  `solve_trace`
 is the closed-form entry point: one kernel call for the flow of y0 at all
 times, plus one history convolution.  The only quadrature left in this module
-is the trapezoid rule of Picard's G.
+is Picard's G, a product rule exact on 1, x, exp(-lambda x) and x exp(-lambda x).
 
 History protocol: `phi.coeffs(gamma, order=0)` returns the K mode coefficients
 of the order-th time derivative at a scalar gamma, and one row per entry,
@@ -471,15 +471,19 @@ def picard_solve(y0: SpectralField, phi: History | None, T: float, dt: float,
     F(t) is the heat evolution of y0 plus the history forcing
     a * integral_0^{min(t, tau)} exp(-lambda (t - sigma)) phi(sigma - tau) dsigma
     (none for phi=None), and (G f)(t) = a * integral_tau^t exp(-lambda (t - sigma))
-    f(sigma - tau) dsigma is evaluated per mode by trapezoid quadrature on the
-    grid.  Up to tau the forcing is the history convolution of `solve_trace`, so there
-    the iterate equals `solve_trace`; past tau it is its value at tau times
+    f(sigma - tau) dsigma is evaluated per mode and grid step by an exponentially
+    fitted Hermite product rule (`_picard_weights`), exact where f is a combination
+    of 1, s, exp(-lambda s) and s exp(-lambda s) on the step, with the slopes of f
+    from the equation itself.  It converges at fourth order; at the CLI's defaults
+    (K = 60, dt = 1/64) the point mass is within 1e-6 of the closed form.  Up to
+    tau the forcing is the history convolution of `solve_trace`, so there the
+    iterate equals `solve_trace`; past tau it is its value at tau times
     exp(-lambda (t - tau)).  The delay must be resolved: dt is snapped to
     tau / round(tau / dt) and rejected when coarser than tau / 4.  G shifts by
     tau, so on a grid of W delay windows (W = ceil(T / tau) up to the grid's
     rounding) G^W = 0: this is the method of steps, and its W sweeps of
     `_picard_iterates` reach the fixed point, whose distance to the exact
-    solution is the trapezoid error.  The trace carries the W per-sweep
+    solution is the product rule's error.  The trace carries the W per-sweep
     residuals max_t ||y_{n+1}(t) - y_n(t)||, which contract like
     (|a| T)^(n+1) / (n+1)! and end in exactly 0 (all 0 for a = 0).
     """
@@ -510,25 +514,65 @@ def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float
         F[:m] += H
         F[m:] += decay[1:len(times) - m + 1] * H[-1]
 
-    # The trapezoid sum S_M = sum_{j<=M} exp(-lam (M - j) h) f_j over the M + 1
-    # nodes tau..t_i (M = i - n_sub) obeys S_M = q S_{M-1} + f_M with
-    # q = exp(-lam h), one decay scan; the end weights h/2 take back half of
-    # the two end terms.
+    # (G f)(t_{n_sub+M}) = a S_M, S_M = integral_0^{t_M} exp(-lam (t_M - s)) f(s) ds, so
+    # S_M = q S_{M-1} + I_{M-1} with q = exp(-lam h), one decay scan of the step integrals
+    # I_m = h (C0 f_m + C1 f_{m+1}) + h^2 (D0 f'(s_m+) + D1 f'(s_{m+1}-)) (`_picard_weights`).
+    # The iterate f = F + G g has f' = -lam f + a D, D(s) = phi(s - tau) below tau, with left
+    # limit phi(0-) at tau, and g(s - tau) from tau on; g is the iterate before f (0 before F).
     q, n_g = decay[1], n_steps - n_sub
+    C0, C1, D0, D1 = _picard_weights(lams * h)
+    hist = (np.zeros((n_sub + 1, len(lams))) if phi is None
+            else phi.coeffs(np.arange(n_sub + 1) * h - params.tau))     # phi(t_m - tau), m <= n_sub
 
-    def apply_G(rows: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(rows)
+    def apply_G(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(f)
         if params.a == 0.0 or n_g < 1:
             return out
-        S = _decay_scan(rows[:n_g + 1].copy(), q)
-        ends = 0.5 * (decay[1:n_g + 1] * rows[0] + rows[1:n_g + 1])
-        out[n_sub + 1:] = (params.a * h) * (S[1:] - ends)
+        slope = params.a * np.concatenate([hist[:n_sub], g])[:n_g + 1] - lams * f[:n_g + 1]
+        left = slope[1:].copy()                     # f'(s_{m+1}-), m = 0..n_g - 1
+        if n_g >= n_sub:
+            left[n_sub - 1] = params.a * hist[n_sub] - lams * f[n_sub]
+        step = h * (C0 * f[:n_g] + C1 * f[1:n_g + 1]) + h * h * (D0 * slope[:-1] + D1 * left)
+        out[n_sub + 1:] = params.a * _decay_scan(step, q)
         return out
 
-    y = F
+    y, prev = F, np.zeros_like(F)
     for _ in range(math.ceil(n_steps / n_sub)):
-        y, prev = F + apply_G(y), y
+        y, prev = F + apply_G(y, prev), y
         yield times, y, np.max(np.linalg.norm(y - prev, axis=1))
+
+
+def _fitted_weights(z):
+    """The closed forms of `_picard_weights`, with E = exp(-z) scaled out so nothing overflows."""
+    E, u = np.exp(-z), -np.expm1(-z)
+    den = z * (z * z * E - u * u)
+    return (E * (u * u + z * u - 0.5 * z * z * (1.0 + 3.0 * E)) / den,
+            (0.5 * z * z * E * (3.0 + E) - z * E * u - u * u) / den,
+            E * (4.0 * z * u - 2.0 * u * u - z * z * (z * E + 1.0 + E)) / (2.0 * z * den),
+            (2.0 * u * u - 4.0 * z * E * u - z * z * E * (z - 1.0 - E)) / (2.0 * z * den))
+
+
+_FIT_SWITCH = 2.0       # below it the closed forms cancel; their circle mean takes over
+
+
+def _picard_weights(z) -> np.ndarray:
+    """(C0, C1, D0, D1), shape (4, len(z)), of the product rule for z = lam h >= 0,
+    integral_0^h exp(-lam (h - x)) f(x) dx ~ h (C0 f(0) + C1 f(h)) + h^2 (D0 f'(0) + D1 f'(h)),
+    exact on f in span{1, x, exp(-lam x), x exp(-lam x)} (exponential fitting, Ixaru and
+    Vanden Berghe 2004); z = 0 gives the cubic Hermite weights 1/2, 1/2, 1/12, -1/12.
+
+    The closed forms lose digits like 1e-16 / z^5 as z -> 0.  Below `_FIT_SWITCH` each weight
+    is their mean over 64 points on the circle of radius 4 about z (Cauchy's mean value
+    theorem, as Kassam and Trefethen 2005 evaluate the phi-functions of ETDRK4): the nearest
+    poles lie at |z| = 9.55 and every point stays 2 away from 0.  Both sides are within 2e-15
+    of an exact solve; C0 and D0 carry a factor exp(-z) and underflow past z = 745.
+    """
+    z = np.asarray(z, dtype=float)
+    small = z < _FIT_SWITCH
+    w = np.array(_fitted_weights(np.where(small, _FIT_SWITCH, z)))
+    ring = z[small, None] + 4.0 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    w[:, small] = np.array(_fitted_weights(ring)).real.mean(axis=-1)
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -525,6 +525,14 @@ out_dir = {out}
     assert (out / "endpoint_jumps.csv").exists()
 
 
+def test_diagnose_scans_the_one_mode_of_a_one_mode_basis(tmp_path, monkeypatch):
+    out = tmp_path / "diag1"
+    monkeypatch.setenv("DELAY_HEAT_OUT", str(out))
+    assert main(["diagnose", "--model.modes", "1", "--history.kind", "exp"]) == 0
+    rows = read_csv(out / "endpoint_jumps.csv")
+    assert len(rows) == 2 * 2 and {row["mode"] for row in rows} == {"1"}   # {0, tau} x r = 0, 1
+
+
 def test_diagnose_zero_history(tmp_path):
     out = tmp_path / "diag0"
     cfg = write_config(tmp_path / "d.ini", f"""
@@ -641,6 +649,23 @@ def test_picard_step_not_positive_and_finite_exits_2(tmp_path, monkeypatch, caps
     monkeypatch.setenv("DELAY_HEAT_OUT", str(tmp_path / "o"))
     assert main(["simulate", "--run.solver", "picard", "--picard.dt", dt]) == 2
     assert f"grid step {float(dt)} must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver, key, n_bytes", [
+    ("picard", "picard.dt", 8 * 10 * 161 * 60),     # 160 steps of 1/64 to T = 2.5, K = 60
+    ("rk4-modes", "rk4.dt", 8 * 61 * (2501 + 3 * 1001)),
+    ("hybrid", "hybrid.nx, hybrid.ns", 8 * (401 * (3 + 801 + 2 * 6) + 2001)),
+])
+def test_a_stepping_grid_that_does_not_fit_in_memory_exits_2_before_it_is_made(
+        tmp_path, monkeypatch, capsys, solver, key, n_bytes):
+    from delayheat import cli
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1e5)
+    monkeypatch.setattr(cli, "_step_grid", None)        # never reached
+    monkeypatch.setenv("DELAY_HEAT_OUT", str(tmp_path / "o"))
+    assert main(["simulate", "--run.solver", solver]) == 2
+    assert (f"{key}: the stepping grid needs {n_bytes:.4g} bytes of arrays, more than the "
+            f"1e+05 bytes of physical memory") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_successive_main_calls_share_no_parser_state(tmp_path, monkeypatch):

@@ -236,6 +236,16 @@ def test_endpoint_jump_scan_compatible_vs_incompatible():
     assert gap_order1.rel_gap > 0.1
 
 
+def test_endpoint_jump_scan_rejects_a_mode_outside_the_basis():
+    # mode 0 would read mode K through index -1, mode K + 1 past the end
+    basis = EigenBasis(1.0, 2)
+    p = FlowParams(a=1.0, tau=1.0)
+    y0 = SpectralField.from_modes(basis, [1.0, 0.5])
+    for modes in ((0,), (3,)):
+        with pytest.raises(InvalidArgumentError, match=f"mode {modes[0]} is outside 1..2"):
+            endpoint_jump_scan(y0, ExpModeHistory(y0, -1.0), p, r=1, modes=modes)
+
+
 def test_endpoint_jump_scan_zero_history():
     # phi=None is the zero history: every left sample at t = 0 is 0, so the
     # order-0 gap there is the jump from 0 to y0

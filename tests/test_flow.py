@@ -439,8 +439,28 @@ def test_trace_invariants(basis):
         fl.SolutionTrace(np.array([0.0, 0.0]), np.zeros((2, basis.K)), basis)
 
 
+def _picard_step_integrals(f, g, phi, lams, h, n_sub, n_g, params):
+    """The step integrals I_m = h (C0 f_m + C1 f_{m+1}) + h^2 (D0 f'(s_m+) + D1 f'(s_{m+1}-)),
+    m = 0..n_g - 1, one row at a time.  The slopes are f' = -lam f + a D with D(s) the history
+    phi(s - tau) below tau, phi(0-) as its left limit at tau, and g(s - tau) from tau on."""
+    C0, C1, D0, D1 = fl._picard_weights(lams * h)
+
+    def delayed(m, side):
+        if m < n_sub or (m == n_sub and side == "left"):
+            return np.zeros(len(lams)) if phi is None else phi.coeffs(m * h - params.tau)
+        return g[m - n_sub]
+
+    rows = []
+    for m in range(n_g):
+        right = -lams * f[m] + params.a * delayed(m, "right")
+        left = -lams * f[m + 1] + params.a * delayed(m + 1, "left")
+        rows.append(h * (C0 * f[m] + C1 * f[m + 1]) + h * h * (D0 * right + D1 * left))
+    return np.array(rows).reshape(n_g, len(lams))
+
+
 def _picard_einsum_reference(y0, T, n_iter, dt, params):
-    """Picard iteration (zero history) with G applied as the O(N^2) trapezoid sum."""
+    """Picard iteration (zero history) with G applied as the O(N^2) sum
+    a sum_{m<M} exp(-lam (M - 1 - m) h) I_m of the step integrals."""
     n_sub = round(params.tau / dt)
     h = params.tau / n_sub
     n_steps = math.ceil(T / h - 1e-9)
@@ -449,18 +469,17 @@ def _picard_einsum_reference(y0, T, n_iter, dt, params):
     decay = np.exp(-np.outer(times, lams))
     F = decay * y0.coeffs[None, :]
 
-    def apply_G(rows):
-        out = np.zeros_like(rows)
+    def apply_G(f, g):
+        out = np.zeros_like(f)
+        steps = _picard_step_integrals(f, g, None, lams, h, n_sub, n_steps - n_sub, params)
         for i in range(n_sub + 1, n_steps + 1):
-            m = i - n_sub + 1
-            w = np.full(m, h)
-            w[0] = w[-1] = h / 2.0
-            out[i] = params.a * np.einsum("s,sk,sk->k", w, decay[i - n_sub::-1], rows[:m])
+            M = i - n_sub
+            out[i] = params.a * np.einsum("sk,sk->k", decay[M - 1::-1], steps[:M])
         return out
 
-    y = F.copy()
+    y, before = F.copy(), np.zeros_like(F)
     for _ in range(n_iter):
-        y = F + apply_G(y)
+        y, before = F + apply_G(y, before), y
     return times, y
 
 
@@ -477,9 +496,9 @@ def test_picard_recurrence_matches_einsum_reference(a):
 
 
 def _picard_serial_reference(y0, phi, T, n_iter, dt, params):
-    """Picard iteration with the trapezoid sum S_M = q S_{M-1} + f_M run one
-    row at a time: the serial recurrence the decay scan of `picard_solve`
-    replaced, kept as its reference."""
+    """Picard iteration with G's recurrence S_M = q S_{M-1} + I_{M-1} run one row at a
+    time: the serial recurrence the decay scan of `picard_solve` replaced, kept as its
+    reference."""
     n_sub = round(params.tau / dt)
     h = params.tau / n_sub
     n_steps = math.ceil(T / h - 1e-9)
@@ -494,21 +513,20 @@ def _picard_serial_reference(y0, phi, T, n_iter, dt, params):
         F[m:] += decay[1:len(times) - m + 1] * H[-1]
     q, n_g = decay[1], n_steps - n_sub
 
-    def apply_G(rows):
-        out = np.zeros_like(rows)
+    def apply_G(f, g):
+        out = np.zeros_like(f)
         if params.a == 0.0 or n_g < 1:
             return out
-        S = np.empty((n_g + 1, rows.shape[1]))
-        S[0] = rows[0]
+        steps = _picard_step_integrals(f, g, phi, lams, h, n_sub, n_g, params)
+        S = np.zeros(len(lams))
         for M in range(1, n_g + 1):
-            S[M] = q * S[M - 1] + rows[M]
-        ends = 0.5 * (decay[1:n_g + 1] * rows[0] + rows[1:n_g + 1])
-        out[n_sub + 1:] = (params.a * h) * (S[1:] - ends)
+            S = q * S + steps[M - 1]
+            out[n_sub + M] = params.a * S
         return out
 
-    y = F.copy()
+    y, before = F.copy(), np.zeros_like(F)
     for _ in range(n_iter):
-        y = F + apply_G(y)
+        y, before = F + apply_G(y, before), y
     return times, y
 
 
@@ -635,6 +653,54 @@ def test_picard_equals_solve_trace_up_to_tau(a):
             upto = trace.times <= p.tau
             ref = solve_trace(y0, phi, trace.times[upto], p)
             assert np.array_equal(trace.coeffs[upto], ref.coeffs), (name, T)
+
+
+def _exact_picard_weights(z, mp):
+    """(C0, C1, D0, D1) at h = 1 from the four exactness conditions on 1, x, exp(-z x) and
+    x exp(-z x), solved in enough digits to survive their near-singularity as z -> 0 and
+    the exp(-z) scale of C0 and D0."""
+    if z == 0.0:
+        return [mp.mpf(1) / 2, mp.mpf(1) / 2, mp.mpf(1) / 12, -mp.mpf(1) / 12]
+    with mp.workdps(40 + int(z / 2) + 4 * max(0, int(-math.log10(z)))):
+        z = mp.mpf(z)
+        E = mp.exp(-z)
+        A = mp.matrix([[1, 1, 0, 0], [0, 1, 1, 1], [1, E, -z, -z * E], [0, E, 1, (1 - z) * E]])
+        b = mp.matrix([(1 - E) / z, 1 / z - (1 - E) / z ** 2, E, E / 2])
+        return [+w for w in mp.lu_solve(A, b)]
+
+
+def test_picard_weights_match_an_exact_solve():
+    mp = pytest.importorskip("mpmath")
+    switch = fl._FIT_SWITCH
+    zs = sorted({0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0, math.nextafter(switch, 0.0), switch, 2.0,
+                 10.0, 354.0, 555.0, 2e3})
+    got = fl._picard_weights(np.array(zs))
+    assert got.shape == (4, len(zs))
+    for j, z in enumerate(zs):
+        for i, exact in enumerate(_exact_picard_weights(z, mp)):
+            if abs(exact) >= np.finfo(float).tiny:
+                assert abs(got[i, j] - exact) <= 1e-14 * abs(exact), (z, i)
+            else:       # C0 and D0 past z = 745
+                assert abs(got[i, j]) <= 1e-300, (z, i)
+
+
+@pytest.mark.parametrize("a", [-1.0, 1.0, 2.0])
+def test_picard_error_and_its_order_on_60_modes(a):
+    # the point mass on K = 60 modes, at a horizon past the windows where the rule is exact
+    # (e^{lam s} f linear): 3e-6 at dt = 1/64, and each halving of dt divides the error by
+    # at least 12 (zero history) or 6 (compatible history)
+    p = FlowParams(a=a, tau=1.0)
+    y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60))
+    histories = {"zero": (None, 12.0)}
+    if a > 0:
+        histories["compatible"] = (compatible_history(y0, p), 6.0)
+    for name, (phi, gain) in histories.items():
+        for T in (5.0, 7.5):
+            exact = solve_trace(y0, phi, [T], p).coeffs[0]
+            errs = [np.linalg.norm(picard_solve(y0, phi, T, dt, p).coeffs[-1] - exact)
+                    / np.linalg.norm(exact) for dt in (1 / 64, 1 / 128, 1 / 256)]
+            assert errs[0] <= 3e-6, (name, T, errs)
+            assert errs[0] >= gain * errs[1] and errs[1] >= gain * errs[2], (name, T, errs)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
