@@ -416,15 +416,20 @@ def cmd_validate(cfg, args) -> int:
 
 def cmd_diagnose(cfg, args) -> int:
     from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_report
+    manifest = Manifest("diagnose", cfg)
     out = _out_dir(cfg)
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
-    manifest = Manifest("diagnose", cfg)
+    manifest.phase("build")
     report = compatibility_check(y0, phi, params, r=args.order)
-    rows = lattice_jump_report(y0, params, j_max=max(4, args.order))
+    jumps = lattice_jump_report(y0, phi, params, j_max=min(4, params.j_max),
+                                modes=tuple(range(1, min(3, basis.K) + 1)))
     scan = None if phi is None else endpoint_jump_scan(
         y0, phi, params, r=args.order, modes=tuple(range(1, min(2, basis.K) + 1)))
+    manifest.phase("solve")
+    manifest.data["jump_table"] = ("j <= min(4, model.j_max): orders past 4 are not tabulated, "
+                                   "because the k + 5 point stencils lose the jump law there")
     out.mkdir(parents=True, exist_ok=True)      # only once every report is computed
     kv = {
         "r": report.r,
@@ -439,14 +444,15 @@ def cmd_diagnose(cfg, args) -> int:
     manifest.add(compat_path, dio.write_keyvalue(kv, compat_path))
     jump_path = out / "jump_table.csv"
     manifest.add(jump_path, dio._write_rows(
-        jump_path, ["j", "predicted_norm", "measured_norm", "rel_error"],
-        ((str(r.j), r.predicted_norm, r.measured_norm, r.rel_error) for r in rows)))
+        jump_path, ["j", "mode", "predicted", "measured", "rel_error"],
+        ((str(j), str(mode), *values) for j, mode, *values in jumps)))
     if scan is not None:
         scan_path = out / "endpoint_jumps.csv"
         manifest.add(scan_path, dio._write_rows(
             scan_path, ["t", "order", "mode", "left", "right", "gap", "rel_gap"],
             ((r.t_label, str(r.order), str(r.mode), r.left, r.right, r.gap, r.rel_gap)
              for r in scan)))
+    manifest.phase("write")
     manifest.write(out)
     print(f"wrote {compat_path} and {jump_path}")
     return 0

@@ -105,7 +105,10 @@ def suite_identity() -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# jumps: lattice jump law
+# jumps: lattice jump law, measured by one-sided stencils
+
+# per j, a few times the worst relative error measured over modes 1-3: 0, 2.7e-6 ... 1.2e-3
+_JUMP_BOUNDS = (1e-12, 1e-5, 1e-4, 1e-3, 5e-3)
 
 
 def suite_jumps() -> SuiteResult:
@@ -113,11 +116,12 @@ def suite_jumps() -> SuiteResult:
     basis = EigenBasis(1.0, 60)
     y0 = _random_field(basis, rng)
     rows = []
-    for a in (1.0, 2.0):
-        params = FlowParams(a=a, tau=1.0)
-        for r in diag.lattice_jump_report(y0, params, j_max=4):
-            rows.append(CheckRow(f"jump a={a:g} j={r.j}", r.rel_error <= 1e-6,
-                                 r.rel_error, 1e-6))
+    for a in (-1.0, 1.0, 2.0):
+        worst = [0.0] * len(_JUMP_BOUNDS)
+        for j, _, _, _, rel in diag.lattice_jump_report(y0, None, FlowParams(a=a, tau=1.0)):
+            worst[j] = max(worst[j], rel)
+        rows.extend(CheckRow(f"jump a={a:g} j={j}", w <= bound, w, bound)
+                    for j, (w, bound) in enumerate(zip(worst, _JUMP_BOUNDS)))
     return SuiteResult("jumps", rows)
 
 

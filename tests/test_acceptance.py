@@ -52,11 +52,12 @@ def test_criterion_3_weighted_identity():
 def test_criterion_4_jump_law():
     suite = dv.suite_jumps()
     jump_rows = [r for r in suite.rows if r.name.startswith("jump")]
-    assert len(jump_rows) == len(suite.rows) == 10     # j = 0..4 for a in {1, 2}
+    assert len(jump_rows) == len(suite.rows) == 15     # j = 0..4 for a in {-1, 1, 2}
     worst_jump = max(r.value for r in jump_rows)
-    _report("criterion 4: lattice jump law",
+    _report("criterion 4: lattice jump law, measured by one-sided stencils",
             suite.passed,
-            f"max relative jump error {worst_jump:.3e} (tol 1e-6, j<=4, a in {{1,2}})")
+            f"max relative jump error {worst_jump:.3e} (tol per j up to 5e-3, j<=4, "
+            f"modes 1-3, a in {{-1,1,2}})")
 
 
 def test_criterion_5_figure_panels():

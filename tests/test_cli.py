@@ -404,7 +404,7 @@ def test_validate_prints_suite_wall_time(tmp_path, capsys):
     # the printed wall time is the one the manifest records
     phases = json.loads((tmp_path / "v" / "manifest.json").read_text())["phases"]
     assert list(phases) == ["import_s", "jumps_s"] and phases["jumps_s"] > 0.0
-    assert lines[0].startswith("suite jumps: 10 checks in ")
+    assert lines[0].startswith("suite jumps: 15 checks in ")
     assert abs(float(lines[0].split()[-2]) - phases["jumps_s"]) <= 5e-4 + 1e-9
 
 
@@ -519,10 +519,26 @@ out_dir = {out}
     assert main(["diagnose", "--config", cfg, "--order", "2"]) == 0
     text = (out / "compatibility.txt").read_text()
     assert "flag_matching = True" in text
+    # the compatible history has no jump at any order: every prediction is 0, every cell finite
     jump_rows = read_csv(out / "jump_table.csv")
-    assert len(jump_rows) == 5
-    assert float(jump_rows[2]["rel_error"]) <= 1e-6
+    assert list(jump_rows[0]) == ["j", "mode", "predicted", "measured", "rel_error"]
+    assert [(row["j"], row["mode"]) for row in jump_rows] == [
+        (str(j), str(m)) for j in range(5) for m in (1, 2, 3)]
+    assert all(float(row["predicted"]) == 0.0 for row in jump_rows)
+    assert all(math.isfinite(float(v)) for row in jump_rows for v in row.values())
     assert (out / "endpoint_jumps.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["phases"]) == ["build_s", "import_s", "solve_s", "write_s"]
+    assert "orders past 4 are not tabulated" in manifest["jump_table"]
+
+
+def test_diagnose_tabulates_jumps_up_to_a_small_j_max(tmp_path):
+    # model.j_max = 2 caps the series at two delay periods, so the table stops at j = 2
+    out = tmp_path / "out"
+    assert main(["diagnose", "--model.j_max", "2", "--run.out_dir", str(out)]) == 0
+    rows = read_csv(out / "jump_table.csv")
+    assert [(row["j"], row["mode"]) for row in rows] == [
+        (str(j), str(m)) for j in range(3) for m in (1, 2, 3)]
 
 
 def test_diagnose_scans_the_one_mode_of_a_one_mode_basis(tmp_path, monkeypatch):
@@ -585,9 +601,9 @@ out_dir = {out}
     (["figure6", "--run.times", "1 1"], 2, "trace times must be strictly increasing"),
     (["figure6", "--run.times", "3 120"], 1, "non-finite values, the first at t=120"),
     (["diagnose", "--order", "-1"], 2, "order r must be >= 0"),
-    # g_k grows like lambda_60^k and reports to order 67; the lattice jump's derivative
-    # factors overflow first, at j = 65, and g_68 is the first field to overflow
-    (["diagnose", "--order", "65"], 1, "lattice jump j = 65 of j_max = 65 is not finite"),
+    # the endpoint scan samples the solution past tau, which model.j_max = 0 forbids
+    (["diagnose", "--history.kind", "exp", "--model.j_max", "0"], 1, "above the j_max=0 guard"),
+    # g_k grows like lambda_60^k and reports to order 67; g_68 is the first field to overflow
     (["diagnose", "--order", "70"], 1, "compatibility order 68 of r = 70 is not finite"),
     (["diagnose", "--order", "68"], 1, "compatibility order 68 of r = 68 is not finite"),
 ])
@@ -886,7 +902,7 @@ def test_unreadable_grid_history_file_is_a_configuration_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("order", [40, 64])
 def test_diagnose_reports_every_order_below_the_float_range(tmp_path, order):
-    # the compatibility norms scale each row before squaring, and j <= 64 jumps are finite
+    # the compatibility norms scale each row before squaring; the jump table stops at j = 4
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -894,7 +910,7 @@ def test_diagnose_reports_every_order_below_the_float_range(tmp_path, order):
     kv = dict(line.split(" = ") for line in (out / "compatibility.txt").read_text().splitlines())
     assert all(math.isfinite(float(kv[f"violation_{k}"])) for k in range(order + 1))
     table = read_csv(out / "jump_table.csv")
-    assert len(table) == order + 1
+    assert len(table) == 5 * 3      # j = 0..4, modes 1..3
     assert all(math.isfinite(float(v)) for row in table for v in row.values())
 
 

@@ -12,6 +12,7 @@ from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory, Inva
 from delayheat.basis import _gauss_panels
 from delayheat.diagnostics import (_exact_tail, _mode_rules, _mode_time_integral,
                                    _one_sided_weights, weight_factor)
+from delayheat.validate import _JUMP_BOUNDS, suite_jumps
 
 PI2 = math.pi**2
 
@@ -123,24 +124,60 @@ def test_mode_time_integral_over_several_alphas_equals_each_alpha_alone(beta):
 
 
 def test_lattice_jump_rows():
+    # the order-j gap at j tau, measured by stencils, follows a^j y0 for the zero history
     basis = EigenBasis(1.0, 24)
     rng = np.random.default_rng(9)
     y0 = SpectralField(basis, rng.standard_normal(24))
-    for a in (1.0, 2.0):
-        rows = lattice_jump_report(y0, FlowParams(a=a, tau=1.0), j_max=4)
-        for r in rows:
-            assert r.rel_error <= 1e-6, (a, r)
-        # predicted norms scale like |a|^j
-        norms = [r.predicted_norm for r in rows]
-        for j in range(1, 5):
-            assert_allclose(norms[j] / norms[0], abs(a) ** j, rtol=1e-12)
+    for a in (-1.0, 1.0, 2.0):
+        rows = lattice_jump_report(y0, None, FlowParams(a=a, tau=1.0))
+        assert [(j, mode) for j, mode, *_ in rows] == [(j, m) for j in range(5) for m in (1, 2, 3)]
+        for j, mode, predicted, measured, rel in rows:
+            assert predicted == a**j * y0.coeffs[mode - 1]
+            assert rel == abs(measured - predicted) / abs(predicted)
+            assert rel <= _JUMP_BOUNDS[j], (a, j, mode)
 
 
 def test_predicted_jump_scaling_spot():
     basis = EigenBasis(1.0, 4)
     y0 = SpectralField.from_modes(basis, [1.0, 2.0])
-    rows = lattice_jump_report(y0, FlowParams(a=2.0, tau=0.5), j_max=3)
-    assert_allclose(rows[3].predicted_norm, 8.0 * math.sqrt(5.0), rtol=1e-12)
+    rows = lattice_jump_report(y0, None, FlowParams(a=2.0, tau=0.5), j_max=3, modes=(1, 2))
+    assert [row[:3] for row in rows[-2:]] == [(3, 1, 8.0), (3, 2, 16.0)]
+
+
+def test_lattice_jumps_of_a_compatible_history_are_predicted_zero_and_finite():
+    # the solution c_k e^{rho_k t} has no jump at any order: rel_error falls back to the
+    # gap relative to the larger one-sided derivative, which is about lam_3^j times y0
+    basis = EigenBasis(1.0, 60)
+    y0 = SpectralField(basis, np.random.default_rng(5).standard_normal(60))
+    p = FlowParams(a=1.0, tau=1.0)
+    rows = lattice_jump_report(y0, compatible_history(y0, p), p)
+    assert len(rows) == 15 and all(predicted == 0.0 for _, _, predicted, _, _ in rows)
+    assert all(math.isfinite(x) for row in rows for x in row)
+    assert max(abs(measured) for _, _, _, measured, _ in rows) <= 1e-3
+    assert max(rel for *_, rel in rows) <= 0.1
+
+
+def test_lattice_jumps_carry_the_initial_jump_of_an_exp_history():
+    # phi(0^-) != y0: the order-j derivative jumps at j tau by a^j (y0 - phi(0^-))
+    basis = EigenBasis(1.0, 60)
+    rng = np.random.default_rng(6)
+    y0, c = (SpectralField(basis, rng.standard_normal(60)) for _ in range(2))
+    for a in (-1.0, 2.0):
+        p = FlowParams(a=a, tau=1.0)
+        rows = lattice_jump_report(y0, ExpModeHistory(c, -1.0), p)
+        for j, mode, predicted, measured, rel in rows:
+            assert predicted == a**j * (y0.coeffs[mode - 1] - c.coeffs[mode - 1])
+            assert rel <= _JUMP_BOUNDS[j], (a, j, mode, rel)
+
+
+def test_jumps_suite_catches_a_coupling_taken_by_magnitude(monkeypatch):
+    # mutant: the series kernel forms |a|^j in place of a^j, which only a < 0 reveals
+    import delayheat.flow as fl
+    series = fl._series_coeffs
+    monkeypatch.setattr(fl, "_series_coeffs",
+                        lambda couplings, j, p, d: series([abs(a) for a in couplings], j, p, d))
+    failed = [row.name for row in suite_jumps().rows if not row.passed]
+    assert failed == [f"jump a=-1 j={j}" for j in (1, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +281,9 @@ def test_endpoint_jump_scan_rejects_a_mode_outside_the_basis():
     for modes in ((0,), (3,)):
         with pytest.raises(InvalidArgumentError, match=f"mode {modes[0]} is outside 1..2"):
             endpoint_jump_scan(y0, ExpModeHistory(y0, -1.0), p, r=1, modes=modes)
+    # a negative lattice index samples times before 0, which solve_trace rejects
+    with pytest.raises(InvalidArgumentError, match="time must be >= 0"):
+        endpoint_jump_scan(y0, ExpModeHistory(y0, -1.0), p, r=1, lattice=(0, -1))
 
 
 def test_endpoint_jump_scan_zero_history():
@@ -317,17 +357,18 @@ def _scalar_compatibility(y0, phi, params, r, tol=1e-9):
     return np.array(gs), np.array(violations), flags
 
 
-def _scalar_endpoint_scan(y0, phi, params, r, modes):
+def _scalar_endpoint_scan(y0, phi, params, r, modes, lattice=(0, 1)):
     """The per-(point, order, mode) stencil sums over scalar samples."""
     accuracy = 5
     lams = y0.basis.eigenvalues()
     h = min(params.tau / (4.0 * (r + accuracy)), 0.08 / max(max(lams[m - 1] for m in modes), 1.0))
     n = r + accuracy
-    times = sorted({round(side * i * h + t0, 15) for t0 in (0.0, params.tau)
+    points = [(j * params.tau, "0" if j == 0 else "tau" if j == 1 else f"{j}tau") for j in lattice]
+    times = sorted({round(side * i * h + t0, 15) for t0, _ in points
                     for side in (+1, -1) for i in range(n) if side * i * h + t0 >= 0.0})
     cache = dict(zip(times, solve_trace(y0, phi, times, params).coeffs))
     rows = []
-    for t0, label in ((0.0, "0"), (params.tau, "tau")):
+    for t0, label in points:
         for k in range(r + 1):
             c = _one_sided_weights(k, k + accuracy)
             for mode in modes:
@@ -358,12 +399,12 @@ def test_compatibility_check_equals_the_per_order_loop(kind, r):
 @pytest.mark.parametrize("kind, r", _SCAN_CASES)
 def test_endpoint_jump_scan_equals_the_per_sample_stencils(kind, r):
     phi = _history(kind)
-    for modes in ((1,), (1, 2), (3, 7)):
-        rows = endpoint_jump_scan(_Y0, phi, _P, r, modes=modes)
-        ref = _scalar_endpoint_scan(_Y0, phi, _P, r, modes)
+    for modes, lattice in (((1,), (0, 1)), ((1, 2), (0, 1)), ((3, 7), (0, 1)), ((1, 2), (2, 0, 3))):
+        rows = endpoint_jump_scan(_Y0, phi, _P, r, modes=modes, lattice=lattice)
+        ref = _scalar_endpoint_scan(_Y0, phi, _P, r, modes, lattice)
         assert [(row.t_label, row.order, row.mode) for row in rows] == [x[:3] for x in ref]
         got = np.array([(row.left, row.right, row.gap, row.rel_gap) for row in rows])
-        assert got.tobytes() == np.array([x[3:] for x in ref]).tobytes(), modes
+        assert got.tobytes() == np.array([x[3:] for x in ref]).tobytes(), (modes, lattice)
 
 
 def test_compatibility_reports_every_order_whose_field_is_a_float():
@@ -379,13 +420,3 @@ def test_compatibility_reports_every_order_whose_field_is_a_float():
                     rtol=1e-15)
     with pytest.raises(NonFiniteOutputError, match="compatibility order 68 of r = 68"):
         compatibility_check(y0, None, p, r=68)
-
-
-def test_lattice_jump_report_names_the_first_jump_that_overflows():
-    # at K = 60 the order-65 derivative factors overflow (inf * 0 in the kernel): the report
-    # raises naming j = 65, with no RuntimeWarning and no non-finite field
-    y0, p = dirac_coeffs(0.3, EigenBasis(1.0, 60)), FlowParams(a=1.0, tau=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteOutputError, match="lattice jump j = 65 of j_max = 66"):
-            lattice_jump_report(y0, p, j_max=66)

@@ -9,8 +9,8 @@ import delayheat.flow as fl
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, GridHistory,
                        InvalidArgumentError, SpectralField,
                        TruncationExceededError, characteristic_root, compatible_history,
-                       delayed_exp, dirac_coeffs, flow_derivative_factors, hs_norm,
-                       lattice_jump_report, picard_solve, semigroup_apply, solve_trace)
+                       delayed_exp, dirac_coeffs, flow_derivative_factors, picard_solve,
+                       semigroup_apply, solve_trace)
 from delayheat.refsolvers import ModeDDEConfig, rk4_dde_mode
 
 PI2 = math.pi**2
@@ -278,20 +278,6 @@ def test_right_limit_derivative_lattice_value(basis):
             right = fl.flow_derivative_factors(lams, j * p.tau, j, p, side="right")
             left = fl.flow_derivative_factors(lams, j * p.tau, j, p, side="left")
             assert_allclose(right - left, a**j, rtol=1e-12)
-
-
-def test_derivative_jump_limit_method(basis):
-    rng = np.random.default_rng(4)
-    y0 = SpectralField(basis, rng.standard_normal(basis.K))
-    p = FlowParams(a=2.0, tau=0.5)
-    rows = lattice_jump_report(y0, p, j_max=3)
-    # rel_error is max over modes of |measured - predicted| / |predicted|
-    assert rows[0].predicted_norm == hs_norm(y0, 0.0)
-    assert rows[0].rel_error <= 1e-12
-    assert rows[3].predicted_norm == hs_norm(8.0 * y0, 0.0)
-    assert rows[3].rel_error <= 1e-9
-    with pytest.raises(TruncationExceededError):
-        lattice_jump_report(y0, p, j_max=200)
 
 
 def test_grid_history_linear_and_cubic(basis):
