@@ -17,10 +17,15 @@ a rejected instant exits 2 before any grid is made or the output directory exist
 Configuration is a flat "key = value" file with sections; every option can be
 overridden on the command line as ``--section.key value``; a section or key
 that DEFAULT_CONFIG does not name is rejected.  The environment
-variable DELAY_HEAT_OUT overrides the output directory.  Every command checks that
-directory before it builds anything (a path that is or lies below a file exits 2)
-and makes it only once its computation has finished.  Exit codes: 0 success,
+variable DELAY_HEAT_OUT overrides the output directory.  Exit codes: 0 success,
 1 numerical failure or any error a solver raises, 2 configuration error.
+
+`main` makes the `Manifest` and checks the output directory (a path that is or lies below a
+file, or sits in a directory it cannot write, exits 2) before `cmd_<name>(cfg, args, manifest)`
+builds, solves and checks, records its phases and returns ({file name: writer(path) -> rows},
+exit status).  Then `main` makes the directory, calls each writer, records `write_s`, writes
+`manifest.json` and prints one `wrote` line.  A command that raises leaves no directory, unless
+it recorded a `NonFiniteOutputError` under the manifest's `error`: that manifest is kept alone.
 
 Importing this module loads only numpy, `basis`, `flow`, `io` and `errors`; the
 rk4-modes and hybrid solvers load `refsolvers`, `diagnose` loads `diagnostics`, and
@@ -177,14 +182,12 @@ class Manifest:
         }
         self._t0 = self._mark = time.perf_counter()
 
-    def phase(self, name: str):
-        """Record the seconds since the previous mark as phases[name + "_s"]."""
+    def phase(self, name: str, seconds: float | None = None):
+        """Record `seconds`, by default those since the last mark, as phases[name + "_s"]."""
         now = time.perf_counter()
-        self.data["phases"][f"{name}_s"] = round(now - self._mark, 6)
+        seconds = now - self._mark if seconds is None else seconds
+        self.data["phases"][f"{name}_s"] = round(seconds, 6)
         self._mark = now
-
-    def add(self, path: Path, rows: int):
-        self.data["outputs"].append({"file": path.name, "rows": rows})
 
     def write(self, out_dir: Path) -> Path:
         self.data["wall_seconds"] = round(time.perf_counter() - self._t0, 6)
@@ -194,7 +197,7 @@ class Manifest:
 
 
 def _out_dir(cfg) -> Path:
-    """The output directory, checked before any work; each command makes it only on success."""
+    """The output directory, checked before any work; `main` makes it only after the command."""
     path = Path(os.environ.get("DELAY_HEAT_OUT") or cfg["run"].get("out_dir"))
     existing = next(p for p in (path, *path.parents) if p.exists())    # "." or "/" at the latest
     if not existing.is_dir():
@@ -217,6 +220,19 @@ def _samples(grid: np.ndarray, times: list[float], solver: str) -> list[int]:
             raise InvalidArgumentError(f"run.times: t = {t0!r} and t = {t1!r} both fall on the "
                                        f"{solver} sample {grid[i0].item()!r}")
     return idx
+
+
+def _finite(values, source: str, noun: str, times, key: str, labels, manifest=None) -> None:
+    """NonFiniteOutputError naming the count of non-finite `values` and the (t, key) of the
+    first; the message also goes under the `error` of `manifest`, if one is given."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        msg = (f"{source} produced {int(bad.sum())} non-finite {noun}, the first at "
+               f"t={times[i]:g}, {key}={labels[k]:g}")
+        if manifest is not None:
+            manifest.data["error"] = msg
+        raise NonFiniteOutputError(msg)
 
 
 def _physical_memory() -> float:
@@ -280,7 +296,7 @@ def _hybrid(cfg, basis, params, y0, phi, times, T):
             raise InvalidArgumentError(f"hybrid.z_dump_times: t = {dumps[name][0]!r} and "
                                        f"t = {t!r} would both be written to {name}")
         dumps[name] = (t, i)
-    xs = np.linspace(0.0, basis.L, mesh.nx + 1)
+    xs = basis.mesh(mesh.nx)
     trace = rs.hybrid_simulate(y0.coeffs, None if phi is None else phi.coeffs, mesh, T,
                                params.a, params.tau, basis.L, sample_times=tuple(out_times),
                                z_sample_times=tuple(z_times))
@@ -294,12 +310,10 @@ _SOLVERS = {"closed-form": _closed_form, "picard": _picard, "rk4-modes": _rk4_mo
             "hybrid": _hybrid}
 
 
-def cmd_simulate(cfg, args) -> int:
-    manifest = Manifest("simulate", cfg)
+def cmd_simulate(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     solver = cfg["run"].get("solver")
     if solver not in _SOLVERS:      # before any history file is read
         raise InvalidArgumentError(f"unknown solver {solver!r}")
-    out = _out_dir(cfg)
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
@@ -313,26 +327,13 @@ def cmd_simulate(cfg, args) -> int:
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
     manifest.data["health"] = health
     manifest.phase("solve")
-    out.mkdir(parents=True, exist_ok=True)      # only once every requested instant is accepted
-    bad = ~np.isfinite(rows)
-    if bad.any():
-        i, k = np.argwhere(bad)[0]
-        msg = (f"{solver} produced {int(bad.sum())} non-finite coefficients, the first at "
-               f"t={out_times[i]:g}, k={k + 1}")
-        manifest.data["error"] = msg
-        manifest.write(out)
-        raise NonFiniteOutputError(msg)
-    for name, dump in dumps.items():
-        manifest.add(out / name, dio.write_transport_dump_csv(*dump, out / name))
-    coeff_path = out / "trace_coeffs.csv"
-    manifest.add(coeff_path, dio.write_coeff_trace_csv(out_times, rows, coeff_path))
-    grid_vals = rows @ basis.eval_matrix(xs).T
-    grid_path = out / "trace_grid.csv"
-    manifest.add(grid_path, dio.write_grid_trace_csv(out_times, xs, grid_vals, grid_path))
-    manifest.phase("write")
-    manifest.write(out)
-    print(f"wrote {coeff_path} and {grid_path}")
-    return 0
+    _finite(rows, solver, "coefficients", out_times, "k", range(1, basis.K + 1), manifest)
+    files = {name: lambda path, dump=dump: dio.write_transport_dump_csv(*dump, path)
+             for name, dump in dumps.items()}
+    files["trace_coeffs.csv"] = lambda path: dio.write_coeff_trace_csv(out_times, rows, path)
+    files["trace_grid.csv"] = lambda path: dio.write_grid_trace_csv(
+        out_times, xs, rows @ basis.eval_matrix(xs).T, path)
+    return files, 0
 
 
 _PLOT_SCRIPT = """\
@@ -361,63 +362,49 @@ print("wrote figure6.png")
 """
 
 
-def cmd_figure6(cfg, args) -> int:
+def _write_plot_script(path: Path) -> int:
+    path.write_text(_PLOT_SCRIPT)
+    return len(_PLOT_SCRIPT.splitlines())
+
+
+def cmd_figure6(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     from .validate import figure_panels
-    out = _out_dir(cfg)
     basis, params = build_model(cfg)
     if cfg["initial"].get("kind") != "dirac":
         raise InvalidArgumentError("figure6 needs point-mass initial data (initial.kind = dirac)")
     if cfg["history"].get("kind") != "zero":
         raise InvalidArgumentError("figure6 is defined for zero history only")
     times = _run_times(cfg)
-    manifest = Manifest("figure6", cfg)
+    manifest.phase("build")
     xs, panels = figure_panels(times, _num(cfg, "initial.x0"), basis.K, _num(cfg, "run.nx", int),
                                basis.L, params)
     values = np.stack([panels[t] for t in times])
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i, k = np.argwhere(bad)[0]
-        raise NonFiniteOutputError(f"figure6 produced {int(bad.sum())} non-finite values, the "
-                                   f"first at t={times[i]:g}, x={xs[k]:g}")
-    out.mkdir(parents=True, exist_ok=True)      # only once every panel is computed and finite
-    data_path = out / "figure6_data.csv"
-    manifest.add(data_path, dio.write_grid_trace_csv(np.asarray(times), xs, values, data_path))
-    script_path = out / "plot_figure6.py"
-    script_path.write_text(_PLOT_SCRIPT)
-    manifest.add(script_path, len(_PLOT_SCRIPT.splitlines()))
-    manifest.write(out)
-    print(f"wrote {data_path} and {script_path}")
-    return 0
+    manifest.phase("solve")
+    _finite(values, "figure6", "values", times, "x", xs)
+    return {"figure6_data.csv": lambda path: dio.write_grid_trace_csv(
+        np.asarray(times), xs, values, path), "plot_figure6.py": _write_plot_script}, 0
 
 
-def cmd_validate(cfg, args) -> int:
+def cmd_validate(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     from .validate import run_suite
-    out = _out_dir(cfg)
     results = run_suite(args.suite)     # an unknown suite raises InvalidArgumentError: exit 2
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest("validate", cfg)
-    manifest.data["phases"].update((f"{res.suite}_s", round(res.seconds, 6)) for res in results)
     lines = []
     for res in results:
+        manifest.phase(res.suite, res.seconds)
         for row in res.rows:
             status = "PASS" if row.passed else "FAIL"
             print(f"[{status}] {res.suite} :: {row.name} (value={row.value:.6g}, "
                   f"threshold={row.threshold:.6g}) {row.detail}")
             lines.append((res.suite, row.name, status, row.value, row.threshold, row.detail))
         print(f"suite {res.suite}: {len(res.rows)} checks in {res.seconds:.3f} s")
-    table_path = out / "validate_results.csv"
-    manifest.add(table_path, dio._write_rows(
-        table_path, ["suite", "check", "status", "value", "threshold", "detail"], lines))
-    manifest.write(out)
     ok = all(res.passed for res in results)
     print("all checks passed" if ok else "some checks FAILED")
-    return 0 if ok else 1
+    return {"validate_results.csv": lambda path: dio._write_rows(
+        path, ["suite", "check", "status", "value", "threshold", "detail"], lines)}, 0 if ok else 1
 
 
-def cmd_diagnose(cfg, args) -> int:
+def cmd_diagnose(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     from .diagnostics import compatibility_check, endpoint_jump_scan, lattice_jump_report
-    manifest = Manifest("diagnose", cfg)
-    out = _out_dir(cfg)
     basis, params = build_model(cfg)
     y0 = build_initial(cfg, basis)
     phi = build_history(cfg, basis, params, y0)
@@ -430,32 +417,21 @@ def cmd_diagnose(cfg, args) -> int:
     manifest.phase("solve")
     manifest.data["jump_table"] = ("j <= min(4, model.j_max): orders past 4 are not tabulated, "
                                    "because the k + 5 point stencils lose the jump law there")
-    out.mkdir(parents=True, exist_ok=True)      # only once every report is computed
-    kv = {
-        "r": report.r,
-        "flag_endpoint_regularity": report.flag_endpoint_regularity,
-        "flag_g_regularity": report.flag_g_regularity,
-        "flag_matching": report.flag_matching,
-        "tol": report.tol,
+    kv = {name: getattr(report, name) for name in ("r", "flag_endpoint_regularity",
+                                                   "flag_g_regularity", "flag_matching", "tol")}
+    kv.update((f"violation_{k}", float(v)) for k, v in enumerate(report.violations))
+    files = {
+        "compatibility.txt": lambda path: dio.write_keyvalue(kv, path),
+        "jump_table.csv": lambda path: dio._write_rows(
+            path, ["j", "mode", "predicted", "measured", "rel_error"],
+            ((str(j), str(mode), *values) for j, mode, *values in jumps)),
     }
-    for k, v in enumerate(report.violations):
-        kv[f"violation_{k}"] = float(v)
-    compat_path = out / "compatibility.txt"
-    manifest.add(compat_path, dio.write_keyvalue(kv, compat_path))
-    jump_path = out / "jump_table.csv"
-    manifest.add(jump_path, dio._write_rows(
-        jump_path, ["j", "mode", "predicted", "measured", "rel_error"],
-        ((str(j), str(mode), *values) for j, mode, *values in jumps)))
     if scan is not None:
-        scan_path = out / "endpoint_jumps.csv"
-        manifest.add(scan_path, dio._write_rows(
-            scan_path, ["t", "order", "mode", "left", "right", "gap", "rel_gap"],
+        files["endpoint_jumps.csv"] = lambda path: dio._write_rows(
+            path, ["t", "order", "mode", "left", "right", "gap", "rel_gap"],
             ((r.t_label, str(r.order), str(r.mode), r.left, r.right, r.gap, r.rel_gap)
-             for r in scan)))
-    manifest.phase("write")
-    manifest.write(out)
-    print(f"wrote {compat_path} and {jump_path}")
-    return 0
+             for r in scan))
+    return files, 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +480,23 @@ def main(argv=None) -> int:
     try:
         args, overrides = _parse(argv if argv is not None else sys.argv[1:])
         cfg = load_config(args.config, overrides)
-        return _COMMANDS[args.command](cfg, args)
+        manifest = Manifest(args.command, cfg)
+        out = _out_dir(cfg)
+        try:
+            files, status = _COMMANDS[args.command](cfg, args, manifest)
+        except NonFiniteOutputError:
+            if "error" in manifest.data:    # the manifest that explains the failure is kept
+                out.mkdir(parents=True, exist_ok=True)
+                manifest.write(out)
+            raise
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            manifest.data["outputs"].append({"file": name, "rows": write(out / name)})
+        manifest.phase("write")
+        manifest.write(out)
+        *head, last = (str(out / name) for name in files)
+        print(f"wrote {', '.join(head)} and {last}" if head else f"wrote {last}")
+        return status
     except NonFiniteOutputError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

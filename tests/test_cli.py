@@ -403,9 +403,43 @@ def test_validate_prints_suite_wall_time(tmp_path, capsys):
         assert next(csv.reader(fh)) == ["suite", "check", "status", "value", "threshold", "detail"]
     # the printed wall time is the one the manifest records
     phases = json.loads((tmp_path / "v" / "manifest.json").read_text())["phases"]
-    assert list(phases) == ["import_s", "jumps_s"] and phases["jumps_s"] > 0.0
+    assert list(phases) == ["import_s", "jumps_s", "write_s"] and phases["jumps_s"] > 0.0
     assert lines[0].startswith("suite jumps: 15 checks in ")
     assert abs(float(lines[0].split()[-2]) - phases["jumps_s"]) <= 5e-4 + 1e-9
+
+
+def test_a_failed_validate_check_writes_its_table_and_exits_1(tmp_path, monkeypatch, capsys):
+    import delayheat.validate as dv
+
+    def failing():
+        return dv.SuiteResult("jumps", [dv.CheckRow("planted", False, 2.5, 1.5, "made to fail")])
+
+    monkeypatch.setitem(dv._SUITES, "jumps", failing)
+    out = tmp_path / "v"
+    assert main(["validate", "--suite", "jumps", "--run.out_dir", str(out)]) == 1
+    assert "some checks FAILED" in capsys.readouterr().out.splitlines()
+    assert read_csv(out / "validate_results.csv") == [
+        {"suite": "jumps", "check": "planted", "status": "FAIL", "value": "2.5",
+         "threshold": "1.5", "detail": "made to fail"}]
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == [{"file": "validate_results.csv", "rows": 1}]
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["figure6"], ["diagnose"],
+                                  ["validate", "--suite", "all"]])
+def test_every_manifest_times_its_work(tmp_path, monkeypatch, argv):
+    import delayheat.validate as dv
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    assert main([*argv, "--run.out_dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    work = {k: v for k, v in manifest["phases"].items() if k != "import_s"}
+    if argv[0] == "validate":
+        assert set(work) == {f"{suite}_s" for suite in dv._SUITES} | {"write_s"}
+    else:
+        assert set(work) == {"build_s", "solve_s", "write_s"}
+    # the wall clock covers every phase of the run (each figure is rounded to 1e-6 s)
+    assert sum(work.values()) <= manifest["wall_seconds"] + len(work) * 1e-6
 
 
 def test_simulate_hybrid_solver_runs(tmp_path):
