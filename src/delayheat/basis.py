@@ -4,7 +4,10 @@ Everything in this module is diagonal in the basis ``e_k(x) = sqrt(2/L) sin(k pi
 with eigenvalues ``lambda_k = (k pi / L)^2`` of the negative Dirichlet Laplacian.
 A function is represented by its first K coefficients; the heat semigroup acts as
 ``c_k -> c_k * exp(-lambda_k t)`` and the H^s-scale norm is
-``sqrt(sum c_k^2 lambda_k^s)``.
+``sqrt(sum c_k^2 lambda_k^s)``.  On the uniform mesh the nodal values of K coefficients are
+one DST-I (discrete sine transform of type I) away: `EigenBasis.on_mesh` takes them by one
+real FFT per block of rows, and the hybrid oracle of `refsolvers` steps in the same
+coordinates (`_sine`, `_sine_bins`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ __all__ = [
     "hs_norm",
     "dirac_coeffs",
 ]
+
+_BLOCK = 64         # rows per block of a sine transform, which bounds its buffers
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,50 @@ class EigenBasis:
         if nx < 1:
             raise InvalidArgumentError(f"a mesh needs at least 1 interval, got nx = {nx}")
         return np.linspace(0.0, self.L, nx + 1)
+
+    def on_mesh(self, coeffs: np.ndarray, nx: int) -> np.ndarray:
+        """Values of the (n, K) coefficient rows on `mesh(nx)`, shape (n, nx + 1).
+
+        The interior nodes come from one DST-I per block of rows (`_sine`), modes k >= nx
+        folded onto their bins (`_sine_bins`); both end cells are exactly 0.  The coefficients
+        are scaled by sqrt(2/L)/2 before the transform, so its intermediates stay about the size
+        of the values, not nx times larger.  A value past the float range is left as inf or nan
+        for the caller's finiteness check.
+        """
+        if nx < 1:
+            raise InvalidArgumentError(f"a mesh needs at least 1 interval, got nx = {nx}")
+        coeffs = np.asarray(coeffs, dtype=float)
+        out = np.zeros((len(coeffs), nx + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(0, len(coeffs), _BLOCK):
+                block = coeffs[b:b + _BLOCK]
+                bins = _sine_bins(block, nx, math.sqrt(2.0 / self.L) / 2.0,
+                                  np.zeros((len(block), nx - 1)))
+                out[b:b + _BLOCK, 1:-1] = _sine(bins)
+        return out
+
+
+def _sine(v: np.ndarray) -> np.ndarray:
+    """2 sum_m v_m sin(pi j m / n) for j, m < n = v.shape[-1] + 1 (twice the DST-I of each row),
+    by one real FFT of the odd extension; applied twice it is 2n times the identity."""
+    n = v.shape[-1] + 1
+    odd = np.zeros(v.shape[:-1] + (2 * n,))
+    odd[..., 1:n], odd[..., n + 1:] = v, -v[..., ::-1]
+    return 0.0 - np.fft.rfft(odd)[..., 1:n].imag      # 0 - x: a zero row comes back +0
+
+
+def _sine_bins(c: np.ndarray, nx: int, scale: float, out: np.ndarray) -> np.ndarray:
+    """Add to `out` (..., nx - 1), zero on entry, the bins whose `_sine` is
+    2 scale sum_k c_k sin(k pi m / nx) at the interior nodes m, c (..., K): mode k < nx lands in
+    bin k times `scale`; a mode k >= nx folds onto bin r = k mod 2nx, or onto 2nx - r with a minus
+    sign when r > nx; r = 0 and nx vanish.  `on_mesh` takes scale = sqrt(2/L)/2, so the `_sine`
+    is the nodal values; the hybrid oracle takes nx sqrt(2/L)."""
+    c = c * scale
+    for k0 in range(0, c.shape[-1], 2 * nx):        # modes k0 + 1 .. k0 + 2nx
+        up, down = c[..., k0:k0 + nx - 1], c[..., k0 + nx:k0 + 2 * nx - 1]
+        out[..., :up.shape[-1]] += up
+        out[..., nx - 1 - down.shape[-1]:] -= down[..., ::-1]
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ the manifest's `health` figures and {transport file: `write_transport_dump_csv` 
 The closed form is evaluated at the requested instants themselves; each stepping solver first
 checks that its arrays, whose size the config fixes, fit in physical memory, then checks the
 instants against its grid, so the checks are timed in the `solve_s` phase and a grid too large or
-a rejected instant exits 2 before any grid is made or the output directory exists.
+a rejected instant exits 2 before any grid is made or the output directory exists.  The rows of
+`trace_grid.csv` are the coefficient rows on the mesh by `EigenBasis.on_mesh`, for every solver,
+formed and checked finite within `solve_s`: a non-finite coefficient or grid value exits 1.
 
 Configuration is a flat "key = value" file with sections; every option can be
 overridden on the command line as ``--section.key value``; a section or key
@@ -326,13 +328,14 @@ def cmd_simulate(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     out_times, rows, health, dumps = _SOLVERS[solver](cfg, basis, params, y0, phi, times, T)
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
     manifest.data["health"] = health
+    grid = basis.on_mesh(rows, nx)
     manifest.phase("solve")
     _finite(rows, solver, "coefficients", out_times, "k", range(1, basis.K + 1), manifest)
+    _finite(grid, solver, "grid values", out_times, "x", xs, manifest)
     files = {name: lambda path, dump=dump: dio.write_transport_dump_csv(*dump, path)
              for name, dump in dumps.items()}
     files["trace_coeffs.csv"] = lambda path: dio.write_coeff_trace_csv(out_times, rows, path)
-    files["trace_grid.csv"] = lambda path: dio.write_grid_trace_csv(
-        out_times, xs, rows @ basis.eval_matrix(xs).T, path)
+    files["trace_grid.csv"] = lambda path: dio.write_grid_trace_csv(out_times, xs, grid, path)
     return files, 0
 
 

@@ -384,17 +384,24 @@ def history_convolution(lams: np.ndarray, phi: History, ts, params: FlowParams) 
     out = np.zeros((t.size, len(lams)))
     n_terms = params.series_index(float(t.max())) + 1 if t.size and a != 0.0 else 0
     mu, deg = lams + rates, poly.shape[1] - 1
+    terms = []          # (j, u, gb, live) of each term whose range meets a piece
     for j in range(n_terms):
         u = t - (j + 1) * tau
         gb = np.minimum(hi, u[:, None])             # (times, pieces): small-v end of each cut piece
         live = gb > lo
-        if not live.any():
-            continue
+        if live.any():
+            terms.append((j, u, gb, live))
+    if not terms:
+        return out.reshape(ts.shape + lams.shape)
+    # one moment table for every term: an entry depends on its width and order alone
+    widths = [gb[live] - lo[np.nonzero(live)[1]] for _, _, gb, live in terms]
+    table, which = np.unique(np.concatenate(widths), return_inverse=True)
+    moments = _exp_moments(mu, table[:, None], terms[-1][0] + deg)
+    splits = np.cumsum([len(w) for w in widths])[:-1]
+    for (j, u, gb, live), rows in zip(terms, np.split(which, splits)):
         ti, pi = np.nonzero(live)
         gb = gb[live]
         va, delta = u[ti] - gb, gb - anchor[pi]
-        widths, which = np.unique(gb - lo[pi], return_inverse=True)
-        moments = _exp_moments(mu, widths[:, None], j + deg)
         # piece polynomial in powers of s: q_m = (-1)^m sum_k C(k, m) poly_k delta^(k - m)
         dpow = [np.ones_like(delta)]
         for _ in range(deg):
@@ -409,7 +416,7 @@ def history_convolution(lams: np.ndarray, phi: History, ts, params: FlowParams) 
             # s^i / i! * s^m = (i+m)! / i! * s^(i+m) / (i+m)!, whose integral is moment i+m
             for m in range(deg + 1):
                 inner = sum(c[i][:, None] * (math.factorial(i + m) // math.factorial(i))
-                            * moments[which, :, i + m] for i in range(j + 1))
+                            * moments[rows, :, i + m] for i in range(j + 1))
                 acc += q[m] * inner
             acc *= np.exp(np.multiply.outer(gb, rates) - np.multiply.outer(va, lams))
             full = np.zeros(live.shape + (len(lams),))

@@ -18,6 +18,8 @@ Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each 
   stable); the time step equals the delay-line spacing, so transport is exact and the delay
   line is the previous delay window's temperature rows, kept in DST-I coordinates in one
   buffer that each window steps in place; y0 and the history enter as sine coefficients.
+  The transform and the fold of sine coefficients into its bins are `basis._sine` and
+  `basis._sine_bins`, which `EigenBasis.on_mesh` also uses.
   Only the rows at ``sample_times`` and under transport snapshots go back to the grid;
   ``times`` is every step.  Its modes mu_j / dx^2 are finite-difference eigenvalues, not the
   lam_k of the sine basis, and it reads nothing from `flow`.
@@ -31,12 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import _decay_scan, _grid_index, _step_grid
+from .basis import _BLOCK, _decay_scan, _grid_index, _sine, _sine_bins, _step_grid
 from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
-
-_BLOCK = 64         # rows per block of the hybrid's sine transforms, which bounds their buffers
 
 
 @dataclass(frozen=True)
@@ -193,27 +193,6 @@ class HybridTrace:
     z_snapshots: dict[float, np.ndarray]     # time -> z array of shape (ns + 1, nx + 1)
 
 
-def _sine(v: np.ndarray) -> np.ndarray:
-    """2 sum_m v_m sin(pi j m / n) for j, m < n = v.shape[-1] + 1 (twice the DST-I of each row),
-    by one real FFT of the odd extension; applied twice it is 2n times the identity."""
-    n = v.shape[-1] + 1
-    odd = np.zeros(v.shape[:-1] + (2 * n,))
-    odd[..., 1:n], odd[..., n + 1:] = v, -v[..., ::-1]
-    return 0.0 - np.fft.rfft(odd)[..., 1:n].imag      # 0 - x: a zero row comes back +0
-
-
-def _sine_bins(c: np.ndarray, nx: int, L: float, out: np.ndarray) -> np.ndarray:
-    """Add to `out` (..., nx - 1), zero on entry, the `_sine` of the interior nodal samples of
-    sum_k c_k e_k, c (..., K): e_k(x_m) is nx sqrt(2/L) in bin k < nx; a mode k >= nx folds onto
-    bin r = k mod 2nx, or onto 2nx - r with a minus sign when r > nx; r = 0 and nx vanish."""
-    c = c * (nx * math.sqrt(2.0 / L))
-    for k0 in range(0, c.shape[-1], 2 * nx):        # modes k0 + 1 .. k0 + 2nx
-        up, down = c[..., k0:k0 + nx - 1], c[..., k0 + nx:k0 + 2 * nx - 1]
-        out[..., :up.shape[-1]] += up
-        out[..., nx - 1 - down.shape[-1]:] -= down[..., ::-1]
-    return out
-
-
 def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] | None,
                     mesh: MeshParams, T: float, a: float, tau: float, L: float = 1.0, *,
                     sample_times: tuple[float, ...], z_sample_times: tuple[float, ...] = ()
@@ -265,12 +244,12 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
         hist = np.asarray(history(-s[::-1]), dtype=float)
         if hist.shape != (ns + 1, len(y0)):
             raise InvalidArgumentError(f"history rows are {hist.shape}, need {(ns + 1, len(y0))}")
-        _sine_bins(hist, nx, L, buf[n_win:])
+        _sine_bins(hist, nx, nx * math.sqrt(2.0 / L), buf[n_win:])
         spec[need < 0] = buf[n_win + ns + need[need < 0]]
 
     half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
-    y, buf_rows = _sine_bins(y0, nx, L, np.zeros(nx - 1)), list(buf)
+    y, buf_rows = _sine_bins(y0, nx, nx * math.sqrt(2.0 / L), np.zeros(nx - 1)), list(buf)
     for w, n0 in enumerate(range(0, n_steps, ns)):      # the window of steps n0 .. n0 + m - 1
         m, b = min(ns, n_steps - n0), n_win - w         # its source Z_0 .. Z_ns: rows b .. b + ns
         buf[b - 1] = y

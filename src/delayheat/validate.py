@@ -238,22 +238,21 @@ def figure_panels(times=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5), x0: float = 0.3, K: int 
                   params: FlowParams | None = None) -> tuple[np.ndarray, dict[float, np.ndarray]]:
     """Profiles of the floor(t/tau)-th right derivative for point-mass data.
 
-    Returns the mesh and one value row per requested instant.  At lattice
-    instants the profile reproduces the spike of the initial point mass at x0;
-    between lattice instants it is smooth.  A derivative that overflows is left
-    as inf or nan for the caller's finiteness check.
+    Returns the mesh and one value row per requested instant, by
+    `EigenBasis.on_mesh`.  At lattice instants the profile reproduces the spike
+    of the initial point mass at x0; between lattice instants it is smooth.  A
+    derivative that overflows is left as inf or nan for the caller's finiteness
+    check.
     """
     params = params or FlowParams(a=1.0, tau=1.0)
     basis = EigenBasis(L, K)
     y0 = dirac_coeffs(x0, basis)
-    lams, xs = basis.eigenvalues(), basis.mesh(nx)
-    emat = basis.eval_matrix(xs)
-    panels = {}
+    lams, xs, times = basis.eigenvalues(), basis.mesh(nx), [float(t) for t in times]
+    coeffs = np.empty((len(times), K))
     with np.errstate(over="ignore", invalid="ignore"):     # callers check values are finite
-        for t in map(float, times):
-            factors = flow_derivative_factors(lams, t, params.series_index(t), params)
-            panels[t] = emat @ (factors * y0.coeffs)
-    return xs, panels
+        for row, t in zip(coeffs, times):
+            row[:] = flow_derivative_factors(lams, t, params.series_index(t), params) * y0.coeffs
+    return xs, dict(zip(times, basis.on_mesh(coeffs, nx)))
 
 
 def figure_checks() -> SuiteResult:

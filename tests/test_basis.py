@@ -31,6 +31,8 @@ def test_eigenbasis_rejects_bad_args():
         EigenBasis(1.0, 0)
     with pytest.raises(InvalidArgumentError):
         EigenBasis(-2.0, 1)
+    with pytest.raises(InvalidArgumentError):
+        EigenBasis(1.0, 2).on_mesh(np.ones((1, 2)), 0)
 
 
 def test_eigenvalues_increasing_and_normalized():
@@ -192,3 +194,51 @@ def test_step_grid_holds_at_least_one_step():
     assert pic.times.tolist() == [0.0, 0.25] and pic.residuals.tolist() == [0.0]
     rk4 = rk4_dde_mode(ModeDDEConfig(lam=1.0, a=1.0, tau=1.0, dt=0.1), 1e-13)
     assert rk4.times.tolist() == [0.0, 0.1]
+
+
+def _on_mesh_rows(basis, rng):
+    """A point mass, random coefficients with no decay in k, and random ones decaying like k^-2."""
+    noise = rng.standard_normal((2, basis.K))
+    return np.stack([dirac_coeffs(0.3 * basis.L, basis).coeffs, noise[0],
+                     noise[1] / np.arange(1, basis.K + 1) ** 2])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double")
+@pytest.mark.parametrize("L", [1.0, 3.0])
+@pytest.mark.parametrize("K, nx", [(60, 300), (240, 1200), (60, 20), (8, 1)])
+def test_on_mesh_equals_the_nodal_sums_in_extended_precision(K, nx, L):
+    # sum_k c_k e_k(m L / nx) in long double, the angle k m pi / nx reduced exactly mod 2 pi
+    basis = EigenBasis(L, K)
+    rows = _on_mesh_rows(basis, np.random.default_rng(K + nx))
+    got = basis.on_mesh(rows, nx)
+    assert got.shape == (3, nx + 1)
+    assert np.all(got[:, [0, -1]] == 0.0)
+    km = np.multiply.outer(np.arange(1, K + 1), np.arange(1, nx)) % (2 * nx)
+    sines = np.sin(km.astype(np.longdouble) * (np.arccos(np.longdouble(-1.0)) / nx))
+    exact = (rows.astype(np.longdouble) @ sines) * np.sqrt(np.longdouble(2.0) / np.longdouble(L))
+    scale = np.max(np.abs(exact), axis=1, initial=0.0).astype(float)[:, None]
+    assert np.all(np.abs(got[:, 1:-1] - exact.astype(float)) <= 1e-15 * scale)
+    # within 2e-14 of the evaluation-matrix product it replaces, off the product's end cells,
+    # which hold the rounding of sin(k pi); for the undecaying random row at K = 240 the product
+    # itself is 4e-14 off the sums, so that row is left out here
+    ref = rows[[0, 2]] @ basis.eval_matrix(basis.mesh(nx)).T
+    assert np.all(np.abs(got[[0, 2]] - ref)[:, 1:-1]
+                  <= 2e-14 * np.max(np.abs(ref), axis=1)[:, None])
+
+
+def test_on_mesh_builds_no_sine_matrix():
+    # K = 240 modes on nx = 1200 intervals: a (nx + 1, K) table of sines is 2.3 MB, and its
+    # product with the rows took 4.6 MB; one transform per block of rows takes about 0.46 MB
+    import tracemalloc
+    basis = EigenBasis(1.0, 240)
+    rows = _on_mesh_rows(basis, np.random.default_rng(6))[[0, 1, 2, 0, 1, 2]]
+    basis.on_mesh(rows, 1200)           # numpy's FFT sets up its plan on the first call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis.on_mesh(rows, 1200)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6e6
+

@@ -206,6 +206,57 @@ def test_simulate_closed_form_overflow_exits_1(tmp_path, monkeypatch, capsys):
     assert "non-finite" in manifest["error"]
 
 
+@pytest.mark.parametrize("solver, extra", [
+    ("closed-form", []),
+    ("picard", ["--picard.dt", "0.03125", "--run.times", "0 0.375 1.1875"]),
+    ("rk4-modes", ["--rk4.dt", "0.005"]),
+    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50"]),
+])
+def test_trace_grid_is_the_coefficient_rows_on_the_mesh(tmp_path, solver, extra):
+    # every solver's grid rows are `on_mesh` of its coefficient rows, with exact zeros at x = 0
+    # and x = L (the sine-matrix product left rounding residue of sin(k pi) at x = L)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.ini", BASE_CONFIG.format(out=out))
+    assert main(["simulate", "--config", cfg, "--run.solver", solver, *extra]) == 0
+    coeffs = np.reshape([float(r["coeff"]) for r in read_csv(out / "trace_coeffs.csv")], (3, 8))
+    table = read_csv(out / "trace_grid.csv")
+    values = np.reshape([float(r["value"]) for r in table], (3, 41))
+    assert np.array_equal(values, EigenBasis(1.0, 8).on_mesh(coeffs, 40))
+    assert [r["value"] for r in table if r["x"] in ("0", "1")] == ["0"] * 6
+
+
+def test_simulate_non_finite_grid_values_exit_1(tmp_path, monkeypatch, capsys):
+    # finite coefficients whose grid values overflow: 235 of the 301 cells were written as inf
+    # or nan with exit 0, after numpy RuntimeWarnings
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--initial.kind", "modes", "--initial.modes", "1.7e308 1.7e308",
+                   "--run.times", "0", "--run.out_dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: closed-form produced ")
+    assert "non-finite grid values, the first at t=0, x=" in err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "non-finite grid values" in manifest["error"] and manifest["outputs"] == []
+
+
+def test_simulate_grid_near_the_float_limit_stays_finite(tmp_path, monkeypatch):
+    # sqrt(2) 1e308 sin(pi x) peaks at 1.4142135623730951e308 at x = 1/2; scaled by
+    # nx sqrt(2/L) before the transform, as the hybrid's fold is, 299 of the 301 cells overflow
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--initial.kind", "modes", "--initial.modes", "1e308",
+                     "--run.times", "0", "--run.out_dir", str(out)]) == 0
+    values = [float(r["value"]) for r in read_csv(out / "trace_grid.csv")]
+    assert len(values) == 301 and all(map(math.isfinite, values))
+    assert abs(max(values) - 1.4142135623730951e308) <= 1e-15 * 1.4142135623730951e308
+
+
 @pytest.mark.parametrize("solver, extra, keys", [
     ("closed-form", [], set()),
     ("picard", ["--picard.dt", "0.03125", "--run.times", "0 0.375 1.1875"],

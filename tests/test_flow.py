@@ -784,6 +784,70 @@ def test_history_convolution_rejects_grid_not_spanning_the_delay(basis):
                     rtol=1e-14)
 
 
+def _history_convolution_per_term(lams, phi, ts, params):
+    """`history_convolution` with one `_exp_moments` table per series term, each to that
+    term's order over that term's widths."""
+    a, tau = params.a, params.tau
+    lo, hi, anchor, poly, rates = phi.pieces(tau)
+    t = np.asarray(ts, dtype=float).ravel()
+    out = np.zeros((t.size, len(lams)))
+    n_terms = params.series_index(float(t.max())) + 1 if t.size and a != 0.0 else 0
+    mu, deg = lams + rates, poly.shape[1] - 1
+    for j in range(n_terms):
+        u = t - (j + 1) * tau
+        gb = np.minimum(hi, u[:, None])
+        live = gb > lo
+        if not live.any():
+            continue
+        ti, pi = np.nonzero(live)
+        gb = gb[live]
+        va, delta = u[ti] - gb, gb - anchor[pi]
+        widths, which = np.unique(gb - lo[pi], return_inverse=True)
+        moments = fl._exp_moments(mu, widths[:, None], j + deg)
+        dpow = [np.ones_like(delta)]
+        for _ in range(deg):
+            dpow.append(dpow[-1] * delta)
+        coef = poly[pi]
+        q = [(-1) ** m * sum(math.comb(k, m) * coef[:, k] * dpow[k - m][:, None]
+                             for k in range(m, deg + 1)) for m in range(deg + 1)]
+        c = [fl._series_coeffs([a], j + 1, j - i, va)[0] for i in range(j + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = np.zeros((len(gb), len(lams)))
+            for m in range(deg + 1):
+                inner = sum(c[i][:, None] * (math.factorial(i + m) // math.factorial(i))
+                            * moments[which, :, i + m] for i in range(j + 1))
+                acc += q[m] * inner
+            acc *= np.exp(np.multiply.outer(gb, rates) - np.multiply.outer(va, lams))
+            full = np.zeros(live.shape + (len(lams),))
+            full[live] = acc
+            out += full.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("a", [-2.0, -1.0, 1.0, 2.0])
+def test_history_convolution_equals_one_moment_table_per_term(a):
+    # one `_exp_moments` table over every term's widths gives each entry the bits of the
+    # per-term tables: an entry depends on its width and order alone
+    basis = EigenBasis(1.0, 8)
+    p = FlowParams(a=a, tau=1.0)
+    y0 = SpectralField.from_modes(basis, [1.0, -0.5, 0.25])
+    gammas = np.linspace(-1.0, 0.0, 9)
+    rows = np.cos(np.multiply.outer(gammas, np.arange(1.0, 9.0))) / np.arange(1.0, 9.0) ** 2
+    histories = {
+        "zero": ExpModeHistory(SpectralField.zero(basis), -1.0),
+        "exp": ExpModeHistory(SpectralField.from_modes(basis, [0.9, -0.4, 0.2, 0.1]), -1.3),
+        "linear grid": GridHistory(gammas, rows, basis, interp_order=1),
+        "cubic grid": GridHistory(gammas, rows, basis, interp_order=3),
+    }
+    if a > 0.0:     # for a <= -1 no mode has the real characteristic root it is built from
+        histories["compatible"] = compatible_history(y0, p)
+    ts = np.concatenate([np.linspace(0.0, 10.0, 41), [0.3, 1.7, 6.05, 9.95]])
+    for name, phi in histories.items():
+        got = fl.history_convolution(basis.eigenvalues(), phi, ts, p)
+        want = _history_convolution_per_term(basis.eigenvalues(), phi, ts, p)
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_solve_trace_guards(basis):
     y0 = SpectralField.from_modes(basis, [1.0])
     phi = ExpModeHistory(y0, -1.0)

@@ -497,7 +497,8 @@ def _hybrid_two_window_buffers(y0, history, mesh, T, a, tau, L=1.0, *, sample_ti
     one in-place buffer of `hybrid_simulate`.  `to_sine` maps (..., K) coefficient rows to
     their (..., nx - 1) sine coordinates, by default as the simulator does."""
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
-    to_sine = to_sine or (lambda c: rs._sine_bins(c, nx, L, np.zeros(c.shape[:-1] + (nx - 1,))))
+    to_sine = to_sine or (lambda c: rs._sine_bins(c, nx, nx * math.sqrt(2.0 / L),
+                                                 np.zeros(c.shape[:-1] + (nx - 1,))))
     s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
     samples = _grid_index(times, sample_times, "sample_times", "hybrid")
