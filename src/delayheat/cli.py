@@ -50,9 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _import_started, io as dio
-from .basis import (EigenBasis, SpectralField, _grid_index, _step_count, _step_grid, dirac_coeffs,
-                    project)
-from .errors import InvalidArgumentError, NonFiniteOutputError
+from .basis import (_BLOCK, EigenBasis, SpectralField, _grid_index, _step_count, _step_grid,
+                    dirac_coeffs, project)
+from .errors import InvalidArgumentError, NonFiniteOutputError, TruncationExceededError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
                    solve_trace)
 
@@ -286,9 +286,15 @@ def _hybrid(cfg, basis, params, y0, phi, times, T):
     mesh = rs.MeshParams(_num(cfg, "hybrid.nx", int), _num(cfg, "hybrid.ns", int))
     z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
     n_steps = _step_count(params.tau, params.tau / mesh.ns, T)[1]
-    # the delay line, and the spectral and grid rows of every sample and dumped delay line
-    rows = -(-n_steps // mesh.ns) + mesh.ns + 1 + 2 * (len(times) + len(z_times) * (mesh.ns + 1))
-    _fits_in_memory("hybrid.nx, hybrid.ns", 8 * ((mesh.nx + 1) * rows + n_steps + 1))
+    rows, dumped = -(-n_steps // mesh.ns) + mesh.ns + 1, len(z_times) * (mesh.ns + 1)
+    # the step times; the delay line of min(K, nx - 1) bins, and under 32 values' bytes per row
+    # for its views; K wide, the coefficient rows and 8 per history row read (a cubic grid
+    # history's 4 polynomial rows among them); nx + 1 wide, the bins and grid rows kept and a
+    # block of transform buffers
+    _fits_in_memory("hybrid.nx, hybrid.ns", 8 * (
+        n_steps + 1 + rows * (min(basis.K, mesh.nx - 1) + 32)
+        + (8 * (mesh.ns + 1) * (phi is not None) + len(times)) * basis.K
+        + (2 * (len(times) + dumped) + 8 * min(dumped, _BLOCK)) * (mesh.nx + 1)))
     grid = _step_grid(params.tau, params.tau / mesh.ns, T)[1]
     out_times, h = grid[_samples(grid, times, "hybrid")], float(grid[1])
     dumps = {}      # transport file name -> (requested t, grid index)
@@ -298,14 +304,14 @@ def _hybrid(cfg, basis, params, y0, phi, times, T):
             raise InvalidArgumentError(f"hybrid.z_dump_times: t = {dumps[name][0]!r} and "
                                        f"t = {t!r} would both be written to {name}")
         dumps[name] = (t, i)
-    xs = basis.mesh(mesh.nx)
     trace = rs.hybrid_simulate(y0.coeffs, None if phi is None else phi.coeffs, mesh, T,
                                params.a, params.tau, basis.L, sample_times=tuple(out_times),
                                z_sample_times=tuple(z_times))
-    rows = trace.values @ ((xs[1] - xs[0]) * basis.eval_matrix(xs))  # trapezoid; 0 at both ends
-    dumps = {name: (float(trace.times[i]), trace.s, xs, trace.z_snapshots[t])
+    dumps = {name: (float(trace.times[i]), trace.s, basis.mesh(mesh.nx), trace.z_snapshots[t])
              for name, (t, i) in dumps.items()}
-    return out_times, rows, {"h": h, "r": h / (basis.L / mesh.nx) ** 2}, dumps
+    health = {"h": h, "r": h / (basis.L / mesh.nx) ** 2,
+              "unresolved_modes": max(0, basis.K - mesh.nx + 1)}     # written as 0
+    return out_times, trace.coeffs, health, dumps
 
 
 _SOLVERS = {"closed-form": _closed_form, "picard": _picard, "rk4-modes": _rk4_modes,
@@ -413,11 +419,21 @@ def cmd_diagnose(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     phi = build_history(cfg, basis, params, y0)
     manifest.phase("build")
     report = compatibility_check(y0, phi, params, r=args.order)
-    jumps = lattice_jump_report(y0, phi, params, j_max=min(4, params.j_max),
-                                modes=tuple(range(1, min(3, basis.K) + 1)))
-    scan = None if phi is None else endpoint_jump_scan(
-        y0, phi, params, r=args.order, modes=tuple(range(1, min(2, basis.K) + 1)))
+    modes = tuple(range(1, min(3, basis.K) + 1))
+    with np.errstate(over="ignore", invalid="ignore"):      # checked finite below
+        jumps = lattice_jump_report(y0, phi, params, j_max=min(4, params.j_max), modes=modes)
+        scan = None if phi is None else endpoint_jump_scan(y0, phi, params, r=args.order,
+                                                           modes=modes[:2])
     manifest.phase("solve")
+    # one row per instant j tau: per mode (predicted, measured, rel_error), and per order and
+    # mode (left, right, gap, rel_gap)
+    _finite(np.reshape([row[2:] for row in jumps], (-1, 3 * len(modes))), "diagnose",
+            "jump table cells", params.tau * np.arange(len(jumps) // len(modes)), "mode",
+            np.repeat(modes, 3), manifest)
+    if scan is not None:
+        _finite(np.reshape([(r.left, r.right, r.gap, r.rel_gap) for r in scan], (2, -1)),
+                "diagnose", "endpoint scan cells", (0.0, params.tau), "mode",
+                np.tile(np.repeat(modes[:2], 4), args.order + 1), manifest)
     manifest.data["jump_table"] = ("j <= min(4, model.j_max): orders past 4 are not tabulated, "
                                    "because the k + 5 point stencils lose the jump law there")
     kv = {name: getattr(report, name) for name in ("r", "flag_endpoint_regularity",
@@ -502,6 +518,9 @@ def main(argv=None) -> int:
         return status
     except NonFiniteOutputError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except TruncationExceededError as exc:      # a limit of the series, not a bug
+        print(f"truncation limit: {exc}", file=sys.stderr)
         return 1
     except (InvalidArgumentError, configparser.Error) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

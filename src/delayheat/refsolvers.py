@@ -20,7 +20,7 @@ Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each 
   buffer that each window steps in place; y0 and the history enter as sine coefficients.
   The transform and the fold of sine coefficients into its bins are `basis._sine` and
   `basis._sine_bins`, which `EigenBasis.on_mesh` also uses.
-  Only the rows at ``sample_times`` and under transport snapshots go back to the grid;
+  ``sample_times`` get coefficient rows from the bins; only snapshot rows go back to the grid.
   ``times`` is every step.  Its modes mu_j / dx^2 are finite-difference eigenvalues, not the
   lam_k of the sine basis, and it reads nothing from `flow`.
 """
@@ -188,7 +188,7 @@ class MeshParams:
 @dataclass(frozen=True)
 class HybridTrace:
     times: np.ndarray                        # every step n tau / ns, to the first at or past T
-    values: np.ndarray                       # shape (len(sample_times), nx + 1)
+    coeffs: np.ndarray                       # shape (len(sample_times), K)
     s: np.ndarray
     z_snapshots: dict[float, np.ndarray]     # time -> z array of shape (ns + 1, nx + 1)
 
@@ -197,7 +197,7 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
                     mesh: MeshParams, T: float, a: float, tau: float, L: float = 1.0, *,
                     sample_times: tuple[float, ...], z_sample_times: tuple[float, ...] = ()
                     ) -> HybridTrace:
-    """Advance the coupled system to time T; return the temperature at `sample_times`.
+    """Advance the coupled system to time T; return the temperature's modes at `sample_times`.
 
     y0 holds the K sine coefficients of the initial temperature, a finite (K,) array, and
     history(gammas) follows `phi.coeffs`, (n, K) rows for n gammas in [-tau, 0], called once;
@@ -208,19 +208,19 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
     the step; the step that ends at t = tau reads the history's left limit phi(0^-), not y(0).  A
     sample or snapshot time t is taken at its nearest step (`basis._grid_index`); one farther than
     GRID_RTOL max(1, |t|) from every step raises InvalidArgumentError.  `times` is every step (the
-    bench tracer counts them), `values` one grid row per sample time, bit for bit the row a
-    snapshot shows there.
+    bench tracer counts them), `coeffs` one (K,) row per sample time: mode k < nx is bin k over
+    nx sqrt(2/L), and the modes k >= nx, which the mesh cannot resolve, are 0.
 
     DST-I diagonalises the second difference, eigenvalues -mu_j = -4 sin^2(j pi / (2 nx)) (Strang,
     SIAM Review 41, 1999): there a step is Y_{n+1} = q Y_n + g (Z_n + Z_{n+1}), Z the source rows,
     q = (1 - r mu / 2) / (1 + r mu / 2), g = a dt / (2 (1 + r mu / 2)).  One delay window of
     stored rows is the whole state of the method of steps (Bellen and Zennaro, Numerical Methods
     for Delay Differential Equations, 2003, ch. 3), so the state stays in sine coordinates in one
-    delay line of W + ns + 1 rows, W = ceil(n_steps / ns) windows.  Window w finds its source
-    Z_0 .. Z_ns in rows b .. b + ns, b = W - w (for window 0 the history, ending in phi(0^-)),
-    puts Y_{n0} in row b - 1 and steps in place: row b + k becomes g (Z_k + Z_{k+1}), then
-    Y_{n0 + k + 1}, so rows b - 1 .. b - 1 + ns are the next window's source.  Only the rows the
-    samples and snapshots need go back to the grid, the history's among them.
+    delay line of W + ns + 1 rows of min(K, nx - 1) bins (the rest stay 0), W = ceil(n_steps / ns)
+    windows.  Window w finds its source Z_0 .. Z_ns in rows b .. b + ns, b = W - w (for window 0
+    the history, ending in phi(0^-)), puts Y_{n0} in row b - 1 and steps in place: row b + k
+    becomes g (Z_k + Z_{k+1}), then Y_{n0 + k + 1}, so rows b - 1 .. b - 1 + ns are the next
+    window's source.  Only the snapshots' rows go back to the grid, the history's among them.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
@@ -229,27 +229,27 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1 or not np.all(np.isfinite(y0)):
         raise InvalidArgumentError(f"y0 must be finite coefficients of shape (K,), got {y0.shape}")
-    nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
+    nx, ns, dt, nb = mesh.nx, mesh.ns, tau / mesh.ns, min(len(y0), mesh.nx - 1)
     s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
     samples = _grid_index(times, sample_times, "sample_times", "hybrid")
     snaps = _grid_index(times, z_sample_times, "z_sample_times", "hybrid")
-    # the steps whose rows go back to the grid: the samples and each snapshot's delay line
-    need = np.array(sorted({*samples, *(k for n in snaps for k in range(n - ns, n + 1))}), int)
+    # the steps whose bins are kept: the samples, then each snapshot's delay line
+    need = np.array([*samples, *(k for n in snaps for k in range(n - ns, n + 1))], int)
 
     # window 0's source: row n_win + ns + k holds step k = -ns .. 0, phi(0^-) at k = 0
     n_win = -(-n_steps // ns)
-    buf, spec = np.zeros((n_win + ns + 1, nx - 1)), np.zeros((len(need), nx - 1))
+    buf, spec = np.zeros((n_win + ns + 1, nb)), np.zeros((len(need), nx - 1))
     if history is not None:
         hist = np.asarray(history(-s[::-1]), dtype=float)
         if hist.shape != (ns + 1, len(y0)):
             raise InvalidArgumentError(f"history rows are {hist.shape}, need {(ns + 1, len(y0))}")
         _sine_bins(hist, nx, nx * math.sqrt(2.0 / L), buf[n_win:])
-        spec[need < 0] = buf[n_win + ns + need[need < 0]]
+        spec[need < 0, :nb] = buf[n_win + ns + need[need < 0]]
 
-    half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nx) * (math.pi / (2 * nx))) ** 2
+    half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nb + 1) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
-    y, buf_rows = _sine_bins(y0, nx, nx * math.sqrt(2.0 / L), np.zeros(nx - 1)), list(buf)
+    y, buf_rows = _sine_bins(y0, nx, nx * math.sqrt(2.0 / L), np.zeros(nb)), list(buf)
     for w, n0 in enumerate(range(0, n_steps, ns)):      # the window of steps n0 .. n0 + m - 1
         m, b = min(ns, n_steps - n0), n_win - w         # its source Z_0 .. Z_ns: rows b .. b + ns
         buf[b - 1] = y
@@ -258,13 +258,14 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
         src *= g
         for last, row in zip(buf_rows[b - 1:b + m - 1], buf_rows[b:b + m]):
             row += q * last                     # rows b - 1 .. b - 1 + m hold Y_{n0} .. Y_{n0 + m}
-        lo, hi = np.searchsorted(need, (n0, n0 + m + 1))
-        spec[lo:hi] = buf[need[lo:hi] - n0 + b - 1]
+        kept = (n0 <= need) & (need <= n0 + m)
+        spec[kept, :nb] = buf[need[kept] - n0 + b - 1]
         y = buf[b + m - 1]
 
-    rows = np.zeros((len(need), nx + 1))
-    for b in range(0, len(need), _BLOCK):
-        rows[b:b + _BLOCK, 1:-1] = _sine(spec[b:b + _BLOCK]) / (2 * nx)
-    at = lambda n: np.searchsorted(need, n)
-    z_snapshots = {t: rows[at(n - ns):at(n) + 1][::-1] for t, n in zip(z_sample_times, snaps)}
-    return HybridTrace(times, rows[at(samples)], s, z_snapshots)
+    dumped, rows = spec[len(samples):], np.zeros((len(need) - len(samples), nx + 1))
+    for b in range(0, len(rows), _BLOCK):
+        rows[b:b + _BLOCK, 1:-1] = _sine(dumped[b:b + _BLOCK]) / (2 * nx)
+    coeffs = np.zeros((len(samples), len(y0)))              # modes k >= nx stay 0
+    coeffs[:, :nb] = spec[:len(samples), :nb] / (nx * math.sqrt(2.0 / L))
+    z_snapshots = dict(zip(z_sample_times, rows.reshape(-1, ns + 1, nx + 1)[:, ::-1]))
+    return HybridTrace(times, coeffs, s, z_snapshots)

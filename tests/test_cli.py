@@ -262,7 +262,7 @@ def test_simulate_grid_near_the_float_limit_stays_finite(tmp_path, monkeypatch):
     ("picard", ["--picard.dt", "0.03125", "--run.times", "0 0.375 1.1875"],
      {"h", "residuals"}),
     ("rk4-modes", ["--rk4.dt", "0.005"], {"h"}),
-    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50"], {"h", "r"}),
+    ("hybrid", ["--hybrid.nx", "40", "--hybrid.ns", "50"], {"h", "r", "unresolved_modes"}),
 ])
 def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
     out = tmp_path / "out"
@@ -284,6 +284,7 @@ def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
         assert_allclose(health["h"], 0.005, rtol=1e-12)
     if solver == "hybrid":
         assert_allclose([health["h"], health["r"]], [0.02, 32.0], rtol=1e-12)
+        assert health["unresolved_modes"] == 0       # K = 8 modes on nx = 40
 
 
 @pytest.mark.parametrize("solver, extra, t, near", [
@@ -399,14 +400,9 @@ def _library_rows(solver, y0, phi, params, times):
                                                  tau=params.tau, dt=0.001, y0=y0.coeffs,
                                                  history=phi.coeffs), T)
         return trace.times[nearest(trace.times)], trace.values[nearest(trace.times)]
-    # the hybrid's nodal rows, projected onto the modes by the trapezoid rule
-    xs = np.linspace(0.0, y0.basis.L, 401)
-    w = np.full(401, xs[1] - xs[0])
-    w[0] = w[-1] = (xs[1] - xs[0]) / 2.0
     trace = rs.hybrid_simulate(y0.coeffs, phi.coeffs, rs.MeshParams(400, 800), T, params.a,
                                params.tau, y0.basis.L, sample_times=tuple(times))
-    return (trace.times[nearest(trace.times)],
-            trace.values @ (w[:, None] * y0.basis.eval_matrix(xs)))
+    return trace.times[nearest(trace.times)], trace.coeffs
 
 
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
@@ -755,7 +751,9 @@ def test_picard_step_not_positive_and_finite_exits_2(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("solver, key, n_bytes", [
     ("picard", "picard.dt", 8 * 10 * 161 * 60),     # 160 steps of 1/64 to T = 2.5, K = 60
     ("rk4-modes", "rk4.dt", 8 * 61 * (2501 + 3 * 1001)),
-    ("hybrid", "hybrid.nx, hybrid.ns", 8 * (401 * (3 + 801 + 2 * 6) + 2001)),
+    # 804 delay-line rows of 60 bins and 32 values for each row's view, 2001 step times, 6
+    # coefficient rows and 6 kept rows of bins and grid values
+    ("hybrid", "hybrid.nx, hybrid.ns", 8 * (804 * (60 + 32) + 2001 + 6 * 60 + 2 * 6 * 401)),
 ])
 def test_a_stepping_grid_that_does_not_fit_in_memory_exits_2_before_it_is_made(
         tmp_path, monkeypatch, capsys, solver, key, n_bytes):
@@ -1033,3 +1031,92 @@ def test_an_output_dir_in_a_read_only_directory_exits_2(tmp_path, capsys, monkey
     assert capsys.readouterr().err == (f"configuration error: run.out_dir: cannot make {out}: "
                                        f"{tmp_path} is not writable\n")
     assert not out.exists()
+
+
+def test_a_series_past_its_guard_exits_1_as_a_truncation_limit(tmp_path, capsys):
+    # tau = 0.01 needs 250 delay periods at t = 2.5; the error went through main's catch-all
+    # as "error: ...", the route a bug would take
+    out = tmp_path / "out"
+    assert main(["simulate", "--model.tau", "0.01", "--run.out_dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "truncation limit: t=2.5 needs 250 delay periods, above the j_max=128 guard\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--model.coupling", "1e80"], "9 non-finite jump table cells, the first at t=4, mode=1"),
+    (["--model.coupling", "1e200"], "27 non-finite jump table cells, the first at t=2, mode=1"),
+    (["--history.kind", "exp", "--history.profile", "1e290", "--order", "10"],
+     "8 non-finite endpoint scan cells, the first at t=0, mode=1"),
+])
+def test_diagnose_with_non_finite_cells_exits_1_and_leaves_only_its_manifest(tmp_path, capsys,
+                                                                            argv, reason):
+    # a^j overflows for j <= 4 once |a| > 1.2e77, and a huge history overflows the order-10
+    # stencils: diagnose wrote inf and nan cells with exit 0, after RuntimeWarnings
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["diagnose", *argv, "--run.out_dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"numerical failure: diagnose produced {reason}\n"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == f"diagnose produced {reason}" and manifest["outputs"] == []
+
+
+def test_hybrid_on_a_mesh_coarser_than_the_modes_writes_its_own_grid(tmp_path):
+    # K = 60 modes on hybrid.nx = 20: modes 20 .. 60 are written as 0, and health says so; the
+    # trapezoid projection wrote their aliases, so trace_grid.csv on the hybrid's own nodes was
+    # 2.0 times its maximum off the hybrid's grid row
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--run.solver", "hybrid", "--hybrid.nx", "20", "--hybrid.ns",
+                     "40", "--run.nx", "20", "--run.times", "0.5", "--hybrid.z_dump_times", "0.5",
+                     "--run.out_dir", str(out)]) == 0
+    grid = [float(r["value"]) for r in read_csv(out / "trace_grid.csv")]
+    dump = [float(r["value"]) for r in read_csv(out / "transport_t0.5.csv") if r["s"] == "0"]
+    assert len(grid) == len(dump) == 21
+    assert np.max(np.abs(np.subtract(grid, dump))) <= 1e-12 * np.max(np.abs(dump))
+    coeffs = [float(r["coeff"]) for r in read_csv(out / "trace_coeffs.csv")]
+    assert coeffs[19:] == [0.0] * 41
+    assert json.loads((out / "manifest.json").read_text())["health"]["unresolved_modes"] == 41
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--hybrid.z_dump_times", "0.5 2.5"],
+    ["--hybrid.nx", "20", "--hybrid.ns", "40", "--history.kind", "compatible",
+     "--hybrid.z_dump_times", "0.5"],
+    ["--hybrid.nx", "1000", "--hybrid.ns", "4", "--history.kind", "exp",
+     "--history.profile", "1 2 3", "--hybrid.z_dump_times", "0.5"],
+    ["--hybrid.nx", "50", "--hybrid.ns", "1500", "--model.modes", "240",
+     "--history.kind", "compatible"],
+    ["--hybrid.nx", "50", "--hybrid.ns", "1500", "--model.modes", "240", "--history.kind",
+     "grid", "--history.interp_order", "3"],
+], ids=["default", "dumps", "coarse", "fine-x", "wide-K", "cubic-grid"])
+def test_the_hybrid_memory_estimate_bounds_what_the_run_allocates(tmp_path, monkeypatch, extra):
+    # the estimate _fits_in_memory checks is an upper bound of the traced peak of the solve,
+    # history reads included; the one it replaced was under it on every one of these runs
+    import tracemalloc
+
+    import delayheat.cli as cli
+    import delayheat.refsolvers as rs
+    seen, fits, simulate = {}, cli._fits_in_memory, rs.hybrid_simulate
+    monkeypatch.setattr(cli, "_fits_in_memory", lambda key, n: seen.update(estimate=n) or fits(key, n))
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return simulate(*args, **kwargs)
+        finally:
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+
+    monkeypatch.setattr(rs, "hybrid_simulate", traced)
+    hist = tmp_path / "hist.csv"
+    hist.write_text("gamma,k,coeff\n" + "".join(f"{g},{k},{math.cos(g * k) / k!r}\n"
+                                                 for g in np.linspace(-1.0, 0.0, 9).tolist()
+                                                 for k in range(1, 241)))
+    assert main(["simulate", "--run.solver", "hybrid", "--history.file", str(hist), *extra,
+                 "--run.out_dir", str(tmp_path / "out")]) == 0
+    assert seen["peak"] <= seen["estimate"], seen

@@ -13,7 +13,8 @@ import delayheat.flow as fl
 import delayheat.refsolvers as rs
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError, MeshParams,
                        ModeDDEConfig,
-                       SpectralField, compatible_history, delayed_exp, hybrid_simulate,
+                       SpectralField, compatible_history, delayed_exp, dirac_coeffs,
+                       hybrid_simulate,
                        rk4_dde_mode, semigroup_apply, solve_trace)
 from delayheat.basis import _grid_index, _step_grid
 from delayheat.refsolvers import _phi123
@@ -284,7 +285,7 @@ def test_hybrid_rejects_snapshot_time_outside_horizon(kind, t_snap, near):
     tr = hybrid_simulate(np.zeros(17), None, MeshParams(nx=16, ns=8), 2.0, 1.0, 1.0,
                          sample_times=(0.0, 2.0), z_sample_times=(0.0, 2.0))
     assert set(tr.z_snapshots) == {0.0, 2.0}
-    assert tr.values.shape == (2, 17)
+    assert tr.coeffs.shape == (2, 17)
 
 
 @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
@@ -306,10 +307,10 @@ def test_hybrid_takes_times_within_rounding_of_the_horizon_as_its_ends():
     ends = (-1e-10, float(ref.times[-1]))
     tr = hybrid_simulate(y0, hist, mesh, 0.3, 1.0, 1.0, sample_times=ends,
                          z_sample_times=ends[1:])
-    assert np.array_equal(tr.values, ref.values)
+    assert np.array_equal(tr.coeffs, ref.coeffs)
     assert np.array_equal(tr.z_snapshots[ends[1]], ref.z_snapshots[0.3])
     assert len(hybrid_simulate(y0, hist, mesh, 0.3, 1.0, 1.0,
-                               sample_times=tuple(ref.times)).values) == 4
+                               sample_times=tuple(ref.times)).coeffs) == 4
     # the slack is GRID_RTOL max(1, |t|), not more
     for t, near in ((-2e-9, 0.0), (0.3 + 2e-9, ends[1])):
         with pytest.raises(InvalidArgumentError, match=re.escape(
@@ -335,7 +336,7 @@ def test_hybrid_zero_coupling_is_pure_heat():
     mesh = MeshParams(nx=n, ns=80)             # time step 1/80
     tr = hybrid_simulate(y0.coeffs, None, mesh, 0.5, 0.0, 1.0, sample_times=(0.5,))
     ref = emat @ semigroup_apply(y0, 0.5).coeffs
-    err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
+    err = math.sqrt((1.0 / n) * np.sum((basis.on_mesh(tr.coeffs, n)[-1] - ref) ** 2))
     assert err <= 5e-5
 
 
@@ -349,7 +350,7 @@ def test_hybrid_before_delay_arrival_matches_pure_heat():
     mesh = MeshParams(nx=n, ns=2 * n)
     tr = hybrid_simulate(y0.coeffs, None, mesh, 0.8, 1.0, 1.0, sample_times=(0.8,))
     ref = emat @ semigroup_apply(y0, 0.8).coeffs
-    err = np.max(np.abs(tr.values[-1] - ref))
+    err = np.max(np.abs(basis.on_mesh(tr.coeffs, n)[-1] - ref))
     assert err <= 1e-6
 
 
@@ -365,23 +366,22 @@ def _every_step(T, tau, ns):
 
 
 def test_hybrid_transport_is_exact_shift_of_history():
-    # z(t, s) = y(t - s) for s <= t, bit for bit, and phi(t - s) for s > t, the nodal samples
-    # of the rows of the one call phi(-tau), ..., phi(0^-) the simulator makes, up to the
-    # rounding of their sine transform
+    # z(t, s) = y(t - s) for s <= t, bit for bit the s = 0 row of the snapshot at t - s, and
+    # phi(t - s) for s > t, the nodal samples of the rows of the one call phi(-tau), ...,
+    # phi(0^-) the simulator makes, up to the rounding of their sine transform
     y0, hist = _hybrid_inputs()
     mesh = MeshParams(nx=40, ns=20)
-    tr = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=_every_step(2.0, 1.0, 20),
-                         z_sample_times=(0.3, 2.0))
+    steps = _every_step(2.0, 1.0, 20)
+    tr = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=(), z_sample_times=steps)
     phi_rows = hist(-tr.s[::-1]) @ _basis_grid(EigenBasis(1.0, 4), 40)[1].T
-    for t_snap in (0.3, 2.0):
-        n = int(round(t_snap * mesh.ns))
-        z = tr.z_snapshots[t_snap]
+    for n in (6, 40):                           # t = 0.3 and 2.0
+        z = tr.z_snapshots[steps[n]]
         assert z.shape == (mesh.ns + 1, mesh.nx + 1)
         for j in range(mesh.ns + 1):
             if j > n:
                 assert_allclose(z[j], phi_rows[mesh.ns - (j - n)], rtol=0.0, atol=1e-14)
             else:
-                assert np.array_equal(z[j], tr.values[n - j])
+                assert np.array_equal(z[j], tr.z_snapshots[steps[n - j]][0])
 
 
 def test_hybrid_delay_loop_returns_previous_temperature():
@@ -389,24 +389,25 @@ def test_hybrid_delay_loop_returns_previous_temperature():
     y0, hist = _hybrid_inputs()
     mesh = MeshParams(nx=50, ns=40)
     times = (1.0, 1.5, 2.0)
-    tr = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.0, 0.5, 1.0),
-                         z_sample_times=times)
-    for i, t_snap in enumerate(times):
-        assert np.array_equal(tr.z_snapshots[t_snap][-1], tr.values[i])
+    tr = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=(),
+                         z_sample_times=(0.0, 0.5, *times))
+    for t_snap in times:
+        assert np.array_equal(tr.z_snapshots[t_snap][-1], tr.z_snapshots[t_snap - 1.0][0])
 
 
 @pytest.mark.parametrize("history", [False, True], ids=["zero", "history"])
 def test_hybrid_transforms_only_the_history_and_the_sampled_rows(monkeypatch, history):
     # the state stays in sine coordinates over 3 delay windows: y0 and the history's
-    # ns + 1 rows fold into them with no transform and only the sampled row comes back
-    # (a stepper that stores grid rows transforms about 2 rows per step, 240 here)
+    # ns + 1 rows fold into them with no transform, and the sampled row comes back as
+    # coefficients with none either (a stepper that stores grid rows transforms about 2 rows
+    # per step, 240 here)
     y0 = _coords(np.sin(math.pi * np.linspace(0.0, 1.0, 33)))
     hist = (lambda g: np.multiply.outer(np.cos(g), y0)) if history else None
     counted, sine = [], rs._sine
     monkeypatch.setattr(rs, "_sine", lambda v: counted.append(math.prod(v.shape[:-1])) or sine(v))
     tr = hybrid_simulate(y0, hist, MeshParams(nx=32, ns=40), 3.0, 1.0, 1.0, sample_times=(3.0,))
-    assert tr.values.shape == (1, 33) and len(tr.times) == 121
-    assert sum(counted) <= 1
+    assert tr.coeffs.shape == (1, 31) and len(tr.times) == 121
+    assert sum(counted) == 0
 
 
 def test_hybrid_sampled_rows_equal_the_full_grid_rows():
@@ -414,10 +415,9 @@ def test_hybrid_sampled_rows_equal_the_full_grid_rows():
     mesh = MeshParams(nx=40, ns=20)
     full = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=_every_step(2.0, 1.0, 20))
     some = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.35, 1.0, 2.0))
-    assert np.array_equal(some.values, full.values[[7, 20, 40]])
-    # y(0) is the nodal samples of y0, up to the rounding of their sine transform
-    assert_allclose(full.values[0], _basis_grid(EigenBasis(1.0, 4), 40)[1] @ y0, rtol=0.0,
-                    atol=1e-15)
+    assert np.array_equal(some.coeffs, full.coeffs[[7, 20, 40]])
+    # y(0) is y0, up to the rounding of its scaling into the bins and back
+    assert_allclose(full.coeffs[0], y0, rtol=0.0, atol=1e-15)
 
 
 def test_hybrid_cross_validates_closed_form():
@@ -429,7 +429,7 @@ def test_hybrid_cross_validates_closed_form():
     mesh = MeshParams(nx=n, ns=2 * n)
     tr = hybrid_simulate(y0.coeffs, None, mesh, 2.0, 1.0, 1.0, sample_times=(2.0,))
     ref = emat @ solve_trace(y0, None, [2.0], params).coeffs[0]
-    err = math.sqrt((1.0 / n) * np.sum((tr.values[-1] - ref) ** 2))
+    err = math.sqrt((1.0 / n) * np.sum((basis.on_mesh(tr.coeffs, n)[-1] - ref) ** 2))
     assert err <= 1e-3
 
 
@@ -484,7 +484,8 @@ def test_hybrid_equals_out_of_place_reference(nx, ns, z_time):
     # the sine-transform steps round differently from the banded solve
     # (at most 2e-13 of max|value| measured on these meshes)
     scale = np.max(np.abs(ref_values))
-    assert np.max(np.abs(tr.values - ref_values)) <= 1e-12 * scale
+    values = EigenBasis(1.0, nx - 1).on_mesh(tr.coeffs, nx)
+    assert np.max(np.abs(values - ref_values)) <= 1e-12 * scale
     assert np.max(np.abs(tr.z_snapshots[z_step] - ref_z_early)) <= 1e-12 * scale
     assert np.max(np.abs(tr.z_snapshots[end] - ref_z)) <= 1e-12 * scale
 
@@ -495,7 +496,9 @@ def _hybrid_two_window_buffers(y0, history, mesh, T, a, tau, L=1.0, *, sample_ti
     each window, `prev` the window read and `cur` the rows stepped into, with the history's
     sine coordinates kept apart; the same per-element operations in the same order as the
     one in-place buffer of `hybrid_simulate`.  `to_sine` maps (..., K) coefficient rows to
-    their (..., nx - 1) sine coordinates, by default as the simulator does."""
+    their (..., nx - 1) sine coordinates, by default as the simulator does.  It steps every
+    bin; the sampled rows come back by the simulator's rule, bin k / (nx sqrt(2/L)) as mode
+    k < nx and 0 for k >= nx."""
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
     to_sine = to_sine or (lambda c: rs._sine_bins(c, nx, nx * math.sqrt(2.0 / L),
                                                  np.zeros(c.shape[:-1] + (nx - 1,))))
@@ -527,7 +530,10 @@ def _hybrid_two_window_buffers(y0, history, mesh, T, a, tau, L=1.0, *, sample_ti
         rows[b:b + rs._BLOCK, 1:-1] = rs._sine(spec[b:b + rs._BLOCK]) / (2 * nx)
     at = lambda n: np.searchsorted(need, n)
     z_snapshots = {t: rows[at(n - ns):at(n) + 1][::-1] for t, n in zip(z_sample_times, snaps)}
-    return rows[at(samples)], z_snapshots
+    K = np.shape(y0)[-1]
+    coeffs, nb = np.zeros((len(samples), K)), min(K, nx - 1)
+    coeffs[:, :nb] = spec[at(samples), :nb] / (nx * math.sqrt(2.0 / L))
+    return coeffs, z_snapshots
 
 
 @pytest.mark.parametrize("nx, ns, T, dumps", [
@@ -547,7 +553,7 @@ def test_hybrid_equals_two_window_buffer_reference(nx, ns, T, dumps, history):
     values, z_snapshots = _hybrid_two_window_buffers(y0, hist, MeshParams(nx, ns), T, -1.3,
                                                      1.0, sample_times=steps, z_sample_times=dumps)
     assert np.all(np.isfinite(values))
-    assert tr.values.tobytes() == values.tobytes()
+    assert tr.coeffs.tobytes() == values.tobytes()
     assert tr.z_snapshots.keys() == z_snapshots.keys()
     for t in dumps:
         assert tr.z_snapshots[t].tobytes() == z_snapshots[t].tobytes(), t
@@ -575,7 +581,7 @@ def test_hybrid_coefficient_input_equals_the_grid_path(K, kind, a):
         to_sine=lambda c: rs._sine((c @ emat.T)[..., 1:-1]))
     scale = np.max(np.abs(values))
     assert scale > 0.1
-    assert np.max(np.abs(tr.values - values)) <= 1e-12 * scale
+    assert np.max(np.abs(tr.coeffs - values)) <= 1e-12 * scale
     for t in dumps:
         assert np.max(np.abs(tr.z_snapshots[t] - z_snapshots[t])) <= 1e-12 * scale, t
 
@@ -591,3 +597,51 @@ def test_hybrid_default_mesh_holds_one_delay_line():
     finally:
         tracemalloc.stop()
     assert peak < 3.5e6, peak
+
+
+@pytest.mark.parametrize("K, nx, bound", [(60, 400, 2e-14), (60, 100, 2e-14), (240, 400, 3e-14)])
+def test_hybrid_coefficients_equal_the_trapezoid_projection_of_its_grid_rows(K, nx, bound):
+    # for K < nx the coefficient rows read from the bins are the projection the CLI used to
+    # make: the grid rows (here each sample's snapshot row at s = 0) against the first K modes
+    # by the trapezoid rule, which is exact for them on the mesh (discrete orthogonality); the
+    # gap is the rounding of that (nx + 1)-term sum, 2.1e-14 of the row maximum at K = 240
+    basis = EigenBasis(1.0, K)
+    y0 = dirac_coeffs(0.3, basis)
+    times = (0.0, 0.5, 1.0, 2.5)
+    tr = hybrid_simulate(y0.coeffs, compatible_history(y0, FlowParams()).coeffs,
+                         MeshParams(nx, 40), 2.5, 1.0, 1.0, sample_times=times,
+                         z_sample_times=times)
+    xs = basis.mesh(nx)
+    grid = np.stack([tr.z_snapshots[t][0] for t in times])
+    ref = grid @ ((xs[1] - xs[0]) * basis.eval_matrix(xs))
+    gap = np.max(np.abs(tr.coeffs - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert np.all(gap <= bound), gap
+
+
+@pytest.mark.parametrize("K, nx", [(60, 20), (240, 200), (21, 20), (20, 20)])
+def test_hybrid_writes_the_modes_its_mesh_cannot_resolve_as_zero(K, nx):
+    # modes k >= nx are 0, so the coefficient rows on the hybrid's own mesh are its grid rows;
+    # the trapezoid projection wrote aliases there, 2.0 times the row maximum off at (60, 20)
+    basis = EigenBasis(1.0, K)
+    y0 = dirac_coeffs(0.3, basis)
+    times = (0.0, 0.5, 1.5)
+    tr = hybrid_simulate(y0.coeffs, compatible_history(y0, FlowParams()).coeffs,
+                         MeshParams(nx, 2 * nx), 1.5, 1.0, 1.0, sample_times=times,
+                         z_sample_times=times)
+    assert np.all(tr.coeffs[:, nx - 1:] == 0.0)
+    grid = np.stack([tr.z_snapshots[t][0] for t in times])
+    gap = np.max(np.abs(basis.on_mesh(tr.coeffs, nx) - grid), axis=1)
+    assert np.all(gap <= 1e-15 * np.max(np.abs(grid), axis=1)), gap
+
+
+def test_hybrid_default_mesh_steps_only_the_bins_the_data_reach():
+    # K = 60 modes on nx = 400: the delay line holds 60 bins per row, not 399 (0.58 MB peak
+    # where the full line took 2.8 MB)
+    y0 = dirac_coeffs(0.3, EigenBasis(1.0, 60)).coeffs
+    tracemalloc.start()
+    try:
+        hybrid_simulate(y0, None, MeshParams(400, 800), 2.5, 1.0, 1.0, sample_times=(0.0, 2.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
