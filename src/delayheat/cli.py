@@ -274,8 +274,11 @@ def _rk4_modes(cfg, basis, params, y0, phi, times, T):
                                 dt=_num(cfg, "rk4.dt"), y0=y0.coeffs,
                                 history=None if phi is None else phi.coeffs)
     n_sub, n_steps = _step_count(mode_cfg.tau, mode_cfg.dt, T)
-    # the trace and the times, a window of slopes, one of scratch and one of history nodes
-    _fits_in_memory("rk4.dt", 8 * (basis.K + 1) * (n_steps + 1 + 3 * (n_sub + 1)))
+    # the trace and the times, 64 rows of per-mode arrays and iterator buffers, a window of
+    # slopes, one of scratch and two of scan temporaries; with a history, window 0's reads
+    # instead: the nodes, the midpoints and up to 3 temporaries of a read
+    _fits_in_memory("rk4.dt", 8 * (basis.K + 1) * (
+        n_steps + 65 + (4 + 3 * (phi is not None)) * (n_sub + 1)))
     idx = _samples(_step_grid(mode_cfg.tau, mode_cfg.dt, T)[1], times, "rk4-modes")
     trace = rs.rk4_dde_mode(mode_cfg, T)
     return trace.times[idx], trace.values[idx], {"h": float(trace.times[1])}, {}
@@ -287,12 +290,11 @@ def _hybrid(cfg, basis, params, y0, phi, times, T):
     z_times = sorted(_floats(cfg["hybrid"].get("z_dump_times")))
     n_steps = _step_count(params.tau, params.tau / mesh.ns, T)[1]
     rows, dumped = -(-n_steps // mesh.ns) + mesh.ns + 1, len(z_times) * (mesh.ns + 1)
-    # the step times; the delay line of min(K, nx - 1) bins, and under 32 values' bytes per row
-    # for its views; K wide, the coefficient rows and 8 per history row read (a cubic grid
-    # history's 4 polynomial rows among them); nx + 1 wide, the bins and grid rows kept and a
-    # block of transform buffers
+    # the step times; min(K, nx - 1) bins wide, the delay line and twice the rows of a scan
+    # block for its temporaries and iterator buffers; K wide, the coefficient rows and 8 per
+    # history row read; nx + 1 wide, the bins and grid rows kept and a block of transform buffers
     _fits_in_memory("hybrid.nx, hybrid.ns", 8 * (
-        n_steps + 1 + rows * (min(basis.K, mesh.nx - 1) + 32)
+        n_steps + 1 + (rows + 2 * rs._SCAN_ROWS) * min(basis.K, mesh.nx - 1)
         + (8 * (mesh.ns + 1) * (phi is not None) + len(times)) * basis.K
         + (2 * (len(times) + dumped) + 8 * min(dumped, _BLOCK)) * (mesh.nx + 1)))
     grid = _step_grid(params.tau, params.tau / mesh.ns, T)[1]

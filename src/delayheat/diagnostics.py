@@ -2,9 +2,9 @@
 
 Three instruments:
 
-* ``_mode_time_integral`` integrates, for all modes and several alphas of one
-  beta at once but with one independent time quadrature per mode, the energy
-  identity of weighted heat orbits: the time integral of
+* ``_mode_time_integral`` integrates, for all modes and several (alpha, beta)
+  at once, from one table of time moments per mode on that mode's own
+  quadrature rule, the energy identity of weighted heat orbits: the time integral of
   ||d^alpha/dt^alpha (t^beta e^{t Lap} y0)||^2 in the index-(s + 2(beta - alpha) + 1) norm
   is ``weight_factor`` (the same integral for decay rate 1) times the squared index-s norm
   of y0.
@@ -90,29 +90,35 @@ def _mode_rules(lams: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray, np
     return t_cut, x, np.where(live, w, 0.0)
 
 
-def _mode_time_integral(lams: np.ndarray, alphas, beta: int) -> tuple[np.ndarray, np.ndarray]:
+def _mode_time_integral(lams: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature of |d^alpha (t^beta e^{-lam t})|^2 on [0, T_cut], and the exact tail, per lam
-    and per alpha in `alphas`: two (len(alphas), K) arrays, row i for alphas[i].
+    and per (alpha, beta) in `pairs`: two (len(pairs), K) arrays, row i for pairs[i].
 
-    T_cut scales like 1/lam and leaves the truncated mass below 1e-16 of the
-    total; the remainder beyond T_cut is added in closed form as a certified
-    tail.  Every mode keeps its own rule (`_mode_rules`), so the quadrature
-    stays independent of the scaling law it checks.  The rule, e^{-lam t} and
-    the powers of t depend on beta alone and are built once for every alpha;
-    the derivative is the product rule's sum, in the order of its terms.
+    The derivative is e^{-lam t} times the product rule's polynomial, C(alpha, l) beta! /
+    (beta - l)! (-lam)^(alpha - l) at t^(beta - l); its square (by convolution) is dotted with
+    each mode's moments sum w t^m e^{-2 lam t}, m = 0..6, and their closed-form tails
+    m! / (2 lam)^(m + 1) Q(m + 1, 2 lam T_cut).  One table serves every pair: each mode's own
+    rule for beta = 3 (`_mode_rules`), whose T_cut truncates below 1e-16 for every beta <= 3,
+    so the quadrature stays independent of the scaling law it checks; the coefficients are
+    coded apart from `_exact_tail`'s cross terms, which `weight_factor` sums.
     """
-    t_cut, x, w = _mode_rules(lams, beta)
-    lam = lams[:, None]
-    decay, powers = np.exp(-lam * x), [x ** k for k in range(beta + 1)]
+    t_cut, x, w = _mode_rules(lams, 3)
+    term, bulk_m, m = w * np.exp(-2.0 * lams[:, None] * x), np.empty((len(lams), 7)), np.arange(7)
+    for k in m:
+        bulk_m[:, k], term = np.sum(term, axis=1), term * x
+    tail_m = (_gammaincc_int(2.0 * lams * t_cut, 6) * np.cumprod(np.r_[1.0, m[1:]])
+              / (2.0 * lams[:, None]) ** (m + 1))
     bulk, tail = [], []
-    for alpha in alphas:
-        vals = np.zeros_like(x)
+    for alpha, beta in pairs:
+        poly = np.zeros((len(lams), beta + 1))      # column i: the coefficient of t^i
         for l in range(min(alpha, beta) + 1):
-            c = math.comb(alpha, l) * math.factorial(beta) / math.factorial(beta - l)
-            vals += c * powers[beta - l] * (-lam) ** (alpha - l)
-        vals *= decay
-        bulk.append(np.sum(w * vals**2, axis=1))
-        tail.append(_exact_tail(lams, alpha, beta, t_cut))
+            poly[:, beta - l] = (math.comb(alpha, l) * math.factorial(beta)
+                                 / math.factorial(beta - l) * (-lams) ** (alpha - l))
+        square = np.zeros((len(lams), 2 * beta + 1))
+        for i in range(beta + 1):
+            square[:, i:i + beta + 1] += poly[:, i:i + 1] * poly
+        bulk.append(np.sum(square * bulk_m[:, :2 * beta + 1], axis=1))
+        tail.append(np.sum(square * tail_m[:, :2 * beta + 1], axis=1))
     return np.array(bulk), np.array(tail)
 
 

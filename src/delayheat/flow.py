@@ -284,9 +284,9 @@ class GridHistory:
             raise InvalidArgumentError(f"gamma = {g[off][0]!r} is outside the grid history "
                                        f"samples [{lo!r}, {hi!r}]")
         i = np.clip(np.searchsorted(self.times, g, side="right") - 1, 0, len(self.times) - 2)
-        x, poly, out = np.expand_dims(g - self.times[i], -1), self.poly[i], 0.0
-        for d in range(poly.shape[-2] - 1, order - 1, -1):
-            out = out * x + math.perm(d, order) * poly[..., d, :]
+        x, out = np.expand_dims(g - self.times[i], -1), 0.0
+        for d in range(self.poly.shape[-2] - 1, order - 1, -1):     # one degree's rows at a time
+            out = out * x + math.perm(d, order) * self.poly[i, d]
         return out
 
     def pieces(self, tau: float):

@@ -17,7 +17,8 @@ Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each 
   Diffusion is Crank-Nicolson on the 3-point Laplacian (second order, unconditionally
   stable); the time step equals the delay-line spacing, so transport is exact and the delay
   line is the previous delay window's temperature rows, kept in DST-I coordinates in one
-  buffer that each window steps in place; y0 and the history enter as sine coefficients.
+  buffer that each window steps in place by the decay scan; y0 and the history enter as
+  sine coefficients.
   The transform and the fold of sine coefficients into its bins are `basis._sine` and
   `basis._sine_bins`, which `EigenBasis.on_mesh` also uses.
   ``sample_times`` get coefficient rows from the bins; only snapshot rows go back to the grid.
@@ -37,6 +38,8 @@ from .basis import _BLOCK, _decay_scan, _grid_index, _sine, _sine_bins, _step_gr
 from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
+
+_SCAN_ROWS = 256    # rows per block of the hybrid's decay scan, which bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -219,8 +222,10 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
     delay line of W + ns + 1 rows of min(K, nx - 1) bins (the rest stay 0), W = ceil(n_steps / ns)
     windows.  Window w finds its source Z_0 .. Z_ns in rows b .. b + ns, b = W - w (for window 0
     the history, ending in phi(0^-)), puts Y_{n0} in row b - 1 and steps in place: row b + k
-    becomes g (Z_k + Z_{k+1}), then Y_{n0 + k + 1}, so rows b - 1 .. b - 1 + ns are the next
-    window's source.  Only the snapshots' rows go back to the grid, the history's among them.
+    becomes g (Z_k + Z_{k+1}), then Y_{n0 + k + 1} by `basis._decay_scan` down rows
+    b - 1 .. b - 1 + ns, in blocks of _SCAN_ROWS rows that each start at the row the last one
+    ended with, so rows b - 1 .. b - 1 + ns are the next window's source.  Only the snapshots'
+    rows go back to the grid, the history's among them.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
@@ -249,15 +254,15 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
 
     half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nb + 1) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
-    y, buf_rows = _sine_bins(y0, nx, nx * math.sqrt(2.0 / L), np.zeros(nb)), list(buf)
+    y = _sine_bins(y0, nx, nx * math.sqrt(2.0 / L), np.zeros(nb))
     for w, n0 in enumerate(range(0, n_steps, ns)):      # the window of steps n0 .. n0 + m - 1
         m, b = min(ns, n_steps - n0), n_win - w         # its source Z_0 .. Z_ns: rows b .. b + ns
         buf[b - 1] = y
         src = buf[b:b + m]      # forward in place: row b + k + 1 is read before it is written
         np.add(src, buf[b + 1:b + m + 1], out=src)
         src *= g
-        for last, row in zip(buf_rows[b - 1:b + m - 1], buf_rows[b:b + m]):
-            row += q * last                     # rows b - 1 .. b - 1 + m hold Y_{n0} .. Y_{n0 + m}
+        for r in range(b - 1, b + m - 1, _SCAN_ROWS - 1):    # rows b - 1 .. b - 1 + m, each
+            _decay_scan(buf[r:min(r + _SCAN_ROWS, b + m)], q)    # block from the last one's end
         kept = (n0 <= need) & (need <= n0 + m)
         spec[kept, :nb] = buf[need[kept] - n0 + b - 1]
         y = buf[b + m - 1]

@@ -92,12 +92,11 @@ def suite_identity() -> SuiteResult:
     sq = rng.standard_normal((n_fields, K)) ** 2        # one field per row
     svals = np.array([-1.0, 0.0, 2.0])
     norms = sq @ lams[:, None] ** svals                 # (n_fields, s): squared index-s norms
-    # integrals[beta][alpha]: one rule per beta serves every alpha
-    integrals = [np.add(*diag._mode_time_integral(lams, range(4), beta)) for beta in range(4)]
+    pairs = list(itertools.product(range(4), range(4)))
     rows = []
-    for alpha, beta in itertools.product(range(4), range(4)):
+    for (alpha, beta), integral in zip(pairs, np.add(*diag._mode_time_integral(lams, pairs))):
         idx = svals + 2.0 * (beta - alpha) + 1.0
-        lhs = sq @ (integrals[beta][alpha][:, None] * lams[:, None] ** idx)
+        lhs = sq @ (integral[:, None] * lams[:, None] ** idx)
         worst = np.max(np.abs(lhs / (diag.weight_factor(alpha, beta) * norms) - 1.0), axis=0)
         for s, w in zip(svals.tolist(), worst.tolist()):
             rows.append(CheckRow(f"identity a={alpha} b={beta} s={s:g}", w <= 1e-6, w, 1e-6))

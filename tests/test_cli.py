@@ -750,10 +750,11 @@ def test_picard_step_not_positive_and_finite_exits_2(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("solver, key, n_bytes", [
     ("picard", "picard.dt", 8 * 10 * 161 * 60),     # 160 steps of 1/64 to T = 2.5, K = 60
-    ("rk4-modes", "rk4.dt", 8 * 61 * (2501 + 3 * 1001)),
-    # 804 delay-line rows of 60 bins and 32 values for each row's view, 2001 step times, 6
+    # the zero history: 2501 steps, 64 rows of per-mode arrays and 4 windows of 1001 rows
+    ("rk4-modes", "rk4.dt", 8 * 61 * (2501 + 64 + 4 * 1001)),
+    # 804 delay-line rows of 60 bins and two 256-row scan blocks, 2001 step times, 6
     # coefficient rows and 6 kept rows of bins and grid values
-    ("hybrid", "hybrid.nx, hybrid.ns", 8 * (804 * (60 + 32) + 2001 + 6 * 60 + 2 * 6 * 401)),
+    ("hybrid", "hybrid.nx, hybrid.ns", 8 * ((804 + 512) * 60 + 2001 + 6 * 60 + 2 * 6 * 401)),
 ])
 def test_a_stepping_grid_that_does_not_fit_in_memory_exits_2_before_it_is_made(
         tmp_path, monkeypatch, capsys, solver, key, n_bytes):
@@ -1082,6 +1083,35 @@ def test_hybrid_on_a_mesh_coarser_than_the_modes_writes_its_own_grid(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["health"]["unresolved_modes"] == 41
 
 
+def _estimate_and_traced_peak(tmp_path, monkeypatch, solver, K, argv):
+    """The byte estimate `_fits_in_memory` checks and the tracemalloc peak of the solve, for
+    `simulate --run.solver <solver>` with argv and a K-mode grid history file at hand."""
+    import tracemalloc
+
+    import delayheat.cli as cli
+    import delayheat.refsolvers as rs
+    name = {"hybrid": "hybrid_simulate", "rk4-modes": "rk4_dde_mode"}[solver]
+    seen, fits, solve = {}, cli._fits_in_memory, getattr(rs, name)
+    monkeypatch.setattr(cli, "_fits_in_memory", lambda key, n: seen.update(estimate=n) or fits(key, n))
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+
+    monkeypatch.setattr(rs, name, traced)
+    hist = tmp_path / "hist.csv"
+    hist.write_text("gamma,k,coeff\n" + "".join(f"{g},{k},{math.cos(g * k) / k!r}\n"
+                                                 for g in np.linspace(-1.0, 0.0, 9).tolist()
+                                                 for k in range(1, K + 1)))
+    assert main(["simulate", "--run.solver", solver, "--history.file", str(hist), *argv,
+                 "--run.out_dir", str(tmp_path / "out")]) == 0
+    return seen["estimate"], seen["peak"]
+
+
 @pytest.mark.parametrize("extra", [
     [],
     ["--hybrid.z_dump_times", "0.5 2.5"],
@@ -1093,30 +1123,32 @@ def test_hybrid_on_a_mesh_coarser_than_the_modes_writes_its_own_grid(tmp_path):
      "--history.kind", "compatible"],
     ["--hybrid.nx", "50", "--hybrid.ns", "1500", "--model.modes", "240", "--history.kind",
      "grid", "--history.interp_order", "3"],
-], ids=["default", "dumps", "coarse", "fine-x", "wide-K", "cubic-grid"])
+    ["--model.modes", "399"],
+    ["--model.modes", "399", "--hybrid.ns", "300", "--run.times", "0 10 20"],
+], ids=["default", "dumps", "coarse", "fine-x", "wide-K", "cubic-grid", "all-bins",
+        "all-bins-20-windows"])
 def test_the_hybrid_memory_estimate_bounds_what_the_run_allocates(tmp_path, monkeypatch, extra):
     # the estimate _fits_in_memory checks is an upper bound of the traced peak of the solve,
-    # history reads included; the one it replaced was under it on every one of these runs
-    import tracemalloc
+    # history reads and the scan's blocks included; the estimate before the blocked scan was
+    # under it over 20 windows of all 399 bins (1.18 MB against a 1.20 MB peak)
+    estimate, peak = _estimate_and_traced_peak(tmp_path, monkeypatch, "hybrid", 240, extra)
+    assert peak <= estimate, (peak, estimate)
 
-    import delayheat.cli as cli
-    import delayheat.refsolvers as rs
-    seen, fits, simulate = {}, cli._fits_in_memory, rs.hybrid_simulate
-    monkeypatch.setattr(cli, "_fits_in_memory", lambda key, n: seen.update(estimate=n) or fits(key, n))
 
-    def traced(*args, **kwargs):
-        tracemalloc.start()
-        try:
-            return simulate(*args, **kwargs)
-        finally:
-            seen["peak"] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-
-    monkeypatch.setattr(rs, "hybrid_simulate", traced)
-    hist = tmp_path / "hist.csv"
-    hist.write_text("gamma,k,coeff\n" + "".join(f"{g},{k},{math.cos(g * k) / k!r}\n"
-                                                 for g in np.linspace(-1.0, 0.0, 9).tolist()
-                                                 for k in range(1, 241)))
-    assert main(["simulate", "--run.solver", "hybrid", "--history.file", str(hist), *extra,
-                 "--run.out_dir", str(tmp_path / "out")]) == 0
-    assert seen["peak"] <= seen["estimate"], seen
+@pytest.mark.parametrize("dt", ["0.001", "0.01"])
+@pytest.mark.parametrize("K", [60, 240])
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--history.kind", "compatible"],
+    ["--history.kind", "exp", "--history.profile", "1 2 3"],
+    ["--history.kind", "grid"],
+    ["--history.kind", "grid", "--history.interp_order", "3"],
+], ids=["zero", "compatible", "exp", "grid-linear", "grid-cubic"])
+def test_the_rk4_memory_estimate_bounds_what_the_run_allocates(tmp_path, monkeypatch, extra, K,
+                                                               dt):
+    # the estimate _fits_in_memory checks is an upper bound of the traced peak of the solve,
+    # window 0's history reads included; the one it replaced was under it with every history
+    # (2.69 MB against 3.70 MB for the compatible history at K = 60)
+    estimate, peak = _estimate_and_traced_peak(tmp_path, monkeypatch, "rk4-modes", K, [
+        "--model.modes", str(K), "--rk4.dt", dt, *extra])
+    assert peak <= estimate, (peak, estimate)

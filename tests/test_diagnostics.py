@@ -45,7 +45,7 @@ def test_weight_factor_against_adaptive_quadrature(alpha, beta):
 def _identity_ratio(y0, s, alpha, beta):
     # lhs assembled mode by mode from the independent time quadrature, rhs from the closed form
     lams = y0.basis.eigenvalues()
-    bulk, tail = _mode_time_integral(lams, (alpha,), beta)
+    bulk, tail = _mode_time_integral(lams, [(alpha, beta)])
     lhs = np.sum((bulk[0] + tail[0]) * y0.coeffs**2 * lams ** (s + 2.0 * (beta - alpha) + 1.0))
     return lhs / (weight_factor(alpha, beta) * hs_norm(y0, s) ** 2)
 
@@ -86,18 +86,17 @@ def test_mode_time_integral_is_the_scaling_law():
     # u = lam t turns the weighted-orbit integral of mode lam into
     # lam^(2 alpha - 2 beta - 1) times the rate-1 integral, for every mode
     lams = EigenBasis(1.0, 60).eigenvalues()
-    for beta in range(4):
-        bulk, tail = _mode_time_integral(lams, range(4), beta)
-        for alpha in range(4):
-            expected = lams ** (2 * alpha - 2 * beta - 1) * weight_factor(alpha, beta)
-            assert_allclose(bulk[alpha] + tail[alpha], expected, rtol=1e-6,
-                            err_msg=f"{alpha} {beta}")
+    pairs = [(alpha, beta) for beta in range(4) for alpha in range(4)]
+    bulk, tail = _mode_time_integral(lams, pairs)
+    for (alpha, beta), integral in zip(pairs, bulk + tail):
+        expected = lams ** (2 * alpha - 2 * beta - 1) * weight_factor(alpha, beta)
+        assert_allclose(integral, expected, rtol=1e-6, err_msg=f"{alpha} {beta}")
 
 
-def _one_alpha_integral(lams, alpha, beta):
-    """The single-alpha quadrature: its own rule, powers and e^{-lam t}, the product rule's
-    terms in order, then the exact tail."""
-    t_cut, x, w = _mode_rules(lams, beta)
+def _pointwise_integral(lams, alpha, beta):
+    """The quadrature the moment table replaces: on the same rule of each mode, the product
+    rule's terms in order at every node, squared there, then the exact tail."""
+    t_cut, x, w = _mode_rules(lams, 3)
     lam, vals = lams[:, None], np.zeros_like(x)
     for l in range(min(alpha, beta) + 1):
         c = math.comb(alpha, l) * math.factorial(beta) / math.factorial(beta - l)
@@ -106,17 +105,32 @@ def _one_alpha_integral(lams, alpha, beta):
     return np.sum(w * vals**2, axis=1), _exact_tail(lams, alpha, beta, t_cut)
 
 
+def test_mode_time_integral_from_moments_equals_the_pointwise_quadrature():
+    # the squared polynomial dotted with each mode's moments is the pointwise quadrature to
+    # rounding (1.5e-14 relative at worst, alpha = 2, beta = 3), and its tail the closed form's
+    lams = EigenBasis(1.0, 60).eigenvalues()
+    pairs = [(alpha, beta) for alpha in range(4) for beta in range(4)]
+    bulk, tail = _mode_time_integral(lams, pairs)
+    for i, (alpha, beta) in enumerate(pairs):
+        ref_bulk, ref_tail = _pointwise_integral(lams, alpha, beta)
+        assert_allclose(bulk[i], ref_bulk, rtol=1e-13, atol=0.0, err_msg=f"{alpha} {beta}")
+        assert_allclose(tail[i], ref_tail, rtol=1e-13, atol=0.0, err_msg=f"{alpha} {beta}")
+
+
 @pytest.mark.parametrize("beta", [0, 1, 2, 3])
 def test_mode_time_integral_over_several_alphas_equals_each_alpha_alone(beta):
-    # the shared rule, decay and powers change no bit of any alpha's row, in any alpha order
+    # the shared moment table changes no bit of any pair's row, in any order of the pairs,
+    # these alphas among every other pair
     lams = EigenBasis(1.0, 60).eigenvalues()
     alphas = (3, 0, 2, 1)
-    bulk, tail = _mode_time_integral(lams, alphas, beta)
-    assert bulk.shape == tail.shape == (4, 60)
+    pairs = [(alpha, beta) for alpha in alphas] + [(a, b) for b in range(4) if b != beta
+                                                   for a in (1, 3, 0, 2)]
+    bulk, tail = _mode_time_integral(lams, pairs)
+    assert bulk.shape == tail.shape == (16, 60)
     for i, alpha in enumerate(alphas):
-        ref_bulk, ref_tail = _one_alpha_integral(lams, alpha, beta)
-        assert bulk[i].tobytes() == ref_bulk.tobytes(), alpha
-        assert tail[i].tobytes() == ref_tail.tobytes(), alpha
+        ref_bulk, ref_tail = _mode_time_integral(lams, [(alpha, beta)])
+        assert bulk[i].tobytes() == ref_bulk[0].tobytes(), alpha
+        assert tail[i].tobytes() == ref_tail[0].tobytes(), alpha
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,32 @@ def test_history_coeffs_array_gamma_equals_stacked_scalar_calls(basis):
 
 
 @pytest.mark.parametrize("interp_order", [1, 3])
+def test_grid_history_reads_one_degree_of_rows_at_a_time(interp_order):
+    # Horner over poly[i, d] equals bit for bit the Horner over the gather poly[i] of every
+    # degree it replaced, and peaks at 3.0 (n, K) arrays for 3001 gammas at K = 240 where the
+    # gather took 5.0 (linear) and 7.0 (cubic)
+    import tracemalloc
+
+    k = np.arange(1, 241)
+    times, gammas = np.linspace(-1.0, 0.0, 9), np.linspace(-1.0, 0.0, 3001)
+    phi = GridHistory(times, np.cos(np.multiply.outer(times, k)) / k, EigenBasis(1.0, 240),
+                      interp_order)
+    i = np.clip(np.searchsorted(times, gammas, side="right") - 1, 0, len(times) - 2)
+    for order in range(interp_order):
+        x, poly, want = np.expand_dims(gammas - times[i], -1), phi.poly[i], 0.0
+        for d in range(poly.shape[-2] - 1, order - 1, -1):
+            want = want * x + math.perm(d, order) * poly[..., d, :]
+        tracemalloc.start()
+        try:
+            got = phi.coeffs(gammas, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes(), order
+        assert peak < 3.5 * got.nbytes, (order, peak / got.nbytes)
+
+
+@pytest.mark.parametrize("interp_order", [1, 3])
 def test_grid_history_coeffs_rejects_gamma_outside_the_samples(basis, interp_order):
     # -1.25 and 0.5 were clamped to the end samples without a word
     times = np.linspace(-1.0, 0.0, 9)
