@@ -333,7 +333,8 @@ def cmd_simulate(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     T = max(max(times), params.tau)     # the stepping solvers' horizon
     manifest.phase("build")
 
-    out_times, rows, health, dumps = _SOLVERS[solver](cfg, basis, params, y0, phi, times, T)
+    with np.errstate(over="ignore", invalid="ignore"):      # rows and grid checked finite below
+        out_times, rows, health, dumps = _SOLVERS[solver](cfg, basis, params, y0, phi, times, T)
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
     manifest.data["health"] = health
     grid = basis.on_mesh(rows, nx)

@@ -798,6 +798,25 @@ def test_simulate_closed_form_overflow_prints_no_numpy_warning(tmp_path, monkeyp
         assert "non-finite" in json.loads((out / "manifest.json").read_text())["error"]
 
 
+@pytest.mark.parametrize("extra", [["--model.coupling", "1e300"],
+                                   ["--history.kind", "exp", "--history.rate", "-800"]])
+@pytest.mark.parametrize("solver", ["picard", "rk4-modes", "hybrid"])
+def test_stepping_solver_overflow_exits_1_as_a_numerical_failure(tmp_path, monkeypatch, capsys,
+                                                                 solver, extra):
+    # the stepping solvers overflowed with numpy RuntimeWarnings on the way to the finiteness
+    # check; as errors, those took main's catch-all ("error: overflow encountered in ...")
+    # and left no manifest
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--run.solver", solver, *extra, "--run.out_dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"numerical failure: {solver} produced ")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "non-finite coefficients" in manifest["error"] and manifest["outputs"] == []
+
+
 def _python_env():
     """The environment of a child python that imports delayheat from this source tree."""
     env = dict(os.environ)
@@ -870,6 +889,26 @@ for i, argv in enumerate(json.loads(sys.argv[2])):
     assert {m["command"] for m in manifests} == {"simulate", "diagnose", "figure6", "validate"}
     import_s = {m["phases"]["import_s"] for m in manifests}
     assert len(import_s) == 1 and 0.0 < import_s.pop() < 60.0
+
+
+def test_no_command_loads_numpy_random_or_numpy_ma(tmp_path):
+    # validate draws its test fields from a deterministic sequence and the figure suite's median
+    # is a partition, so no command pays for importing numpy.random or numpy.ma
+    runs = [["simulate", "--run.solver", solver] for solver in sorted(_SOLVERS)]
+    runs += [["diagnose"], ["figure6"], ["validate", "--suite", "all"]]
+    script = """
+import json, sys
+import delayheat.cli as cli
+out = sys.argv[1]
+for i, argv in enumerate(json.loads(sys.argv[2])):
+    rc = cli.main(argv + ["--run.out_dir", f"{out}/{i}"])
+    print("loaded:", rc, sorted({"numpy.random", "numpy.ma"} & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(runs)],
+                          env=_python_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded: ")]
+    assert lines == ["loaded: 0 []"] * len(runs)
 
 
 def test_every_public_name_resolves_and_is_listed():
