@@ -5,7 +5,7 @@ from importlib import import_module
 
 _import_started = time.perf_counter()       # cli records the seconds since as phases.import_s
 
-from .basis import EigenBasis, SpectralField, dirac_coeffs, hs_norm, project, semigroup_apply
+from .basis import EigenBasis, SpectralField, dirac_coeffs, project, semigroup_apply
 from .errors import InvalidArgumentError, NonFiniteOutputError, TruncationExceededError
 from .flow import (ExpModeHistory, FlowParams, GridHistory, SolutionTrace, characteristic_root,
                    compatible_history, delayed_exp, flow_derivative_factors, history_convolution,
@@ -20,7 +20,7 @@ _LAZY = (dict.fromkeys(("ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParam
                           "endpoint_jump_scan"), "diagnostics"))
 
 __all__ = [
-    "EigenBasis", "SpectralField", "project", "semigroup_apply", "hs_norm", "dirac_coeffs",
+    "EigenBasis", "SpectralField", "project", "semigroup_apply", "dirac_coeffs",
     "FlowParams", "ExpModeHistory", "GridHistory", "SolutionTrace",
     "delayed_exp", "flow_derivative_factors", "history_convolution", "solve_trace",
     "picard_solve", "characteristic_root", "compatible_history",

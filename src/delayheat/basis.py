@@ -1,13 +1,12 @@
-"""Dirichlet sine eigenbasis on an interval, spectral fields and Sobolev-scale norms.
+"""Dirichlet sine eigenbasis on an interval and spectral fields.
 
 Everything in this module is diagonal in the basis ``e_k(x) = sqrt(2/L) sin(k pi x / L)``
 with eigenvalues ``lambda_k = (k pi / L)^2`` of the negative Dirichlet Laplacian.
 A function is represented by its first K coefficients; the heat semigroup acts as
-``c_k -> c_k * exp(-lambda_k t)`` and the H^s-scale norm is
-``sqrt(sum c_k^2 lambda_k^s)``.  On the uniform mesh the nodal values of K coefficients are
-one DST-I (discrete sine transform of type I) away: `EigenBasis.on_mesh` takes them by one
-real FFT per block of rows, and the hybrid oracle of `refsolvers` steps in the same
-coordinates (`_sine`, `_sine_bins`).
+``c_k -> c_k * exp(-lambda_k t)``.  On the uniform mesh the nodal values of K coefficients are
+one DST-I (discrete sine transform of type I) away: `EigenBasis.on_mesh`, the one place grid
+values are made, folds them onto the mesh's sine bins (`_sine_bins`) and takes one real FFT
+per block of rows (`_sine`); the hybrid oracle of `refsolvers` steps those bins unscaled.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "SpectralField",
     "project",
     "semigroup_apply",
-    "hs_norm",
     "dirac_coeffs",
 ]
 
@@ -68,8 +66,8 @@ class EigenBasis:
 
         The interior nodes come from one DST-I per block of rows (`_sine`), modes k >= nx
         folded onto their bins (`_sine_bins`); both end cells are exactly 0.  The coefficients
-        are scaled by sqrt(2/L)/2 before the transform, so its intermediates stay about the size
-        of the values, not nx times larger.  A value past the float range is left as inf or nan
+        are scaled by sqrt(2/L)/2 before the fold, so the transform's intermediates stay about the
+        size of the values, not nx times larger.  A value past the float range is left as inf or nan
         for the caller's finiteness check.
         """
         if nx < 1:
@@ -78,9 +76,8 @@ class EigenBasis:
         out = np.zeros((len(coeffs), nx + 1))
         with np.errstate(over="ignore", invalid="ignore"):
             for b in range(0, len(coeffs), _BLOCK):
-                block = coeffs[b:b + _BLOCK]
-                bins = _sine_bins(block, nx, math.sqrt(2.0 / self.L) / 2.0,
-                                  np.zeros((len(block), nx - 1)))
+                block = coeffs[b:b + _BLOCK] * (math.sqrt(2.0 / self.L) / 2.0)
+                bins = _sine_bins(block, nx, np.zeros((len(block), nx - 1)))
                 out[b:b + _BLOCK, 1:-1] = _sine(bins)
         return out
 
@@ -94,13 +91,11 @@ def _sine(v: np.ndarray) -> np.ndarray:
     return 0.0 - np.fft.rfft(odd)[..., 1:n].imag      # 0 - x: a zero row comes back +0
 
 
-def _sine_bins(c: np.ndarray, nx: int, scale: float, out: np.ndarray) -> np.ndarray:
-    """Add to `out` (..., nx - 1), zero on entry, the bins whose `_sine` is
-    2 scale sum_k c_k sin(k pi m / nx) at the interior nodes m, c (..., K): mode k < nx lands in
-    bin k times `scale`; a mode k >= nx folds onto bin r = k mod 2nx, or onto 2nx - r with a minus
-    sign when r > nx; r = 0 and nx vanish.  `on_mesh` takes scale = sqrt(2/L)/2, so the `_sine`
-    is the nodal values; the hybrid oracle takes nx sqrt(2/L)."""
-    c = c * scale
+def _sine_bins(c: np.ndarray, nx: int, out: np.ndarray) -> np.ndarray:
+    """Add to `out` (..., nx - 1 or fewer), zero on entry, the bins whose `_sine` is
+    2 sum_k c_k sin(k pi m / nx) at the interior nodes m, c (..., K): mode k < nx lands in bin k;
+    a mode k >= nx folds onto bin r = k mod 2nx, or onto 2nx - r with a minus sign when r > nx;
+    r = 0 and nx vanish."""
     for k0 in range(0, c.shape[-1], 2 * nx):        # modes k0 + 1 .. k0 + 2nx
         up, down = c[..., k0:k0 + nx - 1], c[..., k0 + nx:k0 + 2 * nx - 1]
         out[..., :up.shape[-1]] += up
@@ -128,15 +123,6 @@ class SpectralField:
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_basis(other)
         return SpectralField(self.basis, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_basis(other)
-        return SpectralField(self.basis, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
 
     def _check_same_basis(self, other: "SpectralField"):
         if other.basis != self.basis:
@@ -261,12 +247,6 @@ def _step_grid(tau: float, dt: float, T: float, min_sub: int = 1) -> tuple[int, 
     """n_sub and the grid k h, k = 0..n_steps, of `_step_count`."""
     n_sub, n_steps = _step_count(tau, dt, T, min_sub)
     return n_sub, np.arange(n_steps + 1) * (tau / n_sub)
-
-
-def hs_norm(fld: SpectralField, s: float) -> float:
-    """Spectral Sobolev-scale norm sqrt(sum c_k^2 lambda_k^s)."""
-    lam = fld.basis.eigenvalues()
-    return math.sqrt(float(np.sum(fld.coeffs**2 * lam**float(s))))
 
 
 def dirac_coeffs(x0: float, basis: EigenBasis) -> SpectralField:

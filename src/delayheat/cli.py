@@ -8,13 +8,13 @@ Subcommands
 
 `simulate` looks `run.solver` up in `_SOLVERS` before it builds anything.  Each entry takes
 (cfg, basis, params, y0, phi, times, T) and returns the sample times, their coefficient rows,
-the manifest's `health` figures and {transport file: `write_transport_dump_csv` arguments}.
+the manifest's `health` figures and {transport file: (t, hybrid.nx, coefficient rows z(t, s))}.
 The closed form is evaluated at the requested instants themselves; each stepping solver first
 checks that its arrays, whose size the config fixes, fit in physical memory, then checks the
 instants against its grid, so the checks are timed in the `solve_s` phase and a grid too large or
-a rejected instant exits 2 before any grid is made or the output directory exists.  The rows of
-`trace_grid.csv` are the coefficient rows on the mesh by `EigenBasis.on_mesh`, for every solver,
-formed and checked finite within `solve_s`: a non-finite coefficient or grid value exits 1.
+a rejected instant exits 2 before any grid is made or the output directory exists.  Every grid
+`simulate` writes, `trace_grid.csv` and each transport dump, is coefficient rows put on a mesh by
+`EigenBasis.on_mesh`, formed and checked finite within `solve_s`: a non-finite value exits 1.
 
 Configuration is a flat "key = value" file with sections; every option can be
 overridden on the command line as ``--section.key value``; a section or key
@@ -114,6 +114,7 @@ def _num(cfg, key: str, kind=float):
 
 def build_model(cfg) -> tuple[EigenBasis, FlowParams]:
     basis = EigenBasis(_num(cfg, "model.length"), _num(cfg, "model.modes", int))
+    _fits_in_memory("model.modes", 8 * basis.K)     # every command makes a coefficient row
     params = FlowParams(a=_num(cfg, "model.coupling"), tau=_num(cfg, "model.tau"),
                         j_max=_num(cfg, "model.j_max", int))
     return basis, params
@@ -246,11 +247,11 @@ def _physical_memory() -> float:
 
 
 def _fits_in_memory(key: str, n_bytes: int) -> None:
-    """InvalidArgumentError naming `key` when a stepping solver's arrays would not fit."""
+    """InvalidArgumentError naming `key` when the n_bytes of arrays it sizes would not fit."""
     available = _physical_memory()
     if n_bytes > available:
-        raise InvalidArgumentError(f"{key}: the stepping grid needs {n_bytes:.4g} bytes of arrays, "
-                                   f"more than the {available:.4g} bytes of physical memory")
+        raise InvalidArgumentError(f"{key}: the arrays need {n_bytes:.4g} bytes, more than the "
+                                   f"{available:.4g} bytes of physical memory")
 
 
 def _closed_form(cfg, basis, params, y0, phi, times, T):
@@ -291,12 +292,12 @@ def _hybrid(cfg, basis, params, y0, phi, times, T):
     n_steps = _step_count(params.tau, params.tau / mesh.ns, T)[1]
     rows, dumped = -(-n_steps // mesh.ns) + mesh.ns + 1, len(z_times) * (mesh.ns + 1)
     # the step times; min(K, nx - 1) bins wide, the delay line and twice the rows of a scan
-    # block for its temporaries and iterator buffers; K wide, the coefficient rows and 8 per
-    # history row read; nx + 1 wide, the bins and grid rows kept and a block of transform buffers
+    # block for its temporaries and iterator buffers; K wide, the coefficient rows kept and 8 per
+    # history row read; nx + 1 wide, the dumps' grids and a block of their transform buffers
     _fits_in_memory("hybrid.nx, hybrid.ns", 8 * (
         n_steps + 1 + (rows + 2 * rs._SCAN_ROWS) * min(basis.K, mesh.nx - 1)
-        + (8 * (mesh.ns + 1) * (phi is not None) + len(times)) * basis.K
-        + (2 * (len(times) + dumped) + 8 * min(dumped, _BLOCK)) * (mesh.nx + 1)))
+        + (8 * (mesh.ns + 1) * (phi is not None) + len(times) + dumped) * basis.K
+        + (dumped + 8 * min(dumped, _BLOCK)) * (mesh.nx + 1)))
     grid = _step_grid(params.tau, params.tau / mesh.ns, T)[1]
     out_times, h = grid[_samples(grid, times, "hybrid")], float(grid[1])
     dumps = {}      # transport file name -> (requested t, grid index)
@@ -309,7 +310,7 @@ def _hybrid(cfg, basis, params, y0, phi, times, T):
     trace = rs.hybrid_simulate(y0.coeffs, None if phi is None else phi.coeffs, mesh, T,
                                params.a, params.tau, basis.L, sample_times=tuple(out_times),
                                z_sample_times=tuple(z_times))
-    dumps = {name: (float(trace.times[i]), trace.s, basis.mesh(mesh.nx), trace.z_snapshots[t])
+    dumps = {name: (float(trace.times[i]), mesh.nx, trace.z_snapshots[t])
              for name, (t, i) in dumps.items()}
     health = {"h": h, "r": h / (basis.L / mesh.nx) ** 2,
               "unresolved_modes": max(0, basis.K - mesh.nx + 1)}     # written as 0
@@ -329,6 +330,7 @@ def cmd_simulate(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     phi = build_history(cfg, basis, params, y0)
     times = _run_times(cfg)
     nx = _num(cfg, "run.nx", int)
+    _fits_in_memory("run.nx", 8 * (len(times) + 1) * (nx + 1))     # the mesh and grid, at least
     xs = basis.mesh(nx)         # rejects nx < 1 before the output directory exists
     T = max(max(times), params.tau)     # the stepping solvers' horizon
     manifest.phase("build")
@@ -337,10 +339,14 @@ def cmd_simulate(cfg, args, manifest: Manifest) -> tuple[dict, int]:
         out_times, rows, health, dumps = _SOLVERS[solver](cfg, basis, params, y0, phi, times, T)
     health["snap_max_offset"] = float(np.max(np.abs(out_times - np.asarray(times))))
     manifest.data["health"] = health
+    dumps = {name: (t, np.linspace(0.0, params.tau, len(z)), basis.mesh(n), basis.on_mesh(z, n))
+             for name, (t, n, z) in dumps.items()}     # the row at s holds y(t - s)
     grid = basis.on_mesh(rows, nx)
     manifest.phase("solve")
     _finite(rows, solver, "coefficients", out_times, "k", range(1, basis.K + 1), manifest)
     _finite(grid, solver, "grid values", out_times, "x", xs, manifest)
+    for name, (t, s, xs_z, z) in dumps.items():
+        _finite(z, solver, f"{name} values", t - s, "x", xs_z, manifest)
     files = {name: lambda path, dump=dump: dio.write_transport_dump_csv(*dump, path)
              for name, dump in dumps.items()}
     files["trace_coeffs.csv"] = lambda path: dio.write_coeff_trace_csv(out_times, rows, path)
@@ -387,9 +393,10 @@ def cmd_figure6(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     if cfg["history"].get("kind") != "zero":
         raise InvalidArgumentError("figure6 is defined for zero history only")
     times = _run_times(cfg)
+    nx = _num(cfg, "run.nx", int)
+    _fits_in_memory("run.nx", 8 * (len(times) + 1) * (nx + 1))     # the mesh and panels, at least
     manifest.phase("build")
-    xs, panels = figure_panels(times, _num(cfg, "initial.x0"), basis.K, _num(cfg, "run.nx", int),
-                               basis.L, params)
+    xs, panels = figure_panels(times, _num(cfg, "initial.x0"), basis.K, nx, basis.L, params)
     values = np.stack([panels[t] for t in times])
     manifest.phase("solve")
     _finite(values, "figure6", "values", times, "x", xs)

@@ -16,14 +16,12 @@ Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each 
   to a transport equation on (0, tau) that carries the delayed state, z(t, s) = y(t - s).
   Diffusion is Crank-Nicolson on the 3-point Laplacian (second order, unconditionally
   stable); the time step equals the delay-line spacing, so transport is exact and the delay
-  line is the previous delay window's temperature rows, kept in DST-I coordinates in one
-  buffer that each window steps in place by the decay scan; y0 and the history enter as
-  sine coefficients.
-  The transform and the fold of sine coefficients into its bins are `basis._sine` and
-  `basis._sine_bins`, which `EigenBasis.on_mesh` also uses.
-  ``sample_times`` get coefficient rows from the bins; only snapshot rows go back to the grid.
-  ``times`` is every step.  Its modes mu_j / dx^2 are finite-difference eigenvalues, not the
-  lam_k of the sine basis, and it reads nothing from `flow`.
+  line is the previous delay window's temperature rows, kept as plain sine coefficients in
+  one buffer that each window steps in place by the decay scan.  y0 and the history fold
+  into its bins by `basis._sine_bins`, and samples and snapshots are read back as
+  coefficient rows; `EigenBasis.on_mesh` puts them on a grid.  ``times`` is every step.
+  Its modes mu_j / dx^2 are finite-difference eigenvalues, not the lam_k of the sine basis,
+  and it reads nothing from `flow`.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import _BLOCK, _decay_scan, _grid_index, _sine, _sine_bins, _step_grid
+from .basis import _decay_scan, _grid_index, _sine_bins, _step_grid
 from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
@@ -192,8 +190,7 @@ class MeshParams:
 class HybridTrace:
     times: np.ndarray                        # every step n tau / ns, to the first at or past T
     coeffs: np.ndarray                       # shape (len(sample_times), K)
-    s: np.ndarray
-    z_snapshots: dict[float, np.ndarray]     # time -> z array of shape (ns + 1, nx + 1)
+    z_snapshots: dict[float, np.ndarray]     # time -> z(t, s_j) coefficient rows, (ns + 1, K)
 
 
 def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] | None,
@@ -204,28 +201,28 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
 
     y0 holds the K sine coefficients of the initial temperature, a finite (K,) array, and
     history(gammas) follows `phi.coeffs`, (n, K) rows for n gammas in [-tau, 0], called once;
-    other shapes raise InvalidArgumentError.  Both fold straight into the mesh's sine
-    coordinates (`_sine_bins`).  The step is dt = tau / ns, the delay-line spacing, so
+    other shapes raise InvalidArgumentError.  Both fold straight into the mesh's sine bins
+    (`_sine_bins`), unscaled.  The step is dt = tau / ns, the delay-line spacing, so
     z(t_n, s_j) = y(t_{n-j}) is a stored row, the history's phi(-s_j) for j > n.  Crank-Nicolson
     steps the temperature with the source a y(t - tau) averaged over the rows at the two ends of
     the step; the step that ends at t = tau reads the history's left limit phi(0^-), not y(0).  A
     sample or snapshot time t is taken at its nearest step (`basis._grid_index`); one farther than
     GRID_RTOL max(1, |t|) from every step raises InvalidArgumentError.  `times` is every step (the
-    bench tracer counts them), `coeffs` one (K,) row per sample time: mode k < nx is bin k over
-    nx sqrt(2/L), and the modes k >= nx, which the mesh cannot resolve, are 0.
+    bench tracer counts them), `coeffs` one (K,) row per sample time and `z_snapshots[t]` the
+    rows z(t, s_j) = y(t - s_j), s_j = j dt, j = 0..ns: mode k < nx is bin k, and the modes
+    k >= nx, which the mesh cannot resolve, are 0.
 
     DST-I diagonalises the second difference, eigenvalues -mu_j = -4 sin^2(j pi / (2 nx)) (Strang,
     SIAM Review 41, 1999): there a step is Y_{n+1} = q Y_n + g (Z_n + Z_{n+1}), Z the source rows,
     q = (1 - r mu / 2) / (1 + r mu / 2), g = a dt / (2 (1 + r mu / 2)).  One delay window of
     stored rows is the whole state of the method of steps (Bellen and Zennaro, Numerical Methods
-    for Delay Differential Equations, 2003, ch. 3), so the state stays in sine coordinates in one
+    for Delay Differential Equations, 2003, ch. 3), so the state stays in sine coefficients in one
     delay line of W + ns + 1 rows of min(K, nx - 1) bins (the rest stay 0), W = ceil(n_steps / ns)
     windows.  Window w finds its source Z_0 .. Z_ns in rows b .. b + ns, b = W - w (for window 0
     the history, ending in phi(0^-)), puts Y_{n0} in row b - 1 and steps in place: row b + k
     becomes g (Z_k + Z_{k+1}), then Y_{n0 + k + 1} by `basis._decay_scan` down rows
     b - 1 .. b - 1 + ns, in blocks of _SCAN_ROWS rows that each start at the row the last one
-    ended with, so rows b - 1 .. b - 1 + ns are the next window's source.  Only the snapshots'
-    rows go back to the grid, the history's among them.
+    ended with, so rows b - 1 .. b - 1 + ns are the next window's source.
     """
     if T <= 0.0:
         raise InvalidArgumentError("horizon must be positive")
@@ -235,7 +232,7 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
     if y0.ndim != 1 or not np.all(np.isfinite(y0)):
         raise InvalidArgumentError(f"y0 must be finite coefficients of shape (K,), got {y0.shape}")
     nx, ns, dt, nb = mesh.nx, mesh.ns, tau / mesh.ns, min(len(y0), mesh.nx - 1)
-    s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
+    times = _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
     samples = _grid_index(times, sample_times, "sample_times", "hybrid")
     snaps = _grid_index(times, z_sample_times, "z_sample_times", "hybrid")
@@ -244,17 +241,17 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
 
     # window 0's source: row n_win + ns + k holds step k = -ns .. 0, phi(0^-) at k = 0
     n_win = -(-n_steps // ns)
-    buf, spec = np.zeros((n_win + ns + 1, nb)), np.zeros((len(need), nx - 1))
+    buf, spec = np.zeros((n_win + ns + 1, nb)), np.zeros((len(need), len(y0)))    # k >= nx: 0
     if history is not None:
-        hist = np.asarray(history(-s[::-1]), dtype=float)
+        hist = np.asarray(history(-np.linspace(0.0, tau, ns + 1)[::-1]), dtype=float)
         if hist.shape != (ns + 1, len(y0)):
             raise InvalidArgumentError(f"history rows are {hist.shape}, need {(ns + 1, len(y0))}")
-        _sine_bins(hist, nx, nx * math.sqrt(2.0 / L), buf[n_win:])
+        _sine_bins(hist, nx, buf[n_win:])
         spec[need < 0, :nb] = buf[n_win + ns + need[need < 0]]
 
     half_rmu = dt / (L / nx) ** 2 * 2.0 * np.sin(np.arange(1, nb + 1) * (math.pi / (2 * nx))) ** 2
     q, g = (1.0 - half_rmu) / (1.0 + half_rmu), a * dt / (2.0 * (1.0 + half_rmu))
-    y = _sine_bins(y0, nx, nx * math.sqrt(2.0 / L), np.zeros(nb))
+    y = _sine_bins(y0, nx, np.zeros(nb))
     for w, n0 in enumerate(range(0, n_steps, ns)):      # the window of steps n0 .. n0 + m - 1
         m, b = min(ns, n_steps - n0), n_win - w         # its source Z_0 .. Z_ns: rows b .. b + ns
         buf[b - 1] = y
@@ -267,10 +264,5 @@ def hybrid_simulate(y0: np.ndarray, history: Callable[[np.ndarray], np.ndarray] 
         spec[kept, :nb] = buf[need[kept] - n0 + b - 1]
         y = buf[b + m - 1]
 
-    dumped, rows = spec[len(samples):], np.zeros((len(need) - len(samples), nx + 1))
-    for b in range(0, len(rows), _BLOCK):
-        rows[b:b + _BLOCK, 1:-1] = _sine(dumped[b:b + _BLOCK]) / (2 * nx)
-    coeffs = np.zeros((len(samples), len(y0)))              # modes k >= nx stay 0
-    coeffs[:, :nb] = spec[:len(samples), :nb] / (nx * math.sqrt(2.0 / L))
-    z_snapshots = dict(zip(z_sample_times, rows.reshape(-1, ns + 1, nx + 1)[:, ::-1]))
-    return HybridTrace(times, coeffs, s, z_snapshots)
+    z_rows = spec[len(samples):].reshape(-1, ns + 1, len(y0))[:, ::-1]
+    return HybridTrace(times, spec[:len(samples)], dict(zip(z_sample_times, z_rows)))

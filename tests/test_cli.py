@@ -752,9 +752,9 @@ def test_picard_step_not_positive_and_finite_exits_2(tmp_path, monkeypatch, caps
     ("picard", "picard.dt", 8 * 10 * 161 * 60),     # 160 steps of 1/64 to T = 2.5, K = 60
     # the zero history: 2501 steps, 64 rows of per-mode arrays and 4 windows of 1001 rows
     ("rk4-modes", "rk4.dt", 8 * 61 * (2501 + 64 + 4 * 1001)),
-    # 804 delay-line rows of 60 bins and two 256-row scan blocks, 2001 step times, 6
-    # coefficient rows and 6 kept rows of bins and grid values
-    ("hybrid", "hybrid.nx, hybrid.ns", 8 * ((804 + 512) * 60 + 2001 + 6 * 60 + 2 * 6 * 401)),
+    # 804 delay-line rows of 60 bins and two 256-row scan blocks, 2001 step times and 6
+    # coefficient rows kept
+    ("hybrid", "hybrid.nx, hybrid.ns", 8 * ((804 + 512) * 60 + 2001 + 6 * 60)),
 ])
 def test_a_stepping_grid_that_does_not_fit_in_memory_exits_2_before_it_is_made(
         tmp_path, monkeypatch, capsys, solver, key, n_bytes):
@@ -763,9 +763,31 @@ def test_a_stepping_grid_that_does_not_fit_in_memory_exits_2_before_it_is_made(
     monkeypatch.setattr(cli, "_step_grid", None)        # never reached
     monkeypatch.setenv("DELAY_HEAT_OUT", str(tmp_path / "o"))
     assert main(["simulate", "--run.solver", solver]) == 2
-    assert (f"{key}: the stepping grid needs {n_bytes:.4g} bytes of arrays, more than the "
-            f"1e+05 bytes of physical memory") in capsys.readouterr().err
+    assert (f"{key}: the arrays need {n_bytes:.4g} bytes, more than the 1e+05 bytes of "
+            f"physical memory") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, key, n_bytes", [
+    (["simulate", "--run.nx", "1000000000000"], "run.nx", 8 * 7 * (10**12 + 1)),
+    (["figure6", "--run.nx", "1000000000000"], "run.nx", 8 * 7 * (10**12 + 1)),
+    (["simulate", "--model.modes", "1000000000000"], "model.modes", 8 * 10**12),
+    (["simulate", "--run.solver", "rk4-modes", "--model.modes", "1000000000000"], "model.modes",
+     8 * 10**12),
+    (["figure6", "--model.modes", "1000000000000"], "model.modes", 8 * 10**12),
+    (["diagnose", "--model.modes", "1000000000000"], "model.modes", 8 * 10**12),
+], ids=["simulate-nx", "figure6-nx", "simulate-modes", "rk4-modes", "figure6-modes",
+        "diagnose-modes"])
+def test_a_size_past_physical_memory_exits_2_before_anything_is_allocated(
+        tmp_path, monkeypatch, capsys, argv, key, n_bytes):
+    # these took main's catch-all as "error: Unable to allocate 7.28 TiB ..." with exit 1; the
+    # figure checked is a lower bound of what the command allocates, so no run that fits is refused
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    assert main([*argv, "--run.out_dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {key}: the arrays need {n_bytes:.4g} bytes, more than the ")
+    assert not out.exists()
 
 
 def test_successive_main_calls_share_no_parser_state(tmp_path, monkeypatch):
@@ -815,6 +837,24 @@ def test_stepping_solver_overflow_exits_1_as_a_numerical_failure(tmp_path, monke
     assert [p.name for p in out.iterdir()] == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert "non-finite coefficients" in manifest["error"] and manifest["outputs"] == []
+
+
+def test_a_non_finite_transport_dump_exits_1_and_leaves_only_its_manifest(tmp_path, monkeypatch,
+                                                                         capsys):
+    # the dumps never reached the finiteness check: this run wrote 319,200 nan and inf cells
+    # into transport_t1.csv and exited 0; its coefficient and grid rows at t = 0 are finite
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--run.solver", "hybrid", "--history.kind", "exp",
+                     "--history.rate", "-800", "--run.times", "0", "--hybrid.z_dump_times", "1",
+                     "--run.out_dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: hybrid produced 319200 "
+                                              "non-finite transport_t1.csv values, the first at ")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "transport_t1.csv" in manifest["error"] and manifest["outputs"] == []
 
 
 def _python_env():
@@ -1122,32 +1162,69 @@ def test_hybrid_on_a_mesh_coarser_than_the_modes_writes_its_own_grid(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["health"]["unresolved_modes"] == 41
 
 
+def test_trace_grid_is_the_dump_row_at_s_0_bit_for_bit(tmp_path, monkeypatch):
+    # both grids are the same coefficient row put on the hybrid's mesh by `on_mesh`; the dumps
+    # had their own back-transform, and the two rows agreed only to rounding
+    monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
+    out = tmp_path / "out"
+    assert main(["simulate", "--run.solver", "hybrid", "--hybrid.nx", "20", "--hybrid.ns", "40",
+                 "--run.nx", "20", "--run.times", "0.5", "--hybrid.z_dump_times", "0.5",
+                 "--run.out_dir", str(out)]) == 0
+    grid = [(r["x"], r["value"]) for r in read_csv(out / "trace_grid.csv")]
+    dump = [(r["x"], r["value"]) for r in read_csv(out / "transport_t0.5.csv") if r["s"] == "0"]
+    assert len(grid) == 21 and grid == dump
+
+
 def _estimate_and_traced_peak(tmp_path, monkeypatch, solver, K, argv):
     """The byte estimate `_fits_in_memory` checks and the tracemalloc peak of the solve, for
-    `simulate --run.solver <solver>` with argv and a K-mode grid history file at hand."""
+    `simulate --run.solver <solver>` with argv and a K-mode grid history file at hand.  For the
+    hybrid the span runs on through the grids of its transport dumps, up to the grid of
+    `trace_grid.csv`, which `cmd_simulate` forms after them from the trace's coefficient rows."""
     import tracemalloc
 
     import delayheat.cli as cli
     import delayheat.refsolvers as rs
     name = {"hybrid": "hybrid_simulate", "rk4-modes": "rk4_dde_mode"}[solver]
-    seen, fits, solve = {}, cli._fits_in_memory, getattr(rs, name)
+    seen, fits, solve = {"grids": 0}, cli._fits_in_memory, getattr(rs, name)
+    on_mesh = EigenBasis.on_mesh
     monkeypatch.setattr(cli, "_fits_in_memory", lambda key, n: seen.update(estimate=n) or fits(key, n))
+
+    def stop():
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
     def traced(*args, **kwargs):
         tracemalloc.start()
-        try:
-            return solve(*args, **kwargs)
-        finally:
-            seen["peak"] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+        trace = solve(*args, **kwargs)
+        if solver == "hybrid":
+            seen["rows"] = trace.coeffs     # the span ends at their grid
+        else:
+            stop()
+        return trace
+
+    def grid(self, coeffs, nx):
+        if tracemalloc.is_tracing():
+            if coeffs is seen["rows"]:
+                stop()
+            else:
+                seen["grids"] += 1
+        return on_mesh(self, coeffs, nx)
 
     monkeypatch.setattr(rs, name, traced)
+    monkeypatch.setattr(EigenBasis, "on_mesh", grid)
     hist = tmp_path / "hist.csv"
     hist.write_text("gamma,k,coeff\n" + "".join(f"{g},{k},{math.cos(g * k) / k!r}\n"
                                                  for g in np.linspace(-1.0, 0.0, 9).tolist()
                                                  for k in range(1, K + 1)))
-    assert main(["simulate", "--run.solver", solver, "--history.file", str(hist), *argv,
-                 "--run.out_dir", str(tmp_path / "out")]) == 0
+    try:
+        assert main(["simulate", "--run.solver", solver, "--history.file", str(hist), *argv,
+                     "--run.out_dir", str(tmp_path / "out")]) == 0
+    finally:
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+    dumps = argv[argv.index("--hybrid.z_dump_times") + 1].split() if solver == "hybrid" and (
+        "--hybrid.z_dump_times" in argv) else []
+    assert seen["grids"] == len(dumps)      # every dump's grid was made inside the span
     return seen["estimate"], seen["peak"]
 
 
@@ -1168,8 +1245,9 @@ def _estimate_and_traced_peak(tmp_path, monkeypatch, solver, K, argv):
         "all-bins-20-windows"])
 def test_the_hybrid_memory_estimate_bounds_what_the_run_allocates(tmp_path, monkeypatch, extra):
     # the estimate _fits_in_memory checks is an upper bound of the traced peak of the solve,
-    # history reads and the scan's blocks included; the estimate before the blocked scan was
-    # under it over 20 windows of all 399 bins (1.18 MB against a 1.20 MB peak)
+    # history reads, the scan's blocks and the grids of the transport dumps included; the
+    # estimate before the blocked scan was under it over 20 windows of all 399 bins (1.18 MB
+    # against a 1.20 MB peak)
     estimate, peak = _estimate_and_traced_peak(tmp_path, monkeypatch, "hybrid", 240, extra)
     assert peak <= estimate, (peak, estimate)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_banded
 
+import delayheat.basis as bs
 import delayheat.flow as fl
 import delayheat.refsolvers as rs
 from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentError, MeshParams,
@@ -16,7 +17,7 @@ from delayheat import (EigenBasis, ExpModeHistory, FlowParams, InvalidArgumentEr
                        SpectralField, compatible_history, delayed_exp, dirac_coeffs,
                        hybrid_simulate,
                        rk4_dde_mode, semigroup_apply, solve_trace)
-from delayheat.basis import _grid_index, _step_grid
+from delayheat.basis import _grid_index, _sine, _sine_bins, _step_grid
 from delayheat.refsolvers import _phi123
 
 PI2 = math.pi**2
@@ -227,7 +228,7 @@ def _coords(nodal):
     """The K = nx - 1 sine coefficients on (0, 1) whose nodal samples are the rows `nodal`
     (ends zero), its exact DST-I coordinates."""
     nx = np.shape(nodal)[-1] - 1
-    return rs._sine(np.asarray(nodal, dtype=float)[..., 1:-1]) / (nx * math.sqrt(2.0))
+    return _sine(np.asarray(nodal, dtype=float)[..., 1:-1]) / (nx * math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("y0", [np.zeros((2, 17)), np.float64(1.0), np.array([0.0, math.nan]),
@@ -367,21 +368,21 @@ def _every_step(T, tau, ns):
 
 def test_hybrid_transport_is_exact_shift_of_history():
     # z(t, s) = y(t - s) for s <= t, bit for bit the s = 0 row of the snapshot at t - s, and
-    # phi(t - s) for s > t, the nodal samples of the rows of the one call phi(-tau), ...,
-    # phi(0^-) the simulator makes, up to the rounding of their sine transform
+    # phi(t - s) for s > t: on the grid, the nodal samples of the rows of the one call
+    # phi(-tau), ..., phi(0^-) the simulator makes, up to the rounding of the sine transform
     y0, hist = _hybrid_inputs()
-    mesh = MeshParams(nx=40, ns=20)
+    mesh, basis = MeshParams(nx=40, ns=20), EigenBasis(1.0, 4)
     steps = _every_step(2.0, 1.0, 20)
     tr = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=(), z_sample_times=steps)
-    phi_rows = hist(-tr.s[::-1]) @ _basis_grid(EigenBasis(1.0, 4), 40)[1].T
+    phi_rows = hist(-np.linspace(0.0, 1.0, 21)[::-1]) @ _basis_grid(basis, mesh.nx)[1].T
     for n in (6, 40):                           # t = 0.3 and 2.0
-        z = tr.z_snapshots[steps[n]]
-        assert z.shape == (mesh.ns + 1, mesh.nx + 1)
+        assert tr.z_snapshots[steps[n]].shape == (mesh.ns + 1, 4)
+        z = basis.on_mesh(tr.z_snapshots[steps[n]], mesh.nx)
         for j in range(mesh.ns + 1):
             if j > n:
                 assert_allclose(z[j], phi_rows[mesh.ns - (j - n)], rtol=0.0, atol=1e-14)
             else:
-                assert np.array_equal(z[j], tr.z_snapshots[steps[n - j]][0])
+                assert np.array_equal(z[j], basis.on_mesh(tr.z_snapshots[steps[n - j]], mesh.nx)[0])
 
 
 def test_hybrid_delay_loop_returns_previous_temperature():
@@ -397,17 +398,20 @@ def test_hybrid_delay_loop_returns_previous_temperature():
 
 @pytest.mark.parametrize("history", [False, True], ids=["zero", "history"])
 def test_hybrid_transforms_only_the_history_and_the_sampled_rows(monkeypatch, history):
-    # the state stays in sine coordinates over 3 delay windows: y0 and the history's
-    # ns + 1 rows fold into them with no transform, and the sampled row comes back as
-    # coefficients with none either (a stepper that stores grid rows transforms about 2 rows
-    # per step, 240 here)
+    # the state stays in sine coefficients over 3 delay windows: y0 and the history's
+    # ns + 1 rows fold into them with no transform, and the sampled row and the snapshot come
+    # back as coefficients with none either (a stepper that stores grid rows transforms about
+    # 2 rows per step, 240 here); only `on_mesh` transforms, the snapshot's 41 rows
     y0 = _coords(np.sin(math.pi * np.linspace(0.0, 1.0, 33)))
     hist = (lambda g: np.multiply.outer(np.cos(g), y0)) if history else None
-    counted, sine = [], rs._sine
-    monkeypatch.setattr(rs, "_sine", lambda v: counted.append(math.prod(v.shape[:-1])) or sine(v))
-    tr = hybrid_simulate(y0, hist, MeshParams(nx=32, ns=40), 3.0, 1.0, 1.0, sample_times=(3.0,))
+    counted, sine = [], bs._sine
+    monkeypatch.setattr(bs, "_sine", lambda v: counted.append(math.prod(v.shape[:-1])) or sine(v))
+    tr = hybrid_simulate(y0, hist, MeshParams(nx=32, ns=40), 3.0, 1.0, 1.0, sample_times=(3.0,),
+                         z_sample_times=(3.0,))
     assert tr.coeffs.shape == (1, 31) and len(tr.times) == 121
     assert sum(counted) == 0
+    EigenBasis(1.0, 31).on_mesh(tr.z_snapshots[3.0], 32)
+    assert sum(counted) == 41
 
 
 def test_hybrid_sampled_rows_equal_the_full_grid_rows():
@@ -416,8 +420,8 @@ def test_hybrid_sampled_rows_equal_the_full_grid_rows():
     full = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=_every_step(2.0, 1.0, 20))
     some = hybrid_simulate(y0, hist, mesh, 2.0, 1.0, 1.0, sample_times=(0.35, 1.0, 2.0))
     assert np.array_equal(some.coeffs, full.coeffs[[7, 20, 40]])
-    # y(0) is y0, up to the rounding of its scaling into the bins and back
-    assert_allclose(full.coeffs[0], y0, rtol=0.0, atol=1e-15)
+    # y(0) is y0: the bins hold the coefficients themselves
+    assert np.array_equal(full.coeffs[0], y0)
 
 
 def test_hybrid_cross_validates_closed_form():
@@ -483,11 +487,10 @@ def test_hybrid_equals_out_of_place_reference(nx, ns, z_time):
                                                           1.0, z_time)
     # the sine-transform steps round differently from the banded solve
     # (at most 2e-13 of max|value| measured on these meshes)
-    scale = np.max(np.abs(ref_values))
-    values = EigenBasis(1.0, nx - 1).on_mesh(tr.coeffs, nx)
-    assert np.max(np.abs(values - ref_values)) <= 1e-12 * scale
-    assert np.max(np.abs(tr.z_snapshots[z_step] - ref_z_early)) <= 1e-12 * scale
-    assert np.max(np.abs(tr.z_snapshots[end] - ref_z)) <= 1e-12 * scale
+    scale, basis = np.max(np.abs(ref_values)), EigenBasis(1.0, nx - 1)
+    assert np.max(np.abs(basis.on_mesh(tr.coeffs, nx) - ref_values)) <= 1e-12 * scale
+    for t, ref in ((z_step, ref_z_early), (end, ref_z)):
+        assert np.max(np.abs(basis.on_mesh(tr.z_snapshots[t], nx) - ref)) <= 1e-12 * scale
 
 
 def _hybrid_two_window_buffers(y0, history, mesh, T, a, tau, L=1.0, *, sample_times,
@@ -497,12 +500,11 @@ def _hybrid_two_window_buffers(y0, history, mesh, T, a, tau, L=1.0, *, sample_ti
     sine coordinates kept apart; the same per-element operations in the same order as the
     one in-place buffer of `hybrid_simulate`, whose window rows take the same blocked decay
     scan; `serial` steps them one row at a time instead, as the loop that scan replaced.
-    `to_sine` maps (..., K) coefficient rows to their (..., nx - 1) sine coordinates, by
-    default as the simulator does.  It steps every bin; the sampled rows come back by the
-    simulator's rule, bin k / (nx sqrt(2/L)) as mode k < nx and 0 for k >= nx."""
+    `to_sine` maps (..., K) coefficient rows to their (..., nx - 1) sine bins, by default as
+    the simulator does.  It steps every bin; the sampled rows and snapshots come back by the
+    simulator's rule, bin k as mode k < nx and 0 for k >= nx."""
     nx, ns, dt = mesh.nx, mesh.ns, tau / mesh.ns
-    to_sine = to_sine or (lambda c: rs._sine_bins(c, nx, nx * math.sqrt(2.0 / L),
-                                                 np.zeros(c.shape[:-1] + (nx - 1,))))
+    to_sine = to_sine or (lambda c: _sine_bins(c, nx, np.zeros(c.shape[:-1] + (nx - 1,))))
     s, times = np.linspace(0.0, tau, ns + 1), _step_grid(tau, dt, T)[1]
     n_steps = len(times) - 1
     samples = _grid_index(times, sample_times, "sample_times", "hybrid")
@@ -530,15 +532,12 @@ def _hybrid_two_window_buffers(y0, history, mesh, T, a, tau, L=1.0, *, sample_ti
         lo, hi = np.searchsorted(need, (n0, n0 + m + 1))
         spec[lo:hi] = cur[need[lo:hi] - n0]
         y, prev, cur = cur[m], cur, prev
-    rows = np.zeros((len(need), nx + 1))
-    for b in range(0, len(need), rs._BLOCK):
-        rows[b:b + rs._BLOCK, 1:-1] = rs._sine(spec[b:b + rs._BLOCK]) / (2 * nx)
+    K = np.shape(y0)[-1]
+    rows, nb = np.zeros((len(need), K)), min(K, nx - 1)
+    rows[:, :nb] = spec[:, :nb]
     at = lambda n: np.searchsorted(need, n)
     z_snapshots = {t: rows[at(n - ns):at(n) + 1][::-1] for t, n in zip(z_sample_times, snaps)}
-    K = np.shape(y0)[-1]
-    coeffs, nb = np.zeros((len(samples), K)), min(K, nx - 1)
-    coeffs[:, :nb] = spec[at(samples), :nb] / (nx * math.sqrt(2.0 / L))
-    return coeffs, z_snapshots
+    return rows[at(samples)], z_snapshots
 
 
 @pytest.mark.parametrize("nx, ns, T, dumps", [
@@ -569,14 +568,15 @@ def test_hybrid_equals_two_window_buffer_reference(nx, ns, T, dumps, history):
 @pytest.mark.parametrize("kind", ["zero", "exp", "compatible"])
 @pytest.mark.parametrize("a", [-1.3, 1.0])
 def test_hybrid_coefficient_input_equals_the_grid_path(K, kind, a):
-    # y0 and the history fold straight into sine coordinates; the grid path they replace
-    # sampled the modes on the nodes and transformed them.  nx = 8: modes 9 .. 15 fold onto
-    # bins 7 .. 1 with a minus sign, k = 8 and k = 16 vanish on the nodes, 17 .. 20 wrap.
+    # y0 and the history fold straight into sine bins; the grid path they replace sampled
+    # the modes on the nodes and transformed them.  nx = 8: modes 9 .. 15 fold onto bins
+    # 7 .. 1 with a minus sign, k = 8 and k = 16 vanish on the nodes, 17 .. 20 wrap.
     nx, ns, T, dumps = 8, 6, 2.5, (0.5, 2.5)
     basis = EigenBasis(1.0, K)
     y0 = SpectralField(basis, np.random.default_rng(K).standard_normal(K))
+    half = SpectralField(basis, 0.5 * y0.coeffs)
     # a < 0 has no real characteristic root here, so both runs take a = 1's compatible history
-    hist = {"zero": None, "exp": ExpModeHistory(y0 * 0.5, np.linspace(-2.0, 1.0, K)).coeffs,
+    hist = {"zero": None, "exp": ExpModeHistory(half, np.linspace(-2.0, 1.0, K)).coeffs,
             "compatible": compatible_history(y0, FlowParams()).coeffs}[kind]
     emat = _basis_grid(basis, nx)[1]
     steps = _every_step(T, 1.0, ns)
@@ -584,12 +584,13 @@ def test_hybrid_coefficient_input_equals_the_grid_path(K, kind, a):
                          z_sample_times=dumps)
     values, z_snapshots = _hybrid_two_window_buffers(
         y0.coeffs, hist, MeshParams(nx, ns), T, a, 1.0, sample_times=steps, z_sample_times=dumps,
-        to_sine=lambda c: rs._sine((c @ emat.T)[..., 1:-1]))
+        to_sine=lambda c: _sine((c @ emat.T)[..., 1:-1]) / (nx * math.sqrt(2.0)))
     scale = np.max(np.abs(values))
     assert scale > 0.1
     assert np.max(np.abs(tr.coeffs - values)) <= 1e-12 * scale
     for t in dumps:
-        assert np.max(np.abs(tr.z_snapshots[t] - z_snapshots[t])) <= 1e-12 * scale, t
+        gap = basis.on_mesh(tr.z_snapshots[t], nx) - basis.on_mesh(z_snapshots[t], nx)
+        assert np.max(np.abs(gap)) <= 1e-12 * scale, t
 
 
 @pytest.mark.parametrize("K, nx, ns, T, history", [
@@ -640,7 +641,7 @@ def test_hybrid_coefficients_equal_the_trapezoid_projection_of_its_grid_rows(K, 
                          MeshParams(nx, 40), 2.5, 1.0, 1.0, sample_times=times,
                          z_sample_times=times)
     xs = basis.mesh(nx)
-    grid = np.stack([tr.z_snapshots[t][0] for t in times])
+    grid = basis.on_mesh(np.stack([tr.z_snapshots[t][0] for t in times]), nx)
     ref = grid @ ((xs[1] - xs[0]) * basis.eval_matrix(xs))
     gap = np.max(np.abs(tr.coeffs - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert np.all(gap <= bound), gap
@@ -657,7 +658,8 @@ def test_hybrid_writes_the_modes_its_mesh_cannot_resolve_as_zero(K, nx):
                          MeshParams(nx, 2 * nx), 1.5, 1.0, 1.0, sample_times=times,
                          z_sample_times=times)
     assert np.all(tr.coeffs[:, nx - 1:] == 0.0)
-    grid = np.stack([tr.z_snapshots[t][0] for t in times])
+    assert all(np.all(tr.z_snapshots[t][:, nx - 1:] == 0.0) for t in times)
+    grid = basis.on_mesh(np.stack([tr.z_snapshots[t][0] for t in times]), nx)
     gap = np.max(np.abs(basis.on_mesh(tr.coeffs, nx) - grid), axis=1)
     assert np.all(gap <= 1e-15 * np.max(np.abs(grid), axis=1)), gap
 
