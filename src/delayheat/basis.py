@@ -167,11 +167,25 @@ def _gauss_panels(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray
 
 def project(f: Callable[[np.ndarray], np.ndarray], basis: EigenBasis) -> SpectralField:
     """Coefficients c_k = integral of f * e_k over (0, L) by composite Gauss-Legendre quadrature,
-    8 nodes on each of 64 panels per unit length.
+    8 nodes on each of P = ceil(64 L) panels.
 
+    On a panel of width H = L / P the 8-node rule misses the integral of g by
+    H^17 (8!)^4 / (17 (16!)^3) g^(16)(xi) for some xi in the panel (Abramowitz & Stegun 25.4.30).
+    For g = f e_k with f slow next to the sine, |g^(16)| <= (k pi / L)^16 sqrt(2 / L) max|f|, so
+    over the P panels c_k is off by at most c_8 (k pi / P)^16 sqrt(2 L) max|f|, where
+    c_8 = (8!)^4 / (17 (16!)^3) = 1.7e-23.  The rule resolves the K with c_8 (K pi / P)^16 <= 1e-6,
+    K <= 3.556 P (227 at L = 1); a larger K raises InvalidArgumentError naming that limit, where
+    the coefficients would alias (1.13 off in relative L2 for x (1 - x) at K = 1000, L = 1).
     For smooth f, project followed by eval_matrix reproduces f to quadrature accuracy.
     """
-    x, w = _gauss_panels(np.linspace(0.0, basis.L, math.ceil(64 * basis.L) + 1), 8)
+    panels = math.ceil(64 * basis.L)
+    c8 = math.factorial(8) ** 4 / (17 * math.factorial(16) ** 3)
+    k_max = math.floor(panels / math.pi * (1e-6 / c8) ** (1 / 16))
+    if basis.K > k_max:
+        raise InvalidArgumentError(
+            f"project resolves at most {k_max} modes on L = {basis.L:g} (8 Gauss nodes on each of "
+            f"{panels} panels), not K = {basis.K}")
+    x, w = _gauss_panels(np.linspace(0.0, basis.L, panels + 1), 8)
     fx = np.asarray(f(x), dtype=float)
     coeffs = basis.eval_matrix(x).T @ (w * fx)
     return SpectralField(basis, coeffs)

@@ -232,8 +232,12 @@ def _one_sided_weights(order: int, n: int) -> np.ndarray:
 
 
 def _one_sided_gaps(y0: SpectralField, phi: History | None, params: FlowParams, r: int,
-                    modes: tuple[int, ...], lattice) -> tuple[np.ndarray, ...]:
-    """left, right, gap and rel_gap as [order, instant, mode] arrays; see endpoint_jump_scan."""
+                    modes: tuple[int, ...], lattice, coarsen: int = 1) -> tuple[np.ndarray, ...]:
+    """left, right, gap and rel_gap as [order, instant, mode] arrays; see endpoint_jump_scan.
+
+    `coarsen` multiplies the step h, so a second call at 2 h gives the stencils' error by
+    Richardson extrapolation.
+    """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
     bad = [k for k in modes if not 1 <= k <= y0.basis.K]
@@ -241,7 +245,7 @@ def _one_sided_gaps(y0: SpectralField, phi: History | None, params: FlowParams, 
         raise InvalidArgumentError(f"mode {bad[0]} is outside 1..{y0.basis.K}")
     accuracy = 5
     n, cols = r + accuracy, np.array(modes) - 1
-    h = min(params.tau / (4.0 * n), 0.08 / max(y0.basis.eigenvalues()[cols].max(), 1.0))
+    h = coarsen * min(params.tau / (4.0 * n), 0.08 / max(y0.basis.eigenvalues()[cols].max(), 1.0))
     # the sides sampled from the solution: right of 0, and both sides of every later j tau
     t0, side = np.array([(j * params.tau, side) for j in lattice for side in (-1, 1)
                          if j or side > 0]).T

@@ -58,6 +58,29 @@ def test_project_orthonormality_roundtrip():
     assert_allclose(np.delete(c, [1, 4]), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("L, k_max", [(0.5, 113), (1.0, 227), (2.5, 568)])
+def test_project_refuses_the_modes_its_rule_does_not_resolve(L, k_max):
+    # x (L - x) has c_k = 4 sqrt(2 / L) L^3 / (k pi)^3 for odd k; up to k_max the rule's
+    # coefficients are the same bits as before the limit existed and meet the docstring's
+    # remainder bound, 1e-6 sqrt(2 L) max|f|; at K = 1000 L they were 1.13 off in relative L2
+    def f(x):
+        return x * (L - x)
+
+    basis = EigenBasis(L, k_max)
+    x, w = _gauss_panels(np.linspace(0.0, L, math.ceil(64 * L) + 1), 8)
+    c = project(f, basis).coeffs
+    assert c.tobytes() == (basis.eval_matrix(x).T @ (w * f(x))).tobytes()
+    k = np.arange(1, k_max + 1)
+    exact = 4.0 * math.sqrt(2.0 / L) * L**3 / (k * math.pi) ** 3 * (k % 2)
+    assert np.max(np.abs(c - exact)) <= 1e-6 * math.sqrt(2.0 * L) * L**2 / 4.0
+    for K in (k_max + 1, round(1000 * L)):
+        with pytest.raises(InvalidArgumentError, match=f"at most {k_max} modes on L = {L:g} "
+                                                       rf"\(8 Gauss nodes on each of "
+                                                       rf"{math.ceil(64 * L)} panels\), "
+                                                       f"not K = {K}$"):
+            project(f, EigenBasis(L, K))
+
+
 def test_project_parabola_matches_hand_integral():
     # For f(x) = x (1 - x): int x sin(k pi x) = 1/(k pi) * (-1)^(k+1) and
     # int x^2 sin(k pi x) leave c_k = 4 sqrt(2) / (k pi)^3 for odd k, 0 for even

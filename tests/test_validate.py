@@ -1,9 +1,11 @@
-"""The validate module's own inputs: its deterministic test fields and the figure suite's median."""
+"""The validate module's own inputs (its deterministic test fields and the figure suite's median)
+and the bounds that follow from an error model."""
 
 import numpy as np
 import pytest
 
-from delayheat.validate import _SEED, _test_field, figure_checks, figure_panels
+from delayheat.validate import (_SEED, _test_field, figure_checks, figure_panels,
+                                suite_compatibility)
 
 
 @pytest.mark.parametrize("seed, shape", [(_SEED, (20, 60)), (_SEED + 1, (60,))])
@@ -37,3 +39,18 @@ def test_the_partition_median_is_numpy_median_on_every_figure_panel():
         mags = np.abs(panels[t])
         assert row.value == float(np.max(mags) / np.median(mags))
         assert row.threshold == 0.1 * float(ref)
+
+
+def test_the_peak_rows_allow_half_a_cell():
+    # the mesh node nearest x0 = 0.3 is at most half a cell away; x0 is a node of the 1/300 mesh
+    peaks = [row for row in figure_checks().rows if "peak" in row.name]
+    assert len(peaks) == 2
+    assert all(row.passed and row.value <= 1e-12 and row.threshold == 0.5 / 300 for row in peaks)
+
+
+def test_the_endpoint_jump_bound_is_its_stencil_error_model():
+    # 10 x the Richardson estimate from the same scan at 2h: above the clean gap, and within
+    # 100 x of it, so a jump a hundred times the stencil error fails the row
+    row = next(row for row in suite_compatibility().rows if "endpoint" in row.name)
+    assert row.passed and row.value < row.threshold <= 100.0 * row.value
+    assert row.detail.startswith("10 x the stencil error")
