@@ -7,6 +7,8 @@ A function is represented by its first K coefficients; the heat semigroup acts a
 one DST-I (discrete sine transform of type I) away: `EigenBasis.on_mesh`, the one place grid
 values are made, folds them onto the mesh's sine bins (`_sine_bins`) and takes one real FFT
 per block of rows (`_sine`); the hybrid oracle of `refsolvers` steps those bins unscaled.
+`_method_of_steps` carries a delayed mode across its delay windows with a product rule in
+Hermite form: rk4-modes (`refsolvers`) brings its quadratic rule, Picard (`flow`) its fitted one.
 """
 
 from __future__ import annotations
@@ -224,6 +226,42 @@ def _decay_scan(x: np.ndarray, q) -> np.ndarray:
         dst = x[3 * d - 1::2 * d]
         dst += p * x[2 * d - 1::2 * d][:len(dst)]
     return x
+
+
+def _method_of_steps(u: np.ndarray, n_sub: int, decay, lam, a, weights, hist: np.ndarray,
+                     v: np.ndarray, w: np.ndarray, start: int = 1) -> np.ndarray:
+    """Step u' = -lam u + a v(t - tau) in place over the delay windows start, start + 1, ...
+    of the grid t_i = i h, tau = n_sub h, and return u: the method of steps (Bellen and
+    Zennaro, Numerical Methods for Delay Differential Equations, 2003, ch. 3), step i being
+
+        u_{i+1} = decay u_i + A0 v_m + A1 v_{m+1} + B0 v'_m + B1 v'_{m+1},    m = i - n_sub,
+
+    `weights` = (A0, A1, B0, B1), v' = -lam v + a w(t - tau): w is the signal v delays and below
+    tau `hist` = phi(t_m - tau), m = 0..n_sub, so the left slope at tau reads phi(0^-), the right
+    one w(0).  When v is u the windows go one at a time, else as one block: its forcing is formed
+    in the rows it steps into and run by one `_decay_scan`; slopes and scratch take two blocks.
+    """
+    A0, A1, B0, B1 = weights
+    n_steps = len(u) - 1
+    width = n_sub if v is u else n_steps
+    slopes, scratch = np.empty((2, max(0, min(width, n_steps - start * n_sub)) + 1) + u.shape[1:])
+    for i0 in range(start * n_sub, n_steps, width):
+        i1 = min(i0 + width, n_steps)
+        m0, m1 = i0 - n_sub, i1 - n_sub
+        k = min(max(n_sub - m0, 0), m1 + 1 - m0)    # slope rows m0 .. m0 + k - 1 read phi
+        s, t = slopes[:m1 - m0 + 1], scratch[:m1 - m0 + 1]
+        np.multiply(-lam, v[m0:m1 + 1], out=s)
+        np.multiply(a, hist[m0:m0 + k], out=t[:k])
+        np.multiply(a, w[m0 + k - n_sub:m1 + 1 - n_sub], out=t[k:])
+        s += t
+        new, t = u[i0 + 1:i1 + 1], t[:-1]
+        np.multiply(A0, v[m0:m1], out=new)
+        for c, x in ((A1, v[m0 + 1:m1 + 1]), (B0, s[:-1]), (B1, s[1:])):
+            new += np.multiply(c, x, out=t)
+        if m0 < n_sub <= m1:                         # the left slope at tau reads phi(0^-)
+            new[n_sub - 1 - m0] += B1 * a * (hist[n_sub] - w[0])
+        _decay_scan(u[i0:i1 + 1], decay)
+    return u
 
 
 GRID_RTOL = 1e-9    # a step k h within GRID_RTOL max(1, |t|) of t is at t; k h is rounded

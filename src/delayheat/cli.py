@@ -261,8 +261,10 @@ def _closed_form(cfg, basis, params, y0, phi, times, T):
 
 def _picard(cfg, basis, params, y0, phi, times, T):
     dt = _num(cfg, "picard.dt")
-    n_steps = _step_count(params.tau, dt, T, min_sub=4)[1]
-    _fits_in_memory("picard.dt", 8 * 10 * (n_steps + 1) * basis.K)  # about 10 (N, K) arrays live
+    n_sub, n_steps = _step_count(params.tau, dt, T, min_sub=4)
+    # 7 (N, K) arrays in a sweep: decay, F, G's part, two iterates, slopes and scratch; two
+    # windows for the history; per mode up to 1536 values for the circles of _picard_weights
+    _fits_in_memory("picard.dt", 8 * basis.K * (7 * (n_steps + 1) + 2 * (n_sub + 1) + 1536))
     idx = _samples(_step_grid(params.tau, dt, T, min_sub=4)[1], times, "picard")
     trace = picard_solve(y0, phi, T, dt, params)
     health = {"h": float(trace.times[1]), "residuals": trace.residuals.tolist()}

@@ -19,8 +19,9 @@ integral equation whose error contracts factorially in the iteration count; its
 history forcing is the same history convolution.  One private kernel evaluates
 the series and its derivatives on a whole (times x modes) grid.  `solve_trace`
 is the closed-form entry point: one kernel call for the flow of y0 at all
-times, plus one history convolution.  The only quadrature left in this module
-is Picard's G, a product rule exact on 1, x, exp(-lambda x) and x exp(-lambda x).
+times, plus one history convolution.  Picard's G, a product rule exact on 1, x,
+exp(-lambda x) and x exp(-lambda x), is stepped by `basis._method_of_steps` as rk4-modes'
+own rule is; sweep n steps only windows n..W, still O(W^2) window steps in all.
 
 History protocol: `phi.coeffs(gamma, order=0)` returns the K mode coefficients
 of the order-th time derivative at a scalar gamma, and one row per entry,
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis, SpectralField, _decay_scan, _step_grid
+from .basis import EigenBasis, SpectralField, _method_of_steps, _step_grid
 from .errors import InvalidArgumentError, TruncationExceededError
 
 __all__ = [
@@ -505,8 +506,10 @@ def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float
     """Set up `picard_solve`'s grid, forcing F and G once, then yield (times, y_n, residual_n)
     for n = 1..W, W = ceil(n_steps / n_sub), one G sweep each.
 
-    Iterates n - 1 and n differ only on grid rows past n n_sub, where G^n F starts, so the
-    residual of sweep W is exactly 0 and iterate W equals iterate W - 1."""
+    Iterate n is F + g, g = G y_{n-1}: 0 up to tau, then g' = -lam g + a y_{n-1}(t - tau), with
+    y_{n-1}' = -lam y_{n-1} + a D, D(s) = phi(s - tau) below tau and y_{n-2}(s - tau) from tau on
+    (y_{-1} = 0, y_0 = F).  Iterates n - 1 and n differ only on rows past n n_sub, where G^n F
+    starts, so sweep n steps g from window n on; sweep W steps nothing, its residual is 0."""
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
     n_sub, times = _step_grid(params.tau, dt, T, min_sub=4)
@@ -521,31 +524,15 @@ def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float
         F[:m] += H
         F[m:] += decay[1:len(times) - m + 1] * H[-1]
 
-    # (G f)(t_{n_sub+M}) = a S_M, S_M = integral_0^{t_M} exp(-lam (t_M - s)) f(s) ds, so
-    # S_M = q S_{M-1} + I_{M-1} with q = exp(-lam h), one decay scan of the step integrals
-    # I_m = h (C0 f_m + C1 f_{m+1}) + h^2 (D0 f'(s_m+) + D1 f'(s_{m+1}-)) (`_picard_weights`).
-    # The iterate f = F + G g has f' = -lam f + a D, D(s) = phi(s - tau) below tau, with left
-    # limit phi(0-) at tau, and g(s - tau) from tau on; g is the iterate before f (0 before F).
-    q, n_g = decay[1], n_steps - n_sub
+    ah = params.a * h
     C0, C1, D0, D1 = _picard_weights(lams * h)
+    weights = (ah * C0, ah * C1, ah * h * D0, ah * h * D1)
     hist = (np.zeros((n_sub + 1, len(lams))) if phi is None
             else phi.coeffs(np.arange(n_sub + 1) * h - params.tau))     # phi(t_m - tau), m <= n_sub
-
-    def apply_G(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(f)
-        if params.a == 0.0 or n_g < 1:
-            return out
-        slope = params.a * np.concatenate([hist[:n_sub], g])[:n_g + 1] - lams * f[:n_g + 1]
-        left = slope[1:].copy()                     # f'(s_{m+1}-), m = 0..n_g - 1
-        if n_g >= n_sub:
-            left[n_sub - 1] = params.a * hist[n_sub] - lams * f[n_sub]
-        step = h * (C0 * f[:n_g] + C1 * f[1:n_g + 1]) + h * h * (D0 * slope[:-1] + D1 * left)
-        out[n_sub + 1:] = params.a * _decay_scan(step, q)
-        return out
-
-    y, prev = F, np.zeros_like(F)
-    for _ in range(math.ceil(n_steps / n_sub)):
-        y, prev = F + apply_G(y, prev), y
+    g, y, prev = np.zeros_like(F), F, np.zeros_like(F)
+    for n in range(1, math.ceil(n_steps / n_sub) + 1):
+        _method_of_steps(g, n_sub, decay[1], lams, params.a, weights, hist, y, prev, start=n)
+        y, prev = F + g, y
         yield times, y, np.max(np.linalg.norm(y - prev, axis=1))
 
 

@@ -1,16 +1,18 @@
 """Independent numerical oracles for the delayed heat dynamics.
 
-Two routes that share nothing with the closed-form series.  Both step on the
-delay lattice, so every delayed value they read is one they already store.
-Both call their history as `phi.coeffs`: a 1-D array of gammas in, one row each out.
+Two routes independent of the closed-form series: neither evaluates its delayed exponential
+or its history convolution.  Both step on the delay lattice, so every delayed value they read
+is one they already store.  Both call their history as `phi.coeffs`: a 1-D array of gammas
+in, one row each out.
 
 * ``rk4_dde_mode`` integrates delayed modes, u' = -lam u + a u(t - tau), by the
   method of steps with an exponential step, reading the delayed term from the
-  history or from its stored trace.  With ``lam`` and ``y0`` of shape (K,) and
-  a history returning (K,) rows, one decay scan per delay window advances
-  all K modes and returns an (n_steps + 1, K) trace whose columns equal the K
-  one-mode runs bit for bit; scalar ``lam`` and ``y0`` give an (n_steps + 1,)
-  trace.
+  history or from its stored trace.  Past window 0 it shares `basis._method_of_steps`
+  with Picard's sweeps in `flow`, but not their product rule: validate compares two
+  quadratures.  With ``lam`` and ``y0`` of shape (K,) and a history returning (K,) rows,
+  one decay scan per delay window advances all K modes and returns an (n_steps + 1, K)
+  trace whose columns equal the K one-mode runs bit for bit; scalar ``lam`` and ``y0``
+  give an (n_steps + 1,) trace.
 
 * ``hybrid_simulate`` advances the equivalent state-space system: a heat equation coupled
   to a transport equation on (0, tau) that carries the delayed state, z(t, s) = y(t - s).
@@ -32,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import _decay_scan, _grid_index, _sine_bins, _step_grid
+from .basis import _decay_scan, _grid_index, _method_of_steps, _sine_bins, _step_grid
 from .errors import InvalidArgumentError
 
 __all__ = ["ModeDDEConfig", "ModeTrace", "rk4_dde_mode", "MeshParams", "HybridTrace", "hybrid_simulate"]
@@ -98,26 +100,16 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     this one replaced.)
 
     The step is snapped to h = tau / round(tau / dt) so that every delay-lattice
-    point is a grid node and steps never straddle a kink.  Over a step the
-    delayed term v is known, so u' = -lam u + a v is solved as
-
-        u_{i+1} = e^{-lam h} u_i + w0 v0 + wm vm + w1 v1,
-
-    with v0, vm, v1 the delayed values at the step's start, midpoint and end
-    and w the exact integrals of a e^{-lam (h - sigma)} against the quadratic
-    Lagrange basis on (0, h/2, h), in phi-functions at z = -lam h.  Fourth
-    order, stable for every lam*h and exact for a = 0.  Delayed values come
-    from the history for t - tau < 0 (one call for the nodes, one for the
-    midpoints); after that v0 and v1 are stored nodes and vm is the cubic
-    Hermite midpoint between them.
-
-    Every delayed value a delay window [j tau, (j + 1) tau] reads is known when
-    the window starts, so the window is one array pass for the forcing and one
-    decay scan of the recurrence above; the last window may be partial.  The
-    midpoints and the forcing are formed in the trace rows they step into, and
-    the derivatives a v1 - lam u the next window's midpoints read in a buffer
-    of one window's rows, with one more of scratch: in place, in the operation
-    order of the array expressions, so the values are theirs bit for bit.
+    point is a grid node and steps never straddle a kink.  Over a step the delayed
+    term v is known, and u' = -lam u + a v is integrated exactly against the
+    quadratic through v0, vm, v1 at its start, midpoint and end.  Fourth order,
+    stable for every lam*h and exact for a = 0.  Window 0 reads the history once
+    for its nodes and once for its midpoints; past tau vm is the cubic Hermite
+    midpoint (v0 + v1) / 2 + h (v0' - v1') / 8, so the rule is
+    A0 v0 + A1 v1 + B0 v0' + B1 v1' with A0 = a h (phi1 - phi2), A1 = a h phi2 and
+    B0 = -B1 = a h^2 (phi2 - 2 phi3) / 2 at z = -lam h, which `basis._method_of_steps`
+    steps one delay window at a time.  Window 0 folds its midpoints in as
+    (8 / h) B0 (vm - (v0 + v1) / 2).
     """
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
@@ -128,46 +120,21 @@ def rk4_dde_mode(cfg: ModeDDEConfig, T: float) -> ModeTrace:
     shape = (n_steps + 1,) + np.broadcast_shapes(lam.shape, a.shape, np.shape(cfg.y0))
     hist = cfg.history or (lambda g: np.broadcast_to(0.0, g.shape + shape[1:]))    # read-only
     p1, p2, p3 = _phi123(-lam * h)
-    decay, ah = np.exp(-lam * h), a * h
-    w0, wm, w1 = ah * (p1 - 3.0 * p2 + 4.0 * p3), ah * (4.0 * p2 - 8.0 * p3), ah * (4.0 * p3 - p2)
-    u = np.empty(shape)
-    # f: the derivatives of the window last stepped, f[0] entering its first step and f[j]
-    # ending its step j; rest: one window's scratch rows
-    f, rest_buf = np.empty((n_sub + 1,) + shape[1:]), np.empty((n_sub,) + shape[1:])
+    decay, ah, b = np.exp(-lam * h), a * h, (p2 - 2.0 * p3) / 2.0
+    weights = (ah * (p1 - p2), ah * p2, ah * h * b, -ah * h * b)
+    u, n = np.empty(shape), min(n_sub, n_steps)
     u[0] = cfg.y0
-    for i0 in range(0, n_steps, n_sub):     # the window of steps i0 .. i1 - 1
-        i1 = min(i0 + n_sub, n_steps)
-        n, m0 = i1 - i0, i0 - n_sub         # t_i - tau = t_{i - n_sub}
-        new, rest = u[i0 + 1:i1 + 1], rest_buf[:n]
-        if m0 < 0:                          # the history, up to its left limit at 0
-            nodes = hist(np.arange(-n_sub, n - n_sub + 1) * h)
-            v0, v1 = nodes[:-1], nodes[1:]
-            new[...] = hist((np.arange(n) - n_sub + 0.5) * h)
-        else:                               # stored nodes, and their cubic Hermite midpoint
-            v0, v1 = u[m0:m0 + n], u[m0 + 1:m0 + n + 1]
-            np.add(v0, v1, out=new)         # vm = 0.5 (v0 + v1) + h/8 (f_right - f_left)
-            new *= 0.5
-            np.subtract(f[:n], f[1:n + 1], out=rest)
-            rest *= 0.125 * h
-            new += rest
-        new *= wm                           # the forcing w0 v0 + wm vm + w1 v1, in `new`
-        np.multiply(w0, v0, out=rest)
-        rest += new
-        np.multiply(w1, v1, out=new)
-        new += rest
-        _decay_scan(u[i0:i1 + 1], decay)
-        # u' is continuous except at t = tau, where the delayed value jumps from phi(0^-)
-        # to y(0): f[0] is the derivative entering step i0, the last window's f[n_sub] else
-        if m0 < 0:
-            f[0] = a * nodes[0] - lam * u[0]
-        elif i0 == n_sub:
-            f[0] = a * u[0] - lam * u[i0]
-        else:
-            f[0] = f[n_sub]
-        np.multiply(lam, new, out=rest)     # f = a v1 - lam u
-        np.multiply(a, v1, out=f[1:n + 1])
-        f[1:n + 1] -= rest
-    return ModeTrace(times, u)
+    nodes = hist(np.arange(-n_sub, n - n_sub + 1) * h)     # phi(t_m - tau), up to phi(0^-)
+    new = u[1:n + 1]                # window 0's forcing, formed in the rows it steps into
+    new[...] = hist((np.arange(n) - n_sub + 0.5) * h)
+    t = np.empty_like(new)          # one scratch window, freed before the later windows
+    new -= np.multiply(0.5, np.add(nodes[:-1], nodes[1:], out=t), out=t)
+    new *= 8.0 * ah * b
+    new += np.multiply(weights[0], nodes[:-1], out=t)
+    new += np.multiply(weights[1], nodes[1:], out=t)
+    del t
+    _decay_scan(u[:n + 1], decay)
+    return ModeTrace(times, _method_of_steps(u, n_sub, decay, lam, a, weights, nodes, u, u))
 
 
 # ---------------------------------------------------------------------------

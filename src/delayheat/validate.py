@@ -72,17 +72,22 @@ def suite_per_mode() -> SuiteResult:
     lams, couplings = np.array([0.0, math.pi**2, 4 * math.pi**2, 100.0]), np.array([-1.0, 1.0, 2.0])
     rel = {}
     for tau in (0.5, 1.0):
-        # every coupling and rate in one call; entry (c, k) equals the one-mode run
-        trace = rk4_dde_mode(ModeDDEConfig(lam=lams, a=couplings[:, None], tau=tau,
-                                           dt=tau / 1000), 3.0 * tau)
-        refs = _delayed_exp_grid(lams, trace.times, FlowParams(tau=tau), a=couplings[:, None, None])
-        for a, values, exact in zip(couplings.tolist(), trace.values.transpose(1, 0, 2), refs):
-            # relative to the trajectory scale; pointwise relative error is
-            # meaningless once the solution decays below rounding
-            errs = np.max(np.abs(values - exact), axis=0) / np.max(np.abs(exact), axis=0)
-            rel.update({(lam, a, tau): float(e) for lam, e in zip(lams.tolist(), errs)})
-    for (lam, a, tau), err in sorted(rel.items()):         # rows ordered by lam, a, tau
-        rows.append(CheckRow(f"rk4 lam={lam:g} a={a:g} tau={tau:g}", err <= 1e-6, err, 1e-6))
+        # every coupling and rate in one call, entry (c, k) equal to the one-mode run; the run
+        # at 2h gives the fourth-order Richardson estimate |y_h - y_2h| / 15 of the run at h
+        fine, coarse = (rk4_dde_mode(ModeDDEConfig(lam=lams, a=couplings[:, None], tau=tau,
+                                                   dt=tau / n), 3.0 * tau) for n in (1000, 500))
+        exact = _delayed_exp_grid(lams, fine.times, FlowParams(tau=tau), a=couplings[:, None, None])
+        # relative to the trajectory scale; pointwise relative error is
+        # meaningless once the solution decays below rounding
+        scale = np.max(np.abs(exact), axis=1)
+        errs = np.max(np.abs(fine.values.transpose(1, 0, 2) - exact), axis=1) / scale
+        ests = np.max(np.abs(fine.values[::2] - coarse.values), axis=0) / 15.0 / scale
+        rel.update(zip(itertools.product(lams.tolist(), couplings.tolist(), [tau]),
+                       zip(errs.T.ravel().tolist(), ests.T.ravel().tolist())))
+    for (lam, a, tau), (err, est) in sorted(rel.items()):         # rows ordered by lam, a, tau
+        bound = 2.0 * est + 64.0 * np.finfo(float).eps
+        rows.append(CheckRow(f"rk4 lam={lam:g} a={a:g} tau={tau:g}", err <= bound, err, bound,
+                             detail=f"2 x Richardson |y_h - y_2h|/15 = {est:.3g} + 64 eps"))
     return SuiteResult("per-mode", rows)
 
 

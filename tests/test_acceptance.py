@@ -26,7 +26,7 @@ def test_criterion_1_per_mode_oracle_equivalence():
     _report("criterion 1: per-mode closed form vs RK4",
             all(r.passed for r in rk4_rows),
             f"max relative error {worst:.3e} over 24 (rate, coupling, delay) combos, "
-            f"tolerance 1e-6 at dt = tau/1000")
+            f"each bounded by 2 x its Richardson estimate + 64 eps at dt = tau/1000")
 
 
 def test_criterion_2_scalar_spot_values():

@@ -715,14 +715,15 @@ def test_picard_n_iter_is_an_unknown_key(tmp_path, capsys):
 
 
 def test_picard_cli_default_stops_sweeping_at_its_fixed_point(tmp_path, monkeypatch):
-    # T = 2.5 tau: 3 delay windows, so 3 G scans, the last with residual 0
+    # T = 2.5 tau: 3 delay windows, so 3 G sweeps, the last with residual 0
     import delayheat.flow as fl
     monkeypatch.delenv("DELAY_HEAT_OUT", raising=False)
-    scans, scan = [], fl._decay_scan
-    monkeypatch.setattr(fl, "_decay_scan", lambda x, q: scans.append(len(x)) or scan(x, q))
+    sweeps, sweep = [], fl._method_of_steps
+    monkeypatch.setattr(fl, "_method_of_steps",
+                        lambda *args, **kw: sweeps.append(kw["start"]) or sweep(*args, **kw))
     out = tmp_path / "out"
     assert main(["simulate", "--run.solver", "picard", "--run.out_dir", str(out)]) == 0
-    assert len(scans) == 3
+    assert len(sweeps) == 3
     ref = picard_solve(dirac_coeffs(0.3, EigenBasis(1.0, 60)), None, 2.5, dt=1.0 / 64,
                        params=FlowParams())
     health = json.loads((out / "manifest.json").read_text())["health"]
@@ -747,7 +748,8 @@ def test_picard_step_not_positive_and_finite_exits_2(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("solver, key, n_bytes", [
-    ("picard", "picard.dt", 8 * 10 * 161 * 60),     # 160 steps of 1/64 to T = 2.5, K = 60
+    # 160 steps of 1/64 to T = 2.5, K = 60: 7 arrays of 161 rows, 2 windows of 65 and 1536 per mode
+    ("picard", "picard.dt", 8 * 60 * (7 * 161 + 2 * 65 + 1536)),
     # the zero history: 2501 steps, 64 rows of per-mode arrays and 4 windows of 1001 rows
     ("rk4-modes", "rk4.dt", 8 * 61 * (2501 + 64 + 4 * 1001)),
     # 804 delay-line rows of 60 bins and two 256-row scan blocks, 2001 step times and 6
@@ -1172,8 +1174,9 @@ def _estimate_and_traced_peak(tmp_path, monkeypatch, solver, K, argv):
 
     import delayheat.cli as cli
     import delayheat.refsolvers as rs
-    name = {"hybrid": "hybrid_simulate", "rk4-modes": "rk4_dde_mode"}[solver]
-    seen, fits, solve = {"grids": 0}, cli._fits_in_memory, getattr(rs, name)
+    module, name = {"hybrid": (rs, "hybrid_simulate"), "rk4-modes": (rs, "rk4_dde_mode"),
+                    "picard": (cli, "picard_solve")}[solver]
+    seen, fits, solve = {"grids": 0}, cli._fits_in_memory, getattr(module, name)
     on_mesh = EigenBasis.on_mesh
     monkeypatch.setattr(cli, "_fits_in_memory", lambda key, n: seen.update(estimate=n) or fits(key, n))
 
@@ -1198,7 +1201,7 @@ def _estimate_and_traced_peak(tmp_path, monkeypatch, solver, K, argv):
                 seen["grids"] += 1
         return on_mesh(self, coeffs, nx)
 
-    monkeypatch.setattr(rs, name, traced)
+    monkeypatch.setattr(module, name, traced)
     monkeypatch.setattr(EigenBasis, "on_mesh", grid)
     hist = tmp_path / "hist.csv"
     hist.write_text("gamma,k,coeff\n" + "".join(f"{g},{k},{math.cos(g * k) / k!r}\n"
@@ -1256,4 +1259,22 @@ def test_the_rk4_memory_estimate_bounds_what_the_run_allocates(tmp_path, monkeyp
     # (2.69 MB against 3.70 MB for the compatible history at K = 60)
     estimate, peak = _estimate_and_traced_peak(tmp_path, monkeypatch, "rk4-modes", K, [
         "--model.modes", str(K), "--rk4.dt", dt, *extra])
+    assert peak <= estimate, (peak, estimate)
+
+
+@pytest.mark.parametrize("times", ["0 0.5 1 1.5 2 2.5", "0 10 20"], ids=["T2.5", "T20"])
+@pytest.mark.parametrize("dt", ["0.015625", "0.0625"])
+@pytest.mark.parametrize("K", [60, 240])
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--history.kind", "compatible"],
+    ["--history.kind", "exp", "--history.profile", "1 2 3"],
+], ids=["zero", "compatible", "exp"])
+def test_the_picard_memory_estimate_bounds_what_the_run_allocates(tmp_path, monkeypatch, extra, K,
+                                                                  dt, times):
+    # the estimate _fits_in_memory checks is an upper bound of the traced peak of the solve; the
+    # one it replaced, 10 (N, K) arrays, left out the circles of _picard_weights and was under it
+    # at K = 60, T = 20, dt = 1/16 (1.66 MB against 1.54 MB)
+    estimate, peak = _estimate_and_traced_peak(tmp_path, monkeypatch, "picard", K, [
+        "--model.modes", str(K), "--picard.dt", dt, "--run.times", times, *extra])
     assert peak <= estimate, (peak, estimate)

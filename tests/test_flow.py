@@ -591,11 +591,12 @@ def test_picard_residuals_contract_factorially():
 def test_picard_turns_negative_zero_data_into_positive_zeros(monkeypatch):
     # y0 = -0.0: F is -0.0 throughout and F + G F turns every -0.0 into +0.0; the
     # 3 delay windows of T = 2.5 take 3 sweeps, each with residual 0
-    scans, scan = [], fl._decay_scan
-    monkeypatch.setattr(fl, "_decay_scan", lambda x, q: scans.append(len(x)) or scan(x, q))
+    sweeps, sweep = [], fl._method_of_steps
+    monkeypatch.setattr(fl, "_method_of_steps",
+                        lambda *args, **kw: sweeps.append(kw["start"]) or sweep(*args, **kw))
     y0 = SpectralField(EigenBasis(1.0, 8), np.full(8, -0.0))
     trace = picard_solve(y0, None, 2.5, dt=1.0 / 16, params=FlowParams())
-    assert len(scans) == 3
+    assert len(sweeps) == 3
     assert trace.residuals.tolist() == [0.0] * 3 and not np.signbit(trace.coeffs).any()
 
 

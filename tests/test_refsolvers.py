@@ -195,6 +195,21 @@ def test_rk4_windowed_scan_matches_stepwise_reference(a, n_sub, history, T_over_
     assert np.array_equal(rk4_dde_mode(one, T).values, tr.values[:, k])
 
 
+def test_rk4_and_picard_product_rules_stay_two_rules(monkeypatch):
+    # both rules step A0 v_m + A1 v_{m+1} + B0 v'_m + B1 v'_{m+1}; with a = h = 1 the weights
+    # rk4-modes passes are in units of (a h, a h, a h^2, a h^2) at z = lam h.  At z = 0 both are
+    # the cubic Hermite weights, past it they part (5.0e-5, 3.1e-2 and 9.8e-3 apart at z = 1e-3,
+    # 1 and 10), so validate compares two quadratures
+    zs, seen = np.array([0.0, 1e-3, 1.0, 10.0]), []
+    monkeypatch.setattr(rs, "_method_of_steps", lambda u, *args: seen.append(args[4]) or u)
+    rk4_dde_mode(ModeDDEConfig(lam=zs, a=1.0, tau=10.0, dt=1.0, y0=np.ones(4)), 20.0)
+    rk4 = np.array(seen[0])
+    assert_allclose(rk4[:, 0], [0.5, 0.5, 1 / 12, -1 / 12], rtol=0, atol=1e-16)
+    gap = np.max(np.abs(rk4 - fl._picard_weights(zs)), axis=0)
+    assert gap[0] <= 2e-16
+    assert np.all(gap[1:] > 1e-6), gap
+
+
 def test_oracles_read_the_history_once_per_set_of_gammas():
     # the mode stepper reads window 0's nodes and midpoints, and the hybrid its
     # delay line phi(-tau), ..., phi(0^-), each in one array call
