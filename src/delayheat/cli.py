@@ -398,8 +398,7 @@ def cmd_figure6(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     nx = _num(cfg, "run.nx", int)
     _fits_in_memory("run.nx", 8 * (len(times) + 1) * (nx + 1))     # the mesh and panels, at least
     manifest.phase("build")
-    xs, panels = figure_panels(times, _num(cfg, "initial.x0"), basis.K, nx, basis.L, params)
-    values = np.stack([panels[t] for t in times])
+    xs, values = figure_panels(times, _num(cfg, "initial.x0"), basis.K, nx, basis.L, params)
     manifest.phase("solve")
     _finite(values, "figure6", "values", times, "x", xs)
     return {"figure6_data.csv": lambda path: dio.write_grid_trace_csv(
@@ -432,20 +431,20 @@ def cmd_diagnose(cfg, args, manifest: Manifest) -> tuple[dict, int]:
     manifest.phase("build")
     report = compatibility_check(y0, phi, params, r=args.order)
     modes = tuple(range(1, min(3, basis.K) + 1))
+    # jumps[j, mode] holds (predicted, measured, rel_error) and scan[order, instant, mode]
+    # (left, right, gap, rel_gap); each is checked one row per instant j tau
     with np.errstate(over="ignore", invalid="ignore"):      # checked finite below
-        jumps = lattice_jump_report(y0, phi, params, j_max=min(4, params.j_max), modes=modes)
-        scan = None if phi is None else endpoint_jump_scan(y0, phi, params, r=args.order,
-                                                           modes=modes[:2])
+        jumps = np.stack(lattice_jump_report(y0, phi, params, j_max=min(4, params.j_max),
+                                             modes=modes), axis=-1)
+        scan = None if phi is None else np.stack(
+            endpoint_jump_scan(y0, phi, params, r=args.order, modes=modes[:2]), axis=-1)
     manifest.phase("solve")
-    # one row per instant j tau: per mode (predicted, measured, rel_error), and per order and
-    # mode (left, right, gap, rel_gap)
-    _finite(np.reshape([row[2:] for row in jumps], (-1, 3 * len(modes))), "diagnose",
-            "jump table cells", params.tau * np.arange(len(jumps) // len(modes)), "mode",
-            np.repeat(modes, 3), manifest)
+    _finite(jumps.reshape(len(jumps), -1), "diagnose", "jump table cells",
+            params.tau * np.arange(len(jumps)), "mode", np.repeat(modes, 3), manifest)
     if scan is not None:
-        _finite(np.reshape([(r.left, r.right, r.gap, r.rel_gap) for r in scan], (2, -1)),
-                "diagnose", "endpoint scan cells", (0.0, params.tau), "mode",
-                np.tile(np.repeat(modes[:2], 4), args.order + 1), manifest)
+        _finite(scan.swapaxes(0, 1).reshape(2, -1), "diagnose", "endpoint scan cells",
+                (0.0, params.tau), "mode", np.tile(np.repeat(modes[:2], 4), args.order + 1),
+                manifest)
     manifest.data["jump_table"] = ("j <= min(4, model.j_max): orders past 4 are not tabulated, "
                                    "because the k + 5 point stencils lose the jump law there")
     kv = {name: getattr(report, name) for name in ("r", "flag_endpoint_regularity",
@@ -455,13 +454,14 @@ def cmd_diagnose(cfg, args, manifest: Manifest) -> tuple[dict, int]:
         "compatibility.txt": lambda path: dio.write_keyvalue(kv, path),
         "jump_table.csv": lambda path: dio._write_rows(
             path, ["j", "mode", "predicted", "measured", "rel_error"],
-            ((str(j), str(mode), *values) for j, mode, *values in jumps)),
+            ((str(j), str(mode), *jumps[j, i]) for j in range(len(jumps))
+             for i, mode in enumerate(modes))),
     }
     if scan is not None:
         files["endpoint_jumps.csv"] = lambda path: dio._write_rows(
             path, ["t", "order", "mode", "left", "right", "gap", "rel_gap"],
-            ((r.t_label, str(r.order), str(r.mode), r.left, r.right, r.gap, r.rel_gap)
-             for r in scan))
+            ((t, str(k), str(mode), *scan[k, p, i]) for p, t in enumerate(("0", "tau"))
+             for k in range(args.order + 1) for i, mode in enumerate(modes[:2])))
     return files, 0
 
 

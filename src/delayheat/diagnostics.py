@@ -10,17 +10,21 @@ Three instruments:
   of y0.
 
 * ``compatibility_check`` builds the endpoint matching fields
-  g_0 = y0, g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1}, one row per order of
-  one array, and compares them with the time derivatives of phi at 0; agreement
-  at orders <= r is exactly what removes the derivative jumps of the solution at
-  t = 0 and t = tau, which ``endpoint_jump_scan`` measures independently by
-  one-sided stencils over one table of solution and history samples.  Every
-  norm is a row norm scaled before squaring, so an order is reported while its
-  field is a finite float.
+  g_0 = y0, g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1}, row k of the
+  (r + 1, K) array ``g``, and compares them with the time derivatives of phi at
+  0; agreement at orders <= r is exactly what removes the derivative jumps of
+  the solution at t = 0 and t = tau, which ``endpoint_jump_scan`` measures
+  independently by one-sided stencils over one table of solution and history
+  samples, returning left, right, gap and rel_gap as [order, instant, mode]
+  arrays.  Every norm is a row norm scaled before squaring, so an order is
+  reported while its field is a finite float.
 
 * ``lattice_jump_report`` runs the same scan at t = 0, tau, ..., j_max tau and
-  tabulates the measured order-j gap at j tau against the predicted jump
-  a^j (y0 - phi(0^-)): the initial jump, carried one order per period.
+  returns the predicted jump a^j (y0 - phi(0^-)) at j tau (the initial jump,
+  carried one order per period), the measured order-j gap there and their
+  relative error, as [j, mode] arrays.
+
+Every instrument hands back its arrays; the CLI forms the CSV rows from them as it writes.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "weight_factor",
     "CompatibilityReport",
     "compatibility_check",
-    "EndpointJumpRow",
     "endpoint_jump_scan",
     "lattice_jump_report",
 ]
@@ -129,7 +132,7 @@ def _mode_time_integral(lams: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray
 @dataclass(frozen=True)
 class CompatibilityReport:
     r: int
-    g_fields: list[SpectralField]
+    g: np.ndarray                    # (r + 1, K): row k holds g_k
     violations: np.ndarray
     flag_endpoint_regularity: bool   # finite, tail-bounded endpoint derivatives
     flag_g_regularity: bool          # g_k tail-bounded at index 1
@@ -203,23 +206,11 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
         flag3 = bool(np.all(violations <= tol * scales))
         flag2 = _tail_bounded(g, lam, 1.0)
         flag1 = _tail_bounded(np.vstack([before, end]), lam, 0.0)
-    return CompatibilityReport(r, [SpectralField(basis, row) for row in g], violations,
-                               flag1, flag2, flag3, tol)
+    return CompatibilityReport(r, g, violations, flag1, flag2, flag3, tol)
 
 
 # ---------------------------------------------------------------------------
 # Measured jumps of the actual solution: at the endpoints, and the lattice jump law
-
-
-@dataclass(frozen=True)
-class EndpointJumpRow:
-    t_label: str
-    order: int
-    mode: int
-    left: float
-    right: float
-    gap: float
-    rel_gap: float
 
 
 def _one_sided_weights(order: int, n: int) -> np.ndarray:
@@ -231,12 +222,20 @@ def _one_sided_weights(order: int, n: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def _one_sided_gaps(y0: SpectralField, phi: History | None, params: FlowParams, r: int,
-                    modes: tuple[int, ...], lattice, coarsen: int = 1) -> tuple[np.ndarray, ...]:
-    """left, right, gap and rel_gap as [order, instant, mode] arrays; see endpoint_jump_scan.
+def endpoint_jump_scan(y0: SpectralField, phi: History | None, params: FlowParams, r: int,
+                       modes: tuple[int, ...] = (1, 2), lattice: tuple[int, ...] = (0, 1),
+                       coarsen: int = 1) -> tuple[np.ndarray, ...]:
+    """One-sided derivative gaps of the solution at the instants j tau, j in `lattice`:
+    left, right, gap = right - left and rel_gap, each an [order, instant, mode] array.
 
-    `coarsen` multiplies the step h, so a second call at 2 h gives the stencils' error by
-    Richardson extrapolation.
+    For each order k <= r and mode, the left and right k-th derivatives are estimated by
+    one-sided stencils on k + 5 points over solution samples, all from one ``solve_trace``
+    call (history samples left of 0; phi=None is the zero history), and rel_gap is |gap|
+    relative to the larger one-sided magnitude.  At 0 and tau this checks
+    ``compatibility_check`` independently: matching endpoint data drive every gap to the
+    stencil noise floor.  `coarsen` multiplies the step h, so a second scan at 2 h gives the
+    stencils' error by Richardson extrapolation.  A mode outside 1..K raises
+    InvalidArgumentError.
     """
     if r < 0:
         raise InvalidArgumentError("order r must be >= 0")
@@ -269,31 +268,10 @@ def _one_sided_gaps(y0: SpectralField, phi: History | None, params: FlowParams, 
                                                       1e-300)
 
 
-def endpoint_jump_scan(y0: SpectralField, phi: History | None, params: FlowParams, r: int,
-                       modes: tuple[int, ...] = (1, 2),
-                       lattice: tuple[int, ...] = (0, 1)) -> list[EndpointJumpRow]:
-    """Measure one-sided derivative gaps of the solution at the instants j tau, j in `lattice`.
-
-    Rows are labelled "0", "tau", "2tau", ... and ordered by instant, order and mode.  For
-    each order k <= r and mode, the left and right k-th derivatives are estimated by
-    one-sided stencils on k + 5 points over solution samples, all from one ``solve_trace``
-    call (history samples left of 0; phi=None is the zero history), and the gap is reported
-    relative to the larger one-sided magnitude.  At 0 and tau this checks
-    ``compatibility_check`` independently: matching endpoint data drive every gap to the
-    stencil noise floor.  A mode outside 1..K raises InvalidArgumentError.
-    """
-    left, right, gap, rel = _one_sided_gaps(y0, phi, params, r, modes, lattice)
-    labels = ["0" if j == 0 else "tau" if j == 1 else f"{j}tau" for j in lattice]
-    return [EndpointJumpRow(label, k, mode, left[k, p, i], right[k, p, i], gap[k, p, i],
-                            rel[k, p, i])
-            for p, label in enumerate(labels) for k in range(r + 1)
-            for i, mode in enumerate(modes)]
-
-
 def lattice_jump_report(y0: SpectralField, phi: History | None, params: FlowParams,
                         j_max: int = 4, modes: tuple[int, ...] = (1, 2, 3)
-                        ) -> list[tuple[int, int, float, float, float]]:
-    """Rows (j, mode, predicted, measured, rel_error) for j = 0..j_max and each mode.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """predicted, measured and rel_error, each a [j, mode] array for j = 0..j_max.
 
     Mode k's order-j time derivative jumps at j tau by a^j (y0_k - phi_k(0^-)) (phi=None is
     the zero history); the measured jump is the order-j gap at j tau from one scan at
@@ -302,11 +280,9 @@ def lattice_jump_report(y0: SpectralField, phi: History | None, params: FlowPara
     k + 5 point stencils resolve the law to about 1e-3 at j = 4 and lose it past there.
     """
     js = np.arange(j_max + 1)
-    _, _, gap, rel_gap = (x[js, js] for x in _one_sided_gaps(y0, phi, params, j_max, modes, js))
+    _, _, gap, rel_gap = (x[js, js] for x in endpoint_jump_scan(y0, phi, params, j_max, modes, js))
     jump0 = y0.coeffs - (0.0 if phi is None else phi.coeffs(np.zeros(1), order=0)[0])
-    predicted = params.a ** js[:, None] * jump0[np.array(modes) - 1]      # [j, mode]
+    predicted = params.a ** js[:, None] * jump0[np.array(modes) - 1]
     with np.errstate(divide="ignore", invalid="ignore"):    # where predicted is 0, rel_gap
         rel = np.where(predicted == 0.0, rel_gap, np.abs(gap - predicted) / np.abs(predicted))
-    predicted, gap, rel = predicted.tolist(), gap.tolist(), rel.tolist()
-    return [(j, mode, predicted[j][i], gap[j][i], rel[j][i])
-            for j in range(j_max + 1) for i, mode in enumerate(modes)]
+    return predicted, gap, rel

@@ -124,11 +124,9 @@ def suite_jumps() -> SuiteResult:
     y0 = SpectralField(basis, _test_field(_SEED + 1, (basis.K,)))
     rows = []
     for a in (-1.0, 1.0, 2.0):
-        worst = [0.0] * len(_JUMP_BOUNDS)
-        for j, _, _, _, rel in diag.lattice_jump_report(y0, None, FlowParams(a=a, tau=1.0)):
-            worst[j] = max(worst[j], rel)
+        worst = np.max(diag.lattice_jump_report(y0, None, FlowParams(a=a, tau=1.0))[2], axis=1)
         rows.extend(CheckRow(f"jump a={a:g} j={j}", w <= bound, w, bound)
-                    for j, (w, bound) in enumerate(zip(worst, _JUMP_BOUNDS)))
+                    for j, (w, bound) in enumerate(zip(worst.tolist(), _JUMP_BOUNDS)))
     return SuiteResult("jumps", rows)
 
 
@@ -226,8 +224,8 @@ def suite_compatibility() -> SuiteResult:
     # matching data leave only stencil error in the gaps: truncation ~ h^5 and rounding ~ h^-k
     # at order k, so the same scan at 2 h estimates it at each entry by Richardson extrapolation,
     # |g(2h) - g(h)| / (1 - 2^-k); a true jump is the same at both steps and drops out
-    (_, _, g1, rel), (_, _, g2, rel2) = (diag._one_sided_gaps(y0, phi, params, 2, (1, 2), (0, 1),
-                                                              coarsen=c) for c in (1, 2))
+    (_, _, g1, rel), (_, _, g2, rel2) = (diag.endpoint_jump_scan(y0, phi, params, 2, coarsen=c)
+                                         for c in (1, 2))
     k = np.arange(1, 3)[:, None, None]
     model = float(np.max(np.abs(np.copysign(rel2, g2) - np.copysign(rel, g1))[1:]
                          / (1.0 - 0.5 ** k)))
@@ -249,10 +247,10 @@ def suite_compatibility() -> SuiteResult:
 
 def figure_panels(times=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5), x0: float = 0.3, K: int = 60,
                   nx: int = 300, L: float = 1.0,
-                  params: FlowParams | None = None) -> tuple[np.ndarray, dict[float, np.ndarray]]:
+                  params: FlowParams | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Profiles of the floor(t/tau)-th right derivative for point-mass data.
 
-    Returns the mesh and one value row per requested instant, by
+    Returns the mesh and the (len(times), nx + 1) values, row i at times[i], by
     `EigenBasis.on_mesh`.  At lattice instants the profile reproduces the spike
     of the initial point mass at x0; between lattice instants it is smooth.  A
     derivative that overflows is left as inf or nan for the caller's finiteness
@@ -266,22 +264,21 @@ def figure_panels(times=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5), x0: float = 0.3, K: int 
     with np.errstate(over="ignore", invalid="ignore"):     # callers check values are finite
         for row, t in zip(coeffs, times):
             row[:] = flow_derivative_factors(lams, t, params.series_index(t), params) * y0.coeffs
-    return xs, dict(zip(times, basis.on_mesh(coeffs, nx)))
+    return xs, basis.on_mesh(coeffs, nx)
 
 
 def figure_checks() -> SuiteResult:
     """Spike-location and smoothness checks on the default panels."""
     nx = 300
-    xs, panels = figure_panels(nx=nx)
+    xs, panels = figure_panels(nx=nx)       # one row per t = 0, 0.5, ..., 2.5
     rows = []
 
     def ratio(vals):
         mags = np.abs(vals)         # an odd count: the median is the middle element
         return float(np.max(mags) / np.partition(mags, mags.size // 2)[mags.size // 2])
 
-    ref_ratio = ratio(panels[1.0])
-    for t in (1.0, 2.0):
-        vals = panels[t]
+    ref_ratio = ratio(panels[2])
+    for t, vals in zip((1.0, 2.0), panels[2::2]):
         x_peak = float(xs[int(np.argmax(np.abs(vals)))])
         offset = abs(x_peak - 0.3)
         # the node nearest x0 is at most half a cell away (1e-12 absorbs the mesh's rounding)
@@ -289,8 +286,8 @@ def figure_checks() -> SuiteResult:
                              offset, 0.5 / nx,
                              detail=f"peak at x={x_peak:.6f}; bound: half a cell"))
     threshold = 0.1 * ref_ratio
-    for t in (0.5, 1.5, 2.5):
-        r = ratio(panels[t])
+    for t, vals in zip((0.5, 1.5, 2.5), panels[1::2]):
+        r = ratio(vals)
         rows.append(CheckRow(f"panel t={t:g}: smooth (max/median below spike threshold)",
                              r < threshold, r, threshold))
     return SuiteResult("figure", rows)

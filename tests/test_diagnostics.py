@@ -142,19 +142,21 @@ def test_lattice_jump_rows():
     rng = np.random.default_rng(9)
     y0 = SpectralField(basis, rng.standard_normal(24))
     for a in (-1.0, 1.0, 2.0):
-        rows = lattice_jump_report(y0, None, FlowParams(a=a, tau=1.0))
-        assert [(j, mode) for j, mode, *_ in rows] == [(j, m) for j in range(5) for m in (1, 2, 3)]
-        for j, mode, predicted, measured, rel in rows:
-            assert predicted == a**j * y0.coeffs[mode - 1]
-            assert rel == abs(measured - predicted) / abs(predicted)
-            assert rel <= _JUMP_BOUNDS[j], (a, j, mode)
+        predicted, measured, rel = lattice_jump_report(y0, None, FlowParams(a=a, tau=1.0))
+        # [j, mode]: j = 0..4, modes 1..3
+        assert predicted.shape == measured.shape == rel.shape == (5, 3)
+        for j, i in np.ndindex(5, 3):
+            assert predicted[j, i] == a**j * y0.coeffs[i]
+            assert rel[j, i] == abs(measured[j, i] - predicted[j, i]) / abs(predicted[j, i])
+            assert rel[j, i] <= _JUMP_BOUNDS[j], (a, j, i + 1)
 
 
 def test_predicted_jump_scaling_spot():
     basis = EigenBasis(1.0, 4)
     y0 = SpectralField.from_modes(basis, [1.0, 2.0])
-    rows = lattice_jump_report(y0, None, FlowParams(a=2.0, tau=0.5), j_max=3, modes=(1, 2))
-    assert [row[:3] for row in rows[-2:]] == [(3, 1, 8.0), (3, 2, 16.0)]
+    predicted, _, _ = lattice_jump_report(y0, None, FlowParams(a=2.0, tau=0.5), j_max=3,
+                                          modes=(1, 2))
+    assert predicted.shape == (4, 2) and predicted[3].tolist() == [8.0, 16.0]
 
 
 def test_lattice_jumps_of_a_compatible_history_are_predicted_zero_and_finite():
@@ -163,11 +165,11 @@ def test_lattice_jumps_of_a_compatible_history_are_predicted_zero_and_finite():
     basis = EigenBasis(1.0, 60)
     y0 = SpectralField(basis, np.random.default_rng(5).standard_normal(60))
     p = FlowParams(a=1.0, tau=1.0)
-    rows = lattice_jump_report(y0, compatible_history(y0, p), p)
-    assert len(rows) == 15 and all(predicted == 0.0 for _, _, predicted, _, _ in rows)
-    assert all(math.isfinite(x) for row in rows for x in row)
-    assert max(abs(measured) for _, _, _, measured, _ in rows) <= 1e-3
-    assert max(rel for *_, rel in rows) <= 0.1
+    predicted, measured, rel = lattice_jump_report(y0, compatible_history(y0, p), p)
+    assert predicted.shape == (5, 3) and np.all(predicted == 0.0)
+    assert np.all(np.isfinite([predicted, measured, rel]))
+    assert np.max(np.abs(measured)) <= 1e-3
+    assert np.max(rel) <= 0.1
 
 
 def test_lattice_jumps_carry_the_initial_jump_of_an_exp_history():
@@ -177,10 +179,11 @@ def test_lattice_jumps_carry_the_initial_jump_of_an_exp_history():
     y0, c = (SpectralField(basis, rng.standard_normal(60)) for _ in range(2))
     for a in (-1.0, 2.0):
         p = FlowParams(a=a, tau=1.0)
-        rows = lattice_jump_report(y0, ExpModeHistory(c, -1.0), p)
-        for j, mode, predicted, measured, rel in rows:
-            assert predicted == a**j * (y0.coeffs[mode - 1] - c.coeffs[mode - 1])
-            assert rel <= _JUMP_BOUNDS[j], (a, j, mode, rel)
+        predicted, _, rel = lattice_jump_report(y0, ExpModeHistory(c, -1.0), p)
+        assert predicted.shape == (5, 3)
+        for j, i in np.ndindex(5, 3):
+            assert predicted[j, i] == a**j * (y0.coeffs[i] - c.coeffs[i])
+            assert rel[j, i] <= _JUMP_BOUNDS[j], (a, j, i + 1, rel[j, i])
 
 
 def test_jumps_suite_catches_a_coupling_taken_by_magnitude(monkeypatch):
@@ -235,8 +238,9 @@ def test_compat_compatible_history_all_orders():
     rep = compatibility_check(y0, phi, p, r=3, tol=1e-9)
     assert rep.flag_matching
     # raw norms carry rounding at the scale of g_k ~ lam^k
-    for k, g in enumerate(rep.g_fields):
-        assert rep.violations[k] <= 1e-9 * max(1.0, math.sqrt(float(np.sum(g.coeffs**2))))
+    assert rep.g.shape == (4, 10)
+    for k, g in enumerate(rep.g):
+        assert rep.violations[k] <= 1e-9 * max(1.0, math.sqrt(float(np.sum(g**2))))
 
 
 def test_compat_compatible_history_all_modes_of_a_point_mass():
@@ -248,7 +252,7 @@ def test_compat_compatible_history_all_modes_of_a_point_mass():
     phi = compatible_history(y0, p)
     rep = compatibility_check(y0, phi, p, r=2, tol=1e-9)
     assert rep.flag_matching
-    assert rep.violations[2] > 1e-9 * max(1.0, np.linalg.norm(rep.g_fields[2].coeffs))
+    assert rep.violations[2] > 1e-9 * max(1.0, np.linalg.norm(rep.g[2]))
     # phi(0) moved by one unit in mode 3 still fails, with violation 1, and so
     # does a move of 1e-6, far above the rounding of |y0| ~ 8
     for eps in (1.0, 1e-6):
@@ -275,14 +279,13 @@ def test_endpoint_jump_scan_compatible_vs_incompatible():
     p = FlowParams(a=1.0, tau=1.0)
     y0 = SpectralField.from_modes(basis, {1: 1.0, 2: 0.3})
     good = compatible_history(y0, p)
-    rows = endpoint_jump_scan(y0, good, p, r=2, modes=(1, 2))
-    assert max(r.rel_gap for r in rows) <= 1e-3
+    rel_gap = endpoint_jump_scan(y0, good, p, r=2, modes=(1, 2))[3]
+    assert rel_gap.shape == (3, 2, 2) and np.max(rel_gap) <= 1e-3
 
     # constant history mismatching the first derivative: a visible gap at t=0
     bad = ExpModeHistory(y0, 0.0)
-    rows_bad = endpoint_jump_scan(y0, bad, p, r=1, modes=(1,))
-    gap_order1 = [r for r in rows_bad if r.t_label == "0" and r.order == 1][0]
-    assert gap_order1.rel_gap > 0.1
+    rel_bad = endpoint_jump_scan(y0, bad, p, r=1, modes=(1,))[3]
+    assert rel_bad[1, 0, 0] > 0.1       # order 1 at t = 0, mode 1
 
 
 def test_endpoint_jump_scan_rejects_a_mode_outside_the_basis():
@@ -304,13 +307,11 @@ def test_endpoint_jump_scan_zero_history():
     basis = EigenBasis(1.0, 4)
     p = FlowParams(a=1.0, tau=1.0)
     y0 = SpectralField.from_modes(basis, [1.0, 0.5])
-    rows = endpoint_jump_scan(y0, None, p, r=1)
-    assert len(rows) == 2 * 2 * 2          # {0, tau} x orders 0..1 x modes (1, 2)
-    at0 = [r for r in rows if r.t_label == "0"]
-    assert all(r.left == 0.0 for r in at0)
-    for r in at0:
-        if r.order == 0:
-            assert_allclose(r.right, y0.coeffs[r.mode - 1], rtol=1e-12)
+    scan = endpoint_jump_scan(y0, None, p, r=1)
+    assert [x.shape for x in scan] == [(2, 2, 2)] * 4   # orders 0..1 x {0, tau} x modes (1, 2)
+    left, right, _, _ = scan
+    assert np.all(left[:, 0] == 0.0)
+    assert_allclose(right[0, 0], y0.coeffs[:2], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +404,7 @@ def test_compatibility_check_equals_the_per_order_loop(kind, r):
     phi = _history(kind)
     rep = compatibility_check(_Y0, phi, _P, r)
     g, violations, flags = _scalar_compatibility(_Y0, phi, _P, r)
-    assert np.array([f.coeffs for f in rep.g_fields]).tobytes() == g.tobytes()
+    assert rep.g.shape == g.shape and rep.g.tobytes() == g.tobytes()
     assert (rep.flag_endpoint_regularity, rep.flag_g_regularity, rep.flag_matching) == flags
     assert_allclose(rep.violations, violations, rtol=1e-15, atol=0.0)
 
@@ -412,10 +413,14 @@ def test_compatibility_check_equals_the_per_order_loop(kind, r):
 def test_endpoint_jump_scan_equals_the_per_sample_stencils(kind, r):
     phi = _history(kind)
     for modes, lattice in (((1,), (0, 1)), ((1, 2), (0, 1)), ((3, 7), (0, 1)), ((1, 2), (2, 0, 3))):
-        rows = endpoint_jump_scan(_Y0, phi, _P, r, modes=modes, lattice=lattice)
+        # [order, instant, mode, (left, right, gap, rel_gap)]
+        got = np.stack(endpoint_jump_scan(_Y0, phi, _P, r, modes=modes, lattice=lattice), -1)
         ref = _scalar_endpoint_scan(_Y0, phi, _P, r, modes, lattice)
-        assert [(row.t_label, row.order, row.mode) for row in rows] == [x[:3] for x in ref]
-        got = np.array([(row.left, row.right, row.gap, row.rel_gap) for row in rows])
+        assert got.shape == (r + 1, len(lattice), len(modes), 4)
+        labels = ["0" if j == 0 else "tau" if j == 1 else f"{j}tau" for j in lattice]
+        assert [(label, k, mode) for label in labels for k in range(r + 1)
+                for mode in modes] == [x[:3] for x in ref]
+        got = got.swapaxes(0, 1).reshape(-1, 4)      # rows ordered by instant, order and mode
         assert got.tobytes() == np.array([x[3:] for x in ref]).tobytes(), (modes, lattice)
 
 
@@ -426,7 +431,7 @@ def test_compatibility_reports_every_order_whose_field_is_a_float():
     rep = compatibility_check(y0, None, p, r=67)
     assert np.all(np.isfinite(rep.violations)) and rep.violations[67] > 1e300
     # the violation of the zero history is |g_k|, and the scaled norm is |g_k| to rounding
-    assert_allclose(rep.violations[:30], [np.linalg.norm(g.coeffs) for g in rep.g_fields[:30]],
+    assert_allclose(rep.violations[:30], [np.linalg.norm(g) for g in rep.g[:30]],
                     rtol=1e-15)
     with pytest.raises(NonFiniteOutputError, match="compatibility order 68 of r = 68"):
         compatibility_check(y0, None, p, r=68)

@@ -27,16 +27,17 @@ def test_the_identity_field_has_distinct_standard_normal_like_entries():
 def test_the_partition_median_is_numpy_median_on_every_figure_panel():
     # figure_checks takes the middle element of np.partition of the 301 magnitudes; np.median,
     # which imports numpy.ma, stays here as the reference
-    _, panels = figure_panels(nx=300)
-    for vals in panels.values():
+    _, panels = figure_panels(nx=300)      # rows at t = 0, 0.5, ..., 2.5
+    assert panels.shape == (6, 301)
+    for vals in panels:
         mags = np.abs(vals)
         assert mags.size == 301
         assert np.partition(mags, 150)[150].tobytes() == np.median(mags).tobytes()
-    ref = np.max(np.abs(panels[1.0])) / np.median(np.abs(panels[1.0]))
+    ref = np.max(np.abs(panels[2])) / np.median(np.abs(panels[2]))
     smooth = [row for row in figure_checks().rows if "smooth" in row.name]
     assert len(smooth) == 3
-    for row, t in zip(smooth, (0.5, 1.5, 2.5)):
-        mags = np.abs(panels[t])
+    for row, vals in zip(smooth, panels[1::2]):
+        mags = np.abs(vals)
         assert row.value == float(np.max(mags) / np.median(mags))
         assert row.threshold == 0.1 * float(ref)
 
