@@ -123,12 +123,9 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_basis(other)
-        return SpectralField(self.basis, self.coeffs + other.coeffs)
-
-    def _check_same_basis(self, other: "SpectralField"):
         if other.basis != self.basis:
             raise InvalidArgumentError("fields must share one basis")
+        return SpectralField(self.basis, self.coeffs + other.coeffs)
 
     @classmethod
     def zero(cls, basis: EigenBasis) -> "SpectralField":

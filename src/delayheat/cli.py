@@ -53,8 +53,8 @@ from . import __version__, _import_started, io as dio
 from .basis import (_BLOCK, EigenBasis, SpectralField, _grid_index, _step_count, _step_grid,
                     dirac_coeffs, project)
 from .errors import InvalidArgumentError, NonFiniteOutputError, TruncationExceededError
-from .flow import (ExpModeHistory, FlowParams, GridHistory, compatible_history, picard_solve,
-                   solve_trace)
+from .flow import (_RING_BLOCK, CANCELLATION_LIMIT, ExpModeHistory, FlowParams, GridHistory,
+                   compatible_history, picard_solve, series_cancellation, solve_trace)
 
 DEFAULT_CONFIG = {
     "model": {"length": "1.0", "modes": "60", "tau": "1.0", "coupling": "1.0", "j_max": "128"},
@@ -256,15 +256,28 @@ def _fits_in_memory(key: str, n_bytes: int) -> None:
 
 def _closed_form(cfg, basis, params, y0, phi, times, T):
     trace = solve_trace(y0, phi, times, params)
-    return trace.times, trace.coeffs, {}, {}
+    figure = series_cancellation(basis.eigenvalues(), trace.times, params)
+    rows = np.flatnonzero(~np.all(np.isnan(figure), axis=1))    # the others underflow to 0
+    mode = np.nanargmax(figure[rows], axis=1)
+    t, worst = trace.times[rows], figure[rows, mode]
+    if np.any(worst > CANCELLATION_LIMIT):
+        i = int(np.argmax(worst > CANCELLATION_LIMIT))
+        raise TruncationExceededError(
+            f"the closed form at t={t[i]:g} cancels in mode {mode[i] + 1}: its series loses eps "
+            f"sum|terms| / |sum| = {worst[i]:.3g} of the value, past the limit "
+            f"{CANCELLATION_LIMIT:g}")
+    health = {"t": t.tolist(), "mode": (mode + 1).tolist(), "figure": worst.tolist()}
+    return trace.times, trace.coeffs, {"cancellation": health}, {}
 
 
 def _picard(cfg, basis, params, y0, phi, times, T):
     dt = _num(cfg, "picard.dt")
     n_sub, n_steps = _step_count(params.tau, dt, T, min_sub=4)
-    # 7 (N, K) arrays in a sweep: decay, F, G's part, two iterates, slopes and scratch; two
-    # windows for the history; per mode up to 1536 values for the circles of _picard_weights
-    _fits_in_memory("picard.dt", 8 * basis.K * (7 * (n_steps + 1) + 2 * (n_sub + 1) + 1536))
+    # 8 (N, K) arrays in a sweep: decay, F, G's part, two iterates, slopes, scratch and the
+    # half-length temporaries of the decay scan; two windows for the history; 1536 values per
+    # mode of a block of _picard_weights' circles
+    _fits_in_memory("picard.dt", 8 * (basis.K * (8 * (n_steps + 1) + 2 * (n_sub + 1))
+                                      + 1536 * _RING_BLOCK))
     idx = _samples(_step_grid(params.tau, dt, T, min_sub=4)[1], times, "picard")
     trace = picard_solve(y0, phi, T, dt, params)
     health = {"h": float(trace.times[1]), "residuals": trace.residuals.tolist()}

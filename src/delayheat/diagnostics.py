@@ -10,21 +10,18 @@ Three instruments:
   of y0.
 
 * ``compatibility_check`` builds the endpoint matching fields
-  g_0 = y0, g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1}, row k of the
-  (r + 1, K) array ``g``, and compares them with the time derivatives of phi at
-  0; agreement at orders <= r is exactly what removes the derivative jumps of
-  the solution at t = 0 and t = tau, which ``endpoint_jump_scan`` measures
-  independently by one-sided stencils over one table of solution and history
-  samples, returning left, right, gap and rel_gap as [order, instant, mode]
-  arrays.  Every norm is a row norm scaled before squaring, so an order is
-  reported while its field is a finite float.
+  g_0 = y0, g_k = a * (d/dt)^{k-1} phi(-tau) + Lap g_{k-1}, row k of one (r + 1, K)
+  array, and compares them with the time derivatives of phi at 0; agreement
+  at orders <= r is exactly what removes the derivative jumps of the solution at
+  t = 0 and t = tau, which ``endpoint_jump_scan`` measures independently by
+  one-sided stencils over one table of solution and history samples, as
+  [order, instant, mode] arrays.  Every norm is a row norm scaled before
+  squaring, so an order is reported while its field is a finite float.
 
 * ``lattice_jump_report`` runs the same scan at t = 0, tau, ..., j_max tau and
-  returns the predicted jump a^j (y0 - phi(0^-)) at j tau (the initial jump,
-  carried one order per period), the measured order-j gap there and their
-  relative error, as [j, mode] arrays.
-
-Every instrument hands back its arrays; the CLI forms the CSV rows from them as it writes.
+  returns the measured order-j gap at j tau, the predicted jump a^j (y0 - phi(0^-))
+  (the initial jump, carried one order per period) and their relative error as
+  [j, mode] arrays.  The CLI forms its CSV rows from the arrays as it writes them.
 """
 
 from __future__ import annotations
@@ -214,12 +211,10 @@ def compatibility_check(y0: SpectralField, phi: History | None, params: FlowPara
 
 
 def _one_sided_weights(order: int, n: int) -> np.ndarray:
-    """Stencil weights c with sum_i c_i f(t0 + s*i*h) = f^(order)(t0) * (s*h)^order."""
-    offs = np.arange(n, dtype=float)
-    A = np.vander(offs, n, increasing=True).T          # A[p, i] = i^p
-    b = np.zeros(n)
-    b[order] = math.factorial(order)
-    return np.linalg.solve(A, b)
+    """Stencil weights c with sum_i c_i f(t0 + s*i*h) = f^(order)(t0) * (s*h)^order: the
+    moment equations sum_i c_i i^p = p! [p = order], p < n."""
+    A = np.vander(np.arange(n, dtype=float), n, increasing=True).T     # A[p, i] = i^p
+    return np.linalg.solve(A, math.factorial(order) * np.eye(n)[order])
 
 
 def endpoint_jump_scan(y0: SpectralField, phi: History | None, params: FlowParams, r: int,

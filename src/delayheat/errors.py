@@ -6,7 +6,8 @@ class InvalidArgumentError(ValueError):
 
 
 class TruncationExceededError(RuntimeError):
-    """An evaluation time needs more series terms than the configured guard allows."""
+    """An evaluation time needs more series terms than the configured guard allows, or its
+    series cancels past the limit of the closed form."""
 
 
 class NonFiniteOutputError(RuntimeError):

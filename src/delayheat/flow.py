@@ -61,6 +61,7 @@ __all__ = [
 # Floating guard so times that are lattice points up to rounding are treated as such.
 _LATTICE_EPS = 1e-12
 _LOG_MAX = math.log(np.finfo(float).max)    # math.exp overflows past this
+CANCELLATION_LIMIT = 1e-10      # a closed-form value whose series cancels past this is refused
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,18 @@ def _delayed_exp_grid(lams, ts, params: FlowParams, order: int = 0,
             coef[:, live] = _series_coeffs(couplings, j, p, dts[live]) * math.comb(order, l)
             out += coef[:, :, None] * (1.0 if l == order else np.power(-lams, order - l)) * decay
     return out[0] if a is None else out.reshape(np.shape(a)[:-2] + out.shape[1:])
+
+
+def series_cancellation(lams, ts, params: FlowParams) -> np.ndarray:
+    """eps E(lambda, t; |a|) / |E(lambda, t; a)| on the (len(ts), len(lams)) grid, nan where both
+    sums underflow to 0.  Every factor of a series term but a^j is positive, so the sum at |a| is
+    sum |terms|, and this is the relative rounding the sum at a can carry (Higham 2002, §4.2):
+    eps for a >= 0; for a < 0, at t = 40, 2.2e-13 for L = 1, a = -1 and 5.1e-3 for L = 10, a = -2.
+    """
+    couplings = np.reshape([params.a, abs(params.a)], (2, 1, 1))
+    signed, total = _delayed_exp_grid(lams, ts, params, a=couplings)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.finfo(float).eps * total / np.abs(signed)
 
 
 def _delayed_exp_vec(lams: np.ndarray, t: float, params: FlowParams) -> np.ndarray:
@@ -509,7 +522,9 @@ def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float
     Iterate n is F + g, g = G y_{n-1}: 0 up to tau, then g' = -lam g + a y_{n-1}(t - tau), with
     y_{n-1}' = -lam y_{n-1} + a D, D(s) = phi(s - tau) below tau and y_{n-2}(s - tau) from tau on
     (y_{-1} = 0, y_0 = F).  Iterates n - 1 and n differ only on rows past n n_sub, where G^n F
-    starts, so sweep n steps g from window n on; sweep W steps nothing, its residual is 0."""
+    starts, so sweep n steps g from window n on and, from n = 2 (y_0 = F is not F + g), forms
+    F + g and the residual there alone: above, y_n copies y_{n-1}, whose x - x is 0, or nan
+    once such a row holds inf or nan.  Sweep W steps nothing, its residual is 0."""
     if T <= 0.0:
         raise InvalidArgumentError(f"horizon must be positive, got {T}")
     n_sub, times = _step_grid(params.tau, dt, T, min_sub=4)
@@ -530,10 +545,16 @@ def _picard_iterates(y0: SpectralField, phi: History | None, T: float, dt: float
     hist = (np.zeros((n_sub + 1, len(lams))) if phi is None
             else phi.coeffs(np.arange(n_sub + 1) * h - params.tau))     # phi(t_m - tau), m <= n_sub
     g, y, prev = np.zeros_like(F), F, np.zeros_like(F)
+    lo, same = 0, 0.0           # the first row sweep n changes, the residual of those above
     for n in range(1, math.ceil(n_steps / n_sub) + 1):
         _method_of_steps(g, n_sub, decay[1], lams, params.a, weights, hist, y, prev, start=n)
-        y, prev = F + g, y
-        yield times, y, np.max(np.linalg.norm(y - prev, axis=1))
+        if n > 1:
+            lo, top = min(n * n_sub + 1, len(F)), lo
+            same = same if np.all(np.isfinite(y[top:lo])) else np.nan
+        new = y.copy()
+        np.add(F[lo:], g[lo:], out=new[lo:])
+        y, prev = new, y
+        yield times, y, np.max(np.linalg.norm(y[lo:] - prev[lo:], axis=1), initial=same)
 
 
 def _fitted_weights(z):
@@ -547,6 +568,7 @@ def _fitted_weights(z):
 
 
 _FIT_SWITCH = 2.0       # below it the closed forms cancel; their circle mean takes over
+_RING_BLOCK = 16        # modes per block of circle points, which bounds their temporaries
 
 
 def _picard_weights(z) -> np.ndarray:
@@ -558,14 +580,16 @@ def _picard_weights(z) -> np.ndarray:
     The closed forms lose digits like 1e-16 / z^5 as z -> 0.  Below `_FIT_SWITCH` each weight
     is their mean over 64 points on the circle of radius 4 about z (Cauchy's mean value
     theorem, as Kassam and Trefethen 2005 evaluate the phi-functions of ETDRK4): the nearest
-    poles lie at |z| = 9.55 and every point stays 2 away from 0.  Both sides are within 2e-15
-    of an exact solve; C0 and D0 carry a factor exp(-z) and underflow past z = 745.
+    poles lie at |z| = 9.55 and every point stays 2 away from 0; `_RING_BLOCK` modes at a time.
+    Both sides are within 2e-15 of an exact solve; C0 and D0 carry a factor exp(-z) and
+    underflow past z = 745.
     """
     z = np.asarray(z, dtype=float)
-    small = z < _FIT_SWITCH
-    w = np.array(_fitted_weights(np.where(small, _FIT_SWITCH, z)))
-    ring = z[small, None] + 4.0 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
-    w[:, small] = np.array(_fitted_weights(ring)).real.mean(axis=-1)
+    small = np.flatnonzero(z < _FIT_SWITCH)
+    w = np.array(_fitted_weights(np.maximum(z, _FIT_SWITCH)))
+    ring = 4.0 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    for cols in np.split(small, np.arange(_RING_BLOCK, len(small), _RING_BLOCK)):
+        w[:, cols] = np.array(_fitted_weights(z[cols, None] + ring)).real.mean(axis=-1)
     return w
 
 

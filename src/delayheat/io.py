@@ -177,13 +177,9 @@ def write_transport_dump_csv(t: float, s_mesh: np.ndarray, xs: np.ndarray,
 
 def write_keyvalue(mapping: dict, path) -> int:
     """Flat "key = value" report, one entry per line."""
-    n = 0
     with open(path, "w") as fh:
-        for k, v in mapping.items():
-            v = fmt(v) if isinstance(v, float) else str(v)
-            fh.write(f"{k} = {v}\n")
-            n += 1
-    return n
+        fh.writelines(f"{k} = {fmt(v) if isinstance(v, float) else v}\n" for k, v in mapping.items())
+    return len(mapping)
 
 
 def read_grid_history_csv(path, basis: EigenBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -96,6 +96,9 @@ def suite_per_mode() -> SuiteResult:
 
 
 def suite_identity() -> SuiteResult:
+    """Each row is bounded by its rounding, 4 eps (kappa + 2): kappa = sum |terms| / |sum| of
+    `weight_factor`'s cross terms, which each mode's integral repeats scaled by a power of lam,
+    and 2 for the sums of positive terms (moments, norms) and the quotient."""
     n_fields, K = 20, 60
     lams = EigenBasis(1.0, K).eigenvalues()
     sq = _test_field(_SEED, (n_fields, K)) ** 2         # one field per row
@@ -107,8 +110,14 @@ def suite_identity() -> SuiteResult:
         idx = svals + 2.0 * (beta - alpha) + 1.0
         lhs = sq @ (integral[:, None] * lams[:, None] ** idx)
         worst = np.max(np.abs(lhs / (diag.weight_factor(alpha, beta) * norms) - 1.0), axis=0)
+        c = [math.comb(alpha, l) * math.perm(beta, l) for l in range(min(alpha, beta) + 1)]
+        kappa = sum(x * y * math.factorial(2 * beta - l - m) / 2.0 ** (2 * beta - l - m + 1)
+                    for (l, x), (m, y) in itertools.product(enumerate(c), repeat=2)
+                    ) / diag.weight_factor(alpha, beta)
+        bound = float(4.0 * np.finfo(float).eps * (kappa + 2.0))
         for s, w in zip(svals.tolist(), worst.tolist()):
-            rows.append(CheckRow(f"identity a={alpha} b={beta} s={s:g}", w <= 1e-6, w, 1e-6))
+            rows.append(CheckRow(f"identity a={alpha} b={beta} s={s:g}", w <= bound, w, bound,
+                                 detail=f"4 eps x (kappa + 2), kappa = {kappa:.3g}"))
     return SuiteResult("identity", rows)
 
 
@@ -146,18 +155,12 @@ def suite_picard() -> SuiteResult:
     exact = solve_trace(y0, None, run[0][0], params).coeffs
     errors = {n: float(np.max(np.linalg.norm(y - exact, axis=1)))
               for n, (_, y, _) in enumerate(run, start=1)}
-
-    def bound(n):
-        return (abs(params.a) * T) ** (n + 1) / math.factorial(n + 1)
-
-    C = max(errors[n] / bound(n) for n in (1, 2, 3))
+    bound = {n: (abs(params.a) * T) ** (n + 1) / math.factorial(n + 1) for n in errors}
+    C = max(errors[n] / bound[n] for n in (1, 2, 3))
     floor = 2.0 * min(errors.values())
-    rows = []
-    worst_excess = 0.0
-    for n, e in errors.items():
-        worst_excess = max(worst_excess, e / (C * bound(n) + floor))
-    rows.append(CheckRow("picard factorial envelope", worst_excess <= 1.0, worst_excess, 1.0,
-                         detail=f"floor={floor:.3g} C={C:.3g}"))
+    worst_excess = max(e / (C * bound[n] + floor) for n, e in errors.items())
+    rows = [CheckRow("picard factorial envelope", worst_excess <= 1.0, worst_excess, 1.0,
+                     detail=f"floor={floor:.3g} C={C:.3g}")]
     last = errors[len(run)]
     rows.append(CheckRow("picard reaches grid floor", last <= 10.0 * floor, last, 10.0 * floor))
     rows.append(CheckRow("picard envelope spans decades", errors[1] >= 100.0 * floor,
@@ -195,8 +198,7 @@ def suite_hybrid() -> SuiteResult:
     phi = compatible_history(y0, params)
     errs = [_hybrid_error_at(n, 2.0 * params.tau, params, basis, y0, phi)
             for n in (100, 200, 400)]
-    slope = float(np.polyfit(np.log2([100, 200, 400]), np.log2(errs), 1)[0])
-    order = -slope
+    order = -float(np.polyfit(np.log2([100, 200, 400]), np.log2(errs), 1)[0])
     err_zero_hist = _hybrid_error_at(400, 2.0 * params.tau, params, basis, y0)
     rows = [
         CheckRow("hybrid L2 error (finest, smooth history)", errs[-1] <= 1e-3, errs[-1], 1e-3,
@@ -259,12 +261,11 @@ def figure_panels(times=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5), x0: float = 0.3, K: int 
     params = params or FlowParams(a=1.0, tau=1.0)
     basis = EigenBasis(L, K)
     y0 = dirac_coeffs(x0, basis)
-    lams, xs, times = basis.eigenvalues(), basis.mesh(nx), [float(t) for t in times]
-    coeffs = np.empty((len(times), K))
+    lams, xs = basis.eigenvalues(), basis.mesh(nx)
     with np.errstate(over="ignore", invalid="ignore"):     # callers check values are finite
-        for row, t in zip(coeffs, times):
-            row[:] = flow_derivative_factors(lams, t, params.series_index(t), params) * y0.coeffs
-    return xs, basis.on_mesh(coeffs, nx)
+        coeffs = [flow_derivative_factors(lams, t, params.series_index(t), params) * y0.coeffs
+                  for t in map(float, times)]
+    return xs, basis.on_mesh(np.reshape(coeffs, (-1, K)), nx)
 
 
 def figure_checks() -> SuiteResult:
@@ -277,7 +278,6 @@ def figure_checks() -> SuiteResult:
         mags = np.abs(vals)         # an odd count: the median is the middle element
         return float(np.max(mags) / np.partition(mags, mags.size // 2)[mags.size // 2])
 
-    ref_ratio = ratio(panels[2])
     for t, vals in zip((1.0, 2.0), panels[2::2]):
         x_peak = float(xs[int(np.argmax(np.abs(vals)))])
         offset = abs(x_peak - 0.3)
@@ -285,7 +285,7 @@ def figure_checks() -> SuiteResult:
         rows.append(CheckRow(f"panel t={t:g}: peak at x=0.3", offset <= 0.5 / nx + 1e-12,
                              offset, 0.5 / nx,
                              detail=f"peak at x={x_peak:.6f}; bound: half a cell"))
-    threshold = 0.1 * ref_ratio
+    threshold = 0.1 * ratio(panels[2])
     for t, vals in zip((0.5, 1.5, 2.5), panels[1::2]):
         r = ratio(vals)
         rows.append(CheckRow(f"panel t={t:g}: smooth (max/median below spike threshold)",

@@ -46,7 +46,8 @@ def test_criterion_3_weighted_identity():
     _report("criterion 3: weighted-orbit identity ratios",
             suite.passed,
             f"max |ratio - 1| = {worst:.3e} over alpha,beta in 0..3, s in {{-1,0,2}}, "
-            f"20 deterministic test fields, K=60, tolerance 1e-6")
+            f"20 deterministic test fields, K=60, each row within its rounding bound "
+            f"4 eps (kappa + 2), at most {max(r.threshold for r in suite.rows):.3g}")
 
 
 def test_criterion_4_jump_law():

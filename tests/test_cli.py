@@ -258,7 +258,7 @@ def test_simulate_grid_near_the_float_limit_stays_finite(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("solver, extra, keys", [
-    ("closed-form", [], set()),
+    ("closed-form", [], {"cancellation"}),
     ("picard", ["--picard.dt", "0.03125", "--run.times", "0 0.375 1.1875"],
      {"h", "residuals"}),
     ("rk4-modes", ["--rk4.dt", "0.005"], {"h"}),
@@ -271,9 +271,13 @@ def test_simulate_manifest_records_solver_health(tmp_path, solver, extra, keys):
     health = json.loads((out / "manifest.json").read_text())["health"]
     assert set(health) == keys | {"snap_max_offset"}
     residuals = health.pop("residuals", [])
+    cancellation = health.pop("cancellation", {})
     assert all(math.isfinite(v) for v in list(health.values()) + residuals)
     if solver == "closed-form":
         assert health["snap_max_offset"] == 0.0
+        # a > 0: every series term is positive, so each figure is eps; one per instant
+        assert cancellation == {"t": [0.0, 0.4, 1.2], "mode": [1] * 3,
+                                "figure": [2.220446049250313e-16] * 3}
     if solver == "picard":
         # 0, 0.375 and 1.1875 are samples of the 1/32 grid
         assert health == {"h": 0.03125, "snap_max_offset": 0.0}
@@ -748,8 +752,9 @@ def test_picard_step_not_positive_and_finite_exits_2(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("solver, key, n_bytes", [
-    # 160 steps of 1/64 to T = 2.5, K = 60: 7 arrays of 161 rows, 2 windows of 65 and 1536 per mode
-    ("picard", "picard.dt", 8 * 60 * (7 * 161 + 2 * 65 + 1536)),
+    # 160 steps of 1/64 to T = 2.5, K = 60: 8 arrays of 161 rows, 2 windows of 65 and 1536 per
+    # mode of a 16-mode block of circles
+    ("picard", "picard.dt", 8 * (60 * (8 * 161 + 2 * 65) + 1536 * 16)),
     # the zero history: 2501 steps, 64 rows of per-mode arrays and 4 windows of 1001 rows
     ("rk4-modes", "rk4.dt", 8 * 61 * (2501 + 64 + 4 * 1001)),
     # 804 delay-line rows of 60 bins and two 256-row scan blocks, 2001 step times and 6
@@ -1117,6 +1122,21 @@ def test_a_series_past_its_guard_exits_1_as_a_truncation_limit(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("times", ["0 20 40 60", "0 40"])
+def test_a_series_that_cancels_past_its_limit_exits_1_naming_t_mode_and_figure(tmp_path, capsys,
+                                                                                 times):
+    # L = 10, a = -2: the closed form was off rk4-modes by 3.7e-4 and 1.6e2 at t = 40 and 60
+    # and exited 0; the first instant past the limit is named
+    out = tmp_path / "out"
+    assert main(["simulate", "--model.length", "10", "--model.coupling", "-2", "--run.times",
+                 times, "--run.out_dir", str(out)]) == 1
+    t, figure = ("20", "1.93e-10") if times.startswith("0 20") else ("40", "0.00507")
+    assert capsys.readouterr().err == (
+        f"truncation limit: the closed form at t={t} cancels in mode 1: its series loses eps "
+        f"sum|terms| / |sum| = {figure} of the value, past the limit 1e-10\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["--model.coupling", "1e80"], "9 non-finite jump table cells, the first at t=4, mode=1"),
     (["--model.coupling", "1e200"], "27 non-finite jump table cells, the first at t=2, mode=1"),
@@ -1262,19 +1282,27 @@ def test_the_rk4_memory_estimate_bounds_what_the_run_allocates(tmp_path, monkeyp
     assert peak <= estimate, (peak, estimate)
 
 
-@pytest.mark.parametrize("times", ["0 0.5 1 1.5 2 2.5", "0 10 20"], ids=["T2.5", "T20"])
-@pytest.mark.parametrize("dt", ["0.015625", "0.0625"])
-@pytest.mark.parametrize("K", [60, 240])
-@pytest.mark.parametrize("extra", [
-    [],
-    ["--history.kind", "compatible"],
-    ["--history.kind", "exp", "--history.profile", "1 2 3"],
-], ids=["zero", "compatible", "exp"])
+_PICARD_HISTORIES = {"zero": [], "compatible": ["--history.kind", "compatible"],
+                     "exp": ["--history.kind", "exp", "--history.profile", "1 2 3"]}
+_PICARD_TIMES = {"T2.5": "0 0.5 1 1.5 2 2.5", "T20": "0 10 20"}
+
+
+@pytest.mark.parametrize("extra, K, dt, times", [
+    pytest.param(extra, K, dt, times, id=f"{name}-{K}-{dt}-{span}")
+    for name, extra in _PICARD_HISTORIES.items() for K in (60, 240)
+    for dt in ("0.015625", "0.0625") for span, times in _PICARD_TIMES.items()
+] + [
+    # L = 1000: every one of the 1000 modes is on the circles of _picard_weights
+    pytest.param(["--model.length", "1000"], 1000, "0.125", _PICARD_TIMES["T2.5"],
+                 id="zero-L1000-1000-0.125-T2.5"),
+])
 def test_the_picard_memory_estimate_bounds_what_the_run_allocates(tmp_path, monkeypatch, extra, K,
                                                                   dt, times):
     # the estimate _fits_in_memory checks is an upper bound of the traced peak of the solve; the
-    # one it replaced, 10 (N, K) arrays, left out the circles of _picard_weights and was under it
-    # at K = 60, T = 20, dt = 1/16 (1.66 MB against 1.54 MB)
+    # one before it, 10 (N, K) arrays, left out the circles of _picard_weights and was under it
+    # at K = 60, T = 20, dt = 1/16 (1.66 MB against 1.54 MB); the circles, formed for every mode
+    # at once, peaked at 10.3 MB of the L = 1000 case's 10.6 MB, which is now under 3 MB
     estimate, peak = _estimate_and_traced_peak(tmp_path, monkeypatch, "picard", K, [
         "--model.modes", str(K), "--picard.dt", dt, "--run.times", times, *extra])
     assert peak <= estimate, (peak, estimate)
+    assert K < 1000 or peak <= 3e6, peak

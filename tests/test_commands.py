@@ -93,6 +93,42 @@ def near_closed_form(*argv):
     return check
 
 
+def _rows(path, *columns):
+    with open(path, newline="") as fh:
+        return [tuple(row[c] for c in columns) for row in csv.DictReader(fh)]
+
+
+def jump_table_layout(path):
+    # one row per j = 0..4 and mode 1..3, j the outer loop
+    assert _rows(path, "j", "mode") == [(str(j), str(k)) for j in range(5) for k in (1, 2, 3)]
+
+
+def exp_jump_law(path):
+    # the default exp history phi(gamma) = e^-gamma e_1 under the default point mass at 0.3 and
+    # a = 1: the predicted jump at j tau is a^j (y0 - phi(0^-)), written as "%.17g" writes it
+    jump_table_layout(path)
+    from delayheat import EigenBasis, dirac_coeffs
+    y0, phi0, a = dirac_coeffs(0.3, EigenBasis(1.0, 60)).coeffs, [1.0, 0.0, 0.0], 1.0
+    assert [cell for (cell,) in _rows(path, "predicted")] == [
+        "%.17g" % (a**j * (y0[k] - phi0[k])) for j in range(5) for k in range(3)]
+
+
+def endpoint_layout(order):
+    def check(path):
+        # one row per instant "0", "tau", then order 0..r, then mode 1..2
+        assert _rows(path, "t", "order", "mode") == [
+            (t, str(k), str(mode)) for t in ("0", "tau") for k in range(order + 1)
+            for mode in (1, 2)]
+    return check
+
+
+def cancellation_in_health(path):
+    # the bench's negative-coupling op: the worst mode's figure at each instant, at most 2.2e-13
+    figures = json.loads(path.read_text())["health"]["cancellation"]
+    assert figures["t"] == [0.0, 5.0, 10.0, 20.0, 40.0, 60.0] and figures["mode"] == [1] * 6
+    assert all(2.2e-16 <= f <= 2.3e-13 for f in figures["figure"]), figures
+
+
 DENSE_TIMES = " ".join(str(i / 40) for i in range(101))
 
 ROWS = [
@@ -143,6 +179,18 @@ ROWS = [
     ("diagnose-order-64", ["diagnose", "--order", "64"], 0,
      ["compatibility.txt", "jump_table.csv", "manifest.json"],
      {name: no_nan_or_inf for name in ("compatibility.txt", "jump_table.csv", "manifest.json")}),
+    # the CSV rows are formed from the diagnostics' arrays as they are written
+    ("diagnose-zero", ["diagnose"], 0, ["compatibility.txt", "jump_table.csv", "manifest.json"],
+     {"jump_table.csv": jump_table_layout}),
+    ("diagnose-exp", ["diagnose", "--order", "1", "--history.kind", "exp"], 0,
+     ["compatibility.txt", "endpoint_jumps.csv", "jump_table.csv", "manifest.json"],
+     {"jump_table.csv": exp_jump_law, "endpoint_jumps.csv": endpoint_layout(1)}),
+    ("closed-form-negative-coupling", ["simulate", "--model.coupling", "-1",
+                                       "--run.times", "0 5 10 20 40 60"], 0, SIMULATE,
+     {"manifest.json": cancellation_in_health}),
+    # the series cancels to 1.9e-10 at t = 20 and 5.1e-3 at t = 40: refused, no CSV
+    ("closed-form-cancels", ["simulate", "--model.length", "10", "--model.coupling", "-2",
+                             "--run.times", "0 20 40 60"], 1, None, {}),
     # the quadrature of `project` resolves 227 modes on L = 1: K = 1000 wrote a t = 0 row 0.566
     # off a field whose maximum is 0.25
     ("polynomial-past-its-quadrature", ["simulate", "--initial.kind", "polynomial",

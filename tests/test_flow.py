@@ -78,6 +78,27 @@ def test_delayed_exp_vs_rk4_oracle():
         assert rel <= 1e-6, (lam, a, tau, rel)
 
 
+@pytest.mark.parametrize("a", [-2.0, -1.0, 0.5, 1.0])
+def test_series_cancellation_is_eps_times_the_sum_of_term_magnitudes(a):
+    # every factor of a term but a^j is positive, so the kernel at |a| is sum |terms|: the figure
+    # is eps E(|a|) / |E(a)| from the two kernel calls, bit for bit, eps itself for a > 0, and
+    # nan only where both sums underflow to 0
+    lams, ts = EigenBasis(10.0, 60).eigenvalues(), np.array([0.0, 0.5, 5.0, 20.0, 40.0])
+    p = FlowParams(a=a, tau=1.0)
+    signed = fl._delayed_exp_grid(lams, ts, p)
+    total = fl._delayed_exp_grid(lams, ts, FlowParams(a=abs(a), tau=1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.finfo(float).eps * total / np.abs(signed)
+    figure = fl.series_cancellation(lams, ts, p)
+    assert figure.shape == (5, 60) and figure.tobytes() == expected.tobytes()
+    assert np.array_equal(np.isnan(figure), (signed == 0.0) & (total == 0.0))
+    if a > 0:
+        assert np.all(figure[~np.isnan(figure)] == np.finfo(float).eps)
+    else:       # the first mode at t = 20 and 40: 1.9e-10 and 5.1e-3 for a = -2 at L = 10
+        assert np.nanmin(figure) >= np.finfo(float).eps * (1.0 - 1e-12)
+        assert figure[3, 0] < figure[4, 0] and figure[4, 0] > 1e-5
+
+
 def test_flow_apply_identity_and_heat_reduction(basis):
     p = FlowParams(a=1.0, tau=1.0)
     rng = np.random.default_rng(2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delayheat.validate import (_SEED, _test_field, figure_checks, figure_panels,
-                                suite_compatibility)
+                                suite_compatibility, suite_identity)
 
 
 @pytest.mark.parametrize("seed, shape", [(_SEED, (20, 60)), (_SEED + 1, (60,))])
@@ -55,3 +55,22 @@ def test_the_endpoint_jump_bound_is_its_stencil_error_model():
     row = next(row for row in suite_compatibility().rows if "endpoint" in row.name)
     assert row.passed and row.value < row.threshold <= 100.0 * row.value
     assert row.detail.startswith("10 x the stencil error")
+
+
+def test_the_identity_bounds_are_rounding_times_the_condition_of_the_sums():
+    # 4 eps (kappa + 2): each of the 48 rows within 100 x its value and under the 1e-13 the
+    # identity-rows command asserts; the fixed 1e-6 they replaced sat 1.25e8 above the largest
+    rows = suite_identity().rows
+    assert len(rows) == 48
+    for row in rows:
+        assert row.passed and row.value < row.threshold <= 100.0 * row.value, row
+        assert row.detail.startswith("4 eps x (kappa + 2), kappa = ")
+    assert max(row.threshold for row in rows) <= 1e-13
+
+
+def test_the_identity_rows_see_the_weight_factor_off_by_1e_12(monkeypatch):
+    # mutant: weight_factor scaled by 1 + 1e-12, which passed every row against 1e-6
+    import delayheat.diagnostics as diag
+    factor = diag.weight_factor
+    monkeypatch.setattr(diag, "weight_factor", lambda a, b: factor(a, b) * (1.0 + 1e-12))
+    assert [row.name for row in suite_identity().rows if row.passed] == []
