@@ -630,6 +630,27 @@ def _short_delay_histories(a):
     return p, y0, {"zero": None, "compatible": compatible_history(y0, p)}
 
 
+@pytest.mark.parametrize("a", [1.0, -1.0, 1e100])
+def test_picard_residuals_are_the_full_length_differences(a):
+    # sweep n >= 2 forms F + g and its residual past row n n_sub alone and copies the rows above
+    # from iterate n - 1: each iterate and residual is what the full-length sums give, nan
+    # included once a copied row holds inf or nan (a = 1e100 overflows, and a residual over the
+    # formed rows alone read 0 last where the full-length difference is nan)
+    basis12 = EigenBasis(1.0, 12)
+    p, y0 = FlowParams(a=a, tau=0.5), dirac_coeffs(0.3, basis12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = list(fl._picard_iterates(y0, None, 2.5, p.tau / 8, p))
+        times = run[0][0]
+        iterates = [np.exp(-np.outer(times, basis12.eigenvalues())) * y0.coeffs]    # y_0 = F
+        iterates += [y for _, y, _ in run]
+        full = [np.max(np.linalg.norm(y - prev, axis=1))
+                for prev, y in zip(iterates, iterates[1:])]
+    assert len(run) == 5        # one sweep per delay window
+    np.testing.assert_array_equal([r for _, _, r in run], full)
+    for n, (prev, y) in enumerate(zip(iterates[1:], iterates[2:]), start=2):
+        assert np.array_equal(y[:n * 8 + 1], prev[:n * 8 + 1], equal_nan=True), n
+
+
 @pytest.mark.parametrize("a", [1.0, -1.0])
 def test_picard_solve_is_a_prefix_of_picard_iterates(a):
     # picard_solve is the whole run of _picard_iterates, one item per delay window: its
